@@ -16,6 +16,7 @@ verdict), 2 when the verdict contradicts --expect, 1 on any error.
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import json
 import math
 import os
@@ -23,9 +24,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, estimates, illposed
+from . import __version__, estimates, evolution, illposed
 from .errors import InvalidSpecError, KPLabError, SweepWorkerError
-from .estimates import envelope_fit
+from .estimates import envelope_fit, grows
 from .evolution import CutoffSpec, SolveConfig, evolve_nonlinear, observed_order, picard_solve
 from .fields import SpectralField, make_grid, save_field
 from .symbols import DispersionParams, resonance_bounds_audit, resonance_sample_audit
@@ -119,14 +120,16 @@ _DEFAULTS = {
     },
 }
 
+_SWEEP_COLUMNS = ["N", "kind", "seed", "value"]
+
 _COLUMNS = {
     "resonance-audit": ["alpha", "kMax", "checked", "violations", "maxResidual"],
     "evolve": ["t", "l2RelDrift"],
     "picard": ["iteration", "diffNorm"],
-    "strichartz2d": ["N", "kind", "seed", "value"],
-    "strichartz3d": ["N", "kind", "seed", "value"],
+    "strichartz2d": _SWEEP_COLUMNS,
+    "strichartz3d": _SWEEP_COLUMNS,
     "counterexample": ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"],
-    "bilinear-ratio": ["N", "kind", "seed", "value"],
+    "bilinear-ratio": _SWEEP_COLUMNS,
     "illposed-scaling": ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"],
 }
 
@@ -167,11 +170,9 @@ def _validate(subcommand, cfg):
         need("iters", int, lambda v: v >= 1)
         need("tPoints", int, lambda v: v >= 8 and (v & (v - 1)) == 0)
         need("tWindow", num, lambda v: v > 0)
-        if all(k in cfg for k in ("T", "tWindow")) and isinstance(
-            cfg.get("T"), num
-        ) and isinstance(cfg.get("tWindow"), num):
-            if 2 * cfg["T"] > cfg["tWindow"]:
-                problems.append("T: cutoff support 2T exceeds tWindow")
+        T, window = cfg.get("T"), cfg.get("tWindow")
+        if isinstance(T, num) and isinstance(window, num) and 2 * T > window:
+            problems.append("T: cutoff support 2T exceeds tWindow")
     if subcommand in ("strichartz2d", "strichartz3d", "bilinear-ratio"):
         need("Ns", list, lambda v: v and all(isinstance(n, int) and n >= 1 for n in v))
         need("seeds", list, lambda v: v and all(isinstance(s, int) for s in v))
@@ -238,18 +239,11 @@ def sweep_parallel(points, worker, workers=1):
 # subcommand runners
 
 
-def _smooth_bump_profile(eta, width):
-    out = np.zeros_like(eta)
-    m = np.abs(eta) < width
-    x = eta[m] / width
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - x * x))
-    return out
-
-
 def _small_smooth_data(grid, amplitude, eta_width):
     """amplitude * cos(x) times a smooth transverse bump, spectrally exact."""
     c = np.zeros(grid.spatial_shape, dtype=complex)
-    prof = _smooth_bump_profile(grid.eta_axis(), eta_width)
+    # the decaying flank of the cutoff bump: exp(1 - 1/(1 - x^2)) on |x| < 1
+    prof = evolution.bump(1.0 + np.abs(grid.eta_axis()) / eta_width)
     prof[grid.yPoints // 2] = 0.0
     kaxis = grid.k_axis()
     c[kaxis == 1] = 0.5 * amplitude * prof / grid.deta / (2.0 * math.pi)
@@ -257,7 +251,7 @@ def _small_smooth_data(grid, amplitude, eta_width):
     return SpectralField(grid, c)
 
 
-def _run_resonance_audit(cfg, workers):
+def _run_resonance_audit(cfg, workers, outdir):
     rows = []
     for alpha in cfg["alphas"]:
         params = DispersionParams(float(alpha), 1)
@@ -310,7 +304,7 @@ def _run_evolve(cfg, workers, outdir):
     return rows, summary, None
 
 
-def _run_picard(cfg, workers):
+def _run_picard(cfg, workers, outdir):
     params = DispersionParams(cfg["alpha"], 1)
     grid = make_grid(
         cfg["kMax"],
@@ -345,68 +339,30 @@ def _run_picard(cfg, workers):
     return rows, summary, None
 
 
-def _sweep_rows(cfg, workers, point_fn, kinds_key=None):
-    points = []
-    for n in cfg["Ns"]:
-        kinds = cfg.get("kinds", ["random"]) if kinds_key else ["random"]
-        for kind in kinds:
-            for seed in cfg["seeds"]:
-                point = dict(cfg)
-                point.update(
-                    {"N": int(n), "kind": kind, "seed": int(seed) + cfg["baseSeed"]}
-                )
-                points.append(point)
-    raw = sweep_parallel(points, point_fn, workers)
-    # deterministic order: by (N, kind, seed) as constructed
-    return raw
-
-
-def _run_strichartz2d(cfg, workers):
-    rows = _sweep_rows(cfg, workers, estimates.strichartz2d_point, kinds_key="kinds")
+def _run_sweep(point_name, kinds_apply, cfg, workers, outdir):
+    """A ratio sweep over (N, kind, seed) points, fitted by its per-N envelope."""
+    kinds = cfg.get("kinds", ["random"]) if kinds_apply else ["random"]
+    # rows come back in this (N, kind, seed) order for any worker count
+    points = [
+        {**cfg, "N": int(n), "kind": kind, "seed": int(seed) + cfg["baseSeed"]}
+        for n in cfg["Ns"]
+        for kind in kinds
+        for seed in cfg["seeds"]
+    ]
+    # looked up at call time, so that a wrapper installed on the module runs
+    rows = sweep_parallel(points, getattr(estimates, point_name), workers)
     fit = envelope_fit(rows)
-    verdict = "estimate fails" if fit.exponent > 0.1 else "bounded"
     summary = {
         "fittedExponent": fit.exponent,
         "residual": fit.residual,
         "perNMax": {str(s.N): s.value for s in fit.samples},
     }
-    keep = _COLUMNS["strichartz2d"]
-    return [{k: r[k] for k in keep} for r in rows], summary, verdict
+    verdict = "estimate fails" if grows(fit.exponent) else "bounded"
+    return [{k: r[k] for k in _SWEEP_COLUMNS} for r in rows], summary, verdict
 
 
-def _run_strichartz3d(cfg, workers):
-    rows = _sweep_rows(cfg, workers, estimates.strichartz3d_point)
-    fit = envelope_fit(rows)
-    verdict = "estimate fails" if fit.exponent > 0.1 else "bounded"
-    summary = {
-        "fittedExponent": fit.exponent,
-        "residual": fit.residual,
-        "perNMax": {str(s.N): s.value for s in fit.samples},
-    }
-    keep = _COLUMNS["strichartz3d"]
-    return [{k: r[k] for k in keep} for r in rows], summary, verdict
-
-
-def _run_counterexample(cfg, workers):
+def _run_counterexample(cfg, workers, outdir):
     params = DispersionParams(cfg["alpha"], 1)
-    rows = []
-    for n in cfg["Ns"]:
-        ccfg = estimates.CounterexampleConfig(
-            N=int(n), halfWidth=float(n) ** cfg["halfWidthExponent"]
-        )
-        lhs = estimates.counterexample_lhs(ccfg, params, cfg["quadPoints"], "omega")
-        alt = estimates.counterexample_lhs(ccfg, params, cfg["quadPoints"], "tau")
-        denom = estimates.counterexample_denominator(ccfg, cfg["s"])
-        rows.append(
-            {
-                "N": int(n),
-                "halfWidth": ccfg.halfWidth,
-                "lhs": lhs,
-                "lhsTauRoute": alt,
-                "denominator": denom,
-                "value": lhs / denom,
-            }
-        )
     report = estimates.counterexample_verdict(
         cfg["Ns"], cfg["s"], cfg["halfWidthExponent"], params, cfg["quadPoints"]
     )
@@ -416,23 +372,10 @@ def _run_counterexample(cfg, workers):
         "residual": report.fit.residual,
         "routeAgreement": report.route_agreement,
     }
-    return rows, summary, report.verdict
+    return list(report.rows), summary, report.verdict
 
 
-def _run_bilinear(cfg, workers):
-    rows = _sweep_rows(cfg, workers, estimates.bilinear_point, kinds_key="kinds")
-    fit = envelope_fit(rows)
-    verdict = "estimate fails" if fit.exponent > 0.1 else "bounded"
-    summary = {
-        "fittedExponent": fit.exponent,
-        "residual": fit.residual,
-        "perNMax": {str(s.N): s.value for s in fit.samples},
-    }
-    keep = _COLUMNS["bilinear-ratio"]
-    return [{k: r[k] for k in keep} for r in rows], summary, verdict
-
-
-def _run_illposed(cfg, workers):
+def _run_illposed(cfg, workers, outdir):
     params = DispersionParams(cfg["alpha"], 1)
     report = illposed.illposed_scaling(
         cfg["Ns"],
@@ -464,14 +407,14 @@ def _run_illposed(cfg, workers):
 
 
 _RUNNERS = {
-    "resonance-audit": lambda cfg, workers, outdir: _run_resonance_audit(cfg, workers),
-    "evolve": lambda cfg, workers, outdir: _run_evolve(cfg, workers, outdir),
-    "picard": lambda cfg, workers, outdir: _run_picard(cfg, workers),
-    "strichartz2d": lambda cfg, workers, outdir: _run_strichartz2d(cfg, workers),
-    "strichartz3d": lambda cfg, workers, outdir: _run_strichartz3d(cfg, workers),
-    "counterexample": lambda cfg, workers, outdir: _run_counterexample(cfg, workers),
-    "bilinear-ratio": lambda cfg, workers, outdir: _run_bilinear(cfg, workers),
-    "illposed-scaling": lambda cfg, workers, outdir: _run_illposed(cfg, workers),
+    "resonance-audit": _run_resonance_audit,
+    "evolve": _run_evolve,
+    "picard": _run_picard,
+    "strichartz2d": functools.partial(_run_sweep, "strichartz2d_point", True),
+    "strichartz3d": functools.partial(_run_sweep, "strichartz3d_point", False),
+    "counterexample": _run_counterexample,
+    "bilinear-ratio": functools.partial(_run_sweep, "bilinear_point", True),
+    "illposed-scaling": _run_illposed,
 }
 
 

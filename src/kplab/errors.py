@@ -51,6 +51,10 @@ class NonpositiveValueError(KPLabError, ValueError):
     """Log-log fitting requires strictly positive sample values."""
 
 
+class NonFiniteValueError(KPLabError, ValueError):
+    """A NaN or infinite number reached a fit or a verdict."""
+
+
 class SolverDivergenceError(KPLabError, RuntimeError):
     """A time stepper or fixed-point iteration is blowing up."""
 

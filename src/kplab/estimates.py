@@ -24,7 +24,7 @@ N^(1/2) |I|^(1/2) law exactly and keeps the two routes comparable.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .errors import (
     BandExceedsGridError,
     InsufficientSpanError,
     InvalidSpecError,
+    NonFiniteValueError,
     NonpositiveValueError,
     ZeroDenominatorError,
 )
-from .evolution import raised_cosine_window
+from .evolution import CutoffSpec, raised_cosine_window
 from .fields import (
     BandSpec,
     NormSpec,
@@ -49,6 +50,7 @@ from .fields import (
     st_product_exact,
     st_random_field,
 )
+from .symbols import DispersionParams
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def fit_exponent(samples, min_span=8.0):
         raise InsufficientSpanError(
             f"N span {ns.min():g}..{ns.max():g} is below the required {min_span}x"
         )
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValueError(f"sample values must be finite, got {vals.tolist()}")
     if not np.all(vals > 0):
         raise NonpositiveValueError("all sample values must be positive for a log fit")
     x, y = np.log(ns), np.log(vals)
@@ -92,29 +96,35 @@ def fit_exponent(samples, min_span=8.0):
     )
 
 
+def grows(exponent):
+    """The verdict rule: a fitted exponent above 0.1 means the ratio grows with N."""
+    if not math.isfinite(exponent):
+        raise NonFiniteValueError(f"fitted exponent {exponent} is not finite")
+    return exponent > 0.1
+
+
 # ---------------------------------------------------------------------------
 # bilinear Strichartz ratios (free flows, physical-space time quadrature)
 
 
 def _product_l2_lhs(u0, v0, weights, params):
+    # the phase acts on each factor's support, which lies on the input grid;
+    # only the inverse transforms need the doubled grid
     g = u0.grid
-    g2 = replace(g, kMax=2 * g.kMax, yPoints=2 * g.yPoints)
-    a = fields._embed(u0.coeffs * fields._y_sign_array(g), g2.spatial_shape)
-    b = fields._embed(v0.coeffs * fields._y_sign_array(g), g2.spatial_shape)
-    scale = g2.nx * g2.yPoints**g2.yDims * g2.deta**g2.yDims
-    phi = fields.phi_grid(g2, params)
-    dx = 2.0 * math.pi / g2.nx
-    cell = dx * g2.dy**g2.yDims
-    t_axis = g.t_axis()
+    g2 = fields.product_grid(g)
+    plan = fields.ProductPlan(g.spatial_shape, g2.spatial_shape)
+    phi = fields.phi_grid(g, params)
+    cell = (2.0 * math.pi / g2.nx) * g2.dy**g2.yDims
     total = 0.0
-    for w, t in zip(weights, t_axis):
+    for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
         mult = np.exp(1j * t * phi)
-        ua = np.fft.ifftn(a * mult) * scale
-        ub = np.fft.ifftn(b * mult) * scale
-        total += w * w * cell * float(np.sum(np.abs(ua * ub) ** 2))
-    return math.sqrt(g.dt * total)
+        ua = plan.samples(u0.coeffs * mult)
+        ub = ua if v0 is u0 else plan.samples(v0.coeffs * mult)
+        ua *= ub
+        total += w * w * float(np.sum(np.abs(ua) ** 2))
+    return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 
 def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
@@ -133,14 +143,8 @@ def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
     denom = sobolev_norm(u0, s1, 0.0) * sobolev_norm(v0, s2, 0.0)
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the ratio is undefined")
-    g = u0.grid
-    if cutoff.support_halfwidth > g.tWindow * (1.0 + 1e-12):
-        from .errors import WindowTooSmallError
-
-        raise WindowTooSmallError(
-            f"cutoff support {cutoff.support_halfwidth} exceeds tWindow {g.tWindow}"
-        )
-    w = cutoff.values(g.t_axis())
+    cutoff.check_window(u0.grid)
+    w = cutoff.values(u0.grid.t_axis())
     return _product_l2_lhs(u0, v0, w, params) / denom
 
 
@@ -308,6 +312,7 @@ class CounterexampleReport:
     verdict: str
     predicted_exponent: float
     route_agreement: float
+    rows: tuple  # per N: N, halfWidth, lhs, lhsTauRoute, denominator, value
 
 
 def counterexample_verdict(Ns, s, half_width_exponent, params, quad_points=96):
@@ -315,11 +320,11 @@ def counterexample_verdict(Ns, s, half_width_exponent, params, quad_points=96):
 
     Predicted exponent is 1/2 - s - a/2; the verdict flags 'estimate fails'
     when the fitted exponent exceeds 0.1.  Also reports the worst two-route
-    quadrature disagreement across the sweep.
+    quadrature disagreement across the sweep, and both routes' values per N.
     """
     if len(Ns) < 3:
         raise InsufficientSpanError(f"need >= 3 sweep points, got {len(Ns)}")
-    samples = []
+    rows = []
     worst = 0.0
     for n in Ns:
         cfg = CounterexampleConfig(N=int(n), halfWidth=float(n) ** half_width_exponent)
@@ -327,11 +332,21 @@ def counterexample_verdict(Ns, s, half_width_exponent, params, quad_points=96):
         alt = counterexample_lhs(cfg, params, quad_points, route="tau")
         if lhs > 0:
             worst = max(worst, abs(alt - lhs) / lhs)
-        samples.append(RatioSample(int(n), lhs / counterexample_denominator(cfg, s)))
-    fit = fit_exponent(samples)
+        denom = counterexample_denominator(cfg, s)
+        rows.append(
+            {
+                "N": int(n),
+                "halfWidth": cfg.halfWidth,
+                "lhs": lhs,
+                "lhsTauRoute": alt,
+                "denominator": denom,
+                "value": lhs / denom,
+            }
+        )
+    fit = fit_exponent([(r["N"], r["value"]) for r in rows])
     predicted = 0.5 - s - 0.5 * half_width_exponent
-    verdict = "estimate fails" if fit.exponent > 0.1 else "bounded"
-    return CounterexampleReport(fit, verdict, predicted, worst)
+    verdict = "estimate fails" if grows(fit.exponent) else "bounded"
+    return CounterexampleReport(fit, verdict, predicted, worst, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +430,13 @@ def bilinear_grid(N, yPoints=64, yLength=32 * math.pi, tPoints=32, tWindow=2.0):
     return make_grid(2 * N + 2, yPoints, yLength, 1, tPoints, tWindow)
 
 
+def _sample_row(point, kind, value, keys):
+    row = {"N": point["N"], "kind": kind, "seed": point["seed"], "value": value}
+    return {**row, **{k: point[k] for k in keys}}
+
+
 def strichartz2d_point(point):
     """One (N, kind, seed) ratio sample; `point` is a plain dict (picklable)."""
-    from .evolution import CutoffSpec
-    from .symbols import DispersionParams
-
     params = DispersionParams(point["alpha"], 1)
     grid = strichartz2d_grid(point["N"])
     cutoff = CutoffSpec(T=1.0)
@@ -432,20 +449,10 @@ def strichartz2d_point(point):
     else:
         u, v = adversarial_pair(kind, n, grid, params, seed)
     value = strichartz2d_ratio(u, v, point["s1"], point["s2"], cutoff, params)
-    return {
-        "N": n,
-        "kind": kind,
-        "seed": seed,
-        "value": value,
-        "s1": point["s1"],
-        "s2": point["s2"],
-        "alpha": point["alpha"],
-    }
+    return _sample_row(point, kind, value, ("s1", "s2", "alpha"))
 
 
 def strichartz3d_point(point):
-    from .symbols import DispersionParams
-
     params = DispersionParams(point["alpha"], 2)
     grid = strichartz3d_grid(point["N"])
     n, seed = point["N"], point["seed"]
@@ -454,20 +461,10 @@ def strichartz3d_point(point):
     u = random_field(grid, band, np.random.SeedSequence((seed, n, 31)))
     v = random_field(grid, band, np.random.SeedSequence((seed, n, 32)))
     value = strichartz3d_ratio(u, v, point["s1"], point["s2"], params)
-    return {
-        "N": n,
-        "kind": "random",
-        "seed": seed,
-        "value": value,
-        "s1": point["s1"],
-        "s2": point["s2"],
-        "alpha": point["alpha"],
-    }
+    return _sample_row(point, "random", value, ("s1", "s2", "alpha"))
 
 
 def bilinear_point(point):
-    from .symbols import DispersionParams
-
     params = DispersionParams(point["alpha"], 1)
     grid = bilinear_grid(point["N"])
     u, v = spacetime_pair(point["kind"], point["N"], grid, params, point["seed"])
@@ -486,17 +483,7 @@ def bilinear_point(point):
         beta=point["beta"],
     )
     value = bilinear_ratio(u, v, lhs, rhs, params)
-    return {
-        "N": point["N"],
-        "kind": point["kind"],
-        "seed": point["seed"],
-        "value": value,
-        "alpha": point["alpha"],
-        "s1": point["s1"],
-        "b": point["b"],
-        "bPrime": point["bPrime"],
-        "beta": point["beta"],
-    }
+    return _sample_row(point, point["kind"], value, ("alpha", "s1", "b", "bPrime", "beta"))
 
 
 def envelope_fit(rows):

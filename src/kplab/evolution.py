@@ -67,6 +67,14 @@ class CutoffSpec:
     def support_halfwidth(self):
         return 2.0 * self.T
 
+    def check_window(self, grid):
+        """Raise WindowTooSmallError unless the support fits the grid's time window."""
+        if self.support_halfwidth > grid.tWindow * (1.0 + 1e-12):
+            raise WindowTooSmallError(
+                f"cutoff support halfwidth {self.support_halfwidth} exceeds "
+                f"tWindow {grid.tWindow}"
+            )
+
 
 def raised_cosine_window(grid, taper_frac=0.1):
     """Window equal to 1 inside, cosine-tapered over the outer taper_frac per side."""
@@ -97,11 +105,7 @@ def free_block(f, cutoff, params):
     if cutoff is None:
         w = raised_cosine_window(g)
     else:
-        if cutoff.support_halfwidth > g.tWindow * (1.0 + 1e-12):
-            raise WindowTooSmallError(
-                f"cutoff support halfwidth {cutoff.support_halfwidth} exceeds "
-                f"tWindow {g.tWindow}"
-            )
+        cutoff.check_window(g)
         w = cutoff.values(g.t_axis())
     phi = fields.phi_grid(g, params)
     t = g.t_axis().reshape((-1,) + (1,) * (1 + g.yDims))
@@ -111,48 +115,28 @@ def free_block(f, cutoff, params):
     return SpaceTimeField(g, spec * signs)
 
 
-class _QuadraticTerm:
-    """Cached pseudospectral evaluation of -(1/2) d_x(u^2) on one grid."""
+def _quadratic_term(grid, dealias=2.0 / 3.0):
+    """Pseudospectral -(1/2) d_x(u^2) on coefficient arrays of one grid.
 
-    def __init__(self, grid, dealias=2.0 / 3.0):
-        self.grid = grid
-        self.pad = fields.dealias_grid(grid, dealias)
-        self._emb = []
-        for n_old, n_new in zip(grid.spatial_shape, self.pad.spatial_shape):
-            pos = (n_old + 1) // 2
-            self._emb.append(
-                np.concatenate(
-                    [np.arange(pos), n_new - n_old + np.arange(pos, n_old)]
-                )
-            )
-        self._emb = np.ix_(*self._emb)
-        self._ysign_small = fields._y_sign_array(grid)
-        self._ysign_big = fields._y_sign_array(self.pad)
-        self._fwd_scale = self.pad.nx * self.pad.yPoints**self.pad.yDims
-        k = grid.k_axis().reshape((-1,) + (1,) * grid.yDims)
-        self._half_ik = -0.5j * k
-        self._nyq = grid.yPoints // 2
+    The padded-product plan is built once, so build this once per solve.
+    """
+    pad = fields.dealias_grid(grid, dealias)
+    plan = fields.ProductPlan(grid.spatial_shape, pad.spatial_shape)
+    k = grid.k_axis().reshape((-1,) + (1,) * grid.yDims)
+    half_ik = -0.5j * k * grid.deta**grid.yDims
 
-    def __call__(self, c):
-        g, gp = self.grid, self.pad
-        big = np.zeros(gp.spatial_shape, dtype=complex)
-        big[self._emb] = c * self._ysign_small
-        u = np.fft.ifftn(big) * self._fwd_scale  # deta factors cancel in the round trip
-        sq = np.fft.fftn(u * u) / self._fwd_scale
-        conv = sq[self._emb] * self._ysign_small * g.deta**g.yDims
-        out = self._half_ik * conv
+    def term(c):
+        out = half_ik * plan.crop(plan.product(c, c))
         out[0] = 0.0
-        for ax in range(g.yDims):
-            idx = [slice(None)] * out.ndim
-            idx[1 + ax] = self._nyq
-            out[tuple(idx)] = 0.0
+        fields._zero_nyquist(out, grid)
         return out
+
+    return term
 
 
 def nonlinearity(f, dealias=2.0 / 3.0):
     """-(1/2) d_x(u^2), dealiased and mean-zero projected."""
-    op = _QuadraticTerm(f.grid, dealias)
-    return SpectralField(f.grid, op(np.asarray(f.coeffs)))
+    return SpectralField(f.grid, _quadratic_term(f.grid, dealias)(f.coeffs))
 
 
 @dataclass(frozen=True)
@@ -216,7 +200,7 @@ def evolve_nonlinear(f, cfg, params, save_every=None, linear_only=False):
         save_every = max(1, n_steps // 64)
 
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(g, params, cfg.dt)
-    nl = _QuadraticTerm(g, cfg.dealias)
+    nl = _quadratic_term(g, cfg.dealias)
 
     u = np.array(f.coeffs)
     u[0] = 0.0
@@ -301,11 +285,7 @@ def picard_solve(f, cutoff, iters, params, dealias=2.0 / 3.0):
     g = f.grid
     if iters < 1:
         raise InvalidSpecError([f"iters must be >= 1, got {iters}"])
-    if cutoff.support_halfwidth > g.tWindow * (1.0 + 1e-12):
-        raise WindowTooSmallError(
-            f"cutoff support halfwidth {cutoff.support_halfwidth} exceeds "
-            f"tWindow {g.tWindow}"
-        )
+    cutoff.check_window(g)
     t = g.t_axis()
     i_zero = g.tPoints // 2
     assert abs(t[i_zero]) < 1e-12 * g.tWindow
@@ -322,7 +302,7 @@ def picard_solve(f, cutoff, iters, params, dealias=2.0 / 3.0):
     c0[0] = 0.0
     free = psi1 * e_plus * c0[None, ...]
 
-    nl = _QuadraticTerm(g, dealias)
+    nl = _quadratic_term(g, dealias)
     cur = np.zeros_like(free)
     diffs = []
     grow = 0

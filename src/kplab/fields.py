@@ -192,10 +192,6 @@ class SpaceTimeField:
         return math.sqrt(self.grid.st_measure * float(np.sum(np.abs(self.coeffs) ** 2)))
 
 
-def zero_field(grid):
-    return SpectralField(grid, np.zeros(grid.spatial_shape, dtype=complex))
-
-
 def _alt_signs(n):
     # (-1)^q along an FFT-ordered axis, from the -L/2 (or -tWindow) origin shift
     q = np.fft.fftfreq(n, 1.0 / n).astype(int)
@@ -516,46 +512,52 @@ def st_random_field(grid, band, seed, real=True):
 
 
 # ---------------------------------------------------------------------------
-# embedding / cropping / exact products
+# zero-padded products
 
 
-def _embed_axis_counts(n):
-    pos = (n + 1) // 2
-    return pos, n - pos
+class ProductPlan:
+    """Pointwise product of coefficient arrays, formed on a zero-padded grid.
 
+    The inputs share one FFT-ordered shape; each axis of `pad_shape` is at
+    least as long.  Positive frequencies keep their index on the padded axis
+    and negative ones move to its tail.  The index map is built once per plan.
 
-def _embed(arr, new_shape):
-    # separable per-axis scatter: positive frequencies keep their index,
-    # negative ones shift to the tail of the longer axis
-    out = np.zeros(new_shape, dtype=complex)
-    idx_maps = []
-    for n_old, n_new in zip(arr.shape, new_shape):
-        pos, _ = _embed_axis_counts(n_old)
-        idx = np.concatenate([np.arange(pos), n_new - n_old + np.arange(pos, n_old)])
-        idx_maps.append(idx)
-    out[np.ix_(*idx_maps)] = arr
-    return out
+    No y (or t) origin sign is applied.  Moving the y origin to -L/2 (or the
+    t origin to -tWindow) multiplies the coefficients by the character
+    (-1)^q.  On even-length axes that character is multiplicative,
+    (-1)^(q1+q2) = (-1)^q1 (-1)^q2 with q taken mod the axis length, so it
+    cancels from every product; a sum of |ua ub|^2 over all samples does not
+    depend on the origin either.  Every y and t axis here has even length.
+    """
 
+    def __init__(self, shape, pad_shape):
+        self.pad_shape = tuple(pad_shape)
+        self.size = math.prod(self.pad_shape)
+        maps = []
+        for n, m in zip(shape, self.pad_shape):
+            pos = (n + 1) // 2
+            maps.append(np.concatenate([np.arange(pos), m - n + np.arange(pos, n)]))
+        self._index = np.ix_(*maps)
 
-def _crop(arr, new_shape):
-    idx_maps = []
-    for n_old, n_new in zip(arr.shape, new_shape):
-        pos, _ = _embed_axis_counts(n_new)
-        idx = np.concatenate([np.arange(pos), n_old - n_new + np.arange(pos, n_new)])
-        idx_maps.append(idx)
-    return arr[np.ix_(*idx_maps)]
+    def samples(self, c):
+        """Collocation samples sum_q c_q e^{i q . x} of `c` on the padded lattice."""
+        big = np.zeros(self.pad_shape, dtype=complex)
+        big[self._index] = c
+        np.fft.ifftn(big, out=big)
+        big *= self.size
+        return big
 
+    def product(self, a, b):
+        """Padded-grid coefficients of the product of the samples of `a` and `b`."""
+        ua = self.samples(a)
+        ua *= ua if b is a else self.samples(b)
+        np.fft.fftn(ua, out=ua)
+        ua /= self.size
+        return ua
 
-def embed_field(f, grid2):
-    """Re-represent a field on a finer/larger grid sharing deta (and dtau)."""
-    g = f.grid
-    if abs(grid2.deta - g.deta) > 1e-14 * g.deta or grid2.yDims != g.yDims:
-        raise InvalidSpecError(["embedding requires identical deta and yDims"])
-    if isinstance(f, SpaceTimeField):
-        if abs(grid2.dtau - g.dtau) > 1e-14 * g.dtau:
-            raise InvalidSpecError(["embedding requires identical dtau"])
-        return SpaceTimeField(grid2, _embed(f.coeffs, grid2.st_shape))
-    return SpectralField(grid2, _embed(f.coeffs, grid2.spatial_shape))
+    def crop(self, c):
+        """Padded-grid coefficients back to the input shape."""
+        return c[self._index]
 
 
 def product_grid(grid):
@@ -581,9 +583,8 @@ def product_exact(fa, fb):
     if fa.grid != fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
     g2 = product_grid(fa.grid)
-    ua = to_physical(embed_field(fa, g2))
-    ub = to_physical(embed_field(fb, g2))
-    return to_spectral(ua * ub, g2)
+    plan = ProductPlan(fa.grid.spatial_shape, g2.spatial_shape)
+    return SpectralField(g2, plan.product(fa.coeffs, fb.coeffs) * g2.deta**g2.yDims)
 
 
 def st_product_exact(Fa, Fb):
@@ -591,9 +592,10 @@ def st_product_exact(Fa, Fb):
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
     g2 = product_grid(Fa.grid)
-    ua = st_to_physical(embed_field(Fa, g2))
-    ub = st_to_physical(embed_field(Fb, g2))
-    return st_from_physical(ua * ub, g2)
+    plan = ProductPlan(Fa.grid.st_shape, g2.st_shape)
+    prod = plan.product(Fa.coeffs, Fb.coeffs)
+    prod *= g2.dtau * g2.deta**g2.yDims
+    return SpaceTimeField(g2, prod)
 
 
 def _next_pow2(n):
@@ -631,11 +633,8 @@ def quadratic_product(fa, fb, dealias=2.0 / 3.0):
     if not (0.0 < dealias <= 1.0):
         raise InvalidSpecError([f"dealias fraction must lie in (0, 1], got {dealias}"])
     g = fa.grid
-    gp = dealias_grid(g, dealias)
-    ua = to_physical(embed_field(fa, gp))
-    ub = to_physical(embed_field(fb, gp))
-    prod = to_spectral(ua * ub, gp)
-    c = _crop(prod.coeffs, g.spatial_shape)
+    plan = ProductPlan(g.spatial_shape, dealias_grid(g, dealias).spatial_shape)
+    c = plan.crop(plan.product(fa.coeffs, fb.coeffs)) * g.deta**g.yDims
     _zero_nyquist(c, g)
     return SpectralField(g, c)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fields
 from .errors import BandExceedsGridError, InsufficientSpanError, InvalidSpecError
-from .estimates import RatioSample, fit_exponent
+from .estimates import RatioSample, fit_exponent, grows
 from .evolution import free_evolve
 from .fields import SpectralField
 from .symbols import phi0, phi1
@@ -165,8 +165,6 @@ def third_derivative_norm(cfg, params, grid=None, chunk=32):
     if grid is not None:
         if cfg.N > grid.kMax:
             raise BandExceedsGridError(f"N = {cfg.N} exceeds grid kMax = {grid.kMax}")
-    if cfg.etaQuadPoints < 8:
-        warnings.warn("fewer than 8 quadrature cells across the indicator", stacklevel=2)
     n = cfg.N
     w = cfg.half_width
     m = cfg.etaQuadPoints
@@ -254,7 +252,7 @@ def illposed_scaling(Ns, params, s, betaInterval=0.05, t=0.1, etaQuadPoints=64):
     rfit = fit_exponent(restricted_samples)
     wfit = fit_exponent(wnorm_samples)
     predicted = 1.5 - params.alpha - 2.0 * s
-    verdict = "C3 fails" if fit.exponent > 0.1 else "no failure detected"
+    verdict = "C3 fails" if grows(fit.exponent) else "no failure detected"
     return ScalingVerdict(
         samples=tuple(rows),
         fit=fit,

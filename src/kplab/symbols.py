@@ -427,37 +427,3 @@ def phi3(z):
 def phi1_series(z):
     """Series branch of phi1 exposed for overlap-band verification."""
     return _phi_series(np.asarray(z, dtype=complex), 1)
-
-
-def phi1_div_diff(z1, z2):
-    """Divided difference (phi1(z2) - phi1(z1))/(z2 - z1), stable as z2 -> z1."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    dz = z2 - z1
-    scale = 1.0 + np.maximum(np.abs(z1), np.abs(z2))
-    near = np.abs(dz) < 1e-6 * scale
-    return np.where(
-        near,
-        _phi1_prime(0.5 * (z1 + z2)),
-        (phi1(z2) - phi1(z1)) / np.where(near, 1.0, dz),
-    )
-
-
-def _phi1_prime(z):
-    # phi1'(z) = (e^z (z-1) + 1)/z^2; series sum_{m>=0} (m+1) z^m/(m+2)! near 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    small = np.abs(z) < _PHI_CROSSOVER
-    out = np.empty_like(z)
-    if small.any():
-        w = z[small]
-        term = np.ones_like(w) / 2.0
-        acc = np.zeros_like(w)
-        for m in range(_N_TERMS):
-            acc = acc + term * (m + 1)
-            term = term * w / (m + 3)
-        out[small] = acc
-    big = ~small
-    if big.any():
-        w = z[big]
-        out[big] = (np.exp(w) * (w - 1.0) + 1.0) / w**2
-    return out

@@ -15,6 +15,9 @@ def test_validation_reports_field_names():
     joined = " ".join(err.value.violations)
     assert "yPoints" in joined
     assert "dt" in joined
+    with pytest.raises(InvalidSpecError) as err:
+        run("picard", {"T": 0.2, "tWindow": 0.2})
+    assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
 
 
 def test_unknown_subcommand():

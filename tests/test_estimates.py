@@ -9,6 +9,7 @@ from kplab.errors import (
     BandExceedsGridError,
     InsufficientSpanError,
     InvalidSpecError,
+    NonFiniteValueError,
     NonpositiveValueError,
     ZeroDenominatorError,
 )
@@ -22,6 +23,7 @@ from kplab.estimates import (
     counterexample_verdict,
     envelope_fit,
     fit_exponent,
+    grows,
     spacetime_pair,
     strichartz2d_ratio,
     strichartz3d_ratio,
@@ -62,6 +64,16 @@ def test_fit_exponent_errors():
         fit_exponent([(10, 1.0), (20, 2.0)])  # span 2 < 8
     with pytest.raises(NonpositiveValueError):
         fit_exponent([(10, 1.0), (100, 0.0)])
+    # an infinite sample used to give a NaN slope, and NaN > 0.1 read "bounded"
+    with pytest.raises(NonFiniteValueError):
+        fit_exponent([(8, 1.0), (16, math.inf), (64, 2.0)])
+
+
+def test_growth_verdict_rule():
+    assert grows(0.2) and not grows(0.1) and not grows(-3.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteValueError):
+            grows(bad)
 
 
 def test_envelope_fit_uses_per_n_max():

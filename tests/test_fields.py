@@ -31,6 +31,7 @@ from kplab.fields import (
     save_field,
     sobolev_norm,
     st_from_physical,
+    st_product_exact,
     st_random_field,
     st_to_physical,
     to_physical,
@@ -341,37 +342,34 @@ def test_random_field_contract():
         random_field(g, BandSpec(1, 4, 100.0), seed=0)
 
 
+def _direct_convolution(a, b, out_shape):
+    # O(n^2) sum over every pair of nonzero coefficients; frequencies add per
+    # axis, and sums outside the output lattice or on its Nyquist are dropped
+    freqs = [np.fft.fftfreq(n, 1.0 / n).round().astype(int) for n in a.shape]
+    ia, ib = np.nonzero(a), np.nonzero(b)
+    total = [f[i][:, None] + f[j][None, :] for f, i, j in zip(freqs, ia, ib)]
+    keep = np.all([np.abs(t) <= (m - 1) // 2 for t, m in zip(total, out_shape)], axis=0)
+    out = np.zeros(out_shape, complex)
+    vals = a[ia][:, None] * b[ib][None, :]
+    np.add.at(out, tuple(t[keep] % m for t, m in zip(total, out_shape)), vals[keep])
+    return out
+
+
 def test_dealiased_product_matches_direct_convolution():
     g = small_grid()
     band = BandSpec(1, g.kMax // 3, 0.9)
-    fa = random_field(g, band, seed=1)
-    fb = random_field(g, band, seed=2)
-    qp = quadratic_product(fa, fb, dealias=2.0 / 3.0)
-
-    # O(n^2) direct convolution of the continuum coefficient densities
-    ka = list(g.k_axis())
-    eta = g.eta_axis()
-    ny = g.yPoints
-    direct = np.zeros(g.spatial_shape, complex)
-    for i1, k1 in enumerate(ka):
-        if not np.any(fa.coeffs[i1]):
-            continue
-        for i2, k2 in enumerate(ka):
-            if not np.any(fb.coeffs[i2]):
-                continue
-            ko = k1 + k2
-            if abs(ko) > g.kMax:
-                continue
-            io = ka.index(ko)
-            for q1 in range(ny):
-                if fa.coeffs[i1, q1] == 0:
-                    continue
-                for q2 in range(ny):
-                    if fb.coeffs[i2, q2] == 0:
-                        continue
-                    qo = (round(eta[q1] / g.deta) + round(eta[q2] / g.deta)) % ny
-                    direct[io, qo] += fa.coeffs[i1, q1] * fb.coeffs[i2, q2] * g.deta
-    assert np.max(np.abs(qp.coeffs - direct)) < 1e-12
+    cases = (
+        (quadratic_product, random_field, g.deta),
+        (product_exact, random_field, g.deta),
+        (st_product_exact, st_random_field, g.dtau * g.deta),
+    )
+    for product, make, weight in cases:
+        fa = make(g, band, seed=1)
+        fb = make(g, band, seed=2)
+        for second in (fb, fa):  # fa twice takes the squared-term path
+            prod = product(fa, second)
+            direct = _direct_convolution(fa.coeffs, second.coeffs, prod.coeffs.shape)
+            assert np.max(np.abs(prod.coeffs - weight * direct)) < 1e-12, product.__name__
 
 
 def test_product_exact_grid_doubles_bands():
@@ -379,14 +377,29 @@ def test_product_exact_grid_doubles_bands():
     fa = random_field(g, BandSpec(1, 8, 1.9), seed=3)
     fb = random_field(g, BandSpec(1, 8, 1.9), seed=4)
     pe = product_exact(fa, fb)
-    assert pe.grid.kMax == 2 * g.kMax
-    assert pe.grid.deta == pytest.approx(g.deta)
-    # collocation values agree: compare u*v sampled via the doubled grid
-    ua = to_physical(fa)
-    ub = to_physical(fb)
-    coarse = to_spectral(ua * ub, g)  # aliased version differs
-    assert pe.coeffs.shape == pe.grid.spatial_shape
-    assert coarse.coeffs.shape == g.spatial_shape
+    g2 = pe.grid
+    assert (g2.kMax, g2.yPoints) == (2 * g.kMax, 2 * g.yPoints)
+    assert g2.deta == pytest.approx(g.deta)
+
+    # both factors synthesized directly at the doubled grid's points, with the
+    # y origin at -L/2: the product's samples are their pointwise product
+    ex = np.exp(1j * np.outer(g2.x_axis(), g.k_axis()))
+    ey = np.exp(1j * np.outer(g.eta_axis(), g2.y_axis()))
+    ua = g.deta * ex @ fa.coeffs @ ey
+    ub = g.deta * ex @ fb.coeffs @ ey
+    assert np.max(np.abs(to_physical(pe) - ua * ub)) < 1e-12 * np.max(np.abs(ua * ub))
+
+    # the doubled bands are populated, and the product on the inputs' own
+    # grid aliases them back: its coefficients differ from the exact ones
+    outside = np.abs(g2.k_axis()) > g.kMax
+    assert np.max(np.abs(pe.coeffs[outside])) > 1e-3 * np.max(np.abs(pe.coeffs))
+    coarse = to_spectral(to_physical(fa) * to_physical(fb), g)
+    keep = np.abs(g2.k_axis()) <= g.kMax
+    rows = np.abs(g2.eta_axis()) < g.deta * g.yPoints / 2
+    exact_on_g = pe.coeffs[keep][:, rows]
+    coarse_on_g = coarse.coeffs[:, np.abs(g.eta_axis()) < g.deta * g.yPoints / 2]
+    assert exact_on_g.shape == coarse_on_g.shape
+    assert np.max(np.abs(coarse_on_g - exact_on_g)) > 1e-3 * np.max(np.abs(exact_on_g))
 
 
 def test_serialization_round_trip(tmp_path):
