@@ -120,6 +120,12 @@ _DEFAULTS = {
     },
 }
 
+# the ensembles a sweep may ask for; no other subcommand takes `kinds`
+_KINDS = {
+    "strichartz2d": estimates.STRICHARTZ2D_KINDS,
+    "bilinear-ratio": estimates.BILINEAR_KINDS,
+}
+
 _SWEEP_COLUMNS = ["N", "kind", "seed", "value"]
 
 _COLUMNS = {
@@ -197,8 +203,11 @@ def _validate(subcommand, cfg):
         need("t", num, lambda v: v != 0)
         need("etaQuadPoints", int, lambda v: v >= 32 and v % 2 == 0)
     if "kinds" in cfg:
-        known = estimates.STRICHARTZ2D_KINDS + estimates.BILINEAR_KINDS
-        need("kinds", list, lambda v: v and all(k in known for k in v))
+        known = _KINDS.get(subcommand)
+        if known is None:
+            problems.append(f"kinds: {subcommand} takes no kinds")
+        else:
+            need("kinds", list, lambda v: v and all(k in known for k in v), f"(from {known})")
     if problems:
         raise InvalidSpecError(problems)
 
@@ -339,9 +348,9 @@ def _run_picard(cfg, workers, outdir):
     return rows, summary, None
 
 
-def _run_sweep(point_name, kinds_apply, cfg, workers, outdir):
+def _run_sweep(point_name, cfg, workers, outdir):
     """A ratio sweep over (N, kind, seed) points, fitted by its per-N envelope."""
-    kinds = cfg.get("kinds", ["random"]) if kinds_apply else ["random"]
+    kinds = cfg.get("kinds", ["random"])
     # rows come back in this (N, kind, seed) order for any worker count
     points = [
         {**cfg, "N": int(n), "kind": kind, "seed": int(seed) + cfg["baseSeed"]}
@@ -410,10 +419,10 @@ _RUNNERS = {
     "resonance-audit": _run_resonance_audit,
     "evolve": _run_evolve,
     "picard": _run_picard,
-    "strichartz2d": functools.partial(_run_sweep, "strichartz2d_point", True),
-    "strichartz3d": functools.partial(_run_sweep, "strichartz3d_point", False),
+    "strichartz2d": functools.partial(_run_sweep, "strichartz2d_point"),
+    "strichartz3d": functools.partial(_run_sweep, "strichartz3d_point"),
     "counterexample": _run_counterexample,
-    "bilinear-ratio": functools.partial(_run_sweep, "bilinear_point", True),
+    "bilinear-ratio": functools.partial(_run_sweep, "bilinear_point"),
     "illposed-scaling": _run_illposed,
 }
 
@@ -435,6 +444,8 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
     """Resolve, validate, dispatch; returns the result envelope as a dict."""
     if subcommand not in SUBCOMMANDS:
         raise InvalidSpecError([f"unknown subcommand {subcommand!r}"])
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise InvalidSpecError([f"workers: expected an integer >= 1, got {workers!r}"])
     cfg = dict(_DEFAULTS[subcommand])
     cfg.update(config or {})
     cfg["baseSeed"] = int(base_seed)

@@ -108,20 +108,23 @@ def grows(exponent):
 
 
 def _product_l2_lhs(u0, v0, weights, params):
-    # the phase acts on each factor's support, which lies on the input grid;
-    # only the inverse transforms need the doubled grid
+    # each factor's occupied box is packed at the origin of a smooth-length
+    # grid just large enough for the product, with its phase taken at the
+    # box's own frequencies; the shift changes neither |uv| nor its integral,
+    # which the samples give exactly with the cell (2 pi) L^d / plan.size
     g = u0.grid
-    g2 = fields.product_grid(g)
-    plan = fields.ProductPlan(g.spatial_shape, g2.spatial_shape)
+    plan = fields.ProductPlan.fitted(u0.coeffs, v0.coeffs)
     phi = fields.phi_grid(g, params)
-    cell = (2.0 * math.pi / g2.nx) * g2.dy**g2.yDims
+    same = v0 is u0
+    a, phi_a = plan.gather(u0.coeffs, 0), plan.gather(phi, 0)
+    b, phi_b = (a, phi_a) if same else (plan.gather(v0.coeffs, 1), plan.gather(phi, 1))
+    cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
     total = 0.0
     for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
-        mult = np.exp(1j * t * phi)
-        ua = plan.samples(u0.coeffs * mult)
-        ub = ua if v0 is u0 else plan.samples(v0.coeffs * mult)
+        ua = plan.samples(a * np.exp(1j * t * phi_a), 0)
+        ub = ua if same else plan.samples(b * np.exp(1j * t * phi_b), 1)
         ua *= ub
         total += w * w * float(np.sum(np.abs(ua) ** 2))
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
@@ -130,9 +133,9 @@ def _product_l2_lhs(u0, v0, weights, params):
 def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
     """Cutoff bilinear ratio ||psi (e^{itphi}u0)(e^{itphi}v0)|| / (H^s1 x H^s2).
 
-    The product is formed in collocation space on the doubled spatial grid
-    (exact, no aliasing) and integrated over the grid's time window; the
-    cutoff must vanish at the window edge.
+    The product is formed in collocation space on a grid fitted to the two
+    factors' supports (exact, no aliasing) and integrated over the grid's
+    time window; the cutoff must vanish at the window edge.
     """
     if u0.grid != v0.grid:
         raise InvalidSpecError(["u0 and v0 must share a grid"])
@@ -357,8 +360,9 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     """||d_x(uv)||_lhs / (||u||_rhs ||v||_rhs) for space-time fields.
 
     The product is computed by inverse transform to (t, x, y) samples,
-    pointwise multiplication, and forward transform, all on the doubled
-    lattice so no coefficient of the product is lost or aliased.
+    pointwise multiplication, and forward transform, on a lattice fitted to
+    the factors' supports so no coefficient of the product is lost or
+    aliased; it is returned on the doubled lattice.
     """
     if lhs_spec.flavor not in ("x", "xweighted", "z"):
         raise InvalidSpecError(

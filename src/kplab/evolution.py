@@ -126,7 +126,7 @@ def _quadratic_term(grid, dealias=2.0 / 3.0):
     half_ik = -0.5j * k * grid.deta**grid.yDims
 
     def term(c):
-        out = half_ik * plan.crop(plan.product(c, c))
+        out = half_ik * plan.product(c, c)
         out[0] = 0.0
         fields._zero_nyquist(out, grid)
         return out
@@ -186,7 +186,8 @@ def evolve_nonlinear(f, cfg, params, save_every=None, linear_only=False):
     """Fourth-order exponential stepper for the full equation.
 
     The linear flow is applied exactly; the quadratic term uses the cached
-    dealiased product.  Aborts with SolverDivergenceError if the L2 norm grows
+    dealiased product.  Aborts with SolverDivergenceError if the solution
+    stops being finite at any step, or if the L2 norm at a save point has grown
     tenfold (instability / dt too large).  linear_only=True drops the
     quadratic term, in which case each step is the exact free flow.
     """
@@ -221,6 +222,10 @@ def evolve_nonlinear(f, cfg, params, save_every=None, linear_only=False):
             c = e_half * a + q * (2.0 * nb - nu)
             nc = nl(c)
             u = e_full * u + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
+        if not math.isfinite(np.vdot(u, u).real):
+            raise SolverDivergenceError(
+                f"the solution is no longer finite at t = {n * cfg.dt:g}; reduce dt"
+            )
         if n % save_every == 0 or n == n_steps:
             nrm = math.sqrt(float(np.sum(np.abs(u) ** 2)))
             if norm0 > 0 and nrm > 10.0 * norm0:
@@ -279,8 +284,8 @@ def picard_solve(f, cutoff, iters, params, dealias=2.0 / 3.0):
                                      (psi_T u_n)(psi_T u_n)_x dt'
     on the grid's t lattice, with the prefix integrals evaluated by composite
     Simpson quadrature.  Returns the final iterate over the lattice plus the
-    successive-difference norms; aborts if those norms grow three iterations
-    in a row.
+    successive-difference norms; aborts if one of those norms is not finite,
+    or if they grow three iterations in a row.
     """
     g = f.grid
     if iters < 1:
@@ -319,6 +324,11 @@ def picard_solve(f, cutoff, iters, params, dealias=2.0 / 3.0):
 
         d = np.sqrt(measure * np.sum(np.abs(nxt - cur) ** 2, axis=tuple(range(1, nxt.ndim))))
         diffs.append(float(d.max()))
+        if not math.isfinite(diffs[-1]):
+            raise SolverDivergenceError(
+                f"Picard successive difference is {diffs[-1]} at iteration "
+                f"{len(diffs)}; shrink T or the data"
+            )
         if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
             grow += 1
             if grow >= 3:

@@ -35,6 +35,7 @@ import struct
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import symbols
 from .errors import (
@@ -515,12 +516,60 @@ def st_random_field(grid, band, seed, real=True):
 # zero-padded products
 
 
-class ProductPlan:
-    """Pointwise product of coefficient arrays, formed on a zero-padded grid.
+def occupied_box(c):
+    """Per axis, the signed frequencies (lo, hi) spanning the nonzero entries of `c`.
 
-    The inputs share one FFT-ordered shape; each axis of `pad_shape` is at
-    least as long.  Positive frequencies keep their index on the padded axis
-    and negative ones move to its tail.  The index map is built once per plan.
+    `c` is FFT-ordered on every axis.  An all-zero array gets (0, 0) on every
+    axis, so its products come out zero with no special case.
+    """
+    nonzero = c != 0
+    box = []
+    for ax, n in enumerate(c.shape):
+        hit = np.any(nonzero, axis=tuple(i for i in range(c.ndim) if i != ax))
+        q = ((np.arange(n) + n // 2) % n - n // 2)[hit]  # fftfreq order, as integers
+        box.append((int(q.min()), int(q.max())) if q.size else (0, 0))
+    return tuple(box)
+
+
+def _index(runs):
+    # runs of consecutive indices on every axis become slices: indexing with
+    # them gives a view, not a box-sized temporary copy
+    if all(np.array_equal(r, np.arange(r[0], r[0] + r.size)) for r in runs):
+        return tuple(slice(r[0], r[0] + r.size) for r in runs)
+    return np.ix_(*runs)
+
+
+def _placement(shape, box, shift, pad_shape):
+    # frequency q of the box sits at index q mod n of the FFT-ordered array
+    # and at position (q - shift) mod m of the padded one
+    src, dst = [], []
+    for n, (lo, hi), s, m in zip(shape, box, shift, pad_shape):
+        q = np.arange(lo, hi + 1)
+        src.append(q % n)
+        dst.append((q - s) % m)
+    return _index(src), _index(dst)
+
+
+class ProductPlan:
+    """Pointwise product of two FFT-ordered coefficient arrays on a padded grid.
+
+    Each factor brings its coefficients over a box of signed frequencies
+    (lo..hi per axis), and frequency q goes to position (q - shift) mod m of a
+    padded axis of length m.  The product of the two sample arrays then holds
+    frequency shift_a + shift_b + p at position p, and `product` writes the
+    frequencies that `out_shape` can hold back at their FFT-ordered indices.
+    The index maps are built once per plan.  There are two kinds of plan:
+
+    * dealiased (`boxes=None`): both factors cover all of `shape` with shift
+      0, so positive frequencies keep their index and negative ones move to
+      the tail, and the product is cropped back to `shape`;
+    * fitted (`ProductPlan.fitted`): each factor's occupied box starts at
+      position 0 (shift = lo), and each axis is the smooth length
+      next_fast_len(span_a + span_b - 1), so no frequency of the product
+      wraps.  Shifting a factor by lo multiplies its samples by the
+      unimodular character e^{-i lo . x}: |ua ub|, and any sum of it over the
+      samples, do not change, and the product's coefficients are the exact
+      convolution, placed at the known offset lo_a + lo_b.
 
     No y (or t) origin sign is applied.  Moving the y origin to -L/2 (or the
     t origin to -tWindow) multiplies the coefficients by the character
@@ -530,34 +579,59 @@ class ProductPlan:
     depend on the origin either.  Every y and t axis here has even length.
     """
 
-    def __init__(self, shape, pad_shape):
+    def __init__(self, shape, pad_shape, boxes=None, out_shape=None):
         self.pad_shape = tuple(pad_shape)
         self.size = math.prod(self.pad_shape)
-        maps = []
-        for n, m in zip(shape, self.pad_shape):
-            pos = (n + 1) // 2
-            maps.append(np.concatenate([np.arange(pos), m - n + np.arange(pos, n)]))
-        self._index = np.ix_(*maps)
+        self.out_shape = tuple(shape if out_shape is None else out_shape)
+        if boxes is None:
+            full = tuple((-(n // 2), (n - 1) // 2) for n in shape)
+            boxes, shifts = (full, full), ((0,) * len(shape),) * 2
+        else:
+            shifts = tuple(tuple(lo for lo, _ in box) for box in boxes)
+        self._factors = tuple(
+            _placement(shape, box, shift, self.pad_shape)
+            for box, shift in zip(boxes, shifts)
+        )
+        out_box = [
+            (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
+            for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
+        ]
+        out_shift = [sa + sb for sa, sb in zip(*shifts)]
+        self._out = _placement(self.out_shape, out_box, out_shift, self.pad_shape)
 
-    def samples(self, c):
-        """Collocation samples sum_q c_q e^{i q . x} of `c` on the padded lattice."""
+    @classmethod
+    def fitted(cls, a, b, out_shape=None):
+        """Alias-free plan for the product of `a` and `b`, sized to their occupied boxes."""
+        box_a = occupied_box(a)
+        box_b = box_a if b is a else occupied_box(b)
+        pad = [
+            next_fast_len(ha - la + hb - lb + 1)
+            for (la, ha), (lb, hb) in zip(box_a, box_b)
+        ]
+        return cls(a.shape, pad, (box_a, box_b), out_shape)
+
+    def gather(self, c, factor):
+        """The entries of `c` on the box of factor 0 or 1, as `samples` takes them."""
+        return c[self._factors[factor][0]]
+
+    def samples(self, box_coeffs, factor):
+        """Collocation samples sum_q c_q e^{i (q - shift) . x} on the padded lattice."""
         big = np.zeros(self.pad_shape, dtype=complex)
-        big[self._index] = c
+        big[self._factors[factor][1]] = box_coeffs
         np.fft.ifftn(big, out=big)
         big *= self.size
         return big
 
     def product(self, a, b):
-        """Padded-grid coefficients of the product of the samples of `a` and `b`."""
-        ua = self.samples(a)
-        ua *= ua if b is a else self.samples(b)
+        """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
+        ua = self.samples(self.gather(a, 0), 0)
+        ua *= ua if b is a else self.samples(self.gather(b, 1), 1)
         np.fft.fftn(ua, out=ua)
         ua /= self.size
-        return ua
-
-    def crop(self, c):
-        """Padded-grid coefficients back to the input shape."""
-        return c[self._index]
+        out = np.zeros(self.out_shape, dtype=complex)
+        src, dst = self._out
+        out[src] = ua[dst]
+        return out
 
 
 def product_grid(grid):
@@ -577,22 +651,23 @@ def product_grid(grid):
 def product_exact(fa, fb):
     """Exact pointwise product of two SpectralFields, no aliasing.
 
-    Both inputs are embedded on the doubled grid (which holds every mode of
-    the convolution), multiplied in collocation space, and transformed back.
+    The product is formed on a grid fitted to the factors' occupied boxes
+    (`ProductPlan.fitted`) and written onto the doubled grid, which holds
+    every mode of the convolution.
     """
     if fa.grid != fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
     g2 = product_grid(fa.grid)
-    plan = ProductPlan(fa.grid.spatial_shape, g2.spatial_shape)
+    plan = ProductPlan.fitted(fa.coeffs, fb.coeffs, g2.spatial_shape)
     return SpectralField(g2, plan.product(fa.coeffs, fb.coeffs) * g2.deta**g2.yDims)
 
 
 def st_product_exact(Fa, Fb):
-    """Exact space-time pointwise product on the doubled (tau, k, eta) grid."""
+    """Exact space-time pointwise product, written onto the doubled (tau, k, eta) grid."""
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
     g2 = product_grid(Fa.grid)
-    plan = ProductPlan(Fa.grid.st_shape, g2.st_shape)
+    plan = ProductPlan.fitted(Fa.coeffs, Fb.coeffs, g2.st_shape)
     prod = plan.product(Fa.coeffs, Fb.coeffs)
     prod *= g2.dtau * g2.deta**g2.yDims
     return SpaceTimeField(g2, prod)
@@ -634,7 +709,7 @@ def quadratic_product(fa, fb, dealias=2.0 / 3.0):
         raise InvalidSpecError([f"dealias fraction must lie in (0, 1], got {dealias}"])
     g = fa.grid
     plan = ProductPlan(g.spatial_shape, dealias_grid(g, dealias).spatial_shape)
-    c = plan.crop(plan.product(fa.coeffs, fb.coeffs)) * g.deta**g.yDims
+    c = plan.product(fa.coeffs, fb.coeffs) * g.deta**g.yDims
     _zero_nyquist(c, g)
     return SpectralField(g, c)
 
@@ -664,14 +739,24 @@ def save_field(path, field):
 
 
 def load_field(path):
+    """Read a `save_field` container; a truncated or corrupt file raises InvalidSpecError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise InvalidSpecError([f"bad container magic {magic!r}"])
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(4)
+        blob = fh.read(struct.unpack("<I", prefix)[0]) if len(prefix) == 4 else b""
         raw = fh.read()
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        raise InvalidSpecError([f"truncated or corrupt header in {path}: {exc}"]) from exc
     grid = GridSpec(**header["grid"])
+    expected = math.prod(header["shape"]) * np.dtype("<c16").itemsize
+    if len(raw) != expected:
+        raise InvalidSpecError(
+            [f"{path} holds {len(raw)} coefficient bytes, expected {expected}"]
+        )
     arr = np.frombuffer(raw, dtype="<c16").reshape(header["shape"]).astype(complex)
     if header["kind"] == "spacetime":
         return SpaceTimeField(grid, arr)

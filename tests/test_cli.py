@@ -20,6 +20,27 @@ def test_validation_reports_field_names():
     assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
 
 
+def test_validation_checks_kinds_per_subcommand():
+    # strichartz3d has one ensemble: a kinds key would be silently ignored
+    with pytest.raises(InvalidSpecError) as err:
+        run("strichartz3d", {"Ns": [1, 8], "seeds": [0], "kinds": ["comparable"]})
+    assert err.value.violations == ["kinds: strichartz3d takes no kinds"]
+    # low-high is a strichartz2d ensemble only; bilinear-ratio used to crash on it
+    with pytest.raises(InvalidSpecError) as err:
+        run("bilinear-ratio", {"Ns": [8, 64], "seeds": [0], "kinds": ["low-high"]})
+    assert [v.split(":")[0] for v in err.value.violations] == ["kinds"]
+    with pytest.raises(InvalidSpecError):
+        run("counterexample", {"kinds": ["random"]})
+
+
+def test_run_rejects_fewer_than_one_worker(tmp_path):
+    for workers in (0, -2, True):
+        with pytest.raises(InvalidSpecError) as err:
+            run("resonance-audit", {"alphas": [2.0], "kMax": 10}, workers=workers)
+        assert err.value.violations[0].startswith("workers:")
+    assert main(["resonance-audit", "--workers", "0"]) == 1
+
+
 def test_unknown_subcommand():
     with pytest.raises(InvalidSpecError):
         run("frobnicate", {})

@@ -13,6 +13,7 @@ from kplab.errors import (
     NonpositiveValueError,
     ZeroDenominatorError,
 )
+from kplab import estimates
 from kplab.estimates import (
     CounterexampleConfig,
     RatioSample,
@@ -28,14 +29,16 @@ from kplab.estimates import (
     strichartz2d_ratio,
     strichartz3d_ratio,
 )
-from kplab.evolution import CutoffSpec, bump
+from kplab.evolution import CutoffSpec, bump, raised_cosine_window
 from kplab.fields import (
     BandSpec,
     NormSpec,
     SpaceTimeField,
     SpectralField,
     make_grid,
+    phi_grid,
     product_exact,
+    product_grid,
     random_field,
     sobolev_norm,
 )
@@ -152,8 +155,6 @@ def test_strichartz3d_single_mode_and_errors():
     u0 = SpectralField(g, c)
     val = strichartz3d_ratio(u0, u0, 0.6, 0.6, p)
 
-    from kplab.evolution import raised_cosine_window
-
     L = g.yLength
     de = g.deta
     # |u|^2 = 4 de^4 cos^2(theta): ||u^2||^2 = 4 de^8 (2 pi L^2 + pi L^2)... with d=2
@@ -166,6 +167,54 @@ def test_strichartz3d_single_mode_and_errors():
     z = SpectralField(g, np.zeros(g.spatial_shape, complex))
     with pytest.raises(ZeroDenominatorError):
         strichartz3d_ratio(u0, z, 0.6, 0.6, p)
+
+
+def _doubled_grid_lhs(u0, v0, weights, params):
+    # oracle: both evolved factors on the doubled grid (positive frequencies
+    # keep their index, negative ones move to the tail of each axis), summed
+    # with the doubled grid's cell
+    g, g2 = u0.grid, product_grid(u0.grid)
+    index = []
+    for n, m in zip(g.spatial_shape, g2.spatial_shape):
+        q = np.arange(n)
+        index.append(np.where(q < (n + 1) // 2, q, m - n + q))
+    index = np.ix_(*index)
+    phi = phi_grid(g, params)
+    size = math.prod(g2.spatial_shape)
+    total = 0.0
+    for w, t in zip(weights, g.t_axis()):
+        samples = []
+        for f in (u0, v0):
+            big = np.zeros(g2.spatial_shape, complex)
+            big[index] = f.coeffs * np.exp(1j * t * phi)
+            samples.append(size * np.fft.ifftn(big))
+        total += w * w * np.sum(np.abs(samples[0] * samples[1]) ** 2)
+    cell = (2.0 * math.pi / g2.nx) * g2.dy**g2.yDims
+    return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
+
+
+@pytest.mark.parametrize("kind", estimates.STRICHARTZ2D_KINDS)
+def test_product_l2_lhs_matches_doubled_grid(kind):
+    n = 4
+    g = estimates.strichartz2d_grid(n, yPoints=64, tPoints=32)
+    if kind == "random":
+        band = BandSpec(kLo=n, kHi=2 * n, etaHi=2.0)
+        u, v = random_field(g, band, seed=21), random_field(g, band, seed=22)
+    else:
+        u, v = adversarial_pair(kind, n, g, P2, seed=3)
+    w = CutoffSpec(T=1.0).values(g.t_axis())
+    got = estimates._product_l2_lhs(u, v, w, P2)
+    assert got == pytest.approx(_doubled_grid_lhs(u, v, w, P2), rel=1e-12)
+
+
+def test_product_l2_lhs_matches_doubled_grid_3d():
+    p = DispersionParams(2.0, 2)
+    g = estimates.strichartz3d_grid(2, yPoints=16, tPoints=16)
+    band = BandSpec(kLo=2, kHi=4, etaHi=0.8)
+    u, v = random_field(g, band, seed=31), random_field(g, band, seed=32)
+    w = raised_cosine_window(g)
+    got = estimates._product_l2_lhs(u, v, w, p)
+    assert got == pytest.approx(_doubled_grid_lhs(u, v, w, p), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

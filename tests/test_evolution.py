@@ -192,6 +192,16 @@ def test_evolve_blowup_guard():
         evolve_nonlinear(f, SolveConfig(dt=0.25, T=50.0), P2, save_every=1)
 
 
+def test_evolve_rejects_nonfinite_between_save_points():
+    # huge data overflows within a few steps; with no save point before the
+    # end, only a per-step check sees it (the tenfold-growth test is False
+    # for NaN)
+    g = make_grid(10, 64, 16 * math.pi)
+    f = small_smooth(g, amplitude=1e6)
+    with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError):
+        evolve_nonlinear(f, SolveConfig(dt=4e-3, T=0.08), P2, save_every=10**9)
+
+
 def test_observed_order_at_least_3p5():
     g = make_grid(10, 64, 16 * math.pi)
     f = small_smooth(g, amplitude=0.5, modes=((1, 1.0), (2, 0.6)))
@@ -235,6 +245,19 @@ def test_picard_contracts_and_matches_exponential_stepper():
         g.xy_measure * np.sum(np.abs(pic.coeffs - traj.final.coeffs) ** 2)
     )
     assert diff / traj.final.l2_norm() < 1e-6
+
+
+def test_picard_rejects_nonfinite_difference():
+    # the second iterate overflows: its difference norm is inf, then NaN,
+    # and a NaN comparison must not reset the growth count into a result
+    g = make_grid(8, 32, 16 * math.pi, tPoints=64, tWindow=0.2)
+    f = small_smooth(g, amplitude=1e150)
+    with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="iteration 2"):
+        picard_solve(f, CutoffSpec(T=0.05), 6, P2)
+    nan = np.array(small_smooth(g).coeffs)
+    nan[1, 3] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="iteration 1"):
+        picard_solve(SpectralField(g, nan), CutoffSpec(T=0.05), 6, P2)
 
 
 def test_picard_window_check():

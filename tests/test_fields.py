@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from kplab.errors import (
     BandExceedsGridError,
@@ -16,6 +19,7 @@ from kplab.fields import (
     BandSpec,
     GridSpec,
     NormSpec,
+    ProductPlan,
     SpaceTimeField,
     SpectralField,
     bourgain_norm,
@@ -24,6 +28,7 @@ from kplab.fields import (
     load_field,
     make_grid,
     mixed_norm,
+    occupied_box,
     product_exact,
     project_mean_zero,
     quadratic_product,
@@ -372,6 +377,77 @@ def test_dealiased_product_matches_direct_convolution():
             assert np.max(np.abs(prod.coeffs - weight * direct)) < 1e-12, product.__name__
 
 
+@st.composite
+def _box_coeffs(draw, shape):
+    # random coefficients on a random box of signed frequencies per axis (so
+    # one-sided and asymmetric boxes occur), never touching a Nyquist row
+    c = np.zeros(shape, complex)
+    index = []
+    for n in shape:
+        top = (n - 1) // 2
+        lo = draw(st.integers(-top, top))
+        hi = draw(st.integers(lo, top))
+        index.append(np.arange(lo, hi + 1) % n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    box = np.ix_(*index)
+    size = c[box].shape
+    c[box] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    c[box] *= rng.random(size) < 0.7  # holes inside the box
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fitted_product_matches_direct_convolution(data):
+    y_dims = data.draw(st.sampled_from([1, 2]), label="yDims")
+    spacetime = data.draw(st.booleans(), label="spacetime")
+    g = make_grid(
+        kMax=data.draw(st.integers(1, 5), label="kMax"),
+        yPoints=8 if y_dims == 2 else data.draw(st.sampled_from([8, 16]), label="yPoints"),
+        yLength=8 * math.pi,
+        yDims=y_dims,
+        tPoints=8,
+    )
+    shape = g.st_shape if spacetime else g.spatial_shape
+    make, product, weight = (
+        (SpaceTimeField, st_product_exact, g.dtau * g.deta**y_dims)
+        if spacetime
+        else (SpectralField, product_exact, g.deta**y_dims)
+    )
+    fa = make(g, data.draw(_box_coeffs(shape), label="a"))
+    pairing = data.draw(st.sampled_from(["two", "same", "zero"]), label="pairing")
+    if pairing == "two":
+        fb = make(g, data.draw(_box_coeffs(shape), label="b"))
+    elif pairing == "same":
+        fb = fa  # one field twice takes the squared-samples path
+    else:
+        fb = make(g, np.zeros(shape, complex))
+    prod = product(fa, fb)
+    direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
+    assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+def test_fitted_plan_is_sized_to_the_occupied_boxes():
+    g = make_grid(32, 256, 32 * math.pi)
+    band = BandSpec(kLo=16, kHi=32, etaHi=2.0)
+    u = random_field(g, band, seed=1, real=False, side="+")
+    v = random_field(g, band, seed=2)
+    box_u, box_v = occupied_box(u.coeffs), occupied_box(v.coeffs)
+    assert box_u[0] == (16, 32) and box_v[0] == (-32, 32)
+    assert box_u[1] == box_v[1] == (-32, 32)  # |eta| <= 2 at deta = 1/16
+    assert occupied_box(np.zeros((5, 8), complex)) == ((0, 0), (0, 0))
+    plan = ProductPlan.fitted(u.coeffs, v.coeffs)
+    assert plan.pad_shape == (next_fast_len(17 + 65 - 1), next_fast_len(65 + 65 - 1))
+    # the doubled grid would take 129 x 512 samples; the fitted one has
+    # lengths whose prime factors are all small
+    for m in plan.pad_shape:
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        assert m == 1
+
+
 def test_product_exact_grid_doubles_bands():
     g = small_grid()
     fa = random_field(g, BandSpec(1, 8, 1.9), seed=3)
@@ -418,6 +494,19 @@ def test_serialization_round_trip(tmp_path):
     back2 = load_field(path2)
     assert isinstance(back2, SpaceTimeField)
     assert np.array_equal(back2.coeffs, F.coeffs)
+
+
+def test_load_field_rejects_truncated_files(tmp_path):
+    g = small_grid()
+    path = tmp_path / "field.bin"
+    save_field(path, random_field(g, BandSpec(1, 6, 1.5), seed=13))
+    blob = path.read_bytes()
+    header_end = len(blob) - 16 * g.nx * g.yPoints
+    # inside the length prefix, inside the JSON header, inside the coefficients
+    for cut in (7, header_end - 10, len(blob) - 24):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(InvalidSpecError):
+            load_field(path)
 
 
 def test_csv_export_small_grid():
