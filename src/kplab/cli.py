@@ -1,8 +1,11 @@
 """Experiment orchestration: config parsing, dispatch, sweeps, result emission.
 
-Each subcommand resolves a JSON config against its defaults, validates every
-field up front (reporting the complete violation list), fans the sweep points
-out over a worker pool, and writes two artifacts into the output directory:
+Each subcommand is one entry of `_TABLE`: its runner, its results.csv columns
+and every config key it takes, with the key's default, type and range check.
+A JSON config is resolved against that entry and validated up front (a key
+the subcommand does not take is an error; the complete violation list is
+reported), the sweep points fan out over a worker pool, and two artifacts are
+written into the output directory:
 
     results.csv   one row per sample, fixed column order, repr-formatted
                   floats (bit-identical across runs and worker counts)
@@ -15,201 +18,24 @@ verdict), 2 when the verdict contradicts --expect, 1 on any error.
 
 import argparse
 import concurrent.futures
+import copy
 import datetime
 import functools
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, estimates, evolution, illposed
 from .errors import InvalidSpecError, KPLabError, SweepWorkerError
 from .estimates import envelope_fit, grows
-from .evolution import CutoffSpec, SolveConfig, evolve_nonlinear, observed_order, picard_solve
+from .evolution import (CutoffSpec, SolveConfig, _l2_diff, evolve_nonlinear, observed_order,
+                        picard_solve)
 from .fields import SpectralField, make_grid, save_field
 from .symbols import DispersionParams, resonance_bounds_audit, resonance_sample_audit
-
-SUBCOMMANDS = (
-    "evolve",
-    "picard",
-    "strichartz2d",
-    "strichartz3d",
-    "counterexample",
-    "bilinear-ratio",
-    "illposed-scaling",
-    "resonance-audit",
-)
-
-_DEFAULTS = {
-    "resonance-audit": {
-        "alphas": [2.0, 2.5, 3.0, 4.0],
-        "kMax": 200,
-        "identitySamples": 0,
-    },
-    "evolve": {
-        "alpha": 2.0,
-        "kMax": 32,
-        "yPoints": 128,
-        "yLength": 32 * math.pi,
-        "dt": 1e-3,
-        "T": 1.0,
-        "amplitude": 0.01,
-        "etaWidth": 1.0,
-        "dealias": 2.0 / 3.0,
-        "measureOrder": False,
-        "saveFields": False,
-    },
-    "picard": {
-        "alpha": 2.0,
-        "kMax": 10,
-        "yPoints": 64,
-        "yLength": 16 * math.pi,
-        "tPoints": 128,
-        "tWindow": 0.2,
-        "T": 0.05,
-        "iters": 8,
-        "amplitude": 0.01,
-        "etaWidth": 1.0,
-        "crossCheck": True,
-        "dt": 6.25e-4,
-    },
-    "strichartz2d": {
-        "alpha": 2.0,
-        "Ns": [8, 16, 32, 64, 128],
-        "seeds": [0, 1, 2, 3, 4],
-        "s1": 0.25,
-        "s2": 0.0,
-        "kinds": list(estimates.STRICHARTZ2D_KINDS),
-    },
-    "strichartz3d": {
-        "alpha": 2.0,
-        "Ns": [4, 8, 16, 32],
-        "seeds": [0, 1, 2],
-        "s1": 0.6,
-        "s2": 0.6,
-    },
-    "counterexample": {
-        "alpha": 2.0,
-        "Ns": [16, 32, 64, 128, 256],
-        "s": 0.0,
-        "halfWidthExponent": 0.0,
-        "quadPoints": 96,
-    },
-    "bilinear-ratio": {
-        "alpha": 3.0,
-        "Ns": [8, 16, 32, 64],
-        "seeds": [0, 1, 2],
-        "s1": 0.2,
-        "s2": 0.0,
-        "b": 0.55,
-        "bPrime": -0.45,
-        "beta": 0.4,
-        "lhsFlavor": "xweighted",
-        "rhsFlavor": "xweighted",
-        "kinds": list(estimates.BILINEAR_KINDS),
-    },
-    "illposed-scaling": {
-        "alpha": 2.0,
-        "s": -0.75,
-        "Ns": [16, 32, 64, 128],
-        "betaInterval": 0.05,
-        "t": 0.1,
-        "etaQuadPoints": 64,
-    },
-}
-
-# the ensembles a sweep may ask for; no other subcommand takes `kinds`
-_KINDS = {
-    "strichartz2d": estimates.STRICHARTZ2D_KINDS,
-    "bilinear-ratio": estimates.BILINEAR_KINDS,
-}
-
-_SWEEP_COLUMNS = ["N", "kind", "seed", "value"]
-
-_COLUMNS = {
-    "resonance-audit": ["alpha", "kMax", "checked", "violations", "maxResidual"],
-    "evolve": ["t", "l2RelDrift"],
-    "picard": ["iteration", "diffNorm"],
-    "strichartz2d": _SWEEP_COLUMNS,
-    "strichartz3d": _SWEEP_COLUMNS,
-    "counterexample": ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"],
-    "bilinear-ratio": _SWEEP_COLUMNS,
-    "illposed-scaling": ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"],
-}
-
-
-def _validate(subcommand, cfg):
-    problems = []
-
-    def need(key, kinds, pred=None, what=""):
-        if key not in cfg:
-            problems.append(f"{key}: missing")
-            return
-        v = cfg[key]
-        if not isinstance(v, kinds):
-            problems.append(f"{key}: expected {what or kinds}, got {v!r}")
-            return
-        if pred is not None and not pred(v):
-            problems.append(f"{key}: invalid value {v!r} {what}")
-
-    num = (int, float)
-    if "alpha" in cfg or subcommand != "resonance-audit":
-        need("alpha", num, lambda v: v >= 2, "(alpha >= 2)")
-    if subcommand == "resonance-audit":
-        need("alphas", list, lambda v: all(isinstance(a, num) and a >= 2 for a in v))
-        need("kMax", int, lambda v: v >= 2, "(kMax >= 2)")
-    if subcommand in ("evolve", "picard"):
-        need("kMax", int, lambda v: v >= 1)
-        need(
-            "yPoints",
-            int,
-            lambda v: v >= 8 and (v & (v - 1)) == 0,
-            "(power of two >= 8)",
-        )
-        need("yLength", num, lambda v: v > 0)
-        need("amplitude", num, lambda v: v > 0)
-        need("T", num, lambda v: v > 0)
-        need("dt", num, lambda v: 0 < v <= cfg.get("T", float("inf")))
-    if subcommand == "picard":
-        need("iters", int, lambda v: v >= 1)
-        need("tPoints", int, lambda v: v >= 8 and (v & (v - 1)) == 0)
-        need("tWindow", num, lambda v: v > 0)
-        T, window = cfg.get("T"), cfg.get("tWindow")
-        if isinstance(T, num) and isinstance(window, num) and 2 * T > window:
-            problems.append("T: cutoff support 2T exceeds tWindow")
-    if subcommand in ("strichartz2d", "strichartz3d", "bilinear-ratio"):
-        need("Ns", list, lambda v: v and all(isinstance(n, int) and n >= 1 for n in v))
-        need("seeds", list, lambda v: v and all(isinstance(s, int) for s in v))
-    if subcommand == "counterexample":
-        need("Ns", list, lambda v: len(v) >= 3 and all(isinstance(n, int) and n >= 8 for n in v))
-        need("s", num)
-        need("halfWidthExponent", num)
-        need("quadPoints", int, lambda v: v >= 16)
-    if subcommand == "bilinear-ratio":
-        for key in ("s1", "s2", "b", "bPrime"):
-            need(key, num)
-        need("beta", num, lambda v: v >= 0)
-        need("lhsFlavor", str, lambda v: v in ("x", "xweighted", "z"))
-        need("rhsFlavor", str, lambda v: v in ("x", "xweighted"))
-    if subcommand in ("strichartz2d", "strichartz3d"):
-        need("s1", num, lambda v: v >= 0)
-        need("s2", num, lambda v: v >= 0)
-    if subcommand == "illposed-scaling":
-        need("Ns", list, lambda v: len(v) >= 4 and all(isinstance(n, int) and n >= 8 for n in v))
-        need("s", num)
-        need("betaInterval", num, lambda v: 0 < v <= 0.1)
-        need("t", num, lambda v: v != 0)
-        need("etaQuadPoints", int, lambda v: v >= 32 and v % 2 == 0)
-    if "kinds" in cfg:
-        known = _KINDS.get(subcommand)
-        if known is None:
-            problems.append(f"kinds: {subcommand} takes no kinds")
-        else:
-            need("kinds", list, lambda v: v and all(k in known for k in v), f"(from {known})")
-    if problems:
-        raise InvalidSpecError(problems)
 
 
 def sweep_parallel(points, worker, workers=1):
@@ -338,14 +164,14 @@ def _run_picard(cfg, workers, outdir):
         solve = SolveConfig(dt=cfg["dt"], T=cfg["T"])
         traj = evolve_nonlinear(f0, solve, params, save_every=10**9)
         pic = result.at_time(cfg["T"])
-        diff = math.sqrt(
-            grid.xy_measure
-            * float(np.sum(np.abs(pic.coeffs - traj.final.coeffs) ** 2))
-        )
+        diff = _l2_diff(pic, traj.final)
         rel = diff / traj.final.l2_norm()
         summary["crossCheckL2Diff"] = diff
         summary["crossCheckRelDiff"] = rel
     return rows, summary, None
+
+
+_SWEEP_COLUMNS = ["N", "kind", "seed", "value"]
 
 
 def _run_sweep(point_name, cfg, workers, outdir):
@@ -415,16 +241,184 @@ def _run_illposed(cfg, workers, outdir):
     return rows, summary, report.verdict
 
 
-_RUNNERS = {
-    "resonance-audit": _run_resonance_audit,
-    "evolve": _run_evolve,
-    "picard": _run_picard,
-    "strichartz2d": functools.partial(_run_sweep, "strichartz2d_point"),
-    "strichartz3d": functools.partial(_run_sweep, "strichartz3d_point"),
-    "counterexample": _run_counterexample,
-    "bilinear-ratio": functools.partial(_run_sweep, "bilinear_point"),
-    "illposed-scaling": _run_illposed,
+# ---------------------------------------------------------------------------
+# the subcommand table
+
+
+class _Key(NamedTuple):
+    """One config key of a subcommand: its default, its type and its range check."""
+
+    default: object
+    type: object  # float (a finite number), int, bool, str, or [type] for a list of them
+    ok: object = None  # range check, applied to a value of the right type
+    what: str = ""  # the range check in words
+
+
+def _has_type(v, type_):
+    if isinstance(type_, list):
+        return isinstance(v, list) and all(_has_type(x, type_[0]) for x in v)
+    if isinstance(v, bool):  # an int subclass in Python, never a number here
+        return type_ is bool
+    if type_ is float:
+        return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+    return isinstance(v, type_)
+
+
+def _type_name(type_):
+    if isinstance(type_, list):
+        return f"list of {_type_name(type_[0])}s"
+    return {float: "finite number", int: "integer", bool: "boolean", str: "string"}[type_]
+
+
+_POSITIVE = (lambda v: v > 0, "(must be > 0)")
+_POW2 = (lambda v: v >= 8 and (v & (v - 1)) == 0, "(power of two >= 8)")
+
+
+def _ge(lo):
+    return (lambda v: v >= lo, f"(must be >= {lo})")
+
+
+def _at_least(count, lo):
+    """At least `count` values, each >= lo."""
+    return (
+        lambda v: len(v) >= count and all(n >= lo for n in v),
+        f"(at least {count}, each >= {lo})",
+    )
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"(one of {choices})")
+
+
+def _some_of(choices):
+    return (lambda v: v and all(k in choices for k in v), f"(from {choices})")
+
+
+def _alpha(default):
+    return _Key(default, float, *_ge(2))
+
+
+def _flow_keys(kMax, yPoints, yLength, T, dt):
+    """The keys evolve and picard share: dispersion, grid, time step and initial data."""
+    return {
+        "alpha": _alpha(2.0),
+        "kMax": _Key(kMax, int, *_ge(1)),
+        "yPoints": _Key(yPoints, int, *_POW2),
+        "yLength": _Key(yLength, float, *_POSITIVE),
+        "dt": _Key(dt, float, *_POSITIVE),
+        "T": _Key(T, float, *_POSITIVE),
+        "amplitude": _Key(0.01, float, *_POSITIVE),
+        "etaWidth": _Key(1.0, float, *_POSITIVE),
+    }
+
+
+class _Subcommand(NamedTuple):
+    runner: object  # (cfg, workers, outdir) -> (rows, summary, verdict)
+    columns: list  # of results.csv, in order
+    keys: dict  # every config key the subcommand takes, name -> _Key
+
+
+def _sweep(point_name, alpha, Ns, seeds, **keys):
+    """The entry of an (N, kind, seed) ratio sweep over `estimates.<point_name>`."""
+    return _Subcommand(functools.partial(_run_sweep, point_name), _SWEEP_COLUMNS, {
+        "alpha": _alpha(alpha),
+        "Ns": _Key(Ns, [int], *_at_least(1, 1)),
+        "seeds": _Key(seeds, [int], lambda v: len(v) >= 1, "(non-empty)"),
+        **keys,
+    })
+
+
+_TABLE = {
+    "evolve": _Subcommand(_run_evolve, ["t", "l2RelDrift"], {
+        **_flow_keys(kMax=32, yPoints=128, yLength=32 * math.pi, T=1.0, dt=1e-3),
+        "dealias": _Key(2.0 / 3.0, float, lambda v: 0 < v <= 1, "(must lie in (0, 1])"),
+        "measureOrder": _Key(False, bool),
+        "saveFields": _Key(False, bool),
+    }),
+    "picard": _Subcommand(_run_picard, ["iteration", "diffNorm"], {
+        **_flow_keys(kMax=10, yPoints=64, yLength=16 * math.pi, T=0.05, dt=6.25e-4),
+        "tPoints": _Key(128, int, *_POW2),
+        "tWindow": _Key(0.2, float, *_POSITIVE),
+        "iters": _Key(8, int, *_ge(1)),
+        "crossCheck": _Key(True, bool),
+    }),
+    "strichartz2d": _sweep(
+        "strichartz2d_point", 2.0, [8, 16, 32, 64, 128], [0, 1, 2, 3, 4],
+        s1=_Key(0.25, float, *_ge(0)),
+        s2=_Key(0.0, float, *_ge(0)),
+        kinds=_Key(list(estimates.STRICHARTZ2D_KINDS), [str],
+                   *_some_of(estimates.STRICHARTZ2D_KINDS)),
+    ),
+    "strichartz3d": _sweep(
+        "strichartz3d_point", 2.0, [4, 8, 16, 32], [0, 1, 2],
+        s1=_Key(0.6, float, *_ge(0)),
+        s2=_Key(0.6, float, *_ge(0)),
+    ),
+    "counterexample": _Subcommand(
+        _run_counterexample, ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"], {
+            "alpha": _alpha(2.0),
+            "Ns": _Key([16, 32, 64, 128, 256], [int], *_at_least(3, 8)),
+            "s": _Key(0.0, float),
+            "halfWidthExponent": _Key(0.0, float),
+            "quadPoints": _Key(96, int, *_ge(16)),
+        }),
+    "bilinear-ratio": _sweep(
+        "bilinear_point", 3.0, [8, 16, 32, 64], [0, 1, 2],
+        s1=_Key(0.2, float),
+        s2=_Key(0.0, float),
+        b=_Key(0.55, float),
+        bPrime=_Key(-0.45, float),
+        beta=_Key(0.4, float, *_ge(0)),
+        lhsFlavor=_Key("xweighted", str, *_one_of(("x", "xweighted", "z"))),
+        rhsFlavor=_Key("xweighted", str, *_one_of(("x", "xweighted"))),
+        kinds=_Key(list(estimates.BILINEAR_KINDS), [str], *_some_of(estimates.BILINEAR_KINDS)),
+    ),
+    "illposed-scaling": _Subcommand(
+        _run_illposed, ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"], {
+            "alpha": _alpha(2.0),
+            "s": _Key(-0.75, float),
+            "Ns": _Key([16, 32, 64, 128], [int], *_at_least(4, 8)),
+            "betaInterval": _Key(0.05, float, lambda v: 0 < v <= 0.1, "(must lie in (0, 0.1])"),
+            "t": _Key(0.1, float, lambda v: v != 0, "(must be nonzero)"),
+            "etaQuadPoints": _Key(64, int, lambda v: v >= 32 and v % 2 == 0, "(even, >= 32)"),
+        }),
+    "resonance-audit": _Subcommand(
+        _run_resonance_audit, ["alpha", "kMax", "checked", "violations", "maxResidual"], {
+            "alphas": _Key([2.0, 2.5, 3.0, 4.0], [float], *_at_least(1, 2)),
+            "kMax": _Key(200, int, *_ge(2)),
+            "identitySamples": _Key(0, int, *_ge(0)),
+        }),
 }
+
+SUBCOMMANDS = tuple(_TABLE)
+
+
+def _resolve(subcommand, config):
+    """The config with its defaults filled in; raises InvalidSpecError with every violation."""
+    if not isinstance(config, dict):
+        raise InvalidSpecError([f"config: expected a JSON object, got {config!r}"])
+    keys = _TABLE[subcommand].keys
+    problems = [f"{k}: {subcommand} takes no {k}" for k in config if k not in keys]
+    # a copy, so that a caller editing its config echo cannot change a default
+    cfg = {name: copy.copy(key.default) for name, key in keys.items()}
+    cfg.update(config)
+    valid = set()
+    for name, key in keys.items():
+        v = cfg[name]
+        if not _has_type(v, key.type):
+            problems.append(f"{name}: expected {_type_name(key.type)}, got {v!r}")
+        elif key.ok is not None and not key.ok(v):
+            problems.append(f"{name}: invalid value {v!r} {key.what}")
+        else:
+            valid.add(name)
+    # the only rules that tie two keys together
+    if {"dt", "T"} <= valid and cfg["dt"] > cfg["T"]:
+        problems.append("dt: exceeds T")
+    if {"T", "tWindow"} <= valid and 2 * cfg["T"] > cfg["tWindow"]:
+        problems.append("T: cutoff support 2T exceeds tWindow")
+    if problems:
+        raise InvalidSpecError(problems)
+    return cfg
 
 
 def _format_cell(v):
@@ -446,16 +440,15 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
         raise InvalidSpecError([f"unknown subcommand {subcommand!r}"])
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidSpecError([f"workers: expected an integer >= 1, got {workers!r}"])
-    cfg = dict(_DEFAULTS[subcommand])
-    cfg.update(config or {})
+    cfg = _resolve(subcommand, config or {})
     cfg["baseSeed"] = int(base_seed)
-    _validate(subcommand, cfg)
 
-    rows, summary, verdict = _RUNNERS[subcommand](cfg, workers, outdir)
+    entry = _TABLE[subcommand]
+    rows, summary, verdict = entry.runner(cfg, workers, outdir)
     envelope = {
         "configEcho": {**cfg, "subcommand": subcommand},
         "rows": rows,
-        "columns": _COLUMNS[subcommand],
+        "columns": entry.columns,
         "summary": summary,
         "verdict": verdict,
         "provenance": {
@@ -469,7 +462,7 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(rows, _COLUMNS[subcommand]))
+            fh.write(rows_to_csv(rows, entry.columns))
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(
                 {k: v for k, v in envelope.items() if k != "rows"},

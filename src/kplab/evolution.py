@@ -144,7 +144,6 @@ class SolveConfig:
     dt: float
     T: float
     dealias: float = 2.0 / 3.0
-    picardIters: int = 8
 
     def __post_init__(self):
         problems = []
@@ -152,8 +151,6 @@ class SolveConfig:
             problems.append(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         if not (0 < self.dealias <= 1.0):
             problems.append(f"dealias fraction must lie in (0, 1], got {self.dealias}")
-        if self.picardIters < 1:
-            problems.append(f"picardIters must be >= 1, got {self.picardIters}")
         if problems:
             raise InvalidSpecError(problems)
 

@@ -311,12 +311,16 @@ class NormSpec:
 
 def sobolev_norm(f, s1, s2):
     """Anisotropic Sobolev norm ||<k>^s1 <eta>^s2 C|| with the lattice measure."""
-    g = f.grid
+    w = _sobolev_weight(f.grid, s1, s2)
+    total = float(np.sum(np.abs(w * f.coeffs) ** 2))
+    return math.sqrt(f.grid.xy_measure * total)
+
+
+def _sobolev_weight(g, s1, s2):
+    """<k>^s1 <eta>^s2 over the grid's (k, eta) lattice."""
     wk = _bracket(g.k_axis()) ** s1
     weta = _bracket(np.sqrt(g.eta_sq_grid())) ** s2
-    w = wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...]
-    total = float(np.sum(np.abs(w * f.coeffs) ** 2))
-    return math.sqrt(g.xy_measure * total)
+    return wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...]
 
 
 def _bourgain_weights(F, spec, params):
@@ -325,9 +329,7 @@ def _bourgain_weights(F, spec, params):
     tau = g.tau_axis().reshape((-1,) + (1,) * (1 + g.yDims))
     sigma = tau - phi[None, ...]
     bs = _bracket(sigma)
-    wk = _bracket(g.k_axis()) ** spec.s1
-    weta = _bracket(np.sqrt(g.eta_sq_grid())) ** spec.s2
-    base = wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...]
+    base = _sobolev_weight(g, spec.s1, spec.s2)
     if spec.beta != 0.0:
         ka = _bracket(g.k_axis()) ** (params.alpha + 1.0)
         extra = (1.0 + bs / ka.reshape((-1,) + (1,) * g.yDims)) ** spec.beta
@@ -749,16 +751,20 @@ def load_field(path):
         raw = fh.read()
     try:
         header = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
-        raise InvalidSpecError([f"truncated or corrupt header in {path}: {exc}"]) from exc
-    grid = GridSpec(**header["grid"])
-    expected = math.prod(header["shape"]) * np.dtype("<c16").itemsize
+        grid = GridSpec(**header["grid"])
+        kind, shape = header["kind"], header["shape"]
+        expected = math.prod(shape) * np.dtype("<c16").itemsize
+    # ValueError also covers UnicodeDecodeError and JSONDecodeError
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidSpecError([f"truncated or corrupt header in {path}: {exc!r}"]) from exc
+    if kind not in ("spectral", "spacetime"):
+        raise InvalidSpecError([f"{path}: unknown field kind {kind!r}"])
     if len(raw) != expected:
         raise InvalidSpecError(
             [f"{path} holds {len(raw)} coefficient bytes, expected {expected}"]
         )
-    arr = np.frombuffer(raw, dtype="<c16").reshape(header["shape"]).astype(complex)
-    if header["kind"] == "spacetime":
+    arr = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
+    if kind == "spacetime":
         return SpaceTimeField(grid, arr)
     return SpectralField(grid, arr)
 

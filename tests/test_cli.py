@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from kplab.cli import main, rows_to_csv, run, sweep_parallel
+from kplab import cli
+from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
 from kplab.errors import InvalidSpecError, SweepWorkerError
 
 
@@ -31,6 +32,50 @@ def test_validation_checks_kinds_per_subcommand():
     assert [v.split(":")[0] for v in err.value.violations] == ["kinds"]
     with pytest.raises(InvalidSpecError):
         run("counterexample", {"kinds": ["random"]})
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, key",
+    [
+        # a misspelt key is an error, never a silent fall-back to the default
+        ("counterexample", {"Ns": [16, 32, 64, 128], "quadPoint": 16}, "quadPoint"),
+        ("bilinear-ratio", {"Ns": [8, 64], "seeds": [0], "lhsFlavr": "x"}, "lhsFlavr"),
+        # a boolean is not a number, also inside a list
+        ("illposed-scaling", {"t": True}, "t"),
+        ("strichartz2d", {"seeds": [True]}, "seeds"),
+        # each key has a type and a range check
+        ("evolve", {"etaWidth": 0}, "etaWidth"),
+        ("evolve", {"measureOrder": "no"}, "measureOrder"),
+        ("evolve", {"dealias": 1.5}, "dealias"),
+        ("picard", {"crossCheck": 1}, "crossCheck"),
+    ],
+)
+def test_validation_rejects_unknown_and_mistyped_keys(subcommand, config, key):
+    with pytest.raises(InvalidSpecError) as err:
+        run(subcommand, config)
+    assert [v.split(":")[0] for v in err.value.violations] == [key]
+    if key not in cli._TABLE[subcommand].keys:
+        assert err.value.violations == [f"{key}: {subcommand} takes no {key}"]
+
+
+def test_every_default_passes_its_own_checks():
+    for subcommand in SUBCOMMANDS:
+        cfg = cli._resolve(subcommand, {})
+        assert set(cfg) == set(cli._TABLE[subcommand].keys)
+    # the resolved config holds copies: editing one leaves the defaults alone
+    cli._resolve("resonance-audit", {})["alphas"].append(1.0)
+    assert cli._resolve("resonance-audit", {})["alphas"] == [2.0, 2.5, 3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "subcommand, text",
+    [("resonance-audit", '{"identitySamples": "3"}'), ("evolve", "[0.01]")],
+)
+def test_main_reports_mistyped_config_as_invalid(tmp_path, capsys, subcommand, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([subcommand, "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
 
 
 def test_run_rejects_fewer_than_one_worker(tmp_path):

@@ -1,7 +1,9 @@
 """Grid, transform, norm, random-data, and serialization checks."""
 
 import io
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -505,6 +507,23 @@ def test_load_field_rejects_truncated_files(tmp_path):
     # inside the length prefix, inside the JSON header, inside the coefficients
     for cut in (7, header_end - 10, len(blob) - 24):
         path.write_bytes(blob[:cut])
+        with pytest.raises(InvalidSpecError):
+            load_field(path)
+
+
+def test_load_field_rejects_malformed_headers(tmp_path):
+    g = small_grid()
+    path = tmp_path / "field.bin"
+    save_field(path, random_field(g, BandSpec(1, 6, 1.5), seed=13))
+    blob = path.read_bytes()
+    magic, (n,) = blob[:5], struct.unpack("<I", blob[5:9])
+    header, coeffs = json.loads(blob[9 : 9 + n]), blob[9 + n :]
+    no_grid = {k: v for k, v in header.items() if k != "grid"}
+    unknown_grid_field = {**header, "grid": {**header["grid"], "zPoints": 8}}
+    unknown_kind = {**header, "kind": "physical"}
+    for bad in (no_grid, unknown_grid_field, unknown_kind):
+        text = json.dumps(bad).encode("utf-8")
+        path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
         with pytest.raises(InvalidSpecError):
             load_field(path)
 
