@@ -124,7 +124,7 @@ def _run_evolve(cfg, workers, outdir):
     summary = {"finalDrift": float(traj.l2_drift[-1])}
     if cfg["measureOrder"]:
         summary["observedOrder"] = observed_order(
-            f0, params, T=min(cfg["T"], 0.1), dt=4 * cfg["dt"]
+            f0, params, T=min(cfg["T"], 0.1), dt=4 * cfg["dt"], dealias=cfg["dealias"]
         )
     if outdir:
         os.makedirs(outdir, exist_ok=True)
@@ -323,7 +323,7 @@ def _sweep(point_name, alpha, Ns, seeds, **keys):
     return _Subcommand(functools.partial(_run_sweep, point_name), _SWEEP_COLUMNS, {
         "alpha": _alpha(alpha),
         "Ns": _Key(Ns, [int], *_at_least(1, 1)),
-        "seeds": _Key(seeds, [int], lambda v: len(v) >= 1, "(non-empty)"),
+        "seeds": _Key(seeds, [int], *_at_least(1, 0)),
         **keys,
     })
 
@@ -438,10 +438,13 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
     """Resolve, validate, dispatch; returns the result envelope as a dict."""
     if subcommand not in SUBCOMMANDS:
         raise InvalidSpecError([f"unknown subcommand {subcommand!r}"])
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    if not _has_type(workers, int) or workers < 1:
         raise InvalidSpecError([f"workers: expected an integer >= 1, got {workers!r}"])
+    # every seed, offset by base_seed, must stay a valid numpy seed
+    if not _has_type(base_seed, int) or base_seed < 0:
+        raise InvalidSpecError([f"base_seed: expected an integer >= 0, got {base_seed!r}"])
     cfg = _resolve(subcommand, config or {})
-    cfg["baseSeed"] = int(base_seed)
+    cfg["baseSeed"] = base_seed
 
     entry = _TABLE[subcommand]
     rows, summary, verdict = entry.runner(cfg, workers, outdir)

@@ -68,8 +68,11 @@ class ScalingFit:
     intercept: float
 
 
-def fit_exponent(samples, min_span=8.0):
-    """Least squares on (log N, log value); returns slope and RMS residual."""
+def fit_exponent(samples):
+    """Least squares on (log N, log value); returns slope and RMS residual.
+
+    The samples must span at least a factor of 8 in N.
+    """
     pts = [
         (s.N, s.value) if isinstance(s, RatioSample) else (s[0], s[1]) for s in samples
     ]
@@ -77,9 +80,9 @@ def fit_exponent(samples, min_span=8.0):
         raise InsufficientSpanError(f"need at least 2 samples, got {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=float)
     vals = np.array([p[1] for p in pts], dtype=float)
-    if ns.max() < min_span * ns.min():
+    if ns.max() < 8.0 * ns.min():
         raise InsufficientSpanError(
-            f"N span {ns.min():g}..{ns.max():g} is below the required {min_span}x"
+            f"N span {ns.min():g}..{ns.max():g} is below the required 8x"
         )
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValueError(f"sample values must be finite, got {vals.tolist()}")
@@ -168,7 +171,7 @@ def strichartz3d_ratio(u0, v0, s1, s2, params):
 # adversarial data generators
 
 
-def adversarial_pair(kind, N, grid, params, seed, eta_width=2.0):
+def adversarial_pair(kind, N, grid, params, seed):
     """Band-limited pairs realizing the named frequency-interaction geometry.
 
     comparable:        both factors at x-frequencies +-[N, N+2], transverse
@@ -177,8 +180,11 @@ def adversarial_pair(kind, N, grid, params, seed, eta_width=2.0):
     high-high-to-low:  one-sided complex factors on [N, 2N] and [-2N, -N], so
                        the product's x-support is [-N, N].
     low-high:          a low band [1, max(2, N/8)] against [N, 2N].
+
+    The last two are random fields with |eta| <= min(2, 0.45 eta_Nyquist).
     """
     eta_nyq = grid.deta * grid.yPoints / 2
+    eta_hi = min(2.0, 0.45 * eta_nyq)
     if kind == "comparable":
         if N + 2 > grid.kMax:
             raise BandExceedsGridError(f"comparable band [N, N+2] needs kMax >= {N + 2}")
@@ -200,15 +206,15 @@ def adversarial_pair(kind, N, grid, params, seed, eta_width=2.0):
     if kind == "high-high-to-low":
         if 2 * N > grid.kMax:
             raise BandExceedsGridError(f"band [N, 2N] needs kMax >= {2 * N}")
-        band = BandSpec(kLo=N, kHi=2 * N, etaHi=min(eta_width, 0.45 * eta_nyq))
-        u = random_field(grid, band, np.random.SeedSequence((seed, N, 1)), real=False, side="+")
-        v = random_field(grid, band, np.random.SeedSequence((seed, N, 2)), real=False, side="-")
+        band = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
+        u = random_field(grid, band, np.random.SeedSequence((seed, N, 1)), side="+")
+        v = random_field(grid, band, np.random.SeedSequence((seed, N, 2)), side="-")
         return u, v
     if kind == "low-high":
         if 2 * N > grid.kMax:
             raise BandExceedsGridError(f"band [N, 2N] needs kMax >= {2 * N}")
-        lo = BandSpec(kLo=1, kHi=max(2, N // 8), etaHi=min(eta_width, 0.45 * eta_nyq))
-        hi = BandSpec(kLo=N, kHi=2 * N, etaHi=min(eta_width, 0.45 * eta_nyq))
+        lo = BandSpec(kLo=1, kHi=max(2, N // 8), etaHi=eta_hi)
+        hi = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
         u = random_field(grid, lo, np.random.SeedSequence((seed, N, 3)))
         v = random_field(grid, hi, np.random.SeedSequence((seed, N, 4)))
         return u, v
@@ -382,16 +388,17 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     return bourgain_norm(dxprod, lhs_spec, params) / denom
 
 
-def spacetime_pair(kind, N, grid, params, seed, eta_width=0.9):
+def spacetime_pair(kind, N, grid, params, seed):
     """Space-time ensemble member for the bilinear sweeps.
 
-    random:            independent Hermitian random fields, band [N, 2N].
+    random:            independent Hermitian random fields, band [N, 2N],
+                       |eta| <= min(0.9, 0.45 eta_Nyquist).
     comparable:        the parabolic spatial pair times a single tau profile.
     high-high-to-low:  one-sided spatial pair times random tau profiles.
     """
     eta_nyq = grid.deta * grid.yPoints / 2
     if kind == "random":
-        band = BandSpec(kLo=N, kHi=2 * N, etaHi=min(eta_width, 0.45 * eta_nyq))
+        band = BandSpec(kLo=N, kHi=2 * N, etaHi=min(0.9, 0.45 * eta_nyq))
         u = st_random_field(grid, band, np.random.SeedSequence((seed, N, 11)))
         v = st_random_field(grid, band, np.random.SeedSequence((seed, N, 12)))
         return u, v
@@ -422,16 +429,16 @@ STRICHARTZ2D_KINDS = ("random", "comparable", "high-high-to-low", "low-high")
 BILINEAR_KINDS = ("random", "comparable", "high-high-to-low")
 
 
-def strichartz2d_grid(N, yPoints=256, yLength=32 * math.pi, tPoints=64, tWindow=2.0):
-    return make_grid(2 * N + 2, yPoints, yLength, 1, tPoints, tWindow)
+def strichartz2d_grid(N):
+    return make_grid(2 * N + 2, 256, 32 * math.pi, 1, 64, 2.0)
 
 
-def strichartz3d_grid(N, yPoints=32, yLength=16 * math.pi, tPoints=64, tWindow=4.0):
-    return make_grid(2 * N + 2, yPoints, yLength, 2, tPoints, tWindow)
+def strichartz3d_grid(N):
+    return make_grid(2 * N + 2, 32, 16 * math.pi, 2, 64, 4.0)
 
 
-def bilinear_grid(N, yPoints=64, yLength=32 * math.pi, tPoints=32, tWindow=2.0):
-    return make_grid(2 * N + 2, yPoints, yLength, 1, tPoints, tWindow)
+def bilinear_grid(N):
+    return make_grid(2 * N + 2, 64, 32 * math.pi, 1, 32, 2.0)
 
 
 def _sample_row(point, kind, value, keys):

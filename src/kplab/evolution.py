@@ -76,14 +76,13 @@ class CutoffSpec:
             )
 
 
-def raised_cosine_window(grid, taper_frac=0.1):
-    """Window equal to 1 inside, cosine-tapered over the outer taper_frac per side."""
+def raised_cosine_window(grid):
+    """Window equal to 1 inside, cosine-tapered over the outer 10% per side."""
     t = grid.t_axis()
     u = np.abs(t) / grid.tWindow
     w = np.ones_like(u)
-    edge = 1.0 - taper_frac
-    m = u > edge
-    w[m] = 0.5 * (1.0 + np.cos(math.pi * (u[m] - edge) / taper_frac))
+    m = u > 0.9
+    w[m] = 0.5 * (1.0 + np.cos(math.pi * (u[m] - 0.9) / 0.1))
     return w
 
 
@@ -96,17 +95,14 @@ def free_evolve(f, t, params):
 def free_block(f, cutoff, params):
     """Sample the cutoff free flow on the t lattice and transform to (tau, k, eta).
 
-    cutoff=None uses a raised-cosine window over the outer 10% of the time
-    window as a documented surrogate for 'no cutoff'.  The grid's tau range
-    must contain the data's dispersion surface for the block to be meaningful;
-    this is the caller's responsibility (keep max |phi| well under pi/dt).
+    The cutoff's support must fit the grid's time window.  The grid's tau
+    range must contain the data's dispersion surface for the block to be
+    meaningful; this is the caller's responsibility (keep max |phi| well under
+    pi/dt).
     """
     g = f.grid
-    if cutoff is None:
-        w = raised_cosine_window(g)
-    else:
-        cutoff.check_window(g)
-        w = cutoff.values(g.t_axis())
+    cutoff.check_window(g)
+    w = cutoff.values(g.t_axis())
     phi = fields.phi_grid(g, params)
     t = g.t_axis().reshape((-1,) + (1,) * (1 + g.yDims))
     samples = w.reshape(t.shape) * np.exp(1j * t * phi[None, ...]) * f.coeffs[None, ...]
@@ -134,9 +130,9 @@ def _quadratic_term(grid, dealias=2.0 / 3.0):
     return term
 
 
-def nonlinearity(f, dealias=2.0 / 3.0):
-    """-(1/2) d_x(u^2), dealiased and mean-zero projected."""
-    return SpectralField(f.grid, _quadratic_term(f.grid, dealias)(f.coeffs))
+def nonlinearity(f):
+    """-(1/2) d_x(u^2), dealiased at 2/3 and mean-zero projected."""
+    return SpectralField(f.grid, _quadratic_term(f.grid)(f.coeffs))
 
 
 @dataclass(frozen=True)
@@ -179,14 +175,14 @@ def _etdrk4_tables(grid, params, dt):
     return e_full, e_half, q, f1, f2, f3
 
 
-def evolve_nonlinear(f, cfg, params, save_every=None, linear_only=False):
+def evolve_nonlinear(f, cfg, params, save_every=None):
     """Fourth-order exponential stepper for the full equation.
 
     The linear flow is applied exactly; the quadratic term uses the cached
-    dealiased product.  Aborts with SolverDivergenceError if the solution
-    stops being finite at any step, or if the L2 norm at a save point has grown
-    tenfold (instability / dt too large).  linear_only=True drops the
-    quadratic term, in which case each step is the exact free flow.
+    dealiased product.  A snapshot is saved every `save_every` steps (default:
+    about 64 over the run) and at the end.  Aborts with SolverDivergenceError
+    if the solution stops being finite at any step, or if the L2 norm at a
+    save point has grown tenfold (instability / dt too large).
     """
     g = f.grid
     n_steps = int(round(cfg.T / cfg.dt))
@@ -208,17 +204,14 @@ def evolve_nonlinear(f, cfg, params, save_every=None, linear_only=False):
     drift = [0.0]
 
     for n in range(1, n_steps + 1):
-        if linear_only:
-            u = e_full * u
-        else:
-            nu = nl(u)
-            a = e_half * u + q * nu
-            na = nl(a)
-            b = e_half * u + q * na
-            nb = nl(b)
-            c = e_half * a + q * (2.0 * nb - nu)
-            nc = nl(c)
-            u = e_full * u + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
+        nu = nl(u)
+        a = e_half * u + q * nu
+        na = nl(a)
+        b = e_half * u + q * na
+        nb = nl(b)
+        c = e_half * a + q * (2.0 * nb - nu)
+        nc = nl(c)
+        u = e_full * u + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
         if not math.isfinite(np.vdot(u, u).real):
             raise SolverDivergenceError(
                 f"the solution is no longer finite at t = {n * cfg.dt:g}; reduce dt"
@@ -273,16 +266,17 @@ class PicardResult:
         return self.snapshot(idx)
 
 
-def picard_solve(f, cutoff, iters, params, dealias=2.0 / 3.0):
+def picard_solve(f, cutoff, iters, params):
     """Picard iteration of the time-localized integral equation.
 
     Iterates u_{n+1}(t) = psi_1(t) e^{it phi(D)} u0
                           - psi_T(t) int_0^t e^{i(t-t') phi(D)}
                                      (psi_T u_n)(psi_T u_n)_x dt'
     on the grid's t lattice, with the prefix integrals evaluated by composite
-    Simpson quadrature.  Returns the final iterate over the lattice plus the
-    successive-difference norms; aborts if one of those norms is not finite,
-    or if they grow three iterations in a row.
+    Simpson quadrature and the quadratic term dealiased at 2/3.  Returns the
+    final iterate over the lattice plus the successive-difference norms;
+    aborts if one of those norms is not finite, or if they grow three
+    iterations in a row.
     """
     g = f.grid
     if iters < 1:
@@ -304,7 +298,7 @@ def picard_solve(f, cutoff, iters, params, dealias=2.0 / 3.0):
     c0[0] = 0.0
     free = psi1 * e_plus * c0[None, ...]
 
-    nl = _quadratic_term(g, dealias)
+    nl = _quadratic_term(g)
     cur = np.zeros_like(free)
     diffs = []
     grow = 0

@@ -275,13 +275,13 @@ def _bracket(x):
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Selects one of the norm families and its exponents.
+    """Selects one of the Bourgain norm families (see `bourgain_norm`) and its exponents.
 
-    flavor: 'sobolev' | 'x' | 'xweighted' | 'y' | 'z' | 'mixed'.
+    flavor: 'x' | 'xweighted' | 'y' | 'z'.
     s1/s2 weight <k>/<eta>; b weights the modulation bracket <tau - phi>;
     beta is the exponent of the extra (1 + <sigma>/<k>^(alpha+1)) factor used
-    by the weighted/endpoint flavors; mixedR/P/Q are the Lebesgue exponents of
-    the mixed flavor (the z flavor pins its quadratic part at b = -1/2).
+    by the weighted/endpoint flavors (the z flavor pins its quadratic part at
+    b = -1/2).
     """
 
     flavor: str
@@ -289,22 +289,13 @@ class NormSpec:
     s2: float = 0.0
     b: float = 0.0
     beta: float = 0.0
-    mixedR: float = 2.0
-    mixedP: float = 2.0
-    mixedQ: float = 2.0
 
     def __post_init__(self):
         problems = []
-        if self.flavor not in ("sobolev", "x", "xweighted", "y", "z", "mixed"):
+        if self.flavor not in ("x", "xweighted", "y", "z"):
             problems.append(f"unknown norm flavor {self.flavor!r}")
         if self.beta < 0:
             problems.append(f"beta must be >= 0, got {self.beta}")
-        if self.flavor == "mixed":
-            if not (1.0 <= self.mixedR <= 2.0):
-                problems.append(f"mixed r must lie in [1, 2], got {self.mixedR}")
-            for name, v in (("p", self.mixedP), ("q", self.mixedQ)):
-                if not v >= 1.0:
-                    problems.append(f"mixed {name} must lie in [1, inf], got {v}")
         if problems:
             raise InvalidSpecError(problems)
 
@@ -355,10 +346,6 @@ def bourgain_norm(F, spec, params):
         y = bourgain_norm(F, replace(spec, flavor="y"), params)
         xw = bourgain_norm(F, replace(spec, flavor="xweighted", b=-0.5), params)
         return y + xw
-    if spec.flavor not in ("x", "xweighted", "y"):
-        raise InvalidSpecError(
-            [f"flavor {spec.flavor!r} is not a space-time Bourgain flavor"]
-        )
 
     g = F.grid
     base, bs, extra = _bourgain_weights(F, spec, params)
@@ -418,27 +405,17 @@ def mixed_norm(F, r, p, q):
     return float(np.sum(lt**rp) ** (1.0 / rp))
 
 
-def field_norm(f, spec, params=None):
-    """Dispatch a NormSpec: sobolev on SpectralField, the rest on SpaceTimeField."""
-    if spec.flavor == "sobolev":
-        return sobolev_norm(f, spec.s1, spec.s2)
-    if spec.flavor == "mixed":
-        return mixed_norm(f, spec.mixedR, spec.mixedP, spec.mixedQ)
-    return bourgain_norm(f, spec, params)
-
-
 # ---------------------------------------------------------------------------
 # random band-limited data
 
 
 @dataclass(frozen=True)
 class BandSpec:
-    """Supported band: kLo <= |k| <= kHi and etaLo <= |eta| <= etaHi."""
+    """Supported band: kLo <= |k| <= kHi and |eta| <= etaHi."""
 
     kLo: int
     kHi: int
     etaHi: float
-    etaLo: float = 0.0
 
 
 def _conj_mirror(arr):
@@ -470,15 +447,14 @@ def _band_mask(grid, band):
         )
     absk = np.abs(grid.k_axis())
     mk = (absk >= band.kLo) & (absk <= band.kHi)
-    abseta = np.sqrt(grid.eta_sq_grid())
-    meta = (abseta >= band.etaLo) & (abseta <= band.etaHi)
+    meta = np.sqrt(grid.eta_sq_grid()) <= band.etaHi
     return mk.reshape((-1,) + (1,) * grid.yDims) & meta[None, ...]
 
 
-def random_field(grid, band, seed, real=True, side=None):
+def random_field(grid, band, seed, side=None):
     """Band-limited complex-Gaussian data; deterministic for a fixed seed.
 
-    real=True Hermitian-symmetrizes so physical samples are real.  side='+'
+    side=None Hermitian-symmetrizes so physical samples are real.  side='+'
     or '-' instead keeps only positive/negative k (complex-valued field, used
     by the directional interaction generators).
     """
@@ -490,7 +466,7 @@ def random_field(grid, band, seed, real=True, side=None):
     z *= _band_mask(grid, band)
     z[0] = 0.0
     _zero_nyquist(z, grid)
-    if real:
+    if side is None:
         z = (z + _conj_mirror(z)) / math.sqrt(2.0)
         z[0] = 0.0
     elif side == "+":
@@ -500,17 +476,16 @@ def random_field(grid, band, seed, real=True, side=None):
     return SpectralField(grid, z)
 
 
-def st_random_field(grid, band, seed, real=True):
-    """Random mean-zero SpaceTimeField with band-limited (k, eta) support."""
+def st_random_field(grid, band, seed):
+    """Random real mean-zero SpaceTimeField with band-limited (k, eta) support."""
     rng = np.random.default_rng(seed)
     shape = grid.st_shape
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     z *= _band_mask(grid, band)[None, ...]
     z[:, 0] = 0.0
     _zero_nyquist(z, grid, st=True)
-    if real:
-        z = (z + _conj_mirror(z)) / math.sqrt(2.0)
-        z[:, 0] = 0.0
+    z = (z + _conj_mirror(z)) / math.sqrt(2.0)
+    z[:, 0] = 0.0
     return SpaceTimeField(grid, z)
 
 
@@ -698,19 +673,17 @@ def dealias_grid(grid, frac):
     )
 
 
-def quadratic_product(fa, fb, dealias=2.0 / 3.0):
+def quadratic_product(fa, fb):
     """Dealiased product truncated back to the inputs' grid.
 
-    Zero-pads each axis by 1/dealias before the collocation multiply; with the
-    default 2/3 fraction every retained mode of the product is alias-free, and
-    inputs band-limited to a third of the grid multiply exactly.
+    Zero-pads each axis by 3/2 before the collocation multiply (the 2/3
+    rule): every retained mode of the product is alias-free, and inputs
+    band-limited to a third of the grid multiply exactly.
     """
     if fa.grid != fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
-    if not (0.0 < dealias <= 1.0):
-        raise InvalidSpecError([f"dealias fraction must lie in (0, 1], got {dealias}"])
     g = fa.grid
-    plan = ProductPlan(g.spatial_shape, dealias_grid(g, dealias).spatial_shape)
+    plan = ProductPlan(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
     c = plan.product(fa.coeffs, fb.coeffs) * g.deta**g.yDims
     _zero_nyquist(c, g)
     return SpectralField(g, c)
@@ -720,6 +693,7 @@ def quadratic_product(fa, fb, dealias=2.0 / 3.0):
 # serialization
 
 _MAGIC = b"KPLF\x01"
+_CSV_MAX_ENTRIES = 1 << 20
 
 
 def save_field(path, field):
@@ -769,12 +743,12 @@ def load_field(path):
     return SpectralField(grid, arr)
 
 
-def field_to_csv(field, path, max_entries=1 << 20):
+def field_to_csv(field, path):
     """Plain-text dump (one coefficient per row) for small grids."""
     c = field.coeffs
-    if c.size > max_entries:
+    if c.size > _CSV_MAX_ENTRIES:
         raise InvalidSpecError(
-            [f"field has {c.size} entries; CSV export is capped at {max_entries}"]
+            [f"field has {c.size} entries; CSV export is capped at {_CSV_MAX_ENTRIES}"]
         )
     g = field.grid
     st = isinstance(field, SpaceTimeField)

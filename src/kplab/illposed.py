@@ -154,17 +154,15 @@ class ThirdDerivativeReport:
     per_k: dict
 
 
-def third_derivative_norm(cfg, params, grid=None, chunk=32):
+def third_derivative_norm(cfg, params, chunk=32):
     """H^s norm of the third data-derivative of the flow for the indicator family.
 
     Enumerates the four admissible sign patterns, evaluates each transverse
     triple integral as an exact-limit fiber quadrature inside a midpoint sum
     over the fiber constant, assembles the output over k in {+-3N, +-N}, and
-    returns total / k = +-N restricted norms plus the per-k breakdown.
+    returns total / k = +-N restricted norms plus the per-k breakdown.  The
+    output eta lattice is processed `chunk` rows at a time.
     """
-    if grid is not None:
-        if cfg.N > grid.kMax:
-            raise BandExceedsGridError(f"N = {cfg.N} exceeds grid kMax = {grid.kMax}")
     n = cfg.N
     w = cfg.half_width
     m = cfg.etaQuadPoints

@@ -139,13 +139,13 @@ class ResonanceAudit:
         return not self.violations
 
 
-def resonance_bounds_audit(params, kMax, rel_slack=1e-12):
+def resonance_bounds_audit(params, kMax):
     """Exhaustively check the two-sided resonance bound on 1 <= |k|,|k1| <= kMax.
 
     Every admissible pair (k1 != 0, k != 0, k != k1) is tested against
     lower*|k_min||k_max|^alpha <= |r| <= upper*|k_min||k_max|^alpha where
-    k_min/k_max run over (|k|, |k1|, |k-k1|). Comparisons carry a tiny
-    relative slack for floating point. Returns the full violation list
+    k_min/k_max run over (|k|, |k1|, |k-k1|). Comparisons carry a relative
+    slack of 1e-12 for floating point. Returns the full violation list
     (expected empty).
     """
     if kMax < 2:
@@ -163,8 +163,8 @@ def resonance_bounds_audit(params, kMax, rel_slack=1e-12):
     scale = kmin * np.exp(params.alpha * np.log(kmax))
     lo, hi = resonance_constants(params)
 
-    bad = (np.abs(r) < lo * scale * (1.0 - rel_slack)) | (
-        np.abs(r) > hi * scale * (1.0 + rel_slack)
+    bad = (np.abs(r) < lo * scale * (1.0 - 1e-12)) | (
+        np.abs(r) > hi * scale * (1.0 + 1e-12)
     )
     violations = tuple(
         (int(k), int(k1), float(rv), float(lo * s), float(hi * s))
@@ -232,11 +232,13 @@ class ResonanceSampleAudit:
     sign_disagreements: int
 
 
-def resonance_sample_audit(params, n, seed, k_range=128, eta_scale=8.0, tau_scale=100.0):
+def resonance_sample_audit(params, n, seed):
     """Randomized audit of the resonance identity, sign claim, and lower bound.
 
-    Draws n admissible (tau, k, eta) x (tau_1, k_1, eta_1) pairs and verifies
-    vectorized: |sigma_1+sigma_2-sigma - (r + transverse)| <= 1e-9 (1 + |lhs|),
+    Draws n admissible (tau, k, eta) x (tau_1, k_1, eta_1) pairs, with
+    1 <= |k| <= 128, each eta coordinate uniform on [-8, 8] and tau uniform on
+    [-100, 100], and verifies vectorized:
+    |sigma_1+sigma_2-sigma - (r + transverse)| <= 1e-9 (1 + |lhs|),
     sign(r) == sign(transverse) when both are nonzero, and the max-modulation
     lower bound. Deterministic for a fixed seed.
     """
@@ -244,7 +246,7 @@ def resonance_sample_audit(params, n, seed, k_range=128, eta_scale=8.0, tau_scal
     d = params.yDims
 
     def draw_k(size):
-        k = rng.integers(1, k_range + 1, size=size) * rng.choice([-1, 1], size=size)
+        k = rng.integers(1, 129, size=size) * rng.choice([-1, 1], size=size)
         return k
 
     k = draw_k(n)
@@ -256,10 +258,10 @@ def resonance_sample_audit(params, n, seed, k_range=128, eta_scale=8.0, tau_scal
             break
         k1[bad] = draw_k(int(bad.sum()))
 
-    eta = rng.uniform(-eta_scale, eta_scale, size=(n, d))
-    eta1 = rng.uniform(-eta_scale, eta_scale, size=(n, d))
-    tau = rng.uniform(-tau_scale, tau_scale, size=n)
-    tau1 = rng.uniform(-tau_scale, tau_scale, size=n)
+    eta = rng.uniform(-8.0, 8.0, size=(n, d))
+    eta1 = rng.uniform(-8.0, 8.0, size=(n, d))
+    tau = rng.uniform(-100.0, 100.0, size=n)
+    tau1 = rng.uniform(-100.0, 100.0, size=n)
 
     k2 = k - k1
     eta2 = eta - eta1

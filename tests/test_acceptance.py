@@ -15,6 +15,7 @@ from kplab.estimates import envelope_fit
 from kplab.evolution import (
     CutoffSpec,
     SolveConfig,
+    bump,
     evolve_nonlinear,
     free_evolve,
     observed_order,
@@ -157,10 +158,8 @@ def test_criterion_03_plancherel_unitarity_group_law():
 
 def _smooth_data(grid, amplitude, modes=((1, 1.0),), eta_width=1.0):
     c = np.zeros(grid.spatial_shape, complex)
-    eta = grid.eta_axis()
-    prof = np.zeros_like(eta)
-    m = np.abs(eta) < eta_width
-    prof[m] = np.exp(1.0 - 1.0 / (1.0 - (eta[m] / eta_width) ** 2))
+    # the decaying flank of the cutoff bump: exp(1 - 1/(1 - x^2)) on |x| < 1
+    prof = bump(1.0 + np.abs(grid.eta_axis()) / eta_width)
     prof[grid.yPoints // 2] = 0.0
     ka = grid.k_axis()
     for k, amp in modes:

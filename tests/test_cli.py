@@ -86,6 +86,43 @@ def test_run_rejects_fewer_than_one_worker(tmp_path):
     assert main(["resonance-audit", "--workers", "0"]) == 1
 
 
+def test_negative_seeds_are_rejected_before_the_run(tmp_path, capsys):
+    # numpy takes no negative seed, so these must fail before the run starts
+    sweep = {"Ns": [8], "seeds": [0], "kinds": ["random"]}
+    with pytest.raises(InvalidSpecError) as err:
+        run("strichartz2d", {**sweep, "seeds": [-1]})
+    assert [v.split(":")[0] for v in err.value.violations] == ["seeds"]
+    for subcommand, config, base_seed in (
+        ("strichartz2d", sweep, -1),
+        ("resonance-audit", {"alphas": [2.0], "kMax": 10, "identitySamples": 5}, -3),
+        ("resonance-audit", {"alphas": [2.0], "kMax": 10}, True),
+    ):
+        with pytest.raises(InvalidSpecError) as err:
+            run(subcommand, config, base_seed=base_seed)
+        assert [v.split(":")[0] for v in err.value.violations] == ["base_seed"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(sweep))
+    assert main(["strichartz2d", "--config", str(cfg), "--seed", "-1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
+
+
+def test_evolve_measures_order_with_the_config_dealias(monkeypatch):
+    seen = {}
+
+    def fake_order(*args, **kwargs):
+        seen.update(kwargs)
+        return 4.0
+
+    monkeypatch.setattr(cli, "observed_order", fake_order)
+    env = run(
+        "evolve",
+        {"kMax": 8, "yPoints": 32, "yLength": 16 * math.pi, "dt": 1e-3, "T": 0.01,
+         "dealias": 0.5, "measureOrder": True},
+    )
+    assert seen["dealias"] == 0.5
+    assert env["summary"]["observedOrder"] == 4.0
+
+
 def test_unknown_subcommand():
     with pytest.raises(InvalidSpecError):
         run("frobnicate", {})

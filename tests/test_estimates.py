@@ -196,7 +196,7 @@ def _doubled_grid_lhs(u0, v0, weights, params):
 @pytest.mark.parametrize("kind", estimates.STRICHARTZ2D_KINDS)
 def test_product_l2_lhs_matches_doubled_grid(kind):
     n = 4
-    g = estimates.strichartz2d_grid(n, yPoints=64, tPoints=32)
+    g = make_grid(2 * n + 2, 64, 32 * math.pi, tPoints=32, tWindow=2.0)
     if kind == "random":
         band = BandSpec(kLo=n, kHi=2 * n, etaHi=2.0)
         u, v = random_field(g, band, seed=21), random_field(g, band, seed=22)
@@ -209,7 +209,7 @@ def test_product_l2_lhs_matches_doubled_grid(kind):
 
 def test_product_l2_lhs_matches_doubled_grid_3d():
     p = DispersionParams(2.0, 2)
-    g = estimates.strichartz3d_grid(2, yPoints=16, tPoints=16)
+    g = make_grid(6, 16, 16 * math.pi, yDims=2, tPoints=16, tWindow=4.0)
     band = BandSpec(kLo=2, kHi=4, etaHi=0.8)
     u, v = random_field(g, band, seed=31), random_field(g, band, seed=32)
     w = raised_cosine_window(g)

@@ -25,7 +25,6 @@ from kplab.fields import (
     SpaceTimeField,
     SpectralField,
     bourgain_norm,
-    field_norm,
     field_to_csv,
     load_field,
     make_grid,
@@ -261,25 +260,31 @@ def test_mixed_norm_properties():
     assert mixed_norm(F, 2, math.inf, math.inf) > 0
 
 
+def _bourgain_norms(specs, params):
+    return [lambda F, spec=spec: bourgain_norm(F, spec, params) for spec in specs]
+
+
 def test_norm_homogeneity_and_triangle():
     g = small_grid()
     params = P2
-    specs = [
-        NormSpec(flavor="x", s1=0.3, s2=0.1, b=0.4),
-        NormSpec(flavor="xweighted", s1=0.3, s2=0.1, b=-0.5, beta=0.3),
-        NormSpec(flavor="y", s1=0.2, beta=0.2),
-        NormSpec(flavor="z", s1=0.1, beta=0.2),
-        NormSpec(flavor="mixed", mixedR=1.5, mixedP=2.0, mixedQ=4.0),
-    ]
+    norms = _bourgain_norms(
+        [
+            NormSpec(flavor="x", s1=0.3, s2=0.1, b=0.4),
+            NormSpec(flavor="xweighted", s1=0.3, s2=0.1, b=-0.5, beta=0.3),
+            NormSpec(flavor="y", s1=0.2, beta=0.2),
+            NormSpec(flavor="z", s1=0.1, beta=0.2),
+        ],
+        params,
+    ) + [lambda F: mixed_norm(F, 1.5, 2.0, 4.0)]
     for seed in range(3):
         a = st_random_field(g, BandSpec(1, 6, 1.5), seed=(10, seed))
         b = st_random_field(g, BandSpec(1, 6, 1.5), seed=(11, seed))
         ab = SpaceTimeField(g, a.coeffs + b.coeffs)
-        for spec in specs:
-            na = field_norm(a, spec, params)
-            nb = field_norm(b, spec, params)
-            nsum = field_norm(ab, spec, params)
-            scaled = field_norm(SpaceTimeField(g, -2.5 * a.coeffs), spec, params)
+        for norm in norms:
+            na = norm(a)
+            nb = norm(b)
+            nsum = norm(ab)
+            scaled = norm(SpaceTimeField(g, -2.5 * a.coeffs))
             assert scaled == pytest.approx(2.5 * na, rel=1e-10)
             assert nsum <= na + nb + 1e-10 * (na + nb)
 
@@ -290,14 +295,16 @@ def test_mean_zero_projection_never_increases_norms():
     c[:, 0, :] = 0.3 + 0.1j  # inject k = 0 content
     F = SpaceTimeField(g, c)
     Fz = project_mean_zero(F)
-    specs = [
-        NormSpec(flavor="x", s1=0.3, b=0.4),
-        NormSpec(flavor="y", s1=0.2, beta=0.2),
-        NormSpec(flavor="z", beta=0.1),
-        NormSpec(flavor="mixed", mixedR=1.5, mixedP=2.0, mixedQ=2.0),
-    ]
-    for spec in specs:
-        assert field_norm(Fz, spec, P2) <= field_norm(F, spec, P2) + 1e-12
+    norms = _bourgain_norms(
+        [
+            NormSpec(flavor="x", s1=0.3, b=0.4),
+            NormSpec(flavor="y", s1=0.2, beta=0.2),
+            NormSpec(flavor="z", beta=0.1),
+        ],
+        P2,
+    ) + [lambda F: mixed_norm(F, 1.5, 2.0, 2.0)]
+    for norm in norms:
+        assert norm(Fz) <= norm(F) + 1e-12
 
 
 def _gauss_profile(eta, width=0.6, cut=3.0):
@@ -433,7 +440,7 @@ def test_fitted_product_matches_direct_convolution(data):
 def test_fitted_plan_is_sized_to_the_occupied_boxes():
     g = make_grid(32, 256, 32 * math.pi)
     band = BandSpec(kLo=16, kHi=32, etaHi=2.0)
-    u = random_field(g, band, seed=1, real=False, side="+")
+    u = random_field(g, band, seed=1, side="+")
     v = random_field(g, band, seed=2)
     box_u, box_v = occupied_box(u.coeffs), occupied_box(v.coeffs)
     assert box_u[0] == (16, 32) and box_v[0] == (-32, 32)
