@@ -33,7 +33,7 @@ from . import __version__, estimates, evolution, illposed
 from .errors import InvalidSpecError, KPLabError, SweepWorkerError
 from .estimates import envelope_fit, grows
 from .evolution import (CutoffSpec, SolveConfig, _l2_diff, evolve_nonlinear, observed_order,
-                        picard_solve)
+                        picard_solve, whole_steps)
 from .fields import SpectralField, make_grid, save_field
 from .symbols import DispersionParams, resonance_bounds_audit, resonance_sample_audit
 
@@ -111,6 +111,11 @@ def _run_resonance_audit(cfg, workers, outdir):
     return rows, summary, ("bounded" if total == 0 else "estimate fails")
 
 
+def _order_span(cfg):
+    """The (T, dt) of evolve's order measurement, which also steps dt/2 and dt/4."""
+    return min(cfg["T"], 0.1), 4 * cfg["dt"]
+
+
 def _run_evolve(cfg, workers, outdir):
     params = DispersionParams(cfg["alpha"], 1)
     grid = make_grid(cfg["kMax"], cfg["yPoints"], cfg["yLength"])
@@ -123,9 +128,8 @@ def _run_evolve(cfg, workers, outdir):
     ]
     summary = {"finalDrift": float(traj.l2_drift[-1])}
     if cfg["measureOrder"]:
-        summary["observedOrder"] = observed_order(
-            f0, params, T=min(cfg["T"], 0.1), dt=4 * cfg["dt"], dealias=cfg["dealias"]
-        )
+        T, dt = _order_span(cfg)
+        summary["observedOrder"] = observed_order(f0, params, T=T, dt=dt, dealias=cfg["dealias"])
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "progress.jsonl"), "w", encoding="utf-8") as fh:
@@ -411,11 +415,17 @@ def _resolve(subcommand, config):
             problems.append(f"{name}: invalid value {v!r} {key.what}")
         else:
             valid.add(name)
-    # the only rules that tie two keys together
+    # the only rules that tie keys together
     if {"dt", "T"} <= valid and cfg["dt"] > cfg["T"]:
         problems.append("dt: exceeds T")
     if {"T", "tWindow"} <= valid and 2 * cfg["T"] > cfg["tWindow"]:
         problems.append("T: cutoff support 2T exceeds tWindow")
+    if {"dt", "T", "measureOrder"} <= valid and cfg["measureOrder"]:
+        T, dt = _order_span(cfg)
+        if not whole_steps(T, dt):
+            problems.append(
+                f"T: measureOrder needs min(T, 0.1) = {T!r} to be a multiple of 4*dt = {dt!r}"
+            )
     if problems:
         raise InvalidSpecError(problems)
     return cfg

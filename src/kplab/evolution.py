@@ -24,7 +24,12 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import fields
-from .errors import InvalidSpecError, SolverDivergenceError, WindowTooSmallError
+from .errors import (
+    InvalidSpecError,
+    NonFiniteValueError,
+    SolverDivergenceError,
+    WindowTooSmallError,
+)
 from .fields import SpaceTimeField, SpectralField
 from .symbols import phi1, phi2, phi3
 
@@ -175,6 +180,11 @@ def _etdrk4_tables(grid, params, dt):
     return e_full, e_half, q, f1, f2, f3
 
 
+def whole_steps(T, dt):
+    """True when T is an integer multiple of dt, to 1e-9 relative (absolute below T = 1)."""
+    return abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T)
+
+
 def evolve_nonlinear(f, cfg, params, save_every=None):
     """Fourth-order exponential stepper for the full equation.
 
@@ -186,7 +196,7 @@ def evolve_nonlinear(f, cfg, params, save_every=None):
     """
     g = f.grid
     n_steps = int(round(cfg.T / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+    if not whole_steps(cfg.T, cfg.dt):
         raise InvalidSpecError(
             [f"T = {cfg.T} is not an integer multiple of dt = {cfg.dt}"]
         )
@@ -231,15 +241,21 @@ def evolve_nonlinear(f, cfg, params, save_every=None):
 
 
 def observed_order(f, params, T, dt, dealias=2.0 / 3.0):
-    """Richardson estimate of the stepper's convergence order on fixed data."""
+    """Richardson estimate of the stepper's convergence order on fixed data.
+
+    Raises NonFiniteValueError when a difference between successive step
+    sizes is exactly zero (zero data, for one), where no order can be read.
+    """
     finals = []
     for scale in (1, 2, 4):
         cfg = SolveConfig(dt=dt / scale, T=T, dealias=dealias)
         finals.append(evolve_nonlinear(f, cfg, params, save_every=10**9).final)
     e1 = _l2_diff(finals[0], finals[1])
     e2 = _l2_diff(finals[1], finals[2])
-    if e2 == 0.0:
-        return float("inf")
+    if e1 == 0.0 or e2 == 0.0:
+        raise NonFiniteValueError(
+            f"observed order undefined: step-halving differences {e1!r}, {e2!r}"
+        )
     return math.log2(e1 / e2)
 
 

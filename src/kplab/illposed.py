@@ -161,7 +161,11 @@ def third_derivative_norm(cfg, params, chunk=32):
     triple integral as an exact-limit fiber quadrature inside a midpoint sum
     over the fiber constant, assembles the output over k in {+-3N, +-N}, and
     returns total / k = +-N restricted norms plus the per-k breakdown.  The
-    output eta lattice is processed `chunk` rows at a time.
+    third factor's indicator confines the sum over the fiber constant u to the
+    band |eta_out - u| <= w: output row i meets only the nodes u_{i-m} ..
+    u_{i-1} that exist, so 2m^2 of the (3m+1) * 2m (eta_out, u) pairs carry
+    weight, and only those pairs are formed.  The output eta lattice is
+    processed `chunk` rows at a time, each block with its in-band pairs alone.
     """
     n = cfg.N
     w = cfg.half_width
@@ -178,6 +182,12 @@ def third_derivative_norm(cfg, params, chunk=32):
     eta1 = lo[:, None] + (hi - lo)[:, None] * frac[None, :]  # (2m, m)
     fiber_w = (hi - lo) / m
 
+    # the in-band (eta_out, u) pairs, row-major, so each block's pairs are contiguous
+    rows, cols = np.nonzero(
+        np.abs(eta_out[:, None] - u_nodes[None, :]) <= w * (1.0 + 1e-12)
+    )
+    e_out, u = eta_out[rows], u_nodes[cols]
+
     per_k = {}
     for s1, s2, s3 in SIGN_PATTERNS:
         k1, k2, k3 = s1 * n, s2 * n, s3 * n
@@ -188,22 +198,17 @@ def third_derivative_norm(cfg, params, chunk=32):
 
         eta2 = u_nodes[:, None] - eta1
         a = pa - eta1**2 / k1 - eta2**2 / k2 + (u_nodes**2)[:, None] / k12
-        b = (
-            pb
-            - (eta_out[:, None] - u_nodes[None, :]) ** 2 / k3
-            - (u_nodes**2)[None, :] / k12
-            + (eta_out**2)[:, None] / kout
-        )
-        inside = np.abs(eta_out[:, None] - u_nodes[None, :]) <= w * (1.0 + 1e-12)
+        b = pb - (e_out - u) ** 2 / k3 - u**2 / k12 + e_out**2 / kout
         p1 = phi1(1j * t * b)
 
         x = np.zeros(eta_out.size, dtype=complex)
         for i0 in range(0, eta_out.size, chunk):
-            sl = slice(i0, min(i0 + chunk, eta_out.size))
-            z2 = 1j * t * (a[None, :, :] + b[sl][:, :, None])
-            bracket = 1j * t * (phi1(z2) - p1[sl][:, :, None])
-            fib = np.sum(bracket / a[None, :, :], axis=2) * fiber_w[None, :]
-            x[sl] = np.sum(fib * inside[sl] * delta, axis=1)
+            sl = slice(*np.searchsorted(rows, (i0, i0 + chunk)))
+            a_sl = a[cols[sl]]
+            z2 = 1j * t * (a_sl + b[sl, None])
+            bracket = 1j * t * (phi1(z2) - p1[sl, None])
+            fib = np.sum(bracket / a_sl, axis=1) * fiber_w[cols[sl]]
+            np.add.at(x, rows[sl], fib * delta)
         x *= (k12 * kout) * np.exp(1j * t * (phi0(params, kout) - eta_out**2 / kout))
 
         sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))

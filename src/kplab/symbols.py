@@ -376,8 +376,10 @@ def denom_B(params, k1, k2, k3, eta1, eta2, eta3):
 
 # phi-function family: phi1 = (e^z-1)/z, phi2 = (e^z-1-z)/z^2,
 # phi3 = (e^z-1-z-z^2/2)/z^3.  Direct formulas cancel catastrophically near
-# z = 0, so below |z| = 1e-4 each switches to an 8-term Taylor series (error
-# far below machine epsilon at the crossover).
+# z = 0, so below |z| = 1e-4 each switches to an 8-term Taylor series.  The
+# direct side still cancels just above the switch: against a 50-digit
+# reference on real z, phi3 is off by 2.6e-8 relative at |z| = 1.01e-4
+# (1.6e-10 at 1e-3, 4.0e-12 at 1e-2).
 
 _PHI_CROSSOVER = 1e-4
 _N_TERMS = 8
@@ -401,13 +403,13 @@ def _phi_eval(z, m, direct):
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
+    # the direct formula everywhere (0/0 at z = 0 included), then the series
+    # over the few entries below the switch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = direct(z)
     small = np.abs(z) < _PHI_CROSSOVER
-    out = np.empty_like(z)
     if small.any():
         out[small] = _phi_series(z[small], m)
-    big = ~small
-    if big.any():
-        out[big] = direct(z[big])
     return complex(out[0]) if scalar else out
 
 

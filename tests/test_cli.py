@@ -116,11 +116,28 @@ def test_evolve_measures_order_with_the_config_dealias(monkeypatch):
     monkeypatch.setattr(cli, "observed_order", fake_order)
     env = run(
         "evolve",
-        {"kMax": 8, "yPoints": 32, "yLength": 16 * math.pi, "dt": 1e-3, "T": 0.01,
+        {"kMax": 8, "yPoints": 32, "yLength": 16 * math.pi, "dt": 1e-3, "T": 0.008,
          "dealias": 0.5, "measureOrder": True},
     )
     assert seen["dealias"] == 0.5
     assert env["summary"]["observedOrder"] == 4.0
+
+
+def test_evolve_checks_the_order_ladder_before_the_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "evolve_nonlinear", no_solve)
+    # T is 30 steps of dt, but min(T, 0.1) = 0.09 is 7.5 steps of 4*dt
+    config = {"kMax": 8, "yPoints": 32, "dt": 0.003, "T": 0.09, "measureOrder": True}
+    with pytest.raises(InvalidSpecError) as err:
+        run("evolve", config)
+    assert [v.split(":")[0] for v in err.value.violations] == ["T"]
+    assert "4*dt" in err.value.violations[0]
+    # the same steps without the order measurement are a valid config
+    assert cli._resolve("evolve", {**config, "measureOrder": False})["T"] == 0.09
+    # the ladder is checked at min(T, 0.1): T = 0.25 with dt = 1e-3 measures over 0.1
+    cli._resolve("evolve", {"dt": 1e-3, "T": 0.25, "measureOrder": True})
 
 
 def test_unknown_subcommand():

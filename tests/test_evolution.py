@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kplab.errors import InvalidSpecError, SolverDivergenceError, WindowTooSmallError
+from kplab.errors import (
+    InvalidSpecError,
+    NonFiniteValueError,
+    SolverDivergenceError,
+    WindowTooSmallError,
+)
 from kplab.evolution import (
     CutoffSpec,
     SolveConfig,
@@ -21,6 +28,7 @@ from kplab.fields import (
     BandSpec,
     SpectralField,
     make_grid,
+    phi_grid,
     random_field,
     st_to_physical,
     to_physical,
@@ -65,6 +73,26 @@ def test_free_evolve_identity_unitarity_group_law():
     a = free_evolve(free_evolve(f, 0.4, P2), 0.35, P2)
     b = free_evolve(f, 0.75, P2)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    y_dims=st.sampled_from([1, 2]),
+    alpha=st.floats(2.0, 4.0),
+    s=st.floats(-3.0, 3.0),
+    t=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_free_evolve_group_law_property(y_dims, alpha, s, t, seed):
+    g = make_grid(6, 16, 8 * math.pi, yDims=y_dims)
+    params = DispersionParams(alpha, y_dims)
+    f = random_field(g, BandSpec(1, 6, 1.5), seed)
+    a = free_evolve(free_evolve(f, s, params), t, params)
+    b = free_evolve(f, s + t, params)
+    # the phases agree to rounding of |phi| * (|s| + |t|)
+    phase_scale = np.max(np.abs(phi_grid(g, params))) * (abs(s) + abs(t))
+    tol = 8 * np.finfo(float).eps * (1.0 + phase_scale) * np.max(np.abs(f.coeffs))
+    assert np.max(np.abs(a.coeffs - b.coeffs)) <= tol
 
 
 def block_grid():
@@ -206,6 +234,13 @@ def test_observed_order_at_least_3p5():
     f = small_smooth(g, amplitude=0.5, modes=((1, 1.0), (2, 0.6)))
     p = observed_order(f, P2, T=0.08, dt=4e-3)
     assert p >= 3.5
+
+
+def test_observed_order_rejects_zero_differences():
+    g = make_grid(10, 64, 16 * math.pi)
+    zero = SpectralField(g, np.zeros(g.spatial_shape, complex))
+    with pytest.raises(NonFiniteValueError):
+        observed_order(zero, P2, T=0.08, dt=4e-3)
 
 
 def picard_grid():

@@ -17,6 +17,7 @@ from kplab.errors import (
     InvalidSpecError,
     ShapeMismatchError,
 )
+from kplab.evolution import nonlinearity
 from kplab.fields import (
     BandSpec,
     GridSpec,
@@ -554,3 +555,92 @@ def test_fields_are_immutable():
     f = random_field(g, BandSpec(1, 5, 1.0), seed=15)
     with pytest.raises(ValueError):
         f.coeffs[1, 2] = 99.0
+
+
+# ---------------------------------------------------------------------------
+# property tests of the transforms, the random data and the nonlinearity
+
+
+@st.composite
+def _grids(draw, min_kmax=1):
+    y_dims = draw(st.sampled_from([1, 2]), label="yDims")
+    return make_grid(
+        kMax=draw(st.integers(min_kmax, 3 * min_kmax + 6), label="kMax"),
+        yPoints=draw(st.sampled_from([8, 16] if y_dims == 2 else [8, 16, 32]), label="yPoints"),
+        yLength=draw(st.floats(2.0, 100.0), label="yLength"),
+        yDims=y_dims,
+        tPoints=draw(st.sampled_from([8, 16]), label="tPoints"),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_grids(), seed=st.integers(0, 2**32 - 1))
+def test_parseval_property(g, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(g.spatial_shape) + 1j * rng.standard_normal(g.spatial_shape)
+    c *= np.exp(rng.uniform(-5.0, 5.0))
+    f = SpectralField(g, c)
+    u = to_physical(f)
+    phys = (2 * math.pi / g.nx) * g.dy**g.yDims * np.sum(np.abs(u) ** 2)
+    spec = g.xy_measure * np.sum(np.abs(c) ** 2)
+    assert phys == pytest.approx(spec, rel=1e-12)
+    scale = np.max(np.abs(c))
+    assert np.max(np.abs(to_spectral(u, g).coeffs - c)) <= 1e-12 * scale
+    samples = rng.standard_normal(g.spatial_shape) + 1j * rng.standard_normal(g.spatial_shape)
+    assert np.max(np.abs(to_physical(to_spectral(samples, g)) - samples)) <= 1e-12
+
+
+def _mirror(c, axes):
+    # c at the negated frequency on each of `axes`: index q -> (-q) mod n
+    for ax in axes:
+        c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
+    return c
+
+
+@st.composite
+def _bands(draw, g):
+    k_lo = draw(st.integers(1, g.kMax), label="kLo")
+    k_hi = draw(st.integers(k_lo, g.kMax), label="kHi")
+    eta_nyq = g.deta * g.yPoints / 2
+    return BandSpec(k_lo, k_hi, draw(st.floats(0.0, eta_nyq), label="etaHi"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_fields_are_hermitian_so_samples_are_real(data):
+    g = data.draw(_grids(), label="grid")
+    band = data.draw(_bands(g), label="band")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    f = random_field(g, band, seed)
+    c = f.coeffs
+    assert np.array_equal(c, np.conj(_mirror(c, range(c.ndim))))
+    assert np.all(c[0] == 0)
+    u = to_physical(f)
+    assert np.max(np.abs(u.imag)) <= 1e-12 * max(1e-300, np.max(np.abs(u.real)))
+
+    F = st_random_field(g, band, seed)
+    C = F.coeffs
+    assert np.array_equal(C, np.conj(_mirror(C, range(C.ndim))))
+    assert np.all(C[:, 0] == 0)
+    U = st_to_physical(F)
+    assert np.max(np.abs(U.imag)) <= 1e-12 * max(1e-300, np.max(np.abs(U.real)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nonlinearity_matches_direct_convolution(data):
+    g = data.draw(_grids(min_kmax=3), label="grid")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    # data on a third of the grid: the square's modes never reach a Nyquist row
+    k_top, q_top = g.kMax // 3, g.yPoints // 6
+    keep = np.abs(np.fft.fftfreq(g.nx, 1.0 / g.nx)) <= k_top
+    keep = keep.reshape((-1,) + (1,) * g.yDims)
+    for ax in range(g.yDims):
+        q = np.abs(np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints)) <= q_top
+        keep = keep & q.reshape((1,) * (ax + 1) + (-1,) + (1,) * (g.yDims - ax - 1))
+    c = (rng.standard_normal(g.spatial_shape) + 1j * rng.standard_normal(g.spatial_shape)) * keep
+    got = nonlinearity(SpectralField(g, c)).coeffs
+    k = g.k_axis().reshape((-1,) + (1,) * g.yDims)
+    want = -0.5j * k * g.deta**g.yDims * _direct_convolution(c, c, g.spatial_shape)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kplab import illposed
 from kplab.errors import BandExceedsGridError, InvalidSpecError
 from kplab.evolution import free_evolve
 from kplab.fields import SpectralField, make_grid, sobolev_norm, to_physical
@@ -18,7 +19,7 @@ from kplab.illposed import (
     third_derivative_norm,
     wN_norm_exact,
 )
-from kplab.symbols import DispersionParams, denom_A, phase_grid, phi1
+from kplab.symbols import DispersionParams, denom_A, phase_grid, phi0, phi1
 
 P2 = DispersionParams(2.0, 1)
 
@@ -147,6 +148,89 @@ def test_third_derivative_low_output_dominates():
     assert isinstance(rep, ThirdDerivativeReport)
     assert rep.restricted / rep.total > 0.999
     assert set(rep.per_k) == {96, 32, -32, -96}
+
+
+def _dense_third_derivative_norm(cfg, params, chunk=32):
+    """The quadrature on every (eta_out, u) pair, masked to the band afterwards (the oracle)."""
+    n = cfg.N
+    w = cfg.half_width
+    m = cfg.etaQuadPoints
+    t = cfg.t
+    delta = 2.0 * w / m
+
+    u_nodes = -2.0 * w + (np.arange(2 * m) + 0.5) * delta
+    eta_out = -3.0 * w + np.arange(3 * m + 1) * delta
+
+    lo = np.maximum(-w, u_nodes - w)
+    hi = np.minimum(w, u_nodes + w)
+    frac = (np.arange(m) + 0.5) / m
+    eta1 = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+    fiber_w = (hi - lo) / m
+
+    per_k = {}
+    for s1, s2, s3 in illposed.SIGN_PATTERNS:
+        k1, k2, k3 = s1 * n, s2 * n, s3 * n
+        k12 = k1 + k2
+        kout = k12 + k3
+        pa = phi0(params, k1) + phi0(params, k2) - phi0(params, k12)
+        pb = phi0(params, k3) + phi0(params, k12) - phi0(params, kout)
+
+        eta2 = u_nodes[:, None] - eta1
+        a = pa - eta1**2 / k1 - eta2**2 / k2 + (u_nodes**2)[:, None] / k12
+        b = (
+            pb
+            - (eta_out[:, None] - u_nodes[None, :]) ** 2 / k3
+            - (u_nodes**2)[None, :] / k12
+            + (eta_out**2)[:, None] / kout
+        )
+        inside = np.abs(eta_out[:, None] - u_nodes[None, :]) <= w * (1.0 + 1e-12)
+        p1 = phi1(1j * t * b)
+
+        x = np.zeros(eta_out.size, dtype=complex)
+        for i0 in range(0, eta_out.size, chunk):
+            sl = slice(i0, min(i0 + chunk, eta_out.size))
+            z2 = 1j * t * (a[None, :, :] + b[sl][:, :, None])
+            bracket = 1j * t * (phi1(z2) - p1[sl][:, :, None])
+            fib = np.sum(bracket / a[None, :, :], axis=2) * fiber_w[None, :]
+            x[sl] = np.sum(fib * inside[sl] * delta, axis=1)
+        x *= (k12 * kout) * np.exp(1j * t * (phi0(params, kout) - eta_out**2 / kout))
+
+        sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))
+        per_k[kout] = math.sqrt((2.0 * math.pi) ** 2 * sq)
+
+    total = math.sqrt(sum(v**2 for v in per_k.values()))
+    restricted = math.sqrt(per_k[n] ** 2 + per_k[-n] ** 2)
+    return ThirdDerivativeReport(total=total, restricted=restricted, per_k=per_k)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("t", [0.1, -0.05])
+@pytest.mark.parametrize("m", [32, 48])
+def test_third_derivative_band_matches_dense_quadrature(n, alpha, t, m):
+    cfg = IllposedConfig(N=n, t=t, etaQuadPoints=m, s=-0.5)
+    params = DispersionParams(alpha, 1)
+    got = third_derivative_norm(cfg, params)
+    want = _dense_third_derivative_norm(cfg, params)
+    assert set(got.per_k) == set(want.per_k)
+    for k, v in want.per_k.items():
+        assert got.per_k[k] == pytest.approx(v, rel=1e-13, abs=0.0)
+    assert got.total == pytest.approx(want.total, rel=1e-13, abs=0.0)
+    assert got.restricted == pytest.approx(want.restricted, rel=1e-13, abs=0.0)
+
+
+def test_third_derivative_forms_only_in_band_pairs(monkeypatch):
+    seen = []
+
+    def counting_phi1(z):
+        seen.append(np.size(z))
+        return phi1(z)
+
+    monkeypatch.setattr(illposed, "phi1", counting_phi1)
+    m = 32
+    third_derivative_norm(IllposedConfig(N=16, etaQuadPoints=m), P2)
+    # per sign pattern: phi1(i t b) on the 2m^2 pairs, phi1(z2) on their m fiber nodes
+    assert sum(seen) == 4 * 2 * m * m * (m + 1) == 270336
 
 
 def test_illposed_scaling_smoke_bounded_case():

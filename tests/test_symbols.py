@@ -1,10 +1,12 @@
 """Exact-value and property checks for the phase/resonance algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from kplab import symbols
 from kplab.errors import DegenerateFrequencyError
 from kplab.symbols import (
     DispersionParams,
@@ -210,3 +212,41 @@ def test_phi1_series_direct_overlap_band():
     direct = np.expm1(z) / z
     series = phi1_series(z)
     assert np.max(np.abs(series - direct)) < 1e-13
+
+
+def _masked_phi(z, m, direct):
+    """The phi evaluation that gathers each branch's entries and scatters them back."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    small = np.abs(z) < symbols._PHI_CROSSOVER
+    out = np.empty_like(z)
+    if small.any():
+        out[small] = symbols._phi_series(z[small], m)
+    big = ~small
+    if big.any():
+        out[big] = direct(z[big])
+    return out
+
+
+def test_phi_family_equals_masked_evaluation_without_warnings():
+    rng = np.random.default_rng(11)
+    mag = np.exp(rng.uniform(np.log(1e-9), np.log(50.0), size=(30, 40)))
+    z = mag * np.exp(1j * rng.uniform(0, 2 * math.pi, size=mag.shape))
+    z[0, :4] = [0.0, 1e-4, -1e-4, 1e-4 * (1 - 1e-12)]
+    z[1, :4] = 1j * z[0, :4]
+    z[2, :3] = [0.0, -1e-3j, 1e-5]
+    small = np.abs(z) < symbols._PHI_CROSSOVER
+    assert small.any() and (~small).any()
+    oracles = (
+        (phi1, 1, lambda w: np.expm1(w) / w),
+        (phi2, 2, lambda w: (np.expm1(w) - w) / w**2),
+        (phi3, 3, lambda w: (np.expm1(w) - w - w**2 / 2.0) / w**3),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi, m, direct in oracles:
+            assert np.array_equal(phi(z), _masked_phi(z, m, direct).reshape(z.shape))
+            assert np.array_equal(phi(z.ravel()), _masked_phi(z.ravel(), m, direct))
+            for scalar in (0.0, 2e-5j, 0.5 - 0.25j):
+                value = phi(scalar)
+                assert type(value) is complex
+                assert value == _masked_phi(scalar, m, direct)[0]
