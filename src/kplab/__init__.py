@@ -26,8 +26,6 @@ from .fields import (  # noqa: F401
     SpectralField,
     bourgain_norm,
     make_grid,
-    mixed_norm,
-    project_mean_zero,
     random_field,
     sobolev_norm,
     to_physical,

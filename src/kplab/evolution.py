@@ -42,7 +42,11 @@ def _cumulative_simpson(y, dx, axis):
 
 
 def bump(t):
-    """C-infinity cutoff: 1 on |t|<=1, exp(1 - 1/(1-(|t|-1)^2)) on 1<|t|<2, else 0."""
+    """C^1 cutoff: 1 on |t|<=1, exp(1 - 1/(1-(|t|-1)^2)) on 1<|t|<2, else 0.
+
+    It is smooth except at |t| = 1: with s = |t| - 1 the taper is
+    1 - s^2 + O(s^4), so the second derivative jumps from 0 to -2 there.
+    """
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
     out = np.zeros_like(a)
@@ -82,7 +86,11 @@ class CutoffSpec:
 
 
 def raised_cosine_window(grid):
-    """Window equal to 1 inside, cosine-tapered over the outer 10% per side."""
+    """Window equal to 1 inside, cosine-tapered over the outer 10% per side.
+
+    It is C^1: the second derivative jumps where the taper starts,
+    at |t| = 0.9 tWindow.
+    """
     t = grid.t_axis()
     u = np.abs(t) / grid.tWindow
     w = np.ones_like(u)

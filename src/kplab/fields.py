@@ -314,19 +314,10 @@ def _sobolev_weight(g, s1, s2):
     return wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...]
 
 
-def _bourgain_weights(F, spec, params):
-    g = F.grid
-    phi = phi_grid(g, params)
-    tau = g.tau_axis().reshape((-1,) + (1,) * (1 + g.yDims))
-    sigma = tau - phi[None, ...]
-    bs = _bracket(sigma)
-    base = _sobolev_weight(g, spec.s1, spec.s2)
-    if spec.beta != 0.0:
-        ka = _bracket(g.k_axis()) ** (params.alpha + 1.0)
-        extra = (1.0 + bs / ka.reshape((-1,) + (1,) * g.yDims)) ** spec.beta
-    else:
-        extra = 1.0
-    return base[None, ...], bs, extra
+# `bourgain_norm` weights whole tau rows, about this many (tau, k, eta) entries
+# at a time (at least one row): each of a block's few float temporaries takes
+# about 0.5 MiB, whatever tPoints is
+_BLOCK_ENTRIES = 1 << 16
 
 
 def bourgain_norm(F, spec, params):
@@ -339,6 +330,9 @@ def bourgain_norm(F, spec, params):
 
     All carry the lattice measures that make the zero-exponent case coincide
     with the space-time L2 norm; the k = 0 column is excluded (mean zero).
+    The weights, with sigma = tau - phi(k, eta), are built and summed one
+    block of tau rows at a time, so the scratch memory is a few block-sized
+    float arrays plus a few (k, eta) ones: it does not grow with tPoints.
     """
     if not isinstance(F, SpaceTimeField):
         raise InvalidSpecError(["bourgain_norm expects a SpaceTimeField"])
@@ -348,23 +342,38 @@ def bourgain_norm(F, spec, params):
         return y + xw
 
     g = F.grid
-    base, bs, extra = _bourgain_weights(F, spec, params)
-    absG = np.abs(F.coeffs)
-    mask = np.ones(g.nx, dtype=bool)
-    mask[0] = False
-    mask = mask.reshape((1, -1) + (1,) * g.yDims)
-
-    if spec.flavor in ("x", "xweighted"):
-        w = base * bs**spec.b
-        if spec.flavor == "xweighted":
-            w = w * extra
-        total = float(np.sum((w * absG * mask) ** 2))
+    # k = 0 sits at index 0 of the FFT-ordered k axis: slice it off
+    G = F.coeffs[:, 1:]
+    phi = phi_grid(g, params)[1:]
+    base = _sobolev_weight(g, spec.s1, spec.s2)[1:]
+    ka = _bracket(g.k_axis()[1:]) ** (params.alpha + 1.0)
+    ka = ka.reshape((-1,) + (1,) * g.yDims)
+    tau = g.tau_axis().reshape((-1,) + (1,) * (1 + g.yDims))
+    b = -1.0 if spec.flavor == "y" else spec.b
+    weighted = spec.flavor != "x" and spec.beta != 0.0
+    rows = max(1, _BLOCK_ENTRIES // phi.size)
+    total = inner = 0.0
+    for p in range(0, g.tPoints, rows):
+        bs = tau[p : p + rows] - phi
+        np.square(bs, out=bs)
+        bs += 1.0
+        np.sqrt(bs, out=bs)  # <sigma>
+        w = bs**b
+        w *= base
+        if weighted:
+            bs /= ka
+            bs += 1.0
+            bs **= spec.beta
+            w *= bs
+        w *= np.abs(G[p : p + rows], out=bs)
+        if spec.flavor == "y":
+            inner = inner + np.sum(w, axis=0)  # l1 in tau first
+        else:
+            np.square(w, out=w)
+            total += float(np.sum(w))
+    if spec.flavor != "y":
         return math.sqrt(g.st_measure * total)
-
-    # y flavor: l1 in tau first
-    w = base * bs**-1.0 * (extra if spec.beta != 0.0 else 1.0)
-    inner = g.dtau * np.sum(w * absG * mask, axis=0)
-    total = float(np.sum(inner**2))
+    total = float(np.sum((g.dtau * inner) ** 2))
     prefac = (2.0 * math.pi) ** (0.5 * (2 + g.yDims))
     return prefac * math.sqrt(g.deta**g.yDims * total)
 
@@ -625,20 +634,6 @@ def product_grid(grid):
     )
 
 
-def product_exact(fa, fb):
-    """Exact pointwise product of two SpectralFields, no aliasing.
-
-    The product is formed on a grid fitted to the factors' occupied boxes
-    (`ProductPlan.fitted`) and written onto the doubled grid, which holds
-    every mode of the convolution.
-    """
-    if fa.grid != fb.grid:
-        raise InvalidSpecError(["product requires matching grids"])
-    g2 = product_grid(fa.grid)
-    plan = ProductPlan.fitted(fa.coeffs, fb.coeffs, g2.spatial_shape)
-    return SpectralField(g2, plan.product(fa.coeffs, fb.coeffs) * g2.deta**g2.yDims)
-
-
 def st_product_exact(Fa, Fb):
     """Exact space-time pointwise product, written onto the doubled (tau, k, eta) grid."""
     if Fa.grid != Fb.grid:
@@ -671,22 +666,6 @@ def dealias_grid(grid, frac):
         kMax=(nx_p - 1) // 2,
         yPoints=_next_pow2(math.ceil(grid.yPoints / frac)),
     )
-
-
-def quadratic_product(fa, fb):
-    """Dealiased product truncated back to the inputs' grid.
-
-    Zero-pads each axis by 3/2 before the collocation multiply (the 2/3
-    rule): every retained mode of the product is alias-free, and inputs
-    band-limited to a third of the grid multiply exactly.
-    """
-    if fa.grid != fb.grid:
-        raise InvalidSpecError(["product requires matching grids"])
-    g = fa.grid
-    plan = ProductPlan(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
-    c = plan.product(fa.coeffs, fb.coeffs) * g.deta**g.yDims
-    _zero_nyquist(c, g)
-    return SpectralField(g, c)
 
 
 # ---------------------------------------------------------------------------

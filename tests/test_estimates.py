@@ -33,11 +33,11 @@ from kplab.evolution import CutoffSpec, bump, raised_cosine_window
 from kplab.fields import (
     BandSpec,
     NormSpec,
+    ProductPlan,
     SpaceTimeField,
     SpectralField,
     make_grid,
     phi_grid,
-    product_exact,
     product_grid,
     random_field,
     sobolev_norm,
@@ -234,11 +234,12 @@ def test_adversarial_high_high_to_low_product_support():
     n = 8
     g = make_grid(4 * n, 32, 16 * math.pi, tPoints=16, tWindow=2.0)
     u, v = adversarial_pair("high-high-to-low", n, g, P2, seed=1)
-    prod = product_exact(u, v)
-    absk = np.abs(prod.grid.k_axis())
-    outside = absk > prod.grid.kMax // 4
-    assert np.max(np.abs(prod.coeffs[outside])) < 1e-14
-    assert np.max(np.abs(prod.coeffs)) > 0
+    g2 = product_grid(g)
+    plan = ProductPlan.fitted(u.coeffs, v.coeffs, g2.spatial_shape)
+    prod = plan.product(u.coeffs, v.coeffs) * g2.deta
+    outside = np.abs(g2.k_axis()) > g2.kMax // 4
+    assert np.max(np.abs(prod[outside])) < 1e-14
+    assert np.max(np.abs(prod)) > 0
 
 
 def test_adversarial_determinism_and_errors():

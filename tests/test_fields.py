@@ -4,6 +4,8 @@ import io
 import json
 import math
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from kplab.errors import (
     InvalidSpecError,
     ShapeMismatchError,
 )
+from kplab import fields
+from kplab.estimates import bilinear_grid, bilinear_ratio, spacetime_pair
 from kplab.evolution import nonlinearity
 from kplab.fields import (
     BandSpec,
@@ -26,14 +30,15 @@ from kplab.fields import (
     SpaceTimeField,
     SpectralField,
     bourgain_norm,
+    dealias_grid,
     field_to_csv,
     load_field,
     make_grid,
     mixed_norm,
     occupied_box,
-    product_exact,
+    phi_grid,
+    product_grid,
     project_mean_zero,
-    quadratic_product,
     random_field,
     save_field,
     sobolev_norm,
@@ -47,6 +52,7 @@ from kplab.fields import (
 from kplab.symbols import DispersionParams, phase_grid
 
 P2 = DispersionParams(2.0, 1)
+P3 = DispersionParams(3.0, 1)
 
 
 def small_grid(**kw):
@@ -236,6 +242,124 @@ def test_z_norm_is_sum_of_parts_recomputed_independently():
     assert y == pytest.approx(y_manual, rel=1e-10)
 
 
+def _bracket(x):
+    return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
+
+
+def _dense_bourgain_norm(F, spec, params):
+    # the Bourgain norms with every weight built over the whole (tau, k, eta)
+    # grid at once and the k = 0 column masked out: the oracle for the
+    # tau-blocked `bourgain_norm`
+    if spec.flavor == "z":
+        y = _dense_bourgain_norm(F, replace(spec, flavor="y"), params)
+        xw = _dense_bourgain_norm(F, replace(spec, flavor="xweighted", b=-0.5), params)
+        return y + xw
+
+    g = F.grid
+    phi = phi_grid(g, params)
+    tau = g.tau_axis().reshape((-1,) + (1,) * (1 + g.yDims))
+    sigma = tau - phi[None, ...]
+    bs = _bracket(sigma)
+    wk = _bracket(g.k_axis()) ** spec.s1
+    weta = _bracket(np.sqrt(g.eta_sq_grid())) ** spec.s2
+    base = (wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...])[None, ...]
+    if spec.beta != 0.0:
+        ka = _bracket(g.k_axis()) ** (params.alpha + 1.0)
+        extra = (1.0 + bs / ka.reshape((-1,) + (1,) * g.yDims)) ** spec.beta
+    else:
+        extra = 1.0
+    absG = np.abs(F.coeffs)
+    mask = np.ones(g.nx, dtype=bool)
+    mask[0] = False
+    mask = mask.reshape((1, -1) + (1,) * g.yDims)
+
+    if spec.flavor in ("x", "xweighted"):
+        w = base * bs**spec.b
+        if spec.flavor == "xweighted":
+            w = w * extra
+        total = float(np.sum((w * absG * mask) ** 2))
+        return math.sqrt(g.st_measure * total)
+
+    w = base * bs**-1.0 * (extra if spec.beta != 0.0 else 1.0)
+    inner = g.dtau * np.sum(w * absG * mask, axis=0)
+    total = float(np.sum(inner**2))
+    prefac = (2.0 * math.pi) ** (0.5 * (2 + g.yDims))
+    return prefac * math.sqrt(g.deta**g.yDims * total)
+
+
+_ORACLE_SPECS = (
+    NormSpec(flavor="x", s1=0.3, s2=0.1, b=0.4),
+    NormSpec(flavor="x", s1=0.2, b=-0.45, beta=0.4),  # x ignores beta
+    NormSpec(flavor="xweighted", s1=0.3, s2=0.1, b=-0.5, beta=0.3),
+    NormSpec(flavor="xweighted", s1=0.2, b=0.55),
+    NormSpec(flavor="y", s1=0.2, s2=0.2, beta=0.2),
+    NormSpec(flavor="y", s1=-0.1),
+    NormSpec(flavor="z", s1=0.1, s2=0.3, beta=0.2),
+)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("y_dims", [1, 2])
+def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
+    g = small_grid(yDims=y_dims, yPoints=16)
+    params = DispersionParams(3.0, y_dims)
+    c = np.array(st_random_field(g, BandSpec(1, 6, 0.9), seed=(20, y_dims)).coeffs)
+    c[:, 0] = 0.3 + 0.1j  # k = 0 content, which every norm skips
+    F = SpaceTimeField(g, c)
+    if rows is not None:
+        # blocks of `rows` tau rows (the default is one block here); 3 does
+        # not divide tPoints = 16, so the last block has one row
+        spatial = (g.nx - 1) * g.yPoints**y_dims
+        monkeypatch.setattr(fields, "_BLOCK_ENTRIES", rows * spatial)
+    for spec in _ORACLE_SPECS:
+        want = _dense_bourgain_norm(F, spec, params)
+        assert bourgain_norm(F, spec, params) == pytest.approx(want, rel=1e-13), spec
+
+
+@pytest.mark.parametrize("kind", ["random", "comparable", "high-high-to-low"])
+@pytest.mark.parametrize("flavor", ["x", "xweighted", "z"])
+def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
+    # the old route: d_x as a second array, both norms built densely
+    g = bilinear_grid(4)
+    u, v = spacetime_pair(kind, 4, g, P3, seed=2)
+    before = np.array(u.coeffs), np.array(v.coeffs)
+    lhs = NormSpec(flavor=flavor, s1=0.2, b=-0.45, beta=0.4)
+    rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
+    got = bilinear_ratio(u, v, lhs, rhs, P3)
+
+    prod = st_product_exact(u, v)
+    g2 = prod.grid
+    ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
+    dxprod = SpaceTimeField(g2, ik * prod.coeffs)
+    denom = _dense_bourgain_norm(u, rhs, P3) * _dense_bourgain_norm(v, rhs, P3)
+    assert got == pytest.approx(_dense_bourgain_norm(dxprod, lhs, P3) / denom, rel=1e-13)
+    # d_x is applied in place to the product, never to the factors
+    assert np.array_equal(u.coeffs, before[0]) and np.array_equal(v.coeffs, before[1])
+
+
+def test_bourgain_norm_scratch_memory_is_per_tau_block():
+    # the doubled grid of the N = 64 bilinear sweep: 65 MiB of coefficients;
+    # weighting the whole grid at once allocated 196 MiB of float temporaries
+    g = product_grid(bilinear_grid(64))
+    assert g.st_shape == (64, 521, 128)
+    rng = np.random.default_rng(3)
+    c = np.zeros(g.st_shape, complex)
+    c[:, 130:390, 32:96] = rng.standard_normal((64, 260, 64))
+    F = SpaceTimeField(g, c)
+    for spec in (
+        NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4),
+        NormSpec(flavor="y", s1=0.2, beta=0.4),
+        NormSpec(flavor="z", s1=0.2, beta=0.4),
+    ):
+        tracemalloc.start()
+        try:
+            bourgain_norm(F, spec, P3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (spec.flavor, peak)
+
+
 def test_mixed_norm_properties():
     g = small_grid()
     F = st_random_field(g, BandSpec(1, 6, 1.5), seed=8)
@@ -370,12 +494,28 @@ def _direct_convolution(a, b, out_shape):
     return out
 
 
+def _product_exact(fa, fb):
+    # the exact spectral product on the doubled grid, formed as
+    # `st_product_exact` forms the space-time one
+    g2 = product_grid(fa.grid)
+    plan = ProductPlan.fitted(fa.coeffs, fb.coeffs, g2.spatial_shape)
+    return SpectralField(g2, plan.product(fa.coeffs, fb.coeffs) * g2.deta**g2.yDims)
+
+
+def _dealiased_product(fa, fb):
+    # the 2/3-rule product on the factors' own grid, the plan of the solvers'
+    # quadratic term
+    g = fa.grid
+    plan = ProductPlan(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
+    return SpectralField(g, plan.product(fa.coeffs, fb.coeffs) * g.deta**g.yDims)
+
+
 def test_dealiased_product_matches_direct_convolution():
     g = small_grid()
     band = BandSpec(1, g.kMax // 3, 0.9)
     cases = (
-        (quadratic_product, random_field, g.deta),
-        (product_exact, random_field, g.deta),
+        (_dealiased_product, random_field, g.deta),
+        (_product_exact, random_field, g.deta),
         (st_product_exact, st_random_field, g.dtau * g.deta),
     )
     for product, make, weight in cases:
@@ -423,7 +563,7 @@ def test_fitted_product_matches_direct_convolution(data):
     make, product, weight = (
         (SpaceTimeField, st_product_exact, g.dtau * g.deta**y_dims)
         if spacetime
-        else (SpectralField, product_exact, g.deta**y_dims)
+        else (SpectralField, _product_exact, g.deta**y_dims)
     )
     fa = make(g, data.draw(_box_coeffs(shape), label="a"))
     pairing = data.draw(st.sampled_from(["two", "same", "zero"]), label="pairing")
@@ -462,7 +602,7 @@ def test_product_exact_grid_doubles_bands():
     g = small_grid()
     fa = random_field(g, BandSpec(1, 8, 1.9), seed=3)
     fb = random_field(g, BandSpec(1, 8, 1.9), seed=4)
-    pe = product_exact(fa, fb)
+    pe = _product_exact(fa, fb)
     g2 = pe.grid
     assert (g2.kMax, g2.yPoints) == (2 * g.kMax, 2 * g.yPoints)
     assert g2.deta == pytest.approx(g.deta)
