@@ -35,9 +35,7 @@ from .evolution import (  # noqa: F401
     CutoffSpec,
     SolveConfig,
     evolve_nonlinear,
-    free_block,
     free_evolve,
-    nonlinearity,
     picard_solve,
 )
 from .estimates import (  # noqa: F401

@@ -1,4 +1,4 @@
-"""Free propagator, time-localized blocks, and the two nonlinear solvers.
+"""Free propagator, the smooth time cutoff, and the two nonlinear solvers.
 
 The linear flow is the unitary multiplier exp(i t phi(k, eta)) acting on
 spectral coefficients.  The quadratic term is written in divergence form,
@@ -30,7 +30,7 @@ from .errors import (
     SolverDivergenceError,
     WindowTooSmallError,
 )
-from .fields import SpaceTimeField, SpectralField
+from .fields import SpectralField
 from .symbols import phi1, phi2, phi3
 
 
@@ -105,47 +105,27 @@ def free_evolve(f, t, params):
     return SpectralField(f.grid, f.coeffs * np.exp(1j * t * phi))
 
 
-def free_block(f, cutoff, params):
-    """Sample the cutoff free flow on the t lattice and transform to (tau, k, eta).
-
-    The cutoff's support must fit the grid's time window.  The grid's tau
-    range must contain the data's dispersion surface for the block to be
-    meaningful; this is the caller's responsibility (keep max |phi| well under
-    pi/dt).
-    """
-    g = f.grid
-    cutoff.check_window(g)
-    w = cutoff.values(g.t_axis())
-    phi = fields.phi_grid(g, params)
-    t = g.t_axis().reshape((-1,) + (1,) * (1 + g.yDims))
-    samples = w.reshape(t.shape) * np.exp(1j * t * phi[None, ...]) * f.coeffs[None, ...]
-    spec = np.fft.fft(samples, axis=0) / (g.tPoints * g.dtau)
-    signs = fields._alt_signs(g.tPoints).reshape(t.shape)
-    return SpaceTimeField(g, spec * signs)
-
-
 def _quadratic_term(grid, dealias=2.0 / 3.0):
     """Pseudospectral -(1/2) d_x(u^2) on coefficient arrays of one grid.
 
-    The padded-product plan is built once, so build this once per solve.
+    Returns the term and its padded grid's size.  The term acts on the
+    trailing axes, so an array of several fields (leading axes) gives each
+    field's term.  The padded-product plan is built once, so build this once
+    per solve.
     """
     pad = fields.dealias_grid(grid, dealias)
     plan = fields.ProductPlan(grid.spatial_shape, pad.spatial_shape)
     k = grid.k_axis().reshape((-1,) + (1,) * grid.yDims)
     half_ik = -0.5j * k * grid.deta**grid.yDims
+    k_zero = (Ellipsis, 0) + (slice(None),) * grid.yDims
 
     def term(c):
         out = half_ik * plan.product(c, c)
-        out[0] = 0.0
+        out[k_zero] = 0.0
         fields._zero_nyquist(out, grid)
         return out
 
-    return term
-
-
-def nonlinearity(f):
-    """-(1/2) d_x(u^2), dealiased at 2/3 and mean-zero projected."""
-    return SpectralField(f.grid, _quadratic_term(f.grid)(f.coeffs))
+    return term, plan.size
 
 
 @dataclass(frozen=True)
@@ -212,7 +192,7 @@ def evolve_nonlinear(f, cfg, params, save_every=None):
         save_every = max(1, n_steps // 64)
 
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(g, params, cfg.dt)
-    nl = _quadratic_term(g, cfg.dealias)
+    nl, _ = _quadratic_term(g, cfg.dealias)
 
     u = np.array(f.coeffs)
     u[0] = 0.0
@@ -301,6 +281,12 @@ def picard_solve(f, cutoff, iters, params):
     final iterate over the lattice plus the successive-difference norms;
     aborts if one of those norms is not finite, or if they grow three
     iterations in a row.
+
+    The quadratic term is formed on blocks of whole t rows, about
+    `fields._BLOCK_ENTRIES` padded entries per block (at least one row): one
+    padded-product call per block instead of one per row, while its scratch
+    stays a few block-sized padded arrays, whatever tPoints is.  Each row
+    comes out bit for bit as it would alone.
     """
     g = f.grid
     if iters < 1:
@@ -322,7 +308,8 @@ def picard_solve(f, cutoff, iters, params):
     c0[0] = 0.0
     free = psi1 * e_plus * c0[None, ...]
 
-    nl = _quadratic_term(g)
+    nl, pad_size = _quadratic_term(g)
+    rows = max(1, fields._BLOCK_ENTRIES // pad_size)
     cur = np.zeros_like(free)
     diffs = []
     grow = 0
@@ -330,8 +317,8 @@ def picard_solve(f, cutoff, iters, params):
 
     for _ in range(iters):
         integrand = np.empty_like(free)
-        for n in range(g.tPoints):
-            integrand[n] = nl(cur[n])
+        for p in range(0, g.tPoints, rows):
+            integrand[p : p + rows] = nl(cur[p : p + rows])
         integrand = np.conj(e_plus) * (psiT_sq * integrand)
         cum = _cumulative_simpson(integrand, dx=g.dt, axis=0)
         prefix = cum - cum[i_zero][None, ...]

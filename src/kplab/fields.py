@@ -29,6 +29,7 @@ enforces it; Bourgain-type norms skip the k = 0 column, where the phase is
 undefined (those coefficients are zero for any admissible field).
 """
 
+import itertools
 import json
 import math
 import struct
@@ -314,9 +315,10 @@ def _sobolev_weight(g, s1, s2):
     return wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...]
 
 
-# `bourgain_norm` weights whole tau rows, about this many (tau, k, eta) entries
-# at a time (at least one row): each of a block's few float temporaries takes
-# about 0.5 MiB, whatever tPoints is
+# `bourgain_norm` weights whole tau rows, and `evolution.picard_solve` forms
+# its quadratic term on whole t rows, about this many entries (of the
+# (tau, k, eta) grid, or of the padded product grid) at a time, at least one
+# row: each of a block's few temporaries takes 0.5-1 MiB, whatever tPoints is
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -435,13 +437,11 @@ def _conj_mirror(arr):
 
 
 def _zero_nyquist(c, grid, st=False):
-    off = 1 if st else 0
+    # axes counted from the end, so `c` may carry leading batch axes
     for ax in range(grid.yDims):
-        idx = [slice(None)] * c.ndim
-        idx[off + 1 + ax] = grid.yPoints // 2
-        c[tuple(idx)] = 0.0
+        c[(Ellipsis, grid.yPoints // 2) + (slice(None),) * ax] = 0.0
     if st:
-        c[grid.tPoints // 2] = 0.0
+        c[(Ellipsis, grid.tPoints // 2) + (slice(None),) * (1 + grid.yDims)] = 0.0
 
 
 def _band_mask(grid, band):
@@ -517,23 +517,58 @@ def occupied_box(c):
     return tuple(box)
 
 
-def _index(runs):
-    # runs of consecutive indices on every axis become slices: indexing with
-    # them gives a view, not a box-sized temporary copy
-    if all(np.array_equal(r, np.arange(r[0], r[0] + r.size)) for r in runs):
-        return tuple(slice(r[0], r[0] + r.size) for r in runs)
-    return np.ix_(*runs)
-
-
-def _placement(shape, box, shift, pad_shape):
+def _axis_runs(n, box, shift, m):
     # frequency q of the box sits at index q mod n of the FFT-ordered array
-    # and at position (q - shift) mod m of the padded one
-    src, dst = [], []
-    for n, (lo, hi), s, m in zip(shape, box, shift, pad_shape):
-        q = np.arange(lo, hi + 1)
-        src.append(q % n)
-        dst.append((q - s) % m)
-    return _index(src), _index(dst)
+    # and at position (q - shift) mod m of the padded one; split lo..hi where
+    # either index wraps, so each run is three slices: (box, source, padded)
+    q = np.arange(box[0], box[1] + 1)
+    src, dst = q % n, (q - shift) % m
+    cuts = np.flatnonzero((np.diff(src) != 1) | (np.diff(dst) != 1)) + 1
+    bounds = [0, *cuts.tolist(), q.size]
+    return [
+        (slice(a, b), slice(int(src[a]), int(src[a]) + b - a),
+         slice(int(dst[a]), int(dst[a]) + b - a))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _copies(axis_runs):
+    # every combination of one run per axis, as (box, source, padded) index
+    # tuples over the trailing axes
+    return [
+        tuple((Ellipsis, *(run[i] for run in combo)) for i in range(3))
+        for combo in itertools.product(*axis_runs)
+    ]
+
+
+def _lines(axis_runs, forward):
+    # per axis, last first: the index tuples of the views whose lines along
+    # that axis get transformed.  When the inverse reaches axis j, the axes
+    # i < j are still nonzero only on the placed runs; when the forward one
+    # reaches axis j, the axes i > j are done and the crop reads only their
+    # kept runs
+    d = len(axis_runs)
+    merged = []
+    for runs in axis_runs:
+        spans = sorted([run[2].start, run[2].stop] for run in runs)
+        for i in reversed(range(1, len(spans))):
+            if spans[i - 1][1] == spans[i][0]:  # adjacent runs: one view
+                spans[i - 1][1] = spans.pop(i)[1]
+        merged.append([slice(a, b) for a, b in spans])
+    full = [slice(None)]
+    plan = []
+    for j in reversed(range(d)):
+        axes = [merged[i] if (i > j if forward else i < j) else full for i in range(d)]
+        plan.append((j - d, [(Ellipsis, *c) for c in itertools.product(*axes)]))
+    return plan
+
+
+def _transform(a, fft, lines):
+    # numpy's fftn order, one axis at a time, on views of `a` in place
+    for axis, views in lines:
+        for index in views:
+            v = a[index]
+            fft(v, axis=axis, out=v)
 
 
 class ProductPlan:
@@ -544,7 +579,7 @@ class ProductPlan:
     padded axis of length m.  The product of the two sample arrays then holds
     frequency shift_a + shift_b + p at position p, and `product` writes the
     frequencies that `out_shape` can hold back at their FFT-ordered indices.
-    The index maps are built once per plan.  There are two kinds of plan:
+    There are two kinds of plan:
 
     * dealiased (`boxes=None`): both factors cover all of `shape` with shift
       0, so positive frequencies keep their index and negative ones move to
@@ -556,6 +591,26 @@ class ProductPlan:
       unimodular character e^{-i lo . x}: |ua ub|, and any sum of it over the
       samples, do not change, and the product's coefficients are the exact
       convolution, placed at the known offset lo_a + lo_b.
+
+    The index maps are built once per plan.  On each axis a map is a few runs
+    of consecutive indices (two at most: one index wraps at q = 0), so every
+    move of data is a slice copy.  The padded transforms go one axis at a
+    time, last axis first as `numpy.fft.ifftn`/`fftn` do, in place on views:
+    the inverse transform skips the lines that are still all zero (an earlier
+    axis outside the placed runs), and the forward one skips the lines that
+    the crop drops (a later axis outside the kept runs).  Every line that is
+    transformed sees the same 1-D transform as in the full n-d one, so the
+    results are bit-identical to the full `ifftn`/`fftn` route.  That
+    matters: `evolve`'s `observedOrder` moves by 1e-7 under a rounding-level
+    change, and `perfbench/check.py` holds it to 1e-8.  A dealiased plan
+    skips about a quarter of the lines (548 of 710 transformed at 65 x 128
+    padded to 99 x 256).  A fitted box fills about half of its pad on each
+    axis, so the inverse transforms skip about as much, while the forward
+    one keeps every line when `out_shape` holds the whole product.
+
+    `samples` and `product` act on the trailing axes, so the arrays may carry
+    leading batch axes (the Picard solver passes blocks of t rows); each
+    slice of a batch gives what it would alone, bit for bit.
 
     No y (or t) origin sign is applied.  Moving the y origin to -L/2 (or the
     t origin to -tWindow) multiplies the coefficients by the character
@@ -574,16 +629,24 @@ class ProductPlan:
             boxes, shifts = (full, full), ((0,) * len(shape),) * 2
         else:
             shifts = tuple(tuple(lo for lo, _ in box) for box in boxes)
-        self._factors = tuple(
-            _placement(shape, box, shift, self.pad_shape)
+        factors = [
+            [_axis_runs(*args) for args in zip(shape, box, shift, self.pad_shape)]
             for box, shift in zip(boxes, shifts)
-        )
+        ]
+        self._box_shape = [tuple(hi - lo + 1 for lo, hi in box) for box in boxes]
+        self._copies = [_copies(runs) for runs in factors]
+        self._inverse = [_lines(runs, forward=False) for runs in factors]
         out_box = [
             (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
             for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
         ]
         out_shift = [sa + sb for sa, sb in zip(*shifts)]
-        self._out = _placement(self.out_shape, out_box, out_shift, self.pad_shape)
+        out = [
+            _axis_runs(*args)
+            for args in zip(self.out_shape, out_box, out_shift, self.pad_shape)
+        ]
+        self._crop = _copies(out)
+        self._forward = _lines(out, forward=True)
 
     @classmethod
     def fitted(cls, a, b, out_shape=None):
@@ -598,25 +661,35 @@ class ProductPlan:
 
     def gather(self, c, factor):
         """The entries of `c` on the box of factor 0 or 1, as `samples` takes them."""
-        return c[self._factors[factor][0]]
+        lead = c.shape[: c.ndim - len(self.pad_shape)]
+        box = np.empty(lead + self._box_shape[factor], dtype=c.dtype)
+        for at, src, _ in self._copies[factor]:
+            box[at] = c[src]
+        return box
 
     def samples(self, box_coeffs, factor):
         """Collocation samples sum_q c_q e^{i (q - shift) . x} on the padded lattice."""
-        big = np.zeros(self.pad_shape, dtype=complex)
-        big[self._factors[factor][1]] = box_coeffs
-        np.fft.ifftn(big, out=big)
+        return self._samples(box_coeffs, factor, 0)
+
+    def _samples(self, c, factor, key):
+        # `key` picks the runs' box (0) or source (1) slices to read `c` with
+        lead = c.shape[: c.ndim - len(self.pad_shape)]
+        big = np.zeros(lead + self.pad_shape, dtype=complex)
+        for copy in self._copies[factor]:
+            big[copy[2]] = c[copy[key]]
+        _transform(big, np.fft.ifft, self._inverse[factor])
         big *= self.size
         return big
 
     def product(self, a, b):
         """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
-        ua = self.samples(self.gather(a, 0), 0)
-        ua *= ua if b is a else self.samples(self.gather(b, 1), 1)
-        np.fft.fftn(ua, out=ua)
-        ua /= self.size
-        out = np.zeros(self.out_shape, dtype=complex)
-        src, dst = self._out
-        out[src] = ua[dst]
+        ua = self._samples(a, 0, 1)
+        ua *= ua if b is a else self._samples(b, 1, 1)
+        _transform(ua, np.fft.fft, self._forward)
+        lead = ua.shape[: ua.ndim - len(self.pad_shape)]
+        out = np.zeros(lead + self.out_shape, dtype=complex)
+        for _, at, pad in self._crop:
+            np.divide(ua[pad], self.size, out=out[at])
         return out
 
 

@@ -1,6 +1,7 @@
 """Free flow, cutoff blocks, nonlinearity, and the two solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,20 +14,22 @@ from kplab.errors import (
     SolverDivergenceError,
     WindowTooSmallError,
 )
+from kplab import evolution, fields
 from kplab.evolution import (
     CutoffSpec,
     SolveConfig,
+    _quadratic_term,
     bump,
     evolve_nonlinear,
-    free_block,
     free_evolve,
-    nonlinearity,
     observed_order,
     picard_solve,
 )
 from kplab.fields import (
     BandSpec,
+    SpaceTimeField,
     SpectralField,
+    dealias_grid,
     make_grid,
     phi_grid,
     random_field,
@@ -93,6 +96,32 @@ def test_free_evolve_group_law_property(y_dims, alpha, s, t, seed):
     phase_scale = np.max(np.abs(phi_grid(g, params))) * (abs(s) + abs(t))
     tol = 8 * np.finfo(float).eps * (1.0 + phase_scale) * np.max(np.abs(f.coeffs))
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= tol
+
+
+def free_block(f, cutoff, params):
+    """The cutoff free flow sampled on the t lattice, transformed to (tau, k, eta).
+
+    The space-time coefficients of psi_T(t) e^{it phi(D)} u0, built directly
+    from the spectral data: the tests below check the library's space-time
+    conventions (`st_to_physical`, `SpaceTimeField.l2_norm`, the tau lattice)
+    and `CutoffSpec.check_window` against it.  The grid's tau range must
+    contain the data's dispersion surface (keep max |phi| well under pi/dt).
+    """
+    g = f.grid
+    cutoff.check_window(g)
+    w = cutoff.values(g.t_axis())
+    phi = phi_grid(g, params)
+    t = g.t_axis().reshape((-1,) + (1,) * (1 + g.yDims))
+    samples = w.reshape(t.shape) * np.exp(1j * t * phi[None, ...]) * f.coeffs[None, ...]
+    spec = np.fft.fft(samples, axis=0) / (g.tPoints * g.dtau)
+    signs = fields._alt_signs(g.tPoints).reshape(t.shape)
+    return SpaceTimeField(g, spec * signs)
+
+
+def nonlinearity(f):
+    """The solvers' dealiased -(1/2) d_x(u^2) of one field."""
+    term, _ = _quadratic_term(f.grid)
+    return SpectralField(f.grid, term(f.coeffs))
 
 
 def block_grid():
@@ -299,3 +328,49 @@ def test_picard_window_check():
     f = small_smooth(g)
     with pytest.raises(WindowTooSmallError):
         picard_solve(f, CutoffSpec(T=0.2), 2, P2)  # support 0.4 > window 0.2
+
+
+def test_picard_blocks_match_the_per_row_loop(monkeypatch):
+    g = picard_grid()
+    f = small_smooth(g)
+    cutoff = CutoffSpec(T=0.05)
+    pad = math.prod(dealias_grid(g, 2.0 / 3.0).spatial_shape)
+    # 33 x 128 padded entries per row: blocks of 15 of the 128 t rows, the
+    # last one ragged (8 rows)
+    assert fields._BLOCK_ENTRIES // pad == 15
+    blocked = picard_solve(f, cutoff, 3, P2)
+    for rows in (1, 7):  # one row per block is the per-row loop; 128 = 18 * 7 + 2
+        monkeypatch.setattr(fields, "_BLOCK_ENTRIES", rows * pad)
+        other = picard_solve(f, cutoff, 3, P2)
+        assert np.array_equal(other.coeffs, blocked.coeffs)
+        assert other.diff_norms == blocked.diff_norms
+
+
+def test_picard_integrand_scratch_is_per_t_block(monkeypatch):
+    # tracemalloc peak of each quadratic-term call above what was live before
+    # it: about two block-sized padded arrays (1 MiB each at 15 rows of
+    # 33 x 128), where all 128 rows at once would take 8.25 MiB per array
+    g = picard_grid()
+    build = evolution._quadratic_term
+    scratch = []
+
+    def measured_term(grid, *args):
+        term, size = build(grid, *args)
+
+        def measured(c):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = term(c)
+            scratch.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        return measured, size
+
+    monkeypatch.setattr(evolution, "_quadratic_term", measured_term)
+    tracemalloc.start()
+    try:
+        picard_solve(small_smooth(g), CutoffSpec(T=0.05), 2, P2)
+    finally:
+        tracemalloc.stop()
+    assert len(scratch) == 2 * 9  # ceil(128 / 15) blocks per iteration
+    assert max(scratch) < 3 * 2**20

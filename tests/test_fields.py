@@ -21,7 +21,7 @@ from kplab.errors import (
 )
 from kplab import fields
 from kplab.estimates import bilinear_grid, bilinear_ratio, spacetime_pair
-from kplab.evolution import nonlinearity
+from kplab.evolution import _quadratic_term
 from kplab.fields import (
     BandSpec,
     GridSpec,
@@ -628,6 +628,127 @@ def test_product_exact_grid_doubles_bands():
     assert np.max(np.abs(coarse_on_g - exact_on_g)) > 1e-3 * np.max(np.abs(exact_on_g))
 
 
+class _IxProductPlan:
+    """The padded product as `ProductPlan` formed it with np.ix_ index maps
+    and whole-array ifftn/fftn (the oracle: the plan must match it bit for bit)."""
+
+    def __init__(self, shape, pad_shape, boxes=None, out_shape=None):
+        self.pad_shape = tuple(pad_shape)
+        self.size = math.prod(self.pad_shape)
+        self.out_shape = tuple(shape if out_shape is None else out_shape)
+        if boxes is None:
+            full = tuple((-(n // 2), (n - 1) // 2) for n in shape)
+            boxes, shifts = (full, full), ((0,) * len(shape),) * 2
+        else:
+            shifts = tuple(tuple(lo for lo, _ in box) for box in boxes)
+        self._factors = [
+            self._placement(shape, box, shift) for box, shift in zip(boxes, shifts)
+        ]
+        out_box = [
+            (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
+            for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
+        ]
+        out_shift = [sa + sb for sa, sb in zip(*shifts)]
+        self._out = self._placement(self.out_shape, out_box, out_shift)
+
+    def _placement(self, shape, box, shift):
+        q = [np.arange(lo, hi + 1) for lo, hi in box]
+        src = [p % n for p, n in zip(q, shape)]
+        dst = [(p - s) % m for p, s, m in zip(q, shift, self.pad_shape)]
+        return np.ix_(*src), np.ix_(*dst)
+
+    def gather(self, c, factor):
+        return c[self._factors[factor][0]]
+
+    def samples(self, box_coeffs, factor):
+        big = np.zeros(self.pad_shape, dtype=complex)
+        big[self._factors[factor][1]] = box_coeffs
+        np.fft.ifftn(big, out=big)
+        big *= self.size
+        return big
+
+    def product(self, a, b):
+        ua = self.samples(self.gather(a, 0), 0)
+        ua *= ua if b is a else self.samples(self.gather(b, 1), 1)
+        np.fft.fftn(ua, out=ua)
+        ua /= self.size
+        out = np.zeros(self.out_shape, dtype=complex)
+        src, dst = self._out
+        out[src] = ua[dst]
+        return out
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        make_grid(32, 128, 32 * math.pi),  # the evolve benchmark grid: 65 x 128 -> 99 x 256
+        make_grid(10, 64, 16 * math.pi),  # the picard benchmark grid: 21 x 64 -> 33 x 128
+        make_grid(5, 16, 8 * math.pi, yDims=2),
+    ],
+    ids=["evolve", "picard", "yDims2"],
+)
+def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid):
+    pad = dealias_grid(grid, 2.0 / 3.0).spatial_shape
+    plan = ProductPlan(grid.spatial_shape, pad)
+    oracle = _IxProductPlan(grid.spatial_shape, pad)
+    rng = np.random.default_rng(7)
+    a, b = (_complex_normal(rng, grid.spatial_shape) for _ in range(2))
+    for second in (b, a):  # a twice takes the squared-samples path
+        assert np.array_equal(plan.product(a, second), oracle.product(a, second))
+    assert np.array_equal(plan.gather(a, 1), oracle.gather(a, 1))
+    box = plan.gather(a, 0)
+    assert np.array_equal(plan.samples(box, 0), oracle.samples(box, 0))
+
+
+@pytest.mark.parametrize(
+    "shape, boxes",
+    [
+        ((17, 32), (((-5, 6), (-9, 4)), ((-3, 8), (-2, 11)))),
+        ((9, 16, 16), (((-2, 3), (-5, 2), (-1, 6)), ((-4, 1), (-3, 7), (-6, 0)))),
+    ],
+    ids=["2d", "3d"],
+)
+def test_fitted_plan_is_bit_identical_to_the_ix_route(shape, boxes):
+    # every box straddles zero, so each factor's source indices wrap, and so
+    # do the product's on the doubled output grid
+    rng = np.random.default_rng(11)
+    a, b = np.zeros(shape, complex), np.zeros(shape, complex)
+    for c, box in zip((a, b), boxes):
+        index = np.ix_(*(np.arange(lo, hi + 1) % n for (lo, hi), n in zip(box, shape)))
+        c[index] = _complex_normal(rng, c[index].shape)
+    out_shape = tuple(2 * n for n in shape)
+    for second in (b, a):
+        plan = ProductPlan.fitted(a, second, out_shape)
+        both = (occupied_box(a), occupied_box(second))
+        assert both == (boxes[0], boxes[1] if second is b else boxes[0])
+        oracle = _IxProductPlan(shape, plan.pad_shape, both, out_shape)
+        assert np.array_equal(plan.product(a, second), oracle.product(a, second))
+        for factor, c in enumerate((a, second)):
+            box = plan.gather(c, factor)
+            assert np.array_equal(box, oracle.gather(c, factor))
+            assert np.array_equal(plan.samples(box, factor), oracle.samples(box, factor))
+
+
+def test_plan_batches_match_a_loop_over_their_slices():
+    g = make_grid(5, 16, 8 * math.pi, yDims=2)
+    rng = np.random.default_rng(3)
+    batch = _complex_normal(rng, (2, 3) + g.spatial_shape)
+    plan = ProductPlan(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
+    got = plan.product(batch, batch)
+    assert got.shape == batch.shape
+    for i, j in np.ndindex(batch.shape[:2]):
+        assert np.array_equal(got[i, j], plan.product(batch[i, j], batch[i, j]))
+    fitted = ProductPlan.fitted(batch[0, 0], batch[1, 2], g.spatial_shape)
+    other = batch[::-1, ::-1]
+    got = fitted.product(batch, other)
+    for i, j in np.ndindex(batch.shape[:2]):
+        assert np.array_equal(got[i, j], fitted.product(batch[i, j], other[i, j]))
+
+
 def test_serialization_round_trip(tmp_path):
     g = small_grid()
     f = random_field(g, BandSpec(1, 6, 1.5), seed=13)
@@ -780,7 +901,7 @@ def test_nonlinearity_matches_direct_convolution(data):
         q = np.abs(np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints)) <= q_top
         keep = keep & q.reshape((1,) * (ax + 1) + (-1,) + (1,) * (g.yDims - ax - 1))
     c = (rng.standard_normal(g.spatial_shape) + 1j * rng.standard_normal(g.spatial_shape)) * keep
-    got = nonlinearity(SpectralField(g, c)).coeffs
+    got = _quadratic_term(g)[0](c)
     k = g.k_axis().reshape((-1,) + (1,) * g.yDims)
     want = -0.5j * k * g.deta**g.yDims * _direct_convolution(c, c, g.spatial_shape)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
