@@ -53,8 +53,6 @@ from .estimates import (  # noqa: F401
 from .illposed import (  # noqa: F401
     IllposedConfig,
     build_wN,
-    first_derivative,
     illposed_scaling,
-    second_derivative,
     third_derivative_norm,
 )

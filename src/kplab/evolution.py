@@ -149,6 +149,7 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     l2_drift: np.ndarray  # relative drift |norm(t)/norm(0) - 1| at each snapshot
+    kept: object = None  # the state after step `keep_step`, when one was asked for
 
     @property
     def final(self):
@@ -173,20 +174,27 @@ def whole_steps(T, dt):
     return abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T)
 
 
-def evolve_nonlinear(f, cfg, params, save_every=None):
+def evolve_nonlinear(f, cfg, params, save_every=None, keep_step=None):
     """Fourth-order exponential stepper for the full equation.
 
     The linear flow is applied exactly; the quadratic term uses the cached
     dealiased product.  A snapshot is saved every `save_every` steps (default:
-    about 64 over the run) and at the end.  Aborts with SolverDivergenceError
-    if the solution stops being finite at any step, or if the L2 norm at a
-    save point has grown tenfold (instability / dt too large).
+    about 64 over the run) and at the end.  The state after step `keep_step`
+    (1 <= keep_step <= the step count), if given, is also handed back as
+    `Trajectory.kept`, outside the snapshot schedule.  Aborts with
+    SolverDivergenceError if the solution stops being finite at any step, or
+    if the L2 norm at a save point has grown tenfold (instability / dt too
+    large).
     """
     g = f.grid
     n_steps = int(round(cfg.T / cfg.dt))
     if not whole_steps(cfg.T, cfg.dt):
         raise InvalidSpecError(
             [f"T = {cfg.T} is not an integer multiple of dt = {cfg.dt}"]
+        )
+    if keep_step is not None and not 1 <= keep_step <= n_steps:
+        raise InvalidSpecError(
+            [f"keep_step must lie in [1, {n_steps}], got {keep_step}"]
         )
     if save_every is None:
         save_every = max(1, n_steps // 64)
@@ -200,6 +208,7 @@ def evolve_nonlinear(f, cfg, params, save_every=None):
     times = [0.0]
     snaps = [SpectralField(g, u.copy())]
     drift = [0.0]
+    kept = None
 
     for n in range(1, n_steps + 1):
         nu = nl(u)
@@ -214,6 +223,8 @@ def evolve_nonlinear(f, cfg, params, save_every=None):
             raise SolverDivergenceError(
                 f"the solution is no longer finite at t = {n * cfg.dt:g}; reduce dt"
             )
+        if n == keep_step:
+            kept = SpectralField(g, u.copy())
         if n % save_every == 0 or n == n_steps:
             nrm = math.sqrt(float(np.sum(np.abs(u) ** 2)))
             if norm0 > 0 and nrm > 10.0 * norm0:
@@ -225,19 +236,26 @@ def evolve_nonlinear(f, cfg, params, save_every=None):
             snaps.append(SpectralField(g, u.copy()))
             drift.append(abs(nrm / norm0 - 1.0) if norm0 > 0 else 0.0)
 
-    return Trajectory(np.array(times), snaps, np.array(drift))
+    return Trajectory(np.array(times), snaps, np.array(drift), kept)
 
 
-def observed_order(f, params, T, dt, dealias=2.0 / 3.0):
+def observed_order(f, params, T, dt, dealias=2.0 / 3.0, finest=None):
     """Richardson estimate of the stepper's convergence order on fixed data.
 
-    Raises NonFiniteValueError when a difference between successive step
-    sizes is exactly zero (zero data, for one), where no order can be read.
+    Solves to T at steps dt, dt/2 and dt/4.  `finest`, if given, is the state
+    at T of the dt/4 solve, taken from a solve the caller already ran from the
+    same data with the same step and dealias fraction (a longer solve's state
+    after step round(T / (dt/4)) is that state bit for bit); it is then not
+    solved again.  Raises NonFiniteValueError when a difference between
+    successive step sizes is exactly zero (zero data, for one), where no order
+    can be read.
     """
-    finals = []
-    for scale in (1, 2, 4):
+
+    def final(scale):
         cfg = SolveConfig(dt=dt / scale, T=T, dealias=dealias)
-        finals.append(evolve_nonlinear(f, cfg, params, save_every=10**9).final)
+        return evolve_nonlinear(f, cfg, params, save_every=10**9).final
+
+    finals = [final(1), final(2), final(4) if finest is None else finest]
     e1 = _l2_diff(finals[0], finals[1])
     e2 = _l2_diff(finals[1], finals[2])
     if e1 == 0.0 or e2 == 0.0:

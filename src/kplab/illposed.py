@@ -11,6 +11,11 @@ produces third-derivative growth like t * N^(s - alpha + 9/4) against data
 norm N^(s + 1/4), so the normalized ratio R(N) grows at exponent
 3/2 - alpha - 2s: positive (C^3 failure) exactly below s = 3/4 - alpha/2.
 
+Two of the four patterns are computed, (+,+,+) and (+,+,-), and two are
+mirrored.  phi0 is odd, so flipping every sign negates both denominators
+exactly; the flipped pattern's coefficients are the complex conjugates of the
+original's, and its norm is the same number.
+
 The triple transverse integral is evaluated on dedicated midpoint lattices
 tied to the indicator width (a fiber integral along eta_1 + eta_2 = const
 inside an integral over the constant), so indicator edges always fall on cell
@@ -25,14 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
 from .errors import BandExceedsGridError, InsufficientSpanError, InvalidSpecError
 from .estimates import RatioSample, fit_exponent, grows
-from .evolution import free_evolve
 from .fields import SpectralField
 from .symbols import phi0, phi1
-
-SIGN_PATTERNS = ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -94,59 +95,6 @@ def wN_norm_exact(cfg, s):
     return math.sqrt((2.0 * math.pi) ** 2 * 4.0 * w) * (1.0 + cfg.N**2) ** (s / 2.0)
 
 
-def first_derivative(w, t, params):
-    """d(flow)/d(data) at zero data: exactly the free evolution of w."""
-    return free_evolve(w, t, params)
-
-
-def second_derivative(w, t, params):
-    """Second data-derivative of the flow at zero: the pair-interaction sum.
-
-    For each output frequency (k, eta) with k = k1 + k2 over admissible pairs
-    of populated columns, accumulates
-        (k1 + k2) * i t * phi1(i t A) * e^{i t phi(k, eta)}
-        * sum_{eta_1} w(k1, eta_1) w(k2, eta - eta_1) * deta.
-    Inputs must be band-limited to half the eta lattice so the convolution
-    index never wraps onto populated rows.
-    """
-    g = w.grid
-    if g.yDims != 1:
-        raise InvalidSpecError(["second_derivative expects yDims = 1"])
-    kaxis = g.k_axis()
-    c = w.coeffs
-    populated = [int(k) for k in kaxis[np.any(np.abs(c) > 0, axis=1)]]
-    eta = g.eta_axis()
-    ny = g.yPoints
-    out = np.zeros(g.spatial_shape, dtype=complex)
-    idx_of_k = {int(k): i for i, k in enumerate(kaxis)}
-
-    qo = np.arange(ny)
-    q1 = np.arange(ny)
-    shift_idx = (qo[:, None] - q1[None, :]) % ny  # lattice row of eta_out - eta_1
-
-    for k1 in populated:
-        for k2 in populated:
-            ksum = k1 + k2
-            if ksum == 0:
-                continue
-            if abs(ksum) > g.kMax:
-                raise BandExceedsGridError(
-                    f"pair ({k1}, {k2}) produces k = {ksum} beyond kMax = {g.kMax}"
-                )
-            pa = phi0(params, k1) + phi0(params, k2) - phi0(params, ksum)
-            e1 = eta[None, :]
-            e2 = eta[:, None] - e1
-            a = pa - e1**2 / k1 - e2**2 / k2 + (eta**2)[:, None] / ksum
-            kern = phi1(1j * t * a)
-            c1 = c[idx_of_k[k1]]
-            c2 = c[idx_of_k[k2]][shift_idx]
-            conv = np.sum(kern * c1[None, :] * c2, axis=1) * g.deta
-            out[idx_of_k[ksum]] += ksum * 1j * t * conv
-
-    phi = fields.phi_grid(g, params)
-    return SpectralField(g, out * np.exp(1j * t * phi))
-
-
 @dataclass(frozen=True)
 class ThirdDerivativeReport:
     total: float
@@ -157,15 +105,20 @@ class ThirdDerivativeReport:
 def third_derivative_norm(cfg, params, chunk=32):
     """H^s norm of the third data-derivative of the flow for the indicator family.
 
-    Enumerates the four admissible sign patterns, evaluates each transverse
-    triple integral as an exact-limit fiber quadrature inside a midpoint sum
-    over the fiber constant, assembles the output over k in {+-3N, +-N}, and
-    returns total / k = +-N restricted norms plus the per-k breakdown.  The
-    third factor's indicator confines the sum over the fiber constant u to the
-    band |eta_out - u| <= w: output row i meets only the nodes u_{i-m} ..
-    u_{i-1} that exist, so 2m^2 of the (3m+1) * 2m (eta_out, u) pairs carry
-    weight, and only those pairs are formed.  The output eta lattice is
-    processed `chunk` rows at a time, each block with its in-band pairs alone.
+    Evaluates each transverse triple integral as an exact-limit fiber
+    quadrature inside a midpoint sum over the fiber constant, assembles the
+    output over k in {+-3N, +-N}, and returns total / k = +-N restricted norms
+    plus the per-k breakdown.  Of the four admissible sign patterns only
+    (+,+,+) and (+,+,-) are computed.  phi0 is odd, so flipping every sign
+    negates both denominators A and B exactly; the flipped patterns'
+    coefficients are then the complex conjugates of these two, and their norms
+    at -3N and -N are taken from +3N and +N.  `per_k` is filled in the order
+    3N, N, -N, -3N, the order `total` sums in.  The third factor's indicator
+    confines the sum over the fiber constant u to the band |eta_out - u| <= w:
+    output row i meets only the nodes u_{i-m} .. u_{i-1} that exist, so 2m^2
+    of the (3m+1) * 2m (eta_out, u) pairs carry weight, and only those pairs
+    are formed.  The output eta lattice is processed `chunk` rows at a time,
+    each block with its in-band pairs alone.
     """
     n = cfg.N
     w = cfg.half_width
@@ -188,16 +141,16 @@ def third_derivative_norm(cfg, params, chunk=32):
     )
     e_out, u = eta_out[rows], u_nodes[cols]
 
-    per_k = {}
-    for s1, s2, s3 in SIGN_PATTERNS:
-        k1, k2, k3 = s1 * n, s2 * n, s3 * n
-        k12 = k1 + k2
-        kout = k12 + k3
-        pa = phi0(params, k1) + phi0(params, k2) - phi0(params, k12)
-        pb = phi0(params, k3) + phi0(params, k12) - phi0(params, kout)
+    # both computed patterns have k1 = k2 = N, so they share the fiber denominator A
+    k12 = 2 * n
+    pa = 2.0 * phi0(params, n) - phi0(params, k12)
+    eta2 = u_nodes[:, None] - eta1
+    a = pa - eta1**2 / n - eta2**2 / n + (u_nodes**2)[:, None] / k12
 
-        eta2 = u_nodes[:, None] - eta1
-        a = pa - eta1**2 / k1 - eta2**2 / k2 + (u_nodes**2)[:, None] / k12
+    per_k = {}
+    for k3 in (n, -n):
+        kout = k12 + k3
+        pb = phi0(params, k3) + phi0(params, k12) - phi0(params, kout)
         b = pb - (e_out - u) ** 2 / k3 - u**2 / k12 + e_out**2 / kout
         p1 = phi1(1j * t * b)
 
@@ -213,6 +166,9 @@ def third_derivative_norm(cfg, params, chunk=32):
 
         sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))
         per_k[kout] = math.sqrt((2.0 * math.pi) ** 2 * sq)
+    # the mirrored patterns (-,-,+) and (-,-,-)
+    per_k[-n] = per_k[n]
+    per_k[-3 * n] = per_k[3 * n]
 
     total = math.sqrt(sum(v**2 for v in per_k.values()))
     restricted = math.sqrt(per_k[n] ** 2 + per_k[-n] ** 2)

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
-from kplab import cli
+from kplab import cli, evolution
 from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
 from kplab.errors import InvalidSpecError, SweepWorkerError
+from kplab.fields import make_grid
+from kplab.symbols import DispersionParams
 
 
 def test_validation_reports_field_names():
@@ -120,7 +122,50 @@ def test_evolve_measures_order_with_the_config_dealias(monkeypatch):
          "dealias": 0.5, "measureOrder": True},
     )
     assert seen["dealias"] == 0.5
+    assert seen["finest"] is not None
     assert env["summary"]["observedOrder"] == 4.0
+
+
+@pytest.mark.parametrize("T", [0.12, 0.08])
+def test_evolve_order_from_the_main_solve_matches_a_separate_finest_solve(T):
+    # above T = 0.1 the finest order solve is the main solve's first 100 steps,
+    # at or below it the whole main solve
+    config = cli._resolve(
+        "evolve",
+        {"kMax": 8, "yPoints": 32, "yLength": 16 * math.pi, "dt": 1e-3, "T": T,
+         "measureOrder": True},
+    )
+    env = run("evolve", config)
+    grid = make_grid(config["kMax"], config["yPoints"], config["yLength"])
+    f0 = cli._small_smooth_data(grid, config["amplitude"], config["etaWidth"])
+    order_T, order_dt = cli._order_span(config)
+    alone = evolution.observed_order(
+        f0, DispersionParams(config["alpha"], 1), T=order_T, dt=order_dt,
+        dealias=config["dealias"],
+    )
+    assert env["summary"]["observedOrder"] == alone
+
+
+def test_evolve_with_order_skips_the_repeated_finest_solve(monkeypatch):
+    # the benchmark's evolve step: 250 main steps plus 25 and 50 for the coarser
+    # order solves; the finest order solve's 100 steps come from the main solve
+    steps = []
+    solve = evolution.evolve_nonlinear
+
+    def counting(f, cfg, *args, **kwargs):
+        steps.append(round(cfg.T / cfg.dt))
+        return solve(f, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_nonlinear", counting)
+    monkeypatch.setattr(evolution, "evolve_nonlinear", counting)
+    run(
+        "evolve",
+        {"alpha": 2.0, "kMax": 32, "yPoints": 128, "yLength": 32 * math.pi,
+         "dt": 1e-3, "T": 0.25, "amplitude": 0.01, "dealias": 2.0 / 3.0,
+         "measureOrder": True},
+    )
+    assert sorted(steps) == [25, 50, 250]
+    assert sum(steps) == 325
 
 
 def test_evolve_checks_the_order_ladder_before_the_solve(monkeypatch):

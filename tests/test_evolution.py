@@ -265,6 +265,24 @@ def test_observed_order_at_least_3p5():
     assert p >= 3.5
 
 
+def test_evolve_keeps_one_step_outside_the_snapshot_schedule():
+    g = make_grid(8, 32, 16 * math.pi)
+    f = small_smooth(g)
+    plain = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.07), P2, save_every=3)
+    kept = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.07), P2, save_every=3, keep_step=4)
+    assert plain.kept is None
+    assert np.array_equal(kept.times, plain.times)
+    assert np.array_equal(kept.l2_drift, plain.l2_drift)
+    assert all(
+        np.array_equal(a.coeffs, b.coeffs) for a, b in zip(kept.snapshots, plain.snapshots)
+    )
+    short = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.04), P2, save_every=10**9)
+    assert np.array_equal(kept.kept.coeffs, short.final.coeffs)
+    for bad in (0, 8):
+        with pytest.raises(InvalidSpecError):
+            evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.07), P2, keep_step=bad)
+
+
 def test_observed_order_rejects_zero_differences():
     g = make_grid(10, 64, 16 * math.pi)
     zero = SpectralField(g, np.zeros(g.spatial_shape, complex))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kplab import illposed
+from kplab import fields, illposed
 from kplab.errors import BandExceedsGridError, InvalidSpecError
 from kplab.evolution import free_evolve
 from kplab.fields import SpectralField, make_grid, sobolev_norm, to_physical
@@ -13,15 +13,17 @@ from kplab.illposed import (
     IllposedConfig,
     ThirdDerivativeReport,
     build_wN,
-    first_derivative,
     illposed_scaling,
-    second_derivative,
     third_derivative_norm,
     wN_norm_exact,
 )
 from kplab.symbols import DispersionParams, denom_A, phase_grid, phi0, phi1
 
 P2 = DispersionParams(2.0, 1)
+# the admissible (k1, k2, k3) / N of the indicator family
+SIGN_PATTERNS = ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1))
+# criterion 9's (alpha, s) pairs, which the benchmark's illposed-scaling steps also run
+CRITERION_9_PAIRS = ((2.0, 0.0), (2.0, -0.75), (3.0, -0.5))
 
 
 def wn_grid(n):
@@ -75,16 +77,59 @@ def test_build_wN_errors_and_warning():
 
 
 def test_first_derivative_is_free_flow():
+    # d(flow)/d(data) at zero data is the free evolution itself
     cfg = IllposedConfig(N=16)
     g = wn_grid(16)
     w = build_wN(cfg, g)
-    assert np.array_equal(first_derivative(w, 0.0, P2).coeffs, w.coeffs)
-    d = first_derivative(w, 0.37, P2)
-    assert np.array_equal(d.coeffs, free_evolve(w, 0.37, P2).coeffs)
+    assert np.array_equal(free_evolve(w, 0.0, P2).coeffs, w.coeffs)
+    d = free_evolve(w, 0.37, P2)
     for s in (0.0, -0.75):
         assert sobolev_norm(d, s, 0.0) == pytest.approx(
             sobolev_norm(w, s, 0.0), rel=1e-12
         )
+
+
+def second_derivative(w, t, params):
+    """Second data-derivative of the flow at zero: the pair-interaction sum.
+
+    For each output frequency (k, eta) with k = k1 + k2 over admissible pairs
+    of populated columns, accumulates
+        (k1 + k2) * i t * phi1(i t A) * e^{i t phi(k, eta)}
+        * sum_{eta_1} w(k1, eta_1) w(k2, eta - eta_1) * deta.
+    Inputs must be band-limited to half the eta lattice so the convolution
+    index never wraps onto populated rows.
+    """
+    g = w.grid
+    kaxis = g.k_axis()
+    c = w.coeffs
+    populated = [int(k) for k in kaxis[np.any(np.abs(c) > 0, axis=1)]]
+    eta = g.eta_axis()
+    ny = g.yPoints
+    out = np.zeros(g.spatial_shape, dtype=complex)
+    idx_of_k = {int(k): i for i, k in enumerate(kaxis)}
+
+    qo = np.arange(ny)
+    q1 = np.arange(ny)
+    shift_idx = (qo[:, None] - q1[None, :]) % ny  # lattice row of eta_out - eta_1
+
+    for k1 in populated:
+        for k2 in populated:
+            ksum = k1 + k2
+            if ksum == 0:
+                continue
+            assert abs(ksum) <= g.kMax
+            pa = phi0(params, k1) + phi0(params, k2) - phi0(params, ksum)
+            e1 = eta[None, :]
+            e2 = eta[:, None] - e1
+            a = pa - e1**2 / k1 - e2**2 / k2 + (eta**2)[:, None] / ksum
+            kern = phi1(1j * t * a)
+            c1 = c[idx_of_k[k1]]
+            c2 = c[idx_of_k[k2]][shift_idx]
+            conv = np.sum(kern * c1[None, :] * c2, axis=1) * g.deta
+            out[idx_of_k[ksum]] += ksum * 1j * t * conv
+
+    phi = fields.phi_grid(g, params)
+    return SpectralField(g, out * np.exp(1j * t * phi))
 
 
 def test_second_derivative_support_and_t0():
@@ -168,7 +213,7 @@ def _dense_third_derivative_norm(cfg, params, chunk=32):
     fiber_w = (hi - lo) / m
 
     per_k = {}
-    for s1, s2, s3 in illposed.SIGN_PATTERNS:
+    for s1, s2, s3 in SIGN_PATTERNS:
         k1, k2, k3 = s1 * n, s2 * n, s3 * n
         k12 = k1 + k2
         kout = k12 + k3
@@ -219,6 +264,73 @@ def test_third_derivative_band_matches_dense_quadrature(n, alpha, t, m):
     assert got.restricted == pytest.approx(want.restricted, rel=1e-13, abs=0.0)
 
 
+def _four_pattern_third_derivative_norm(cfg, params, chunk=32):
+    """The banded quadrature over all four sign patterns, none mirrored (the oracle)."""
+    n = cfg.N
+    w = cfg.half_width
+    m = cfg.etaQuadPoints
+    t = cfg.t
+    delta = 2.0 * w / m
+
+    u_nodes = -2.0 * w + (np.arange(2 * m) + 0.5) * delta
+    eta_out = -3.0 * w + np.arange(3 * m + 1) * delta
+
+    lo = np.maximum(-w, u_nodes - w)
+    hi = np.minimum(w, u_nodes + w)
+    frac = (np.arange(m) + 0.5) / m
+    eta1 = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+    fiber_w = (hi - lo) / m
+
+    rows, cols = np.nonzero(
+        np.abs(eta_out[:, None] - u_nodes[None, :]) <= w * (1.0 + 1e-12)
+    )
+    e_out, u = eta_out[rows], u_nodes[cols]
+
+    per_k = {}
+    for s1, s2, s3 in SIGN_PATTERNS:
+        k1, k2, k3 = s1 * n, s2 * n, s3 * n
+        k12 = k1 + k2
+        kout = k12 + k3
+        pa = phi0(params, k1) + phi0(params, k2) - phi0(params, k12)
+        pb = phi0(params, k3) + phi0(params, k12) - phi0(params, kout)
+
+        eta2 = u_nodes[:, None] - eta1
+        a = pa - eta1**2 / k1 - eta2**2 / k2 + (u_nodes**2)[:, None] / k12
+        b = pb - (e_out - u) ** 2 / k3 - u**2 / k12 + e_out**2 / kout
+        p1 = phi1(1j * t * b)
+
+        x = np.zeros(eta_out.size, dtype=complex)
+        for i0 in range(0, eta_out.size, chunk):
+            sl = slice(*np.searchsorted(rows, (i0, i0 + chunk)))
+            a_sl = a[cols[sl]]
+            z2 = 1j * t * (a_sl + b[sl, None])
+            bracket = 1j * t * (phi1(z2) - p1[sl, None])
+            fib = np.sum(bracket / a_sl, axis=1) * fiber_w[cols[sl]]
+            np.add.at(x, rows[sl], fib * delta)
+        x *= (k12 * kout) * np.exp(1j * t * (phi0(params, kout) - eta_out**2 / kout))
+
+        sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))
+        per_k[kout] = math.sqrt((2.0 * math.pi) ** 2 * sq)
+
+    total = math.sqrt(sum(v**2 for v in per_k.values()))
+    restricted = math.sqrt(per_k[n] ** 2 + per_k[-n] ** 2)
+    return ThirdDerivativeReport(total=total, restricted=restricted, per_k=per_k)
+
+
+@pytest.mark.parametrize("alpha, s", CRITERION_9_PAIRS)
+@pytest.mark.parametrize("m", [48, 64])
+def test_third_derivative_mirrored_patterns_match_all_four_exactly(alpha, s, m):
+    params = DispersionParams(alpha, 1)
+    for n in (16, 32, 64, 128):
+        cfg = IllposedConfig(N=n, s=s, etaQuadPoints=m)
+        got = third_derivative_norm(cfg, params)
+        want = _four_pattern_third_derivative_norm(cfg, params)
+        # same keys in the same order, so total sums the same numbers in the same order
+        assert list(got.per_k.items()) == list(want.per_k.items())
+        assert got.total == want.total
+        assert got.restricted == want.restricted
+
+
 def test_third_derivative_forms_only_in_band_pairs(monkeypatch):
     seen = []
 
@@ -229,8 +341,9 @@ def test_third_derivative_forms_only_in_band_pairs(monkeypatch):
     monkeypatch.setattr(illposed, "phi1", counting_phi1)
     m = 32
     third_derivative_norm(IllposedConfig(N=16, etaQuadPoints=m), P2)
-    # per sign pattern: phi1(i t b) on the 2m^2 pairs, phi1(z2) on their m fiber nodes
-    assert sum(seen) == 4 * 2 * m * m * (m + 1) == 270336
+    # per computed sign pattern (two of the four): phi1(i t b) on the 2m^2 pairs,
+    # phi1(z2) on their m fiber nodes
+    assert sum(seen) == 2 * 2 * m * m * (m + 1) == 135168
 
 
 def test_illposed_scaling_smoke_bounded_case():
