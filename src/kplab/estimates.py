@@ -41,6 +41,7 @@ from .evolution import CutoffSpec, raised_cosine_window
 from .fields import (
     BandSpec,
     NormSpec,
+    SpaceTimeBox,
     SpaceTimeField,
     SpectralField,
     bourgain_norm,
@@ -368,9 +369,10 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     The product is computed by inverse transform to (t, x, y) samples,
     pointwise multiplication, and forward transform, on a lattice fitted to
     the factors' supports so no coefficient of the product is lost or
-    aliased; it is returned on the doubled lattice.  d_x is applied to it in
-    place, so one doubled-grid array is live while the lhs norm runs, and the
-    norm's own scratch memory is per tau block: it does not grow with tPoints.
+    aliased; it is returned on its occupied box of the doubled lattice
+    (`st_product_exact`).  d_x is applied to that box in place, so the box is
+    the one product-sized array live while the lhs norm runs, and the norm's
+    own scratch memory is per tau block: it does not grow with tPoints.
     """
     if lhs_spec.flavor not in ("x", "xweighted", "z"):
         raise InvalidSpecError(
@@ -384,13 +386,14 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the bilinear ratio is undefined")
     prod = st_product_exact(u, v)
-    g2, dx = prod.grid, prod.coeffs
+    g2, lo, dx = prod.grid, prod.lo, prod.coeffs
+    k = prod.axes()[1].astype(float)
     del prod
     # st_product_exact returns a fresh buffer that only `dx` holds now, so d_x
-    # is applied in place rather than in a second doubled-grid array
+    # is applied in place rather than in a second product-sized array
     dx.flags.writeable = True
-    dx *= 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
-    return bourgain_norm(SpaceTimeField(g2, dx), lhs_spec, params) / denom
+    dx *= 1j * k.reshape((1, -1) + (1,) * g2.yDims)
+    return bourgain_norm(SpaceTimeBox(g2, lo, dx), lhs_spec, params) / denom
 
 
 def spacetime_pair(kind, N, grid, params, seed):

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import fields
 from .errors import (
@@ -34,11 +33,32 @@ from .fields import SpectralField
 from .symbols import phi1, phi2, phi3
 
 
-def _cumulative_simpson(y, dx, axis):
-    # scipy's routine is real-only; run the parts separately
-    re = cumulative_simpson(y.real, dx=dx, axis=axis, initial=0.0)
-    im = cumulative_simpson(y.imag, dx=dx, axis=axis, initial=0.0)
-    return re + 1j * im
+def _cumulative_simpson(y, dx):
+    """Composite-Simpson integrals of `y` from its first sample to each sample, along axis 0.
+
+    A port of `scipy.integrate.cumulative_simpson(y, dx=dx, axis=0,
+    initial=0)` for equal intervals and at least 3 samples (GridSpec has
+    tPoints >= 8), with its arithmetic step for step, so the values are the
+    same bits: each interval is integrated by the quadratic through the
+    three samples that start (h1) or end (h2) there; h1 serves the even
+    intervals and h2 the odd ones and the last; then a running sum.  The
+    real and imaginary parts go separately, as scipy's routine is real-only.
+    """
+
+    def part(f):
+        f1, f2, f3 = f[:-2], f[1:-1], f[2:]
+        h1 = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+        h2 = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+        sub = np.empty((f.shape[0] - 1,) + f.shape[1:])
+        sub[:-1:2] = h1[::2]
+        sub[1::2] = h2[::2]
+        sub[-1] = h2[-1]
+        out = np.zeros(f.shape)
+        np.cumsum(sub, axis=0, out=out[1:])
+        out[1:] += 0.0  # scipy adds `initial` here, which turns -0.0 into 0.0
+        return out
+
+    return part(y.real) + 1j * part(y.imag)
 
 
 def bump(t):
@@ -338,7 +358,7 @@ def picard_solve(f, cutoff, iters, params):
         for p in range(0, g.tPoints, rows):
             integrand[p : p + rows] = nl(cur[p : p + rows])
         integrand = np.conj(e_plus) * (psiT_sq * integrand)
-        cum = _cumulative_simpson(integrand, dx=g.dt, axis=0)
+        cum = _cumulative_simpson(integrand, g.dt)
         prefix = cum - cum[i_zero][None, ...]
         nxt = free + psiT_col * e_plus * prefix
 

@@ -36,7 +36,6 @@ import struct
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import symbols
 from .errors import (
@@ -49,6 +48,20 @@ from .errors import (
 
 def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _next_fast_len(n):
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n: a length pocketfft transforms
+    without falling back to Bluestein's algorithm."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,46 @@ class SpaceTimeField:
     def l2_norm(self):
         return math.sqrt(self.grid.st_measure * float(np.sum(np.abs(self.coeffs) ** 2)))
 
+    def axes(self):
+        """The signed frequencies of each axis, FFT-ordered: tau, k, then eta per y axis."""
+        g = self.grid
+        return (g.tau_axis(), g.k_axis()) + (g.eta_axis(),) * g.yDims
+
+
+@dataclass(frozen=True)
+class SpaceTimeBox:
+    """Coefficients over a box of the (tau, k, eta) lattice of `grid`.
+
+    Position p of axis i holds the signed frequency lo[i] + p (times the
+    lattice step dtau, 1 or deta), inside the range `grid` holds.  The box
+    is a read-only view of `coeffs`, which need not be contiguous: wrapping
+    it does not copy it.
+    """
+
+    grid: GridSpec
+    lo: tuple
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        shape, full = self.coeffs.shape, self.grid.st_shape
+        if len(self.lo) != len(full) or len(shape) != len(full) or any(
+            lo < -(n // 2) or lo + m - 1 > (n - 1) // 2
+            for lo, m, n in zip(self.lo, shape, full)
+        ):
+            raise ShapeMismatchError(
+                f"box at {self.lo} of shape {shape} is not inside grid {full}"
+            )
+        self.coeffs.flags.writeable = False
+
+    def axes(self):
+        """The signed frequencies of each axis, in order: tau, k, then eta per y axis."""
+        g = self.grid
+        steps = (g.dtau, 1) + (g.deta,) * g.yDims
+        return tuple(
+            np.arange(lo, lo + m) * step
+            for lo, m, step in zip(self.lo, self.coeffs.shape, steps)
+        )
+
 
 def _alt_signs(n):
     # (-1)^q along an FFT-ordered axis, from the -L/2 (or -tWindow) origin shift
@@ -323,7 +376,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def bourgain_norm(F, spec, params):
-    """Bourgain-family norms of a SpaceTimeField.
+    """Bourgain-family norms of a SpaceTimeField or a SpaceTimeBox.
 
     x:          l2 of <k>^s1 <eta>^s2 <sigma>^b |G|
     xweighted:  additionally multiplied by (1 + <sigma>/<k>^(alpha+1))^beta
@@ -331,51 +384,63 @@ def bourgain_norm(F, spec, params):
     z:          y  +  xweighted at b = -1/2
 
     All carry the lattice measures that make the zero-exponent case coincide
-    with the space-time L2 norm; the k = 0 column is excluded (mean zero).
-    The weights, with sigma = tau - phi(k, eta), are built and summed one
-    block of tau rows at a time, so the scratch memory is a few block-sized
-    float arrays plus a few (k, eta) ones: it does not grow with tPoints.
+    with the space-time L2 norm; the k = 0 column is excluded (mean zero),
+    wherever it falls.  The weights, with sigma = tau - phi(k, eta), are
+    built from the field's own axes (`axes()`: FFT-ordered for a field,
+    lo .. lo + n - 1 for a box), so a box is summed over its own entries
+    only.  They are built and summed one block of tau rows at a time, so the
+    scratch memory is a few block-sized float arrays plus a few (k, eta)
+    ones: it does not grow with tPoints.
     """
-    if not isinstance(F, SpaceTimeField):
-        raise InvalidSpecError(["bourgain_norm expects a SpaceTimeField"])
+    if not isinstance(F, (SpaceTimeField, SpaceTimeBox)):
+        raise InvalidSpecError(["bourgain_norm expects a SpaceTimeField or a SpaceTimeBox"])
     if spec.flavor == "z":
         y = bourgain_norm(F, replace(spec, flavor="y"), params)
         xw = bourgain_norm(F, replace(spec, flavor="xweighted", b=-0.5), params)
         return y + xw
 
     g = F.grid
-    # k = 0 sits at index 0 of the FFT-ordered k axis: slice it off
-    G = F.coeffs[:, 1:]
-    phi = phi_grid(g, params)[1:]
-    base = _sobolev_weight(g, spec.s1, spec.s2)[1:]
-    ka = _bracket(g.k_axis()[1:]) ** (params.alpha + 1.0)
-    ka = ka.reshape((-1,) + (1,) * g.yDims)
-    tau = g.tau_axis().reshape((-1,) + (1,) * (1 + g.yDims))
+    tau, k, *etas = F.axes()
+    tau = tau.reshape((-1,) + (1,) * (1 + g.yDims))
+    eta_sq = etas[0] ** 2 if g.yDims == 1 else etas[0][:, None] ** 2 + etas[1][None, :] ** 2
+    weta = _bracket(np.sqrt(eta_sq)) ** spec.s2
     b = -1.0 if spec.flavor == "y" else spec.b
     weighted = spec.flavor != "x" and spec.beta != 0.0
-    rows = max(1, _BLOCK_ENTRIES // phi.size)
-    total = inner = 0.0
-    for p in range(0, g.tPoints, rows):
-        bs = tau[p : p + rows] - phi
-        np.square(bs, out=bs)
-        bs += 1.0
-        np.sqrt(bs, out=bs)  # <sigma>
-        w = bs**b
-        w *= base
-        if weighted:
-            bs /= ka
+    # the k != 0 columns: one run of a field, up to two of a box
+    zero = np.flatnonzero(k == 0)
+    cut = int(zero[0]) if zero.size else k.size
+    runs = [r for r in (slice(0, cut), slice(cut + 1, k.size)) if r.start < r.stop]
+    total = 0.0
+    for run in runs:
+        G = F.coeffs[:, run]
+        kr = k[run].reshape((-1,) + (1,) * g.yDims)
+        phi = symbols.phase_grid(params, kr, eta_sq[None, ...])
+        base = _bracket(kr) ** spec.s1 * weta[None, ...]
+        ka = _bracket(kr) ** (params.alpha + 1.0)
+        rows = max(1, _BLOCK_ENTRIES // phi.size)
+        inner = 0.0
+        for p in range(0, tau.shape[0], rows):
+            bs = tau[p : p + rows] - phi
+            np.square(bs, out=bs)
             bs += 1.0
-            bs **= spec.beta
-            w *= bs
-        w *= np.abs(G[p : p + rows], out=bs)
+            np.sqrt(bs, out=bs)  # <sigma>
+            w = bs**b
+            w *= base
+            if weighted:
+                bs /= ka
+                bs += 1.0
+                bs **= spec.beta
+                w *= bs
+            w *= np.abs(G[p : p + rows], out=bs)
+            if spec.flavor == "y":
+                inner = inner + np.sum(w, axis=0)  # l1 in tau first
+            else:
+                np.square(w, out=w)
+                total += float(np.sum(w))
         if spec.flavor == "y":
-            inner = inner + np.sum(w, axis=0)  # l1 in tau first
-        else:
-            np.square(w, out=w)
-            total += float(np.sum(w))
+            total += float(np.sum((g.dtau * inner) ** 2))
     if spec.flavor != "y":
         return math.sqrt(g.st_measure * total)
-    total = float(np.sum((g.dtau * inner) ** 2))
     prefac = (2.0 * math.pi) ** (0.5 * (2 + g.yDims))
     return prefac * math.sqrt(g.deta**g.yDims * total)
 
@@ -579,17 +644,19 @@ class ProductPlan:
     padded axis of length m.  The product of the two sample arrays then holds
     frequency shift_a + shift_b + p at position p, and `product` writes the
     frequencies that `out_shape` can hold back at their FFT-ordered indices.
-    There are two kinds of plan:
+    A fitted plan's `box_product` instead returns them where they are, as a
+    box of the padded array starting at frequency `out_lo`.  There are two
+    kinds of plan:
 
     * dealiased (`boxes=None`): both factors cover all of `shape` with shift
       0, so positive frequencies keep their index and negative ones move to
       the tail, and the product is cropped back to `shape`;
     * fitted (`ProductPlan.fitted`): each factor's occupied box starts at
-      position 0 (shift = lo), and each axis is the smooth length
-      next_fast_len(span_a + span_b - 1), so no frequency of the product
-      wraps.  Shifting a factor by lo multiplies its samples by the
-      unimodular character e^{-i lo . x}: |ua ub|, and any sum of it over the
-      samples, do not change, and the product's coefficients are the exact
+      position 0 (shift = lo), and each axis is the smallest 11-smooth
+      length >= span_a + span_b - 1, so no frequency of the product wraps.
+      Shifting a factor by lo multiplies its samples by the unimodular
+      character e^{-i lo . x}: |ua ub|, and any sum of it over the samples,
+      do not change, and the product's coefficients are the exact
       convolution, placed at the known offset lo_a + lo_b.
 
     The index maps are built once per plan.  On each axis a map is a few runs
@@ -608,9 +675,9 @@ class ProductPlan:
     axis, so the inverse transforms skip about as much, while the forward
     one keeps every line when `out_shape` holds the whole product.
 
-    `samples` and `product` act on the trailing axes, so the arrays may carry
-    leading batch axes (the Picard solver passes blocks of t rows); each
-    slice of a batch gives what it would alone, bit for bit.
+    `samples`, `product` and `box_product` act on the trailing axes, so the
+    arrays may carry leading batch axes (the Picard solver passes blocks of t
+    rows); each slice of a batch gives what it would alone, bit for bit.
 
     No y (or t) origin sign is applied.  Moving the y origin to -L/2 (or the
     t origin to -tWindow) multiplies the coefficients by the character
@@ -624,7 +691,8 @@ class ProductPlan:
         self.pad_shape = tuple(pad_shape)
         self.size = math.prod(self.pad_shape)
         self.out_shape = tuple(shape if out_shape is None else out_shape)
-        if boxes is None:
+        boxed = boxes is not None
+        if not boxed:
             full = tuple((-(n // 2), (n - 1) // 2) for n in shape)
             boxes, shifts = (full, full), ((0,) * len(shape),) * 2
         else:
@@ -647,6 +715,12 @@ class ProductPlan:
         ]
         self._crop = _copies(out)
         self._forward = _lines(out, forward=True)
+        # a fitted plan's product box starts at padded position 0 and does
+        # not wrap; a dealiased plan's wraps, so only `product` serves it
+        self.out_lo = tuple(lo for lo, _ in out_box)
+        self._out_box = (Ellipsis,) + tuple(
+            slice(lo - shift, hi - shift + 1) for (lo, hi), shift in zip(out_box, out_shift)
+        ) if boxed else None
 
     @classmethod
     def fitted(cls, a, b, out_shape=None):
@@ -654,7 +728,7 @@ class ProductPlan:
         box_a = occupied_box(a)
         box_b = box_a if b is a else occupied_box(b)
         pad = [
-            next_fast_len(ha - la + hb - lb + 1)
+            _next_fast_len(ha - la + hb - lb + 1)
             for (la, ha), (lb, hb) in zip(box_a, box_b)
         ]
         return cls(a.shape, pad, (box_a, box_b), out_shape)
@@ -681,16 +755,36 @@ class ProductPlan:
         big *= self.size
         return big
 
-    def product(self, a, b):
-        """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
+    def _padded_product(self, a, b):
+        # the product's coefficients times self.size, frequency
+        # shift_a + shift_b + p at position p of the padded lattice
         ua = self._samples(a, 0, 1)
         ua *= ua if b is a else self._samples(b, 1, 1)
         _transform(ua, np.fft.fft, self._forward)
+        return ua
+
+    def product(self, a, b):
+        """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
+        ua = self._padded_product(a, b)
         lead = ua.shape[: ua.ndim - len(self.pad_shape)]
         out = np.zeros(lead + self.out_shape, dtype=complex)
         for _, at, pad in self._crop:
             np.divide(ua[pad], self.size, out=out[at])
         return out
+
+    def box_product(self, a, b):
+        """The product's coefficients over its box, clipped to what `out_shape` holds.
+
+        Position p holds the signed frequency `out_lo` + p.  For a fitted
+        plan the box sits at the start of the padded array without
+        wrapping, so it is that array cropped in place (a view), with the
+        same values that `product` writes to `out_shape`.
+        """
+        if self._out_box is None:
+            raise InvalidSpecError(["box_product needs a fitted plan"])
+        box = self._padded_product(a, b)[self._out_box]
+        box /= self.size
+        return box
 
 
 def product_grid(grid):
@@ -708,14 +802,21 @@ def product_grid(grid):
 
 
 def st_product_exact(Fa, Fb):
-    """Exact space-time pointwise product, written onto the doubled (tau, k, eta) grid."""
+    """Exact space-time pointwise product, as a SpaceTimeBox of the doubled grid.
+
+    The box is the product's occupied one, lo_a + lo_b .. hi_a + hi_b per
+    axis, clipped to what `product_grid` holds; its values are the ones the
+    doubled (tau, k, eta) grid would hold there, and every entry of that grid
+    outside the box is zero.  It is the fitted plan's padded array cropped in
+    place, so no doubled-grid array is formed.
+    """
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
     g2 = product_grid(Fa.grid)
     plan = ProductPlan.fitted(Fa.coeffs, Fb.coeffs, g2.st_shape)
-    prod = plan.product(Fa.coeffs, Fb.coeffs)
-    prod *= g2.dtau * g2.deta**g2.yDims
-    return SpaceTimeField(g2, prod)
+    box = plan.box_product(Fa.coeffs, Fb.coeffs)
+    box *= g2.dtau * g2.deta**g2.yDims
+    return SpaceTimeBox(g2, plan.out_lo, box)
 
 
 def _next_pow2(n):

@@ -2,14 +2,44 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kplab
 from kplab import cli, evolution
 from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
 from kplab.errors import InvalidSpecError, SweepWorkerError
 from kplab.fields import make_grid
 from kplab.symbols import DispersionParams
+
+
+_NO_SCIPY_RUNS = """
+import math, sys
+import kplab, kplab.cli
+# a fitted product, a boxed space-time product and the Picard solver's
+# cumulative Simpson quadrature
+kplab.cli.run("strichartz2d", {"Ns": [1, 8], "seeds": [0], "kinds": ["random"]})
+kplab.cli.run("bilinear-ratio", {"Ns": [1, 8], "seeds": [0], "kinds": ["random"]})
+kplab.cli.run("picard", {"kMax": 4, "yPoints": 16, "yLength": 8 * math.pi,
+                         "tPoints": 16, "tWindow": 0.2, "T": 0.05, "iters": 2})
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_kplab_runs_without_importing_scipy(tmp_path):
+    # scipy is a test-only oracle: importing it (scipy.fft, scipy.integrate)
+    # pulls in scipy.special, linalg and sparse, and more than doubles the
+    # start-up time and resident memory of every run
+    src = str(Path(kplab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUNS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_validation_reports_field_names():

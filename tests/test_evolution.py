@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
 from kplab.errors import (
     InvalidSpecError,
@@ -288,6 +289,25 @@ def test_observed_order_rejects_zero_differences():
     zero = SpectralField(g, np.zeros(g.spatial_shape, complex))
     with pytest.raises(NonFiniteValueError):
         observed_order(zero, P2, T=0.08, dt=4e-3)
+
+
+def _scipy_cumulative_simpson(y, dx):
+    # the oracle: scipy's real-only routine on each part
+    re = cumulative_simpson(y.real, dx=dx, axis=0, initial=0.0)
+    im = cumulative_simpson(y.imag, dx=dx, axis=0, initial=0.0)
+    return re + 1j * im
+
+
+def test_cumulative_simpson_matches_scipy():
+    rng = np.random.default_rng(5)
+    # odd and even lengths from the GridSpec floor of 8 t points, then the
+    # shape of Picard's integrand on the picard benchmark grid
+    shapes = [(n, 3) for n in range(8, 130)] + [picard_grid().st_shape]
+    for shape in shapes:
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dx = rng.uniform(1e-4, 1.0)
+        got = evolution._cumulative_simpson(y, dx)
+        assert np.array_equal(got, _scipy_cumulative_simpson(y, dx)), shape
 
 
 def picard_grid():

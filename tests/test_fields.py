@@ -316,6 +316,30 @@ def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
         assert bourgain_norm(F, spec, params) == pytest.approx(want, rel=1e-13), spec
 
 
+def _doubled_grid_product(Fa, Fb):
+    # the oracle: the exact space-time product written onto the whole doubled
+    # (tau, k, eta) grid, as `st_product_exact` formed it before it returned
+    # the product's box
+    g2 = product_grid(Fa.grid)
+    plan = ProductPlan.fitted(Fa.coeffs, Fb.coeffs, g2.st_shape)
+    prod = plan.product(Fa.coeffs, Fb.coeffs)
+    prod *= g2.dtau * g2.deta**g2.yDims
+    return SpaceTimeField(g2, prod)
+
+
+def _scatter(box):
+    # a SpaceTimeBox as the SpaceTimeField of its grid: zero outside the box
+    c = np.zeros(box.grid.st_shape, complex)
+    index = [(lo + np.arange(m)) % n
+             for lo, m, n in zip(box.lo, box.coeffs.shape, box.grid.st_shape)]
+    c[np.ix_(*index)] = box.coeffs
+    return SpaceTimeField(box.grid, c)
+
+
+def _st_product_scattered(fa, fb):
+    return _scatter(st_product_exact(fa, fb))
+
+
 @pytest.mark.parametrize("kind", ["random", "comparable", "high-high-to-low"])
 @pytest.mark.parametrize("flavor", ["x", "xweighted", "z"])
 def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
@@ -327,7 +351,7 @@ def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
     got = bilinear_ratio(u, v, lhs, rhs, P3)
 
-    prod = st_product_exact(u, v)
+    prod = _scatter(st_product_exact(u, v))
     g2 = prod.grid
     ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
     dxprod = SpaceTimeField(g2, ik * prod.coeffs)
@@ -335,6 +359,84 @@ def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
     assert got == pytest.approx(_dense_bourgain_norm(dxprod, lhs, P3) / denom, rel=1e-13)
     # d_x is applied in place to the product, never to the factors
     assert np.array_equal(u.coeffs, before[0]) and np.array_equal(v.coeffs, before[1])
+
+
+def _box_case(case):
+    # factor pairs whose product boxes are: a generic one, at yDims 1 and 2;
+    # a single atom; one tau row (the comparable pair); all zero
+    if case == "random-yDims2":
+        g = small_grid(yDims=2, yPoints=16)
+        band = BandSpec(1, 6, 0.9)
+        return st_random_field(g, band, seed=(30, 1)), st_random_field(g, band, seed=(30, 2))
+    g = bilinear_grid(4)
+    if case in ("random", "comparable"):
+        return spacetime_pair(case, 4, g, P3, seed=2)
+    a, b = np.zeros(g.st_shape, complex), np.zeros(g.st_shape, complex)
+    if case == "atom":
+        a[3, 5, 2] = 1.0 + 0.5j
+        b[-2, -7, -3] = 0.7j
+    else:
+        a = np.array(spacetime_pair("random", 4, g, P3, seed=2)[0].coeffs)
+    return SpaceTimeField(g, a), SpaceTimeField(g, b)
+
+
+@pytest.mark.parametrize("case", ["random", "random-yDims2", "atom", "comparable", "zero"])
+def test_boxed_product_matches_the_doubled_grid(case):
+    u, v = _box_case(case)
+    box = st_product_exact(u, v)
+    oracle = _doubled_grid_product(u, v)
+    assert box.grid == oracle.grid == product_grid(u.grid)
+    # the box is the occupied one, lo_a + lo_b .. hi_a + hi_b, clipped to the grid
+    for (la, ha), (lb, hb), n, lo, m in zip(
+        occupied_box(u.coeffs), occupied_box(v.coeffs), box.grid.st_shape,
+        box.lo, box.coeffs.shape,
+    ):
+        assert lo == max(la + lb, -(n // 2))
+        assert lo + m - 1 == min(ha + hb, (n - 1) // 2)
+    if case == "atom":
+        assert box.coeffs.shape == (1, 1, 1) and box.lo == (3 - 2, 5 - 7, 2 - 3)
+    if case == "comparable":
+        assert box.coeffs.shape[0] == 1  # both factors sit on the tau = 0 row
+    if case == "zero":
+        assert not np.any(box.coeffs)
+    # the same bits as the doubled grid, which is zero outside the box
+    assert np.array_equal(_scatter(box).coeffs, oracle.coeffs)
+    params = DispersionParams(3.0, u.grid.yDims)
+    for spec in _ORACLE_SPECS:
+        want = bourgain_norm(oracle, spec, params)
+        assert bourgain_norm(box, spec, params) == pytest.approx(want, rel=1e-13), spec
+
+
+@pytest.mark.parametrize("y_dims", [1, 2])
+@pytest.mark.parametrize("flavor", ["x", "xweighted", "z"])
+def test_bilinear_ratio_matches_the_doubled_grid_route(flavor, y_dims):
+    u, v = _box_case("random" if y_dims == 1 else "random-yDims2")
+    params = DispersionParams(3.0, y_dims)
+    lhs = NormSpec(flavor=flavor, s1=0.2, s2=0.1, b=-0.45, beta=0.4)
+    rhs = NormSpec(flavor="xweighted", s1=0.2, s2=0.1, b=0.55, beta=0.4)
+    prod = _doubled_grid_product(u, v)
+    g2 = prod.grid
+    ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
+    lhs_norm = bourgain_norm(SpaceTimeField(g2, ik * prod.coeffs), lhs, params)
+    want = lhs_norm / (bourgain_norm(u, rhs, params) * bourgain_norm(v, rhs, params))
+    assert bilinear_ratio(u, v, lhs, rhs, params) == pytest.approx(want, rel=1e-13)
+
+
+def test_bilinear_ratio_memory_is_the_product_box():
+    # the N = 64 member of the bilinear sweep: its doubled grid alone takes
+    # 65 MiB, and the doubled-grid route peaked at 95.7 MiB above the inputs;
+    # the box route keeps the two padded sample arrays of the product
+    g = bilinear_grid(64)
+    u, v = spacetime_pair("random", 64, g, P3, seed=0)
+    lhs = NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4)
+    rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
+    tracemalloc.start()
+    try:
+        bilinear_ratio(u, v, lhs, rhs, P3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * 2**20, peak
 
 
 def test_bourgain_norm_scratch_memory_is_per_tau_block():
@@ -516,7 +618,7 @@ def test_dealiased_product_matches_direct_convolution():
     cases = (
         (_dealiased_product, random_field, g.deta),
         (_product_exact, random_field, g.deta),
-        (st_product_exact, st_random_field, g.dtau * g.deta),
+        (_st_product_scattered, st_random_field, g.dtau * g.deta),
     )
     for product, make, weight in cases:
         fa = make(g, band, seed=1)
@@ -561,7 +663,7 @@ def test_fitted_product_matches_direct_convolution(data):
     )
     shape = g.st_shape if spacetime else g.spatial_shape
     make, product, weight = (
-        (SpaceTimeField, st_product_exact, g.dtau * g.deta**y_dims)
+        (SpaceTimeField, _st_product_scattered, g.dtau * g.deta**y_dims)
         if spacetime
         else (SpectralField, _product_exact, g.deta**y_dims)
     )
@@ -596,6 +698,11 @@ def test_fitted_plan_is_sized_to_the_occupied_boxes():
             while m % p == 0:
                 m //= p
         assert m == 1
+
+
+def test_next_fast_len_matches_scipy():
+    ns = range(1, 4097)
+    assert [fields._next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
 
 
 def test_product_exact_grid_doubles_bands():
