@@ -115,7 +115,9 @@ def _product_l2_lhs(u0, v0, weights, params):
     # each factor's occupied box is packed at the origin of a smooth-length
     # grid just large enough for the product, with its phase taken at the
     # box's own frequencies; the shift changes neither |uv| nor its integral,
-    # which the samples give exactly with the cell (2 pi) L^d / plan.size
+    # which the samples give exactly with the cell (2 pi) L^d / plan.size.
+    # A packed plan (two real fields) gives both factors' samples in one
+    # array, u + i v: phi is odd, so the free flow keeps them real
     g = u0.grid
     plan = fields.ProductPlan.fitted(u0.coeffs, v0.coeffs)
     phi = fields.phi_grid(g, params)
@@ -127,10 +129,16 @@ def _product_l2_lhs(u0, v0, weights, params):
     for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
-        ua = plan.samples(a * np.exp(1j * t * phi_a), 0)
-        ub = ua if same else plan.samples(b * np.exp(1j * t * phi_b), 1)
-        ua *= ub
-        total += w * w * float(np.sum(np.abs(ua) ** 2))
+        if plan.packed:
+            uv = plan.pair_samples(a * np.exp(1j * t * phi_a), b * np.exp(1j * t * phi_b))
+            sq = np.multiply(uv.real, uv.imag, out=uv.real)
+            np.square(sq, out=sq)
+        else:
+            ua = plan.samples(a * np.exp(1j * t * phi_a), 0)
+            ub = ua if same else plan.samples(b * np.exp(1j * t * phi_b), 1)
+            ua *= ub
+            sq = np.abs(ua) ** 2
+        total += w * w * float(np.sum(sq))
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 
@@ -260,7 +268,7 @@ class CounterexampleConfig:
             raise InvalidSpecError(problems)
 
 
-def counterexample_lhs(cfg, params, quad_points=96, route="omega"):
+def counterexample_lhs(cfg, quad_points=96, route="omega"):
     """L2 norm of the squared-free-flow transform for interval data at k = 2N.
 
     The integrand is (N/2)^2 omega^-2 chi(eta/2+omega) chi(eta/2-omega) over
@@ -338,8 +346,8 @@ def counterexample_verdict(Ns, s, half_width_exponent, params, quad_points=96):
     worst = 0.0
     for n in Ns:
         cfg = CounterexampleConfig(N=int(n), halfWidth=float(n) ** half_width_exponent)
-        lhs = counterexample_lhs(cfg, params, quad_points, route="omega")
-        alt = counterexample_lhs(cfg, params, quad_points, route="tau")
+        lhs = counterexample_lhs(cfg, quad_points, route="omega")
+        alt = counterexample_lhs(cfg, quad_points, route="tau")
         if lhs > 0:
             worst = max(worst, abs(alt - lhs) / lhs)
         denom = counterexample_denominator(cfg, s)
@@ -370,7 +378,11 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     pointwise multiplication, and forward transform, on a lattice fitted to
     the factors' supports so no coefficient of the product is lost or
     aliased; it is returned on its occupied box of the doubled lattice
-    (`st_product_exact`).  d_x is applied to that box in place, so the box is
+    (`st_product_exact`).  Two real fields (different arrays, symmetric
+    boxes, exactly Hermitian coefficients, as `spacetime_pair` builds the
+    random and comparable members) share one padded array and one inverse
+    transform, u + i v (`fields.ProductPlan`, packed); other pairs get a
+    padded array per distinct factor.  d_x is applied to the box in place, so the box is
     the one product-sized array live while the lhs norm runs, and the norm's
     own scratch memory is per tau block: it does not grow with tPoints.
     """

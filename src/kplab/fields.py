@@ -597,6 +597,27 @@ def _axis_runs(n, box, shift, m):
     ]
 
 
+def _hermitian_energy(c, box):
+    # sum |c|^2 over the symmetric box (-h..h per axis) of the FFT-ordered
+    # `c`, which is zero outside it, if c[-q] == conj(c[q]) there bit for
+    # bit, else None.  Per axis, q = 0 pairs with itself and the runs
+    # q = 1..h and -h..-1 with each other, read backwards: every block is a
+    # view of `c`, so the copies are block-sized
+    pairs = []
+    for n, (_, h) in zip(c.shape, box):
+        pos, neg = slice(1, h + 1), slice(n - h, n)
+        pairs.append([(slice(0, 1), slice(0, 1))] + (
+            [(pos, slice(n - 1, n - h - 1, -1)), (neg, slice(h, 0, -1))] if h else []
+        ))
+    energy = 0.0
+    for combo in itertools.product(*pairs):
+        block = c[tuple(s for s, _ in combo)]
+        if not np.array_equal(block, np.conj(c[tuple(m for _, m in combo)])):
+            return None
+        energy += float(np.sum(np.square(np.abs(block))))
+    return energy
+
+
 def _copies(axis_runs):
     # every combination of one run per axis, as (box, source, padded) index
     # tuples over the trailing axes
@@ -645,7 +666,7 @@ class ProductPlan:
     frequency shift_a + shift_b + p at position p, and `product` writes the
     frequencies that `out_shape` can hold back at their FFT-ordered indices.
     A fitted plan's `box_product` instead returns them where they are, as a
-    box of the padded array starting at frequency `out_lo`.  There are two
+    box of the padded array starting at frequency `out_lo`.  There are three
     kinds of plan:
 
     * dealiased (`boxes=None`): both factors cover all of `shape` with shift
@@ -657,7 +678,21 @@ class ProductPlan:
       Shifting a factor by lo multiplies its samples by the unimodular
       character e^{-i lo . x}: |ua ub|, and any sum of it over the samples,
       do not change, and the product's coefficients are the exact
-      convolution, placed at the known offset lo_a + lo_b.
+      convolution, placed at the known offset lo_a + lo_b;
+    * packed (`packed` is True): a fitted plan of two real factors, two
+      different arrays whose boxes are symmetric (lo = -hi on every axis, so
+      no Nyquist row is occupied) and whose coefficients are exactly
+      Hermitian, c[-q] == conj(c[q]).  Their samples are real, so both
+      factors go unshifted (frequency q at position q mod m) into one padded
+      array as A + iB, and one inverse transform gives u in its real part
+      and v in its imaginary part (Numerical Recipes, section 12.3); B goes
+      in scaled by a power of two to A's l2 size, so neither factor's
+      rounding error is set by the other's size.  The real product u v goes
+      back into that array, times the character e^{-i (lo_a + lo_b) . x}, so
+      it holds what the two shifted sample arrays' product holds, and the
+      forward transform and the crop are the fitted plan's.  One padded array is live instead of two.  `product`
+      and `box_product` take this route for two different arrays; one
+      array twice squares its own samples, as on the other plans.
 
     The index maps are built once per plan.  On each axis a map is a few runs
     of consecutive indices (two at most: one index wraps at q = 0), so every
@@ -721,17 +756,61 @@ class ProductPlan:
         self._out_box = (Ellipsis,) + tuple(
             slice(lo - shift, hi - shift + 1) for (lo, hi), shift in zip(out_box, out_shift)
         ) if boxed else None
+        self.packed = False
 
     @classmethod
     def fitted(cls, a, b, out_shape=None):
-        """Alias-free plan for the product of `a` and `b`, sized to their occupied boxes."""
+        """Alias-free plan for the product of `a` and `b`, sized to their occupied boxes.
+
+        The plan is packed when `a` and `b` are two different arrays of
+        exactly Hermitian coefficients on symmetric boxes (see the class
+        docstring); it then serves factors with those properties only.
+        """
         box_a = occupied_box(a)
         box_b = box_a if b is a else occupied_box(b)
         pad = [
             _next_fast_len(ha - la + hb - lb + 1)
             for (la, ha), (lb, hb) in zip(box_a, box_b)
         ]
-        return cls(a.shape, pad, (box_a, box_b), out_shape)
+        plan = cls(a.shape, pad, (box_a, box_b), out_shape)
+        if b is not a and all(lo == -hi for lo, hi in box_a + box_b):
+            energy = [_hermitian_energy(c, box) for c, box in ((a, box_a), (b, box_b))]
+            if all(e is not None and 0.0 < e < math.inf for e in energy):
+                balance = (math.frexp(energy[0])[1] - math.frexp(energy[1])[1]) // 2
+                plan._pack(a.shape, (box_a, box_b), balance)
+        return plan
+
+    def _pack(self, shape, boxes, balance):
+        # unshifted placement of each factor, and the inverse transform's
+        # lines over the wider of the two boxes per axis.  The second factor
+        # goes in times 2^balance, which brings its l2 norm to within a
+        # factor 2 of the first's, and its samples come out times 2^-balance:
+        # both exact, and each factor's rounding error in the shared
+        # transform stays relative to its own size
+        d = len(shape)
+        self._balance = balance
+        self._pair_copies = [
+            _copies([_axis_runs(*args) for args in zip(shape, box, (0,) * d, self.pad_shape)])
+            for box in boxes
+        ]
+        reach = [max(ha, hb) for (_, ha), (_, hb) in zip(*boxes)]
+        self._pair_inverse = _lines(
+            [_axis_runs(n, (-h, h), 0, m) for n, h, m in zip(shape, reach, self.pad_shape)],
+            forward=False,
+        )
+        # e^{-i (lo_a + lo_b) x_p} per axis, x_p = 2 pi p / m, with the
+        # phase's integer numerator reduced mod m: the first axis's alone,
+        # and the product of the others' over their whole padded plane
+        chars = [
+            np.exp(-2j * math.pi * ((la + lb) * np.arange(m) % m) / m).reshape(
+                (-1,) + (1,) * (d - 1 - i)
+            )
+            for i, ((la, _), (lb, _), m) in enumerate(zip(*boxes, self.pad_shape))
+        ]
+        self._char0, self._char_rest = chars[0], np.ones(self.pad_shape[1:], complex)
+        for char in chars[1:]:
+            self._char_rest *= char
+        self.packed = True
 
     def gather(self, c, factor):
         """The entries of `c` on the box of factor 0 or 1, as `samples` takes them."""
@@ -755,11 +834,45 @@ class ProductPlan:
         big *= self.size
         return big
 
+    def pair_samples(self, box_a, box_b):
+        """A packed plan's samples of both factors' boxes in one array, u + i v.
+
+        u and v are sum_q c_q e^{i q . x} on the padded lattice, unshifted;
+        they are real when the boxes are exactly Hermitian.
+        """
+        return self._pair_samples(box_a, box_b, 0)
+
+    def _pair_samples(self, a, b, key):
+        lead = a.shape[: a.ndim - len(self.pad_shape)]
+        big = np.zeros(lead + self.pad_shape, dtype=complex)
+        for copy in self._pair_copies[0]:
+            big[copy[2]] = a[copy[key]]
+        for copy in self._pair_copies[1]:
+            at, c = big[copy[2]], b[copy[key]]
+            at.real -= np.ldexp(c.imag, self._balance)
+            at.imag += np.ldexp(c.real, self._balance)
+        _transform(big, np.fft.ifft, self._pair_inverse)
+        big *= self.size
+        if self._balance:
+            np.ldexp(big.imag, -self._balance, out=big.imag)
+        return big
+
     def _padded_product(self, a, b):
         # the product's coefficients times self.size, frequency
         # shift_a + shift_b + p at position p of the padded lattice
-        ua = self._samples(a, 0, 1)
-        ua *= ua if b is a else self._samples(b, 1, 1)
+        if self.packed and b is not a:
+            # u v times the character, one block of first-axis rows at a
+            # time, so each entry of the padded array is read and written once
+            ua = self._pair_samples(a, b, 1)
+            d = len(self.pad_shape)
+            rows = max(1, _BLOCK_ENTRIES // self._char_rest.size)
+            for p in range(0, self.pad_shape[0], rows):
+                block = ua[(Ellipsis, slice(p, p + rows)) + (slice(None),) * (d - 1)]
+                char = self._char0[p : p + rows] * self._char_rest
+                np.multiply(block.real * block.imag, char, out=block)
+        else:
+            ua = self._samples(a, 0, 1)
+            ua *= ua if b is a else self._samples(b, 1, 1)
         _transform(ua, np.fft.fft, self._forward)
         return ua
 

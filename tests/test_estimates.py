@@ -217,6 +217,58 @@ def test_product_l2_lhs_matches_doubled_grid_3d():
     assert got == pytest.approx(_doubled_grid_lhs(u, v, w, p), rel=1e-12)
 
 
+def _two_array_lhs(u0, v0, weights, params):
+    # oracle: the lhs as formed before two real fields were packed into one
+    # transform, each factor's shifted samples in a padded array of its own
+    g = u0.grid
+    plan = ProductPlan.fitted(u0.coeffs, v0.coeffs)
+    phi = phi_grid(g, params)
+    a, phi_a = plan.gather(u0.coeffs, 0), plan.gather(phi, 0)
+    b, phi_b = plan.gather(v0.coeffs, 1), plan.gather(phi, 1)
+    cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
+    total = 0.0
+    for w, t in zip(weights, g.t_axis()):
+        if w == 0.0:
+            continue
+        ua = plan.samples(a * np.exp(1j * t * phi_a), 0)
+        ua *= plan.samples(b * np.exp(1j * t * phi_b), 1)
+        total += w * w * float(np.sum(np.abs(ua) ** 2))
+    return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
+
+
+@pytest.mark.parametrize(
+    "step, kind, n",
+    [("2d", "random", 4), ("2d", "random", 32), ("2d", "low-high", 4),
+     ("2d", "low-high", 32), ("3d", "random", 1), ("3d", "random", 8)],
+)
+def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
+    # the real pairs of the strichartz2d/3d sweeps, at the benchmark's sizes
+    s1, s2 = 0.25, 0.1
+    if step == "3d":
+        p, g = DispersionParams(2.0, 2), estimates.strichartz3d_grid(n)
+        eta_hi = min(0.8, 0.4 * g.deta * g.yPoints / 2)
+        seeds = (31, 32)
+    else:
+        p, g = P2, estimates.strichartz2d_grid(n)
+        eta_hi = min(2.0, 0.45 * g.deta * g.yPoints / 2)
+        seeds = (21, 22)
+    if kind == "low-high":
+        u, v = adversarial_pair(kind, n, g, p, seed=0)
+    else:
+        band = BandSpec(kLo=n, kHi=2 * n, etaHi=eta_hi)
+        u, v = (random_field(g, band, np.random.SeedSequence((0, n, s))) for s in seeds)
+    assert ProductPlan.fitted(u.coeffs, v.coeffs).packed
+    denom = sobolev_norm(u, s1, 0.0) * sobolev_norm(v, s2, 0.0)
+    if step == "3d":
+        got = strichartz3d_ratio(u, v, s1, s2, p)
+        w = raised_cosine_window(g)
+    else:
+        cutoff = CutoffSpec(T=1.0)
+        got = strichartz2d_ratio(u, v, s1, s2, cutoff, p)
+        w = cutoff.values(g.t_axis())
+    assert got == pytest.approx(_two_array_lhs(u, v, w, p) / denom, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # adversarial generators
 
@@ -261,8 +313,8 @@ def test_adversarial_determinism_and_errors():
 def test_counterexample_two_routes_agree():
     for n, hw in ((64, 1.0), (128, 1.0), (64, 1.0 / 64.0)):
         cfg = CounterexampleConfig(N=n, halfWidth=hw)
-        a = counterexample_lhs(cfg, P2, 96, route="omega")
-        b = counterexample_lhs(cfg, P2, 96, route="tau")
+        a = counterexample_lhs(cfg, 96, route="omega")
+        b = counterexample_lhs(cfg, 96, route="tau")
         assert abs(a - b) / a <= 0.01
 
 
@@ -271,20 +323,20 @@ def test_counterexample_scaling_collapse():
     vals = []
     for n, hw in ((64, 1.0), (256, 1.0), (64, 0.25)):
         cfg = CounterexampleConfig(N=n, halfWidth=hw)
-        vals.append(counterexample_lhs(cfg, P2, 96) / math.sqrt(n * hw))
+        vals.append(counterexample_lhs(cfg, 96) / math.sqrt(n * hw))
     assert max(vals) / min(vals) < 1.25  # actual collapse is exact to ~1e-15
 
 
 def test_counterexample_vanishing_support():
-    big = counterexample_lhs(CounterexampleConfig(N=64, halfWidth=1.0), P2, 96)
-    small = counterexample_lhs(CounterexampleConfig(N=64, halfWidth=1e-3), P2, 96)
+    big = counterexample_lhs(CounterexampleConfig(N=64, halfWidth=1.0), 96)
+    small = counterexample_lhs(CounterexampleConfig(N=64, halfWidth=1e-3), 96)
     assert small < 0.05 * big
     assert small == pytest.approx(big * math.sqrt(1e-3), rel=1e-6)
 
 
 def test_counterexample_resolution_warning():
     with pytest.warns(UserWarning):
-        counterexample_lhs(CounterexampleConfig(N=64, halfWidth=1.0), P2, 8)
+        counterexample_lhs(CounterexampleConfig(N=64, halfWidth=1.0), 8)
 
 
 def test_counterexample_verdicts():

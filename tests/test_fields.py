@@ -439,6 +439,23 @@ def test_bilinear_ratio_memory_is_the_product_box():
     assert peak < 70 * 2**20, peak
 
 
+def test_bilinear_ratio_memory_is_one_padded_array():
+    # the same call: two real factors share one padded array of the packed
+    # route (30.3 MiB), and the peak was 32.7 MiB; both factors' own arrays
+    # took 60.6 MiB
+    g = bilinear_grid(64)
+    u, v = spacetime_pair("random", 64, g, P3, seed=0)
+    lhs = NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4)
+    rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
+    tracemalloc.start()
+    try:
+        bilinear_ratio(u, v, lhs, rhs, P3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 2**20, peak
+
+
 def test_bourgain_norm_scratch_memory_is_per_tau_block():
     # the doubled grid of the N = 64 bilinear sweep: 65 MiB of coefficients;
     # weighting the whole grid at once allocated 196 MiB of float temporaries
@@ -649,6 +666,22 @@ def _box_coeffs(draw, shape):
     return c
 
 
+@st.composite
+def _hermitian_coeffs(draw, shape):
+    # the coefficients of a real field: exactly Hermitian on a random box
+    # that is symmetric on every axis (so no Nyquist row), with holes
+    c = np.zeros(shape, complex)
+    index = []
+    for n in shape:
+        h = draw(st.integers(0, (n - 1) // 2))
+        index.append(np.arange(-h, h + 1) % n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = np.ix_(*index)
+    size = c[box].shape
+    c[box] = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * (rng.random(size) < 0.7)
+    return (c + np.conj(_mirror(c, range(c.ndim)))) / 2.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fitted_product_matches_direct_convolution(data):
@@ -667,17 +700,77 @@ def test_fitted_product_matches_direct_convolution(data):
         if spacetime
         else (SpectralField, _product_exact, g.deta**y_dims)
     )
-    fa = make(g, data.draw(_box_coeffs(shape), label="a"))
-    pairing = data.draw(st.sampled_from(["two", "same", "zero"]), label="pairing")
-    if pairing == "two":
-        fb = make(g, data.draw(_box_coeffs(shape), label="b"))
+    pairing = data.draw(st.sampled_from(["two", "same", "zero", "hermitian"]), label="pairing")
+    coeffs = _hermitian_coeffs if pairing == "hermitian" else _box_coeffs
+    fa = make(g, data.draw(coeffs(shape), label="a"))
+    if pairing in ("two", "hermitian"):
+        fb = make(g, data.draw(coeffs(shape), label="b"))
     elif pairing == "same":
         fb = fa  # one field twice takes the squared-samples path
     else:
         fb = make(g, np.zeros(shape, complex))
+    # two real fields take the packed route: both factors in one transform
+    packed = pairing == "hermitian" and bool(np.any(fa.coeffs) and np.any(fb.coeffs))
+    doubled = tuple(2 * n for n in shape)
+    assert ProductPlan.fitted(fa.coeffs, fb.coeffs, doubled).packed == packed
     prod = product(fa, fb)
     direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
     assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+def _nudged(c):
+    # c with the real part of its largest coefficient moved by one ulp
+    c = np.array(c)
+    at = np.unravel_index(np.argmax(np.abs(c)), c.shape)
+    c[at] = complex(np.nextafter(c[at].real, np.inf), c[at].imag)
+    return c
+
+
+def _with_nyquist_row(c):
+    # c plus a Hermitian y-Nyquist row: the box reaches -yPoints/2 there
+    c = np.array(c)
+    n = c.shape[-1]
+    row = np.zeros(c.shape[:-1], complex)
+    row[(1,) * row.ndim] = 0.3 + 0.2j
+    row += np.conj(_mirror(row, range(row.ndim)))
+    c[..., n // 2] = row
+    return c
+
+
+@pytest.mark.parametrize("spacetime", [False, True], ids=["spectral", "spacetime"])
+@pytest.mark.parametrize("control", [_nudged, _with_nyquist_row], ids=["one-ulp", "nyquist"])
+def test_packed_route_gate_negative_controls(control, spacetime):
+    # pairs that are nearly real fields take the general route, and their
+    # products still match the direct convolution
+    g = small_grid()
+    band = BandSpec(1, g.kMax // 2, 0.9)
+    make, product, weight = (
+        (st_random_field, _st_product_scattered, g.dtau * g.deta)
+        if spacetime
+        else (random_field, _product_exact, g.deta)
+    )
+    fa, fb = make(g, band, seed=5), make(g, band, seed=6)
+    assert ProductPlan.fitted(fa.coeffs, fb.coeffs).packed
+    fb = type(fb)(g, control(fb.coeffs))
+    assert not ProductPlan.fitted(fa.coeffs, fb.coeffs).packed
+    prod = product(fa, fb)
+    direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
+    assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_packed_route_keeps_each_factor_relative_accuracy():
+    # a factor 1e-9 the size of the other: its rounding error in the shared
+    # transform is scaled with it, so the product is as accurate as on the
+    # general route, which transforms each factor alone
+    g = small_grid()
+    band = BandSpec(1, g.kMax // 2, 0.9)
+    a = st_random_field(g, band, seed=1).coeffs
+    b = st_random_field(g, band, seed=2).coeffs * 1e-9
+    out = product_grid(g).st_shape
+    plan = ProductPlan.fitted(a, b, out)
+    assert plan.packed
+    direct = _direct_convolution(a, b, out)
+    assert np.max(np.abs(plan.product(a, b) - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_fitted_plan_is_sized_to_the_occupied_boxes():
