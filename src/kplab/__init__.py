@@ -4,19 +4,13 @@ __version__ = "0.1.0"
 
 from .symbols import (  # noqa: F401
     DispersionParams,
-    FrequencyPoint,
-    ModulationPoint,
-    ResonanceRecord,
     denom_A,
     denom_B,
-    phase,
     phi0,
     phi1,
     phi2,
     phi3,
     resonance_bounds_audit,
-    resonance_identity,
-    resonance_r,
 )
 from .fields import (  # noqa: F401
     BandSpec,

@@ -213,9 +213,8 @@ def _run_sweep(point_name, cfg, workers, outdir):
 
 
 def _run_counterexample(cfg, workers, outdir):
-    params = DispersionParams(cfg["alpha"], 1)
     report = estimates.counterexample_verdict(
-        cfg["Ns"], cfg["s"], cfg["halfWidthExponent"], params, cfg["quadPoints"]
+        cfg["Ns"], cfg["s"], cfg["halfWidthExponent"], cfg["quadPoints"]
     )
     summary = {
         "fittedExponent": report.fit.exponent,
@@ -372,7 +371,7 @@ _TABLE = {
     ),
     "counterexample": _Subcommand(
         _run_counterexample, ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"], {
-            "alpha": _alpha(2.0),
+            # no alpha: the lhs is measured from the fold, where alpha drops out
             "Ns": _Key([16, 32, 64, 128, 256], [int], *_at_least(3, 8)),
             "s": _Key(0.0, float),
             "halfWidthExponent": _Key(0.0, float),

@@ -180,7 +180,7 @@ def strichartz3d_ratio(u0, v0, s1, s2, params):
 # adversarial data generators
 
 
-def adversarial_pair(kind, N, grid, params, seed):
+def adversarial_pair(kind, N, grid, seed):
     """Band-limited pairs realizing the named frequency-interaction geometry.
 
     comparable:        both factors at x-frequencies +-[N, N+2], transverse
@@ -281,6 +281,10 @@ def counterexample_lhs(cfg, quad_points=96, route="omega"):
     omega^-1); route='tau' integrates in the (eta, tau) variables directly,
     parameterized about the fold to avoid N^(alpha+1)-scale cancellation.
     Both use nested Gauss-Legendre panels and converge to the same value.
+
+    alpha moves only the fold, tau = 2 phi0(N) - eta^2/(2N), and both routes
+    measure from it, so the lhs does not depend on alpha, and neither does
+    the `counterexample` subcommand, which takes no alpha.
     """
     if quad_points < 16:
         warnings.warn(
@@ -333,7 +337,7 @@ class CounterexampleReport:
     rows: tuple  # per N: N, halfWidth, lhs, lhsTauRoute, denominator, value
 
 
-def counterexample_verdict(Ns, s, half_width_exponent, params, quad_points=96):
+def counterexample_verdict(Ns, s, half_width_exponent, quad_points=96):
     """Sweep the ratio lhs / (N^s |I|) with |I| = N^a and fit its growth.
 
     Predicted exponent is 1/2 - s - a/2; the verdict flags 'estimate fails'
@@ -408,7 +412,7 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     return bourgain_norm(SpaceTimeBox(g2, lo, dx), lhs_spec, params) / denom
 
 
-def spacetime_pair(kind, N, grid, params, seed):
+def spacetime_pair(kind, N, grid, seed):
     """Space-time ensemble member for the bilinear sweeps.
 
     random:            independent Hermitian random fields, band [N, 2N],
@@ -423,7 +427,7 @@ def spacetime_pair(kind, N, grid, params, seed):
         v = st_random_field(grid, band, np.random.SeedSequence((seed, N, 12)))
         return u, v
     if kind in ("comparable", "high-high-to-low"):
-        ua, va = adversarial_pair(kind, N, grid, params, seed)
+        ua, va = adversarial_pair(kind, N, grid, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, 13)))
         nt = grid.tPoints
         if kind == "comparable":
@@ -478,7 +482,7 @@ def strichartz2d_point(point):
         u = random_field(grid, band, np.random.SeedSequence((seed, n, 21)))
         v = random_field(grid, band, np.random.SeedSequence((seed, n, 22)))
     else:
-        u, v = adversarial_pair(kind, n, grid, params, seed)
+        u, v = adversarial_pair(kind, n, grid, seed)
     value = strichartz2d_ratio(u, v, point["s1"], point["s2"], cutoff, params)
     return _sample_row(point, kind, value, ("s1", "s2", "alpha"))
 
@@ -498,7 +502,7 @@ def strichartz3d_point(point):
 def bilinear_point(point):
     params = DispersionParams(point["alpha"], 1)
     grid = bilinear_grid(point["N"])
-    u, v = spacetime_pair(point["kind"], point["N"], grid, params, point["seed"])
+    u, v = spacetime_pair(point["kind"], point["N"], grid, point["seed"])
     lhs = NormSpec(
         flavor=point.get("lhsFlavor", "xweighted"),
         s1=point["s1"],

@@ -585,11 +585,12 @@ def occupied_box(c):
 def _axis_runs(n, box, shift, m):
     # frequency q of the box sits at index q mod n of the FFT-ordered array
     # and at position (q - shift) mod m of the padded one; split lo..hi where
-    # either index wraps, so each run is three slices: (box, source, padded)
+    # either index wraps, so each run is three slices: (box, source, padded).
+    # An empty box (lo > hi: a product wholly outside out_shape) has no runs
     q = np.arange(box[0], box[1] + 1)
     src, dst = q % n, (q - shift) % m
     cuts = np.flatnonzero((np.diff(src) != 1) | (np.diff(dst) != 1)) + 1
-    bounds = [0, *cuts.tolist(), q.size]
+    bounds = [0, *cuts.tolist(), q.size] if q.size else [0]
     return [
         (slice(a, b), slice(int(src[a]), int(src[a]) + b - a),
          slice(int(dst[a]), int(dst[a]) + b - a))

@@ -10,6 +10,7 @@ to the transverse scale while A alone stays at N^(alpha+1).  That mismatch
 produces third-derivative growth like t * N^(s - alpha + 9/4) against data
 norm N^(s + 1/4), so the normalized ratio R(N) grows at exponent
 3/2 - alpha - 2s: positive (C^3 failure) exactly below s = 3/4 - alpha/2.
+A and B are `symbols.denom_A` and `symbols.denom_B` on the quadrature lattices.
 
 Two of the four patterns are computed, (+,+,+) and (+,+,-), and two are
 mirrored.  phi0 is odd, so flipping every sign negates both denominators
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import BandExceedsGridError, InsufficientSpanError, InvalidSpecError
 from .estimates import RatioSample, fit_exponent, grows
 from .fields import SpectralField
-from .symbols import phi0, phi1
+from .symbols import denom_A, denom_B, phi0, phi1
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,15 @@ def third_derivative_norm(cfg, params, chunk=32):
     )
     e_out, u = eta_out[rows], u_nodes[cols]
 
-    # both computed patterns have k1 = k2 = N, so they share the fiber denominator A
+    # both computed patterns have k1 = k2 = N, so they share the fiber
+    # denominator A; eta1 + eta2 is the fiber constant u
     k12 = 2 * n
-    pa = 2.0 * phi0(params, n) - phi0(params, k12)
-    eta2 = u_nodes[:, None] - eta1
-    a = pa - eta1**2 / n - eta2**2 / n + (u_nodes**2)[:, None] / k12
+    a = denom_A(params, n, n, eta1**2, (u_nodes[:, None] - eta1) ** 2, (u_nodes**2)[:, None])
 
     per_k = {}
     for k3 in (n, -n):
         kout = k12 + k3
-        pb = phi0(params, k3) + phi0(params, k12) - phi0(params, kout)
-        b = pb - (e_out - u) ** 2 / k3 - u**2 / k12 + e_out**2 / kout
+        b = denom_B(params, n, n, k3, (e_out - u) ** 2, u**2, e_out**2)
         p1 = phi1(1j * t * b)
 
         x = np.zeros(eta_out.size, dtype=complex)

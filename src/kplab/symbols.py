@@ -1,21 +1,21 @@
 """Phase and resonance symbols for the generalized-dispersion KP-II flow.
 
-Everything here is exact frequency-space algebra: the dispersion symbol
-phi0(k) = |k|^alpha k, the full phase phi(k, eta) = phi0(k) - |eta|^2/k, the
-two-frequency resonance function r(k, k1) with its two-sided |k_min||k_max|^alpha
-bounds, the three-frequency denominators A and B on their admissibility sets
-Gamma_1/Gamma_2, and the stable divided-difference family phi1/phi2/phi3 used
-wherever (e^z - 1)/z style factors appear.
-
-All functions accept scalars or numpy arrays and are pure; the audit helpers
-vectorize the exhaustive and sampled checks used by the acceptance suite.
+Everything here is exact frequency-space algebra on numpy arrays: the
+dispersion symbol phi0(k) = |k|^alpha k, the full phase phi(k, eta) =
+phi0(k) - |eta|^2/k, the exhaustive and sampled audits of the resonance
+function r(k, k1) (its two-sided |k_min||k_max|^alpha bounds and the
+resonance identity), the interaction denominators A and B, and the stable
+divided-difference family phi1/phi2/phi3 used wherever (e^z - 1)/z style
+factors appear.  Transverse frequencies enter as squared norms.  Nothing
+checks admissibility: callers form only admissible frequencies, and the
+scalar, checked route through the same algebra is an oracle in the tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrequencyError, InvalidSpecError
+from .errors import InvalidSpecError
 
 
 @dataclass(frozen=True)
@@ -33,44 +33,6 @@ class DispersionParams:
             problems.append(f"yDims must be 1 or 2, got {self.yDims}")
         if problems:
             raise InvalidSpecError(problems)
-
-
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """A single (k, eta) lattice/continuum frequency; eta is a tuple of length yDims."""
-
-    k: int
-    eta: tuple
-
-    def __init__(self, k, eta):
-        object.__setattr__(self, "k", int(k))
-        if np.isscalar(eta):
-            eta = (float(eta),)
-        object.__setattr__(self, "eta", tuple(float(e) for e in eta))
-
-    @property
-    def eta_sq(self):
-        return sum(e * e for e in self.eta)
-
-
-@dataclass(frozen=True)
-class ModulationPoint:
-    """A space-time frequency (tau, k, eta); sigma = tau - phi is recomputed on demand."""
-
-    tau: float
-    point: FrequencyPoint
-
-    def sigma(self, params):
-        return self.tau - phase(params, self.point)
-
-
-@dataclass(frozen=True)
-class ResonanceRecord:
-    r: float
-    transverse: float
-    lhs: float
-    kmin: int
-    kmax: int
 
 
 def phi0(params, k):
@@ -95,44 +57,29 @@ def phase_grid(params, k, eta_sq):
     return phi0(params, k_arr) - np.asarray(eta_sq, dtype=float) / k_arr
 
 
-def phase(params, p):
-    """Full phase at a FrequencyPoint. Rejects k = 0 (mean-zero modes never enter)."""
-    if p.k == 0:
-        raise DegenerateFrequencyError("phase is undefined at k = 0")
-    if len(p.eta) != params.yDims:
-        raise InvalidSpecError(
-            [f"eta has length {len(p.eta)}, expected yDims = {params.yDims}"]
-        )
-    return float(phi0(params, p.k) - p.eta_sq / p.k)
-
-
-def resonance_r(params, k, k1):
-    """Resonance function r(k, k1) = phi0(k) - phi0(k1) - phi0(k - k1).
-
-    k = 0 is permitted (the value is 0 by oddness); k1 = 0 and k = k1 are
-    degenerate and rejected.
-    """
-    if k1 == 0 or k == k1:
-        raise DegenerateFrequencyError(
-            f"resonance_r needs k1 != 0 and k != k1, got k={k}, k1={k1}"
-        )
-    return float(phi0(params, k) - phi0(params, k1) - phi0(params, k - k1))
-
-
 def resonance_constants(params):
     """Lower/upper constants of the two-sided resonance bound."""
     a = params.alpha
     return a / 2.0**a, a + 1.0 + 2.0 ** (-a)
 
 
+def _resonance(params, k, k1):
+    """r(k, k1) = phi0(k) - phi0(k1) - phi0(k - k1) and its scale |k_min||k_max|^alpha.
+
+    k, k1 are integer arrays with k1 != 0 and k != k1; k_min/k_max run over |k|, |k1|, |k - k1|.
+    """
+    k2 = k - k1
+    r = phi0(params, k) - phi0(params, k1) - phi0(params, k2)
+    absk = np.abs(np.stack([k, k1, k2]))
+    kmin = absk.min(axis=0).astype(float)
+    kmax = absk.max(axis=0).astype(float)
+    return r, kmin * np.exp(params.alpha * np.log(kmax))
+
+
 @dataclass(frozen=True)
 class ResonanceAudit:
-    alpha: float
-    kMax: int
     checked: int
     violations: tuple
-    lower_constant: float
-    upper_constant: float
 
     @property
     def ok(self):
@@ -152,15 +99,9 @@ def resonance_bounds_audit(params, kMax):
         raise InvalidSpecError([f"kMax must be >= 2, got {kMax}"])
     ks = np.concatenate([np.arange(-kMax, 0), np.arange(1, kMax + 1)])
     K, K1 = np.meshgrid(ks, ks, indexing="ij")
-    K2 = K - K1
-    admissible = (K2 != 0) & (K != K1)
-    K, K1, K2 = K[admissible], K1[admissible], K2[admissible]
-
-    r = phi0(params, K) - phi0(params, K1) - phi0(params, K2)
-    absk = np.abs(np.stack([K, K1, K2]))
-    kmin = absk.min(axis=0).astype(float)
-    kmax = absk.max(axis=0).astype(float)
-    scale = kmin * np.exp(params.alpha * np.log(kmax))
+    admissible = K != K1  # k and k1 are nonzero by construction
+    K, K1 = K[admissible], K1[admissible]
+    r, scale = _resonance(params, K, K1)
     lo, hi = resonance_constants(params)
 
     bad = (np.abs(r) < lo * scale * (1.0 - 1e-12)) | (
@@ -170,63 +111,11 @@ def resonance_bounds_audit(params, kMax):
         (int(k), int(k1), float(rv), float(lo * s), float(hi * s))
         for k, k1, rv, s in zip(K[bad], K1[bad], r[bad], scale[bad])
     )
-    return ResonanceAudit(params.alpha, kMax, K.size, violations, lo, hi)
-
-
-def transverse_term(k, k1, eta, eta1):
-    """|k*eta1 - k1*eta|^2 / (k k1 (k-k1)), the non-resonant part of the identity.
-
-    eta, eta1 are yDims-vectors; the numerator is the squared euclidean norm of
-    the vector k*eta1 - k1*eta.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
-    num = np.sum((k * eta1 - k1 * eta) ** 2)
-    return float(num / (k * k1 * (k - k1)))
-
-
-def resonance_identity(params, m, m1):
-    """Evaluate sigma_1 + sigma_2 - sigma against r + transverse for a pair.
-
-    m carries (tau, k, eta); m1 carries (tau_1, k_1, eta_1); the second factor
-    lives at (tau - tau_1, k - k_1, eta - eta_1). The returned record has been
-    checked against the identity (1e-12 relative to the largest intermediate)
-    and against the lower modulation bound; violations raise AssertionError.
-    """
-    k, k1 = m.point.k, m1.point.k
-    if k1 == 0 or k == 0 or k == k1:
-        raise DegenerateFrequencyError(
-            f"resonance_identity needs k, k1, k-k1 all nonzero, got k={k}, k1={k1}"
-        )
-    eta = np.asarray(m.point.eta)
-    eta1 = np.asarray(m1.point.eta)
-    p2 = FrequencyPoint(k - k1, tuple(eta - eta1))
-    m2 = ModulationPoint(m.tau - m1.tau, p2)
-
-    sig = m.sigma(params)
-    sig1 = m1.sigma(params)
-    sig2 = m2.sigma(params)
-    lhs = sig1 + sig2 - sig
-
-    r = resonance_r(params, k, k1)
-    trans = transverse_term(k, k1, eta, eta1)
-    absk = [abs(k), abs(k1), abs(k - k1)]
-    kmin, kmax = min(absk), max(absk)
-
-    scale = 1.0 + max(abs(lhs), abs(sig), abs(sig1), abs(sig2))
-    assert abs(lhs - (r + trans)) <= 1e-12 * scale, "resonance identity violated"
-    lo, _ = resonance_constants(params)
-    floor = (lo / 3.0) * kmin * kmax**params.alpha
-    assert max(abs(sig), abs(sig1), abs(sig2)) >= floor * (1.0 - 1e-12), (
-        "modulation lower bound violated"
-    )
-    return ResonanceRecord(r=r, transverse=trans, lhs=lhs, kmin=kmin, kmax=kmax)
+    return ResonanceAudit(K.size, violations)
 
 
 @dataclass(frozen=True)
 class ResonanceSampleAudit:
-    alpha: float
-    samples: int
     max_rel_residual: float
     lower_bound_violations: int
     sign_disagreements: int
@@ -246,14 +135,13 @@ def resonance_sample_audit(params, n, seed):
     d = params.yDims
 
     def draw_k(size):
-        k = rng.integers(1, 129, size=size) * rng.choice([-1, 1], size=size)
-        return k
+        return rng.integers(1, 129, size=size) * rng.choice([-1, 1], size=size)
 
     k = draw_k(n)
     k1 = draw_k(n)
-    # resample the degenerate slots until admissible
+    # resample the degenerate slots (k = k1) until admissible
     while True:
-        bad = (k == k1) | (k == 0) | (k1 == 0)
+        bad = k == k1
         if not bad.any():
             break
         k1[bad] = draw_k(int(bad.sum()))
@@ -270,7 +158,7 @@ def resonance_sample_audit(params, n, seed):
     sig2 = (tau - tau1) - phase_grid(params, k2, np.sum(eta2 * eta2, axis=1))
     lhs = sig1 + sig2 - sig
 
-    r = phi0(params, k) - phi0(params, k1) - phi0(params, k2)
+    r, scale = _resonance(params, k, k1)
     trans = np.sum((k[:, None] * eta1 - k1[:, None] * eta) ** 2, axis=1) / (
         k * k1 * k2
     ).astype(float)
@@ -279,41 +167,23 @@ def resonance_sample_audit(params, n, seed):
     both = (r != 0) & (trans != 0)
     sign_bad = int(np.sum(np.sign(r[both]) != np.sign(trans[both])))
 
-    absk = np.abs(np.stack([k, k1, k2]))
-    kmin = absk.min(axis=0).astype(float)
-    kmax = absk.max(axis=0).astype(float)
     lo, _ = resonance_constants(params)
-    floor = (lo / 3.0) * kmin * np.exp(params.alpha * np.log(kmax))
+    floor = (lo / 3.0) * scale
     maxsig = np.max(np.abs(np.stack([sig, sig1, sig2])), axis=0)
     lb_bad = int(np.sum(maxsig < floor * (1.0 - 1e-12)))
 
     return ResonanceSampleAudit(
-        alpha=params.alpha,
-        samples=n,
         max_rel_residual=float(residual.max()),
         lower_bound_violations=lb_bad,
         sign_disagreements=sign_bad,
     )
 
 
-def _check_gamma1(k1, k2):
-    if k1 == 0 or k2 == 0 or k1 + k2 == 0:
-        raise DegenerateFrequencyError(
-            f"(k1, k2) = ({k1}, {k2}) is outside Gamma_1 "
-            "(needs k1, k2, k1+k2 all nonzero)"
-        )
+def denom_A(params, k1, k2, eta1_sq, eta2_sq, eta12_sq):
+    """A = phi(xi1) + phi(xi2) - phi(xi1 + xi2) on arrays, xi_j = (k_j, eta_j).
 
-
-def _check_gamma2(k1, k2, k3):
-    if k1 == 0 or k2 == 0 or k3 == 0 or k1 + k2 == 0 or k1 + k2 + k3 == 0:
-        raise DegenerateFrequencyError(
-            f"(k1, k2, k3) = ({k1}, {k2}, {k3}) is outside Gamma_2 "
-            "(needs k_j, k1+k2, k1+k2+k3 all nonzero)"
-        )
-
-
-def denom_A_grid(params, k1, k2, eta1_sq, eta2_sq, eta12_sq):
-    """Vectorized A = phi(xi1) + phi(xi2) - phi(xi1+xi2); no admissibility checks."""
+    Takes |eta1|^2, |eta2|^2, |eta1 + eta2|^2; k1, k2, k1 + k2 nonzero (Gamma_1).
+    """
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
     return (
@@ -326,20 +196,12 @@ def denom_A_grid(params, k1, k2, eta1_sq, eta2_sq, eta12_sq):
     )
 
 
-def denom_A(params, k1, k2, eta1, eta2):
-    """First interaction denominator A(k1, k2, eta1, eta2) on Gamma_1."""
-    _check_gamma1(k1, k2)
-    e1 = np.atleast_1d(np.asarray(eta1, dtype=float))
-    e2 = np.atleast_1d(np.asarray(eta2, dtype=float))
-    return float(
-        denom_A_grid(
-            params, k1, k2, np.sum(e1 * e1), np.sum(e2 * e2), np.sum((e1 + e2) ** 2)
-        )
-    )
+def denom_B(params, k1, k2, k3, eta3_sq, eta12_sq, eta123_sq):
+    """B = phi(xi3) + phi(xi1 + xi2) - phi(xi1 + xi2 + xi3) on arrays.
 
-
-def denom_B_grid(params, k1, k2, k3, eta3_sq, eta12_sq, eta123_sq):
-    """Vectorized B = phi(xi3) + phi(xi1+xi2) - phi(xi1+xi2+xi3); no checks."""
+    Takes |eta3|^2, |eta1 + eta2|^2, |eta1 + eta2 + eta3|^2; every k_j, k1 + k2
+    and k1 + k2 + k3 nonzero (Gamma_2).
+    """
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
     k3 = np.asarray(k3, dtype=float)
@@ -352,25 +214,6 @@ def denom_B_grid(params, k1, k2, k3, eta3_sq, eta12_sq, eta123_sq):
         - np.asarray(eta3_sq) / k3
         - np.asarray(eta12_sq) / k12
         + np.asarray(eta123_sq) / k123
-    )
-
-
-def denom_B(params, k1, k2, k3, eta1, eta2, eta3):
-    """Second interaction denominator B(k1, k2, k3, eta_j) on Gamma_2."""
-    _check_gamma2(k1, k2, k3)
-    e1 = np.atleast_1d(np.asarray(eta1, dtype=float))
-    e2 = np.atleast_1d(np.asarray(eta2, dtype=float))
-    e3 = np.atleast_1d(np.asarray(eta3, dtype=float))
-    return float(
-        denom_B_grid(
-            params,
-            k1,
-            k2,
-            k3,
-            np.sum(e3 * e3),
-            np.sum((e1 + e2) ** 2),
-            np.sum((e1 + e2 + e3) ** 2),
-        )
     )
 
 
@@ -427,7 +270,3 @@ def phi3(z):
     """(e^z - 1 - z - z^2/2)/z^3 with a series branch near 0; phi3(0) = 1/6."""
     return _phi_eval(z, 3, lambda w: (np.expm1(w) - w - w**2 / 2.0) / w**3)
 
-
-def phi1_series(z):
-    """Series branch of phi1 exposed for overlap-band verification."""
-    return _phi_series(np.asarray(z, dtype=complex), 1)

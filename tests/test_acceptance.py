@@ -266,10 +266,9 @@ def test_criterion_07_global_bilinear_estimate_3d():
 
 def test_criterion_08_global_estimate_failure_2d():
     t0 = time.time()
-    p = DispersionParams(2.0, 1)
     ns = [16, 32, 64, 128, 256]
-    rep_const = estimates.counterexample_verdict(ns, 0.0, 0.0, p, quad_points=96)
-    rep_shrink = estimates.counterexample_verdict(ns, 0.0, -1.0, p, quad_points=96)
+    rep_const = estimates.counterexample_verdict(ns, 0.0, 0.0, quad_points=96)
+    rep_shrink = estimates.counterexample_verdict(ns, 0.0, -1.0, quad_points=96)
     ok = (
         abs(rep_const.fit.exponent - 0.5) <= 0.15
         and abs(rep_shrink.fit.exponent - 1.0) <= 0.15

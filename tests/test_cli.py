@@ -80,6 +80,8 @@ def test_validation_checks_kinds_per_subcommand():
         ("evolve", {"measureOrder": "no"}, "measureOrder"),
         ("evolve", {"dealias": 1.5}, "dealias"),
         ("picard", {"crossCheck": 1}, "crossCheck"),
+        # the counterexample lhs does not depend on alpha, so it is not a key
+        ("counterexample", {"alpha": 3.0}, "alpha"),
     ],
 )
 def test_validation_rejects_unknown_and_mistyped_keys(subcommand, config, key):

@@ -201,7 +201,7 @@ def test_product_l2_lhs_matches_doubled_grid(kind):
         band = BandSpec(kLo=n, kHi=2 * n, etaHi=2.0)
         u, v = random_field(g, band, seed=21), random_field(g, band, seed=22)
     else:
-        u, v = adversarial_pair(kind, n, g, P2, seed=3)
+        u, v = adversarial_pair(kind, n, g, seed=3)
     w = CutoffSpec(T=1.0).values(g.t_axis())
     got = estimates._product_l2_lhs(u, v, w, P2)
     assert got == pytest.approx(_doubled_grid_lhs(u, v, w, P2), rel=1e-12)
@@ -253,7 +253,7 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
         eta_hi = min(2.0, 0.45 * g.deta * g.yPoints / 2)
         seeds = (21, 22)
     if kind == "low-high":
-        u, v = adversarial_pair(kind, n, g, p, seed=0)
+        u, v = adversarial_pair(kind, n, g, seed=0)
     else:
         band = BandSpec(kLo=n, kHi=2 * n, etaHi=eta_hi)
         u, v = (random_field(g, band, np.random.SeedSequence((0, n, s))) for s in seeds)
@@ -275,7 +275,7 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
 
 def test_adversarial_comparable_band_placement():
     g = make_grid(40, 64, 32 * math.pi, tPoints=16, tWindow=2.0)
-    u, v = adversarial_pair("comparable", 16, g, P2, seed=0)
+    u, v = adversarial_pair("comparable", 16, g, seed=0)
     absk = np.abs(g.k_axis())
     nz = np.any(np.abs(u.coeffs) > 0, axis=1)
     assert np.all((absk[nz] >= 16) & (absk[nz] <= 32))
@@ -285,7 +285,7 @@ def test_adversarial_comparable_band_placement():
 def test_adversarial_high_high_to_low_product_support():
     n = 8
     g = make_grid(4 * n, 32, 16 * math.pi, tPoints=16, tWindow=2.0)
-    u, v = adversarial_pair("high-high-to-low", n, g, P2, seed=1)
+    u, v = adversarial_pair("high-high-to-low", n, g, seed=1)
     g2 = product_grid(g)
     plan = ProductPlan.fitted(u.coeffs, v.coeffs, g2.spatial_shape)
     prod = plan.product(u.coeffs, v.coeffs) * g2.deta
@@ -296,14 +296,14 @@ def test_adversarial_high_high_to_low_product_support():
 
 def test_adversarial_determinism_and_errors():
     g = make_grid(40, 64, 32 * math.pi, tPoints=16, tWindow=2.0)
-    a1 = adversarial_pair("low-high", 16, g, P2, seed=7)
-    a2 = adversarial_pair("low-high", 16, g, P2, seed=7)
+    a1 = adversarial_pair("low-high", 16, g, seed=7)
+    a2 = adversarial_pair("low-high", 16, g, seed=7)
     assert np.array_equal(a1[0].coeffs, a2[0].coeffs)
     assert np.array_equal(a1[1].coeffs, a2[1].coeffs)
     with pytest.raises(BandExceedsGridError):
-        adversarial_pair("high-high-to-low", 32, g, P2, seed=0)
+        adversarial_pair("high-high-to-low", 32, g, seed=0)
     with pytest.raises(InvalidSpecError):
-        adversarial_pair("nonsense", 8, g, P2, seed=0)
+        adversarial_pair("nonsense", 8, g, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +340,19 @@ def test_counterexample_resolution_warning():
 
 
 def test_counterexample_verdicts():
-    rep = counterexample_verdict([16, 32, 64, 128], 0.0, 0.0, P2, quad_points=64)
+    rep = counterexample_verdict([16, 32, 64, 128], 0.0, 0.0, quad_points=64)
     assert 0.35 <= rep.fit.exponent <= 0.65
     assert rep.predicted_exponent == pytest.approx(0.5)
     assert rep.verdict == "estimate fails"
     assert rep.route_agreement <= 0.01
 
-    rep = counterexample_verdict([16, 32, 64, 128], 0.0, -1.0, P2, quad_points=64)
+    rep = counterexample_verdict([16, 32, 64, 128], 0.0, -1.0, quad_points=64)
     assert 0.85 <= rep.fit.exponent <= 1.15
     assert rep.predicted_exponent == pytest.approx(1.0)
     assert rep.verdict == "estimate fails"
 
     with pytest.raises(InsufficientSpanError):
-        counterexample_verdict([16, 32], 0.0, 0.0, P2)
+        counterexample_verdict([16, 32], 0.0, 0.0)
 
 
 def test_counterexample_denominator_law():
@@ -449,9 +449,9 @@ def test_bilinear_ratio_symmetric_in_factors():
 def test_spacetime_pair_kinds():
     g = make_grid(34, 64, 32 * math.pi, tPoints=16, tWindow=2.0)
     for kind in ("random", "comparable", "high-high-to-low"):
-        u, v = spacetime_pair(kind, 16, g, P2, seed=0)
+        u, v = spacetime_pair(kind, 16, g, seed=0)
         assert u.coeffs.shape == g.st_shape
         assert np.max(np.abs(u.coeffs)) > 0
         assert np.all(u.coeffs[:, 0] == 0)
     with pytest.raises(InvalidSpecError):
-        spacetime_pair("junk", 16, g, P2, seed=0)
+        spacetime_pair("junk", 16, g, seed=0)

@@ -345,7 +345,7 @@ def _st_product_scattered(fa, fb):
 def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
     # the old route: d_x as a second array, both norms built densely
     g = bilinear_grid(4)
-    u, v = spacetime_pair(kind, 4, g, P3, seed=2)
+    u, v = spacetime_pair(kind, 4, g, seed=2)
     before = np.array(u.coeffs), np.array(v.coeffs)
     lhs = NormSpec(flavor=flavor, s1=0.2, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
@@ -370,13 +370,13 @@ def _box_case(case):
         return st_random_field(g, band, seed=(30, 1)), st_random_field(g, band, seed=(30, 2))
     g = bilinear_grid(4)
     if case in ("random", "comparable"):
-        return spacetime_pair(case, 4, g, P3, seed=2)
+        return spacetime_pair(case, 4, g, seed=2)
     a, b = np.zeros(g.st_shape, complex), np.zeros(g.st_shape, complex)
     if case == "atom":
         a[3, 5, 2] = 1.0 + 0.5j
         b[-2, -7, -3] = 0.7j
     else:
-        a = np.array(spacetime_pair("random", 4, g, P3, seed=2)[0].coeffs)
+        a = np.array(spacetime_pair("random", 4, g, seed=2)[0].coeffs)
     return SpaceTimeField(g, a), SpaceTimeField(g, b)
 
 
@@ -427,7 +427,7 @@ def test_bilinear_ratio_memory_is_the_product_box():
     # 65 MiB, and the doubled-grid route peaked at 95.7 MiB above the inputs;
     # the box route keeps the two padded sample arrays of the product
     g = bilinear_grid(64)
-    u, v = spacetime_pair("random", 64, g, P3, seed=0)
+    u, v = spacetime_pair("random", 64, g, seed=0)
     lhs = NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
     tracemalloc.start()
@@ -444,7 +444,7 @@ def test_bilinear_ratio_memory_is_one_padded_array():
     # route (30.3 MiB), and the peak was 32.7 MiB; both factors' own arrays
     # took 60.6 MiB
     g = bilinear_grid(64)
-    u, v = spacetime_pair("random", 64, g, P3, seed=0)
+    u, v = spacetime_pair("random", 64, g, seed=0)
     lhs = NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
     tracemalloc.start()
@@ -771,6 +771,23 @@ def test_packed_route_keeps_each_factor_relative_accuracy():
     assert plan.packed
     direct = _direct_convolution(a, b, out)
     assert np.max(np.abs(plan.product(a, b) - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+def test_fitted_product_crops_to_out_shape():
+    # the product's box wholly outside out_shape (here the factors' own
+    # shape, the default) on the y axis: no runs there, and a zero product
+    a = np.zeros((3, 8), complex)
+    a[0, 2] = 1.0
+    assert not np.any(ProductPlan.fitted(a, a).product(a, a))
+    # partly outside on both axes (odd lengths, so no sum lands on a Nyquist
+    # row): the frequencies out_shape holds are the direct convolution's
+    rng = np.random.default_rng(8)
+    a, b = np.zeros((2, 7, 9), complex)
+    a[1:4, 2:5] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b[2:4, 1:4] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    prod = ProductPlan.fitted(a, b).product(a, b)
+    direct = _direct_convolution(a, b, a.shape)
+    assert np.any(direct) and np.max(np.abs(prod - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_fitted_plan_is_sized_to_the_occupied_boxes():

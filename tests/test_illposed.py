@@ -154,7 +154,7 @@ def test_second_derivative_single_point_surrogate():
     w = SpectralField(g, c)
     out = second_derivative(w, t, P2)
 
-    a = denom_A(P2, n, n, 0.0, 0.0)
+    a = denom_A(P2, n, n, 0.0, 0.0, 0.0)
     expect = 2 * n * 1j * t * phi1(1j * t * a) * g.deta * np.exp(
         1j * t * phase_grid(P2, 2.0 * n, 0.0)
     )

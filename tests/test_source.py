@@ -1,0 +1,51 @@
+"""Checks on the library's source text: every function parameter is read."""
+
+import ast
+from pathlib import Path
+
+from kplab import cli
+
+SRC = Path(cli.__file__).resolve().parent
+
+
+def _unread_parameters(source):
+    """(function name, parameter) for every parameter its function's body never reads.
+
+    A read inside a nested function or lambda counts.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(name, p) for p in params if p not in read]
+    return found
+
+
+def test_unread_parameter_check_finds_one():
+    source = "def f(a, b, *args, c=1, **kw):\n    g = lambda x, y: x\n    return a + kw['c']\n"
+    assert _unread_parameters(source) == [
+        ("f", "b"), ("f", "c"), ("f", "args"), ("<lambda>", "y"),
+    ]
+
+
+def test_every_parameter_is_read():
+    # the subcommand runners share one signature, (cfg, workers, outdir),
+    # which `cli.run` calls them with whether or not they use all three
+    runners = {getattr(e.runner, "func", e.runner).__name__ for e in cli._TABLE.values()}
+    shared = {"cfg", "workers", "outdir"}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, param in _unread_parameters(path.read_text(encoding="utf-8")):
+            if not (path.name == "cli.py" and name in runners and param in shared):
+                unread.append(f"{path.name}: {name}({param})")
+    assert unread == []

@@ -2,31 +2,145 @@
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from kplab import symbols
-from kplab.errors import DegenerateFrequencyError
+from kplab.errors import DegenerateFrequencyError, InvalidSpecError
 from kplab.symbols import (
     DispersionParams,
-    FrequencyPoint,
-    ModulationPoint,
     denom_A,
     denom_B,
-    phase,
     phi0,
     phi1,
-    phi1_series,
     phi2,
     phi3,
     resonance_bounds_audit,
     resonance_constants,
-    resonance_identity,
-    resonance_r,
     resonance_sample_audit,
-    transverse_term,
 )
+
+# ---------------------------------------------------------------------------
+# the scalar oracle: one frequency point at a time, every admissibility
+# condition checked, and every intermediate of the resonance identity in view;
+# a second route to what `resonance_sample_audit` checks vectorised
+
+
+@dataclass(frozen=True)
+class FrequencyPoint:
+    """A single (k, eta) lattice/continuum frequency; eta is a tuple of length yDims."""
+
+    k: int
+    eta: tuple
+
+    def __init__(self, k, eta):
+        object.__setattr__(self, "k", int(k))
+        if np.isscalar(eta):
+            eta = (float(eta),)
+        object.__setattr__(self, "eta", tuple(float(e) for e in eta))
+
+    @property
+    def eta_sq(self):
+        return sum(e * e for e in self.eta)
+
+
+@dataclass(frozen=True)
+class ModulationPoint:
+    """A space-time frequency (tau, k, eta); sigma = tau - phi is recomputed on demand."""
+
+    tau: float
+    point: FrequencyPoint
+
+    def sigma(self, params):
+        return self.tau - phase(params, self.point)
+
+
+@dataclass(frozen=True)
+class ResonanceRecord:
+    r: float
+    transverse: float
+    lhs: float
+    kmin: int
+    kmax: int
+
+
+def phase(params, p):
+    """Full phase at a FrequencyPoint. Rejects k = 0 (mean-zero modes never enter)."""
+    if p.k == 0:
+        raise DegenerateFrequencyError("phase is undefined at k = 0")
+    if len(p.eta) != params.yDims:
+        raise InvalidSpecError(
+            [f"eta has length {len(p.eta)}, expected yDims = {params.yDims}"]
+        )
+    return float(phi0(params, p.k) - p.eta_sq / p.k)
+
+
+def resonance_r(params, k, k1):
+    """Resonance function r(k, k1) = phi0(k) - phi0(k1) - phi0(k - k1).
+
+    k = 0 is permitted (the value is 0 by oddness); k1 = 0 and k = k1 are
+    degenerate and rejected.
+    """
+    if k1 == 0 or k == k1:
+        raise DegenerateFrequencyError(
+            f"resonance_r needs k1 != 0 and k != k1, got k={k}, k1={k1}"
+        )
+    return float(phi0(params, k) - phi0(params, k1) - phi0(params, k - k1))
+
+
+def transverse_term(k, k1, eta, eta1):
+    """|k*eta1 - k1*eta|^2 / (k k1 (k-k1)), the non-resonant part of the identity.
+
+    eta, eta1 are yDims-vectors; the numerator is the squared euclidean norm of
+    the vector k*eta1 - k1*eta.
+    """
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
+    num = np.sum((k * eta1 - k1 * eta) ** 2)
+    return float(num / (k * k1 * (k - k1)))
+
+
+def resonance_identity(params, m, m1):
+    """Evaluate sigma_1 + sigma_2 - sigma against r + transverse for a pair.
+
+    m carries (tau, k, eta); m1 carries (tau_1, k_1, eta_1); the second factor
+    lives at (tau - tau_1, k - k_1, eta - eta_1). The returned record has been
+    checked against the identity (1e-12 relative to the largest intermediate)
+    and against the lower modulation bound; violations raise AssertionError.
+    """
+    k, k1 = m.point.k, m1.point.k
+    if k1 == 0 or k == 0 or k == k1:
+        raise DegenerateFrequencyError(
+            f"resonance_identity needs k, k1, k-k1 all nonzero, got k={k}, k1={k1}"
+        )
+    eta = np.asarray(m.point.eta)
+    eta1 = np.asarray(m1.point.eta)
+    p2 = FrequencyPoint(k - k1, tuple(eta - eta1))
+    m2 = ModulationPoint(m.tau - m1.tau, p2)
+
+    sig = m.sigma(params)
+    sig1 = m1.sigma(params)
+    sig2 = m2.sigma(params)
+    lhs = sig1 + sig2 - sig
+
+    r = resonance_r(params, k, k1)
+    trans = transverse_term(k, k1, eta, eta1)
+    absk = [abs(k), abs(k1), abs(k - k1)]
+    kmin, kmax = min(absk), max(absk)
+
+    scale = 1.0 + max(abs(lhs), abs(sig), abs(sig1), abs(sig2))
+    assert abs(lhs - (r + trans)) <= 1e-12 * scale, "resonance identity violated"
+    lo, _ = resonance_constants(params)
+    floor = (lo / 3.0) * kmin * kmax**params.alpha
+    assert max(abs(sig), abs(sig1), abs(sig2)) >= floor * (1.0 - 1e-12), (
+        "modulation lower bound violated"
+    )
+    return ResonanceRecord(r=r, transverse=trans, lhs=lhs, kmin=kmin, kmax=kmax)
+
+
+# ---------------------------------------------------------------------------
 
 P2 = DispersionParams(2.0, 1)
 
@@ -148,38 +262,46 @@ def test_transverse_sign_matches_r():
 
 
 def test_denom_A_values():
-    a = denom_A(P2, 4, 4, 0.0, 0.0)
+    a = denom_A(P2, 4, 4, 0.0, 0.0, 0.0)
     assert a == pytest.approx(-384.0, rel=1e-13)
     assert abs(a) / 4 ** (P2.alpha + 1) == pytest.approx(6.0, rel=1e-13)
-    assert denom_A(P2, 1, 1, 0.0, 0.0) == pytest.approx(-resonance_r(P2, 2, 1), rel=1e-13)
-    with pytest.raises(DegenerateFrequencyError):
-        denom_A(P2, 1, -1, 0.0, 0.0)
+    assert denom_A(P2, 1, 1, 0.0, 0.0, 0.0) == pytest.approx(-resonance_r(P2, 2, 1), rel=1e-13)
 
 
 def test_denom_B_values_and_cancellation():
     n = 4
-    a = denom_A(P2, n, n, 0.0, 0.0)
+    a = denom_A(P2, n, n, 0.0, 0.0, 0.0)
     b = denom_B(P2, n, n, -n, 0.0, 0.0, 0.0)
     assert a + b == pytest.approx(0.0, abs=1e-11)
 
-    # transverse contributions at eta = (1, 1, -1) keep the exact cancellation
-    a = denom_A(P2, 4, 4, 1.0, 1.0)
-    b = denom_B(P2, 4, 4, -4, 1.0, 1.0, -1.0)
+    # transverse contributions at eta = (1, 1, -1) keep the exact cancellation:
+    # |eta1|^2, |eta2|^2, |eta1 + eta2|^2 = 1, 1, 4 and |eta3|^2,
+    # |eta1 + eta2|^2, |eta1 + eta2 + eta3|^2 = 1, 4, 1
+    a = denom_A(P2, 4, 4, 1.0, 1.0, 4.0)
+    b = denom_B(P2, 4, 4, -4, 1.0, 4.0, 1.0)
     assert a == pytest.approx(-384.0, rel=1e-13)
     assert b == pytest.approx(384.0, rel=1e-13)
     assert a + b == pytest.approx(0.0, abs=1e-11)
 
-    # asymmetric transverse data: small but nonzero, bounded by the beta^2 scale
+    # asymmetric transverse data, eta = (1, 0.5, -0.75): small but nonzero,
+    # bounded by the beta^2 scale
     # A = -384 - 1/4 - 1/16 + 9/32, B = 384 + 9/64 - 9/32 + 9/64 (all dyadic)
-    a = denom_A(P2, 4, 4, 1.0, 0.5)
-    b = denom_B(P2, 4, 4, -4, 1.0, 0.5, -0.75)
+    a = denom_A(P2, 4, 4, 1.0, 0.25, 2.25)
+    b = denom_B(P2, 4, 4, -4, 0.5625, 2.25, 0.5625)
     assert a == pytest.approx(-384.03125, rel=1e-13)
     assert b == pytest.approx(384.0, rel=1e-13)
     assert a + b == pytest.approx(-0.03125, rel=1e-9)
     assert 0 < abs(a + b) <= 9 * 0.5**2
 
-    with pytest.raises(DegenerateFrequencyError):
-        denom_B(P2, 1, -1, 1, 0.0, 0.0, 0.0)
+    # the same three cases at once, on arrays
+    eta = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, -1.0], [1.0, 0.5, -0.75]])
+    e1, e2, e3 = eta.T
+    a = denom_A(P2, 4, 4, e1**2, e2**2, (e1 + e2) ** 2)
+    b = denom_B(P2, 4, 4, -4, e3**2, (e1 + e2) ** 2, (e1 + e2 + e3) ** 2)
+    assert a.shape == b.shape == (3,)
+    assert a == pytest.approx([-384.0, -384.0, -384.03125], rel=1e-13)
+    assert b == pytest.approx([384.0, 384.0, 384.0], rel=1e-13)
+    assert a + b == pytest.approx([0.0, 0.0, -0.03125], rel=1e-9, abs=1e-11)
 
 
 def test_phi1_values():
@@ -210,7 +332,7 @@ def test_phi1_series_direct_overlap_band():
     ang = rng.uniform(0, 2 * math.pi, size=2000)
     z = mag * np.exp(1j * ang)
     direct = np.expm1(z) / z
-    series = phi1_series(z)
+    series = symbols._phi_series(z, 1)
     assert np.max(np.abs(series - direct)) < 1e-13
 
 
