@@ -13,7 +13,8 @@ written into the output directory:
                   and provenance (tool version, timestamp, seeds)
 
 Exit codes: 0 on success (and when a declared expectation matches the
-verdict), 2 when the verdict contradicts --expect, 1 on any error.
+verdict), 2 when the verdict contradicts --expect, 1 on any error, which
+includes an --expect on a subcommand that gives no verdict (evolve, picard).
 """
 
 import argparse
@@ -209,7 +210,7 @@ def _run_sweep(point_name, cfg, workers, outdir):
         "perNMax": {str(s.N): s.value for s in fit.samples},
     }
     verdict = "estimate fails" if grows(fit.exponent) else "bounded"
-    return [{k: r[k] for k in _SWEEP_COLUMNS} for r in rows], summary, verdict
+    return rows, summary, verdict
 
 
 def _run_counterexample(cfg, workers, outdir):
@@ -235,17 +236,6 @@ def _run_illposed(cfg, workers, outdir):
         t=cfg["t"],
         etaQuadPoints=cfg["etaQuadPoints"],
     )
-    rows = []
-    for (n, rep, wn), sample in zip(report.samples, report.fit.samples):
-        rows.append(
-            {
-                "N": n,
-                "thirdNorm": rep.total,
-                "restrictedNorm": rep.restricted,
-                "wNorm": wn,
-                "value": sample.value,
-            }
-        )
     summary = {
         "fittedExponent": report.fit.exponent,
         "restrictedExponent": report.restricted_fit.exponent,
@@ -253,7 +243,7 @@ def _run_illposed(cfg, workers, outdir):
         "wNormExponent": report.wnorm_exponent,
         "residual": report.fit.residual,
     }
-    return rows, summary, report.verdict
+    return list(report.rows), summary, report.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +533,13 @@ def main(argv=None):
 
     verdict = envelope["verdict"]
     print(json.dumps({"verdict": verdict, "summary": envelope["summary"]}, default=str))
-    if args.expect and verdict is not None:
+    if args.expect and verdict is None:
+        print(json.dumps({"error": "expectation-uncheckable",
+                          "detail": f"{args.subcommand} gives no verdict to hold "
+                                    f"--expect {args.expect} against"}),
+              file=sys.stderr)
+        return 1
+    if args.expect:
         ok = verdict in ("bounded", "no failure detected")
         if (args.expect == "bounded") != ok:
             return 2

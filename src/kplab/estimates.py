@@ -58,7 +58,6 @@ from .symbols import DispersionParams
 class RatioSample:
     N: int
     value: float
-    meta: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class ScalingFit:
     samples: tuple
     exponent: float
     residual: float
-    intercept: float
 
 
 def fit_exponent(samples):
@@ -96,7 +94,6 @@ def fit_exponent(samples):
         samples=tuple(RatioSample(int(n), float(v)) for n, v in pts),
         exponent=float(slope),
         residual=resid,
-        intercept=float(intercept),
     )
 
 
@@ -112,12 +109,11 @@ def grows(exponent):
 
 
 def _product_l2_lhs(u0, v0, weights, params):
-    # each factor's occupied box is packed at the origin of a smooth-length
-    # grid just large enough for the product, with its phase taken at the
-    # box's own frequencies; the shift changes neither |uv| nor its integral,
-    # which the samples give exactly with the cell (2 pi) L^d / plan.size.
-    # A packed plan (two real fields) gives both factors' samples in one
-    # array, u + i v: phi is odd, so the free flow keeps them real
+    # each factor's box of coefficients, with its phase taken at the box's
+    # own frequencies, on a smooth-length grid just large enough for the
+    # product; the samples give the integral of |uv|^2 exactly with the
+    # cell (2 pi) L^d / plan.size.  phi is odd, so the free flow keeps real
+    # fields real, and the plan fitted to u0, v0 serves every t
     g = u0.grid
     plan = fields.ProductPlan.fitted(u0.coeffs, v0.coeffs)
     phi = fields.phi_grid(g, params)
@@ -129,16 +125,9 @@ def _product_l2_lhs(u0, v0, weights, params):
     for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
-        if plan.packed:
-            uv = plan.pair_samples(a * np.exp(1j * t * phi_a), b * np.exp(1j * t * phi_b))
-            sq = np.multiply(uv.real, uv.imag, out=uv.real)
-            np.square(sq, out=sq)
-        else:
-            ua = plan.samples(a * np.exp(1j * t * phi_a), 0)
-            ub = ua if same else plan.samples(b * np.exp(1j * t * phi_b), 1)
-            ua *= ub
-            sq = np.abs(ua) ** 2
-        total += w * w * float(np.sum(sq))
+        ua = a * np.exp(1j * t * phi_a)
+        ub = ua if same else b * np.exp(1j * t * phi_b)
+        total += w * w * plan.sample_energy(ua, ub)
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 
@@ -382,13 +371,12 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     pointwise multiplication, and forward transform, on a lattice fitted to
     the factors' supports so no coefficient of the product is lost or
     aliased; it is returned on its occupied box of the doubled lattice
-    (`st_product_exact`).  Two real fields (different arrays, symmetric
-    boxes, exactly Hermitian coefficients, as `spacetime_pair` builds the
-    random and comparable members) share one padded array and one inverse
-    transform, u + i v (`fields.ProductPlan`, packed); other pairs get a
-    padded array per distinct factor.  d_x is applied to the box in place, so the box is
-    the one product-sized array live while the lhs norm runs, and the norm's
-    own scratch memory is per tau block: it does not grow with tPoints.
+    (`st_product_exact`, whose `fields.ProductPlan` places every pair alike
+    and alone decides how to form the samples: the random and comparable
+    members of `spacetime_pair` are two real fields and share one inverse
+    transform).  d_x is applied to the box in place, so the box is the one
+    product-sized array live while the lhs norm runs, and the norm's own
+    scratch memory is per tau block: it does not grow with tPoints.
     """
     if lhs_spec.flavor not in ("x", "xweighted", "z"):
         raise InvalidSpecError(
@@ -465,9 +453,9 @@ def bilinear_grid(N):
     return make_grid(2 * N + 2, 64, 32 * math.pi, 1, 32, 2.0)
 
 
-def _sample_row(point, kind, value, keys):
-    row = {"N": point["N"], "kind": kind, "seed": point["seed"], "value": value}
-    return {**row, **{k: point[k] for k in keys}}
+def _sample_row(point, kind, value):
+    # one results.csv row of a ratio sweep
+    return {"N": point["N"], "kind": kind, "seed": point["seed"], "value": value}
 
 
 def strichartz2d_point(point):
@@ -484,7 +472,7 @@ def strichartz2d_point(point):
     else:
         u, v = adversarial_pair(kind, n, grid, seed)
     value = strichartz2d_ratio(u, v, point["s1"], point["s2"], cutoff, params)
-    return _sample_row(point, kind, value, ("s1", "s2", "alpha"))
+    return _sample_row(point, kind, value)
 
 
 def strichartz3d_point(point):
@@ -496,7 +484,7 @@ def strichartz3d_point(point):
     u = random_field(grid, band, np.random.SeedSequence((seed, n, 31)))
     v = random_field(grid, band, np.random.SeedSequence((seed, n, 32)))
     value = strichartz3d_ratio(u, v, point["s1"], point["s2"], params)
-    return _sample_row(point, "random", value, ("s1", "s2", "alpha"))
+    return _sample_row(point, "random", value)
 
 
 def bilinear_point(point):
@@ -504,21 +492,21 @@ def bilinear_point(point):
     grid = bilinear_grid(point["N"])
     u, v = spacetime_pair(point["kind"], point["N"], grid, point["seed"])
     lhs = NormSpec(
-        flavor=point.get("lhsFlavor", "xweighted"),
+        flavor=point["lhsFlavor"],
         s1=point["s1"],
         s2=point["s2"],
         b=point["bPrime"],
         beta=point["beta"],
     )
     rhs = NormSpec(
-        flavor=point.get("rhsFlavor", "xweighted"),
+        flavor=point["rhsFlavor"],
         s1=point["s1"],
         s2=point["s2"],
         b=point["b"],
         beta=point["beta"],
     )
     value = bilinear_ratio(u, v, lhs, rhs, params)
-    return _sample_row(point, point["kind"], value, ("alpha", "s1", "b", "bPrime", "beta"))
+    return _sample_row(point, point["kind"], value)
 
 
 def envelope_fit(rows):

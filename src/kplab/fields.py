@@ -661,39 +661,33 @@ def _transform(a, fft, lines):
 class ProductPlan:
     """Pointwise product of two FFT-ordered coefficient arrays on a padded grid.
 
-    Each factor brings its coefficients over a box of signed frequencies
-    (lo..hi per axis), and frequency q goes to position (q - shift) mod m of a
-    padded axis of length m.  The product of the two sample arrays then holds
-    frequency shift_a + shift_b + p at position p, and `product` writes the
-    frequencies that `out_shape` can hold back at their FFT-ordered indices.
-    A fitted plan's `box_product` instead returns them where they are, as a
-    box of the padded array starting at frequency `out_lo`.  There are three
-    kinds of plan:
+    One placement rule serves every plan: each factor brings its
+    coefficients over a box of signed frequencies (lo..hi per axis), and
+    frequency q goes to position q mod m of a padded axis of length m.
+    `product` writes the product's frequencies that `out_shape` can hold
+    back at their FFT-ordered indices.  There are two kinds of plan:
 
-    * dealiased (`boxes=None`): both factors cover all of `shape` with shift
-      0, so positive frequencies keep their index and negative ones move to
-      the tail, and the product is cropped back to `shape`;
-    * fitted (`ProductPlan.fitted`): each factor's occupied box starts at
-      position 0 (shift = lo), and each axis is the smallest 11-smooth
-      length >= span_a + span_b - 1, so no frequency of the product wraps.
-      Shifting a factor by lo multiplies its samples by the unimodular
-      character e^{-i lo . x}: |ua ub|, and any sum of it over the samples,
-      do not change, and the product's coefficients are the exact
-      convolution, placed at the known offset lo_a + lo_b;
-    * packed (`packed` is True): a fitted plan of two real factors, two
-      different arrays whose boxes are symmetric (lo = -hi on every axis, so
-      no Nyquist row is occupied) and whose coefficients are exactly
-      Hermitian, c[-q] == conj(c[q]).  Their samples are real, so both
-      factors go unshifted (frequency q at position q mod m) into one padded
-      array as A + iB, and one inverse transform gives u in its real part
-      and v in its imaginary part (Numerical Recipes, section 12.3); B goes
-      in scaled by a power of two to A's l2 size, so neither factor's
-      rounding error is set by the other's size.  The real product u v goes
-      back into that array, times the character e^{-i (lo_a + lo_b) . x}, so
-      it holds what the two shifted sample arrays' product holds, and the
-      forward transform and the crop are the fitted plan's.  One padded array is live instead of two.  `product`
-      and `box_product` take this route for two different arrays; one
-      array twice squares its own samples, as on the other plans.
+    * dealiased (`boxes=None`): both factors cover all of `shape`, and the
+      product is cropped back to `shape`;
+    * fitted (`ProductPlan.fitted`): each axis is the smallest 11-smooth
+      length >= span_a + span_b - 1 of the two occupied boxes, so no
+      frequency of the product wraps.  The samples' product is multiplied
+      by the unimodular character e^{-i (lo_a + lo_b) . x}, which moves
+      frequency lo_a + lo_b to position 0, so the product's box starts at
+      the front of the padded array: `box_product` returns it there, in
+      place, from frequency `out_lo`.  |ua ub|, and `sample_energy`, the
+      sum of |ua ub|^2 over the samples, do not depend on the character.
+
+    A plan forms its samples one of three ways.  One array twice squares
+    its own samples.  Two real factors (`packed` is True) share one
+    transform: two different arrays whose boxes are symmetric (lo = -hi on
+    every axis, so no Nyquist row is occupied) and whose coefficients are
+    exactly Hermitian, c[-q] == conj(c[q]), have real samples, so both go
+    into one padded array as A + iB, and one inverse transform gives u in
+    its real part and v in its imaginary part (Numerical Recipes, section
+    12.3).  B goes in scaled by a power of two to A's l2 size, so neither
+    factor's rounding error is set by the other's size.  Other pairs take
+    a padded array each.
 
     The index maps are built once per plan.  On each axis a map is a few runs
     of consecutive indices (two at most: one index wraps at q = 0), so every
@@ -707,13 +701,11 @@ class ProductPlan:
     matters: `evolve`'s `observedOrder` moves by 1e-7 under a rounding-level
     change, and `perfbench/check.py` holds it to 1e-8.  A dealiased plan
     skips about a quarter of the lines (548 of 710 transformed at 65 x 128
-    padded to 99 x 256).  A fitted box fills about half of its pad on each
-    axis, so the inverse transforms skip about as much, while the forward
-    one keeps every line when `out_shape` holds the whole product.
+    padded to 99 x 256); a fitted box fills about half of its pad per axis.
 
-    `samples`, `product` and `box_product` act on the trailing axes, so the
-    arrays may carry leading batch axes (the Picard solver passes blocks of t
-    rows); each slice of a batch gives what it would alone, bit for bit.
+    `product`, `box_product` and `sample_energy` act on the trailing axes,
+    so the arrays may carry leading batch axes (the Picard solver passes
+    blocks of t rows); each slice of a batch gives what it would alone.
 
     No y (or t) origin sign is applied.  Moving the y origin to -L/2 (or the
     t origin to -tWindow) multiplies the coefficients by the character
@@ -729,13 +721,10 @@ class ProductPlan:
         self.out_shape = tuple(shape if out_shape is None else out_shape)
         boxed = boxes is not None
         if not boxed:
-            full = tuple((-(n // 2), (n - 1) // 2) for n in shape)
-            boxes, shifts = (full, full), ((0,) * len(shape),) * 2
-        else:
-            shifts = tuple(tuple(lo for lo, _ in box) for box in boxes)
+            boxes = (tuple((-(n // 2), (n - 1) // 2) for n in shape),) * 2
         factors = [
-            [_axis_runs(*args) for args in zip(shape, box, shift, self.pad_shape)]
-            for box, shift in zip(boxes, shifts)
+            [_axis_runs(n, axis, 0, m) for n, axis, m in zip(shape, box, self.pad_shape)]
+            for box in boxes
         ]
         self._box_shape = [tuple(hi - lo + 1 for lo, hi in box) for box in boxes]
         self._copies = [_copies(runs) for runs in factors]
@@ -744,20 +733,33 @@ class ProductPlan:
             (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
             for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
         ]
-        out_shift = [sa + sb for sa, sb in zip(*shifts)]
+        # where a fitted plan's character moves the product's lowest frequency
+        out_shift = [la + lb if boxed else 0 for (la, _), (lb, _) in zip(*boxes)]
         out = [
             _axis_runs(*args)
             for args in zip(self.out_shape, out_box, out_shift, self.pad_shape)
         ]
         self._crop = _copies(out)
         self._forward = _lines(out, forward=True)
-        # a fitted plan's product box starts at padded position 0 and does
-        # not wrap; a dealiased plan's wraps, so only `product` serves it
         self.out_lo = tuple(lo for lo, _ in out_box)
+        self.packed = False
+        if not boxed:  # the product wraps, so only `product` serves it
+            self._out_box = self._char0 = None
+            return
         self._out_box = (Ellipsis,) + tuple(
             slice(lo - shift, hi - shift + 1) for (lo, hi), shift in zip(out_box, out_shift)
-        ) if boxed else None
-        self.packed = False
+        )
+        # e^{-i shift x_p} per axis, x_p = 2 pi p / m, with the phase's
+        # integer numerator reduced mod m, as an open mesh (np.ix_): the
+        # first axis's alone, and the product of the others' over their
+        # whole padded plane
+        chars = np.ix_(*(
+            np.exp(-2j * math.pi * (shift * np.arange(m) % m) / m)
+            for shift, m in zip(out_shift, self.pad_shape)
+        ))
+        self._char0, self._char_rest = chars[0], np.ones(self.pad_shape[1:], complex)
+        for char in chars[1:]:
+            self._char_rest *= char[0]
 
     @classmethod
     def fitted(cls, a, b, out_shape=None):
@@ -777,105 +779,90 @@ class ProductPlan:
         if b is not a and all(lo == -hi for lo, hi in box_a + box_b):
             energy = [_hermitian_energy(c, box) for c, box in ((a, box_a), (b, box_b))]
             if all(e is not None and 0.0 < e < math.inf for e in energy):
-                balance = (math.frexp(energy[0])[1] - math.frexp(energy[1])[1]) // 2
-                plan._pack(a.shape, (box_a, box_b), balance)
+                # the second factor goes in times 2^balance, to within a
+                # factor 2 of the first's l2 norm, and its samples come out
+                # times 2^-balance: both exact, so each factor's rounding error
+                # in the shared transform stays relative to its own size.  The
+                # inverse lines cover the wider box per axis
+                plan._balance = (math.frexp(energy[0])[1] - math.frexp(energy[1])[1]) // 2
+                reach = [max(ha, hb) for (_, ha), (_, hb) in zip(box_a, box_b)]
+                plan._pair_inverse = _lines(
+                    [_axis_runs(n, (-h, h), 0, m) for n, h, m in zip(a.shape, reach, pad)],
+                    forward=False,
+                )
+                plan.packed = True
         return plan
 
-    def _pack(self, shape, boxes, balance):
-        # unshifted placement of each factor, and the inverse transform's
-        # lines over the wider of the two boxes per axis.  The second factor
-        # goes in times 2^balance, which brings its l2 norm to within a
-        # factor 2 of the first's, and its samples come out times 2^-balance:
-        # both exact, and each factor's rounding error in the shared
-        # transform stays relative to its own size
-        d = len(shape)
-        self._balance = balance
-        self._pair_copies = [
-            _copies([_axis_runs(*args) for args in zip(shape, box, (0,) * d, self.pad_shape)])
-            for box in boxes
-        ]
-        reach = [max(ha, hb) for (_, ha), (_, hb) in zip(*boxes)]
-        self._pair_inverse = _lines(
-            [_axis_runs(n, (-h, h), 0, m) for n, h, m in zip(shape, reach, self.pad_shape)],
-            forward=False,
-        )
-        # e^{-i (lo_a + lo_b) x_p} per axis, x_p = 2 pi p / m, with the
-        # phase's integer numerator reduced mod m: the first axis's alone,
-        # and the product of the others' over their whole padded plane
-        chars = [
-            np.exp(-2j * math.pi * ((la + lb) * np.arange(m) % m) / m).reshape(
-                (-1,) + (1,) * (d - 1 - i)
-            )
-            for i, ((la, _), (lb, _), m) in enumerate(zip(*boxes, self.pad_shape))
-        ]
-        self._char0, self._char_rest = chars[0], np.ones(self.pad_shape[1:], complex)
-        for char in chars[1:]:
-            self._char_rest *= char
-        self.packed = True
-
     def gather(self, c, factor):
-        """The entries of `c` on the box of factor 0 or 1, as `samples` takes them."""
+        """The entries of `c` on the box of factor 0 or 1, as `sample_energy` takes them."""
         lead = c.shape[: c.ndim - len(self.pad_shape)]
         box = np.empty(lead + self._box_shape[factor], dtype=c.dtype)
         for at, src, _ in self._copies[factor]:
             box[at] = c[src]
         return box
 
-    def samples(self, box_coeffs, factor):
-        """Collocation samples sum_q c_q e^{i (q - shift) . x} on the padded lattice."""
-        return self._samples(box_coeffs, factor, 0)
-
-    def _samples(self, c, factor, key):
+    def _place(self, c, factor, key, lines):
+        # factor 0 or 1 of `c` in a zero padded array, frequency q at
+        # position q mod m, then its samples if given the inverse lines;
         # `key` picks the runs' box (0) or source (1) slices to read `c` with
         lead = c.shape[: c.ndim - len(self.pad_shape)]
         big = np.zeros(lead + self.pad_shape, dtype=complex)
         for copy in self._copies[factor]:
             big[copy[2]] = c[copy[key]]
-        _transform(big, np.fft.ifft, self._inverse[factor])
-        big *= self.size
+        if lines:
+            _transform(big, np.fft.ifft, lines)
+            big *= self.size
         return big
 
-    def pair_samples(self, box_a, box_b):
-        """A packed plan's samples of both factors' boxes in one array, u + i v.
-
-        u and v are sum_q c_q e^{i q . x} on the padded lattice, unshifted;
-        they are real when the boxes are exactly Hermitian.
-        """
-        return self._pair_samples(box_a, box_b, 0)
-
-    def _pair_samples(self, a, b, key):
-        lead = a.shape[: a.ndim - len(self.pad_shape)]
-        big = np.zeros(lead + self.pad_shape, dtype=complex)
-        for copy in self._pair_copies[0]:
-            big[copy[2]] = a[copy[key]]
-        for copy in self._pair_copies[1]:
-            at, c = big[copy[2]], b[copy[key]]
+    def _samples(self, a, b, key):
+        # the padded samples u = sum_q a_q e^{i q . x} of `a` and v of `b`,
+        # and the complex array that their product goes into: (u, u, u) for
+        # one array twice, (u + i v, u, v) for two real factors, else
+        # (u, u, v)
+        pair = self.packed and b is not a
+        u = self._place(a, 0, key, None if pair else self._inverse[0])
+        if not pair:
+            return u, u, (u if b is a else self._place(b, 1, key, self._inverse[1]))
+        for copy in self._copies[1]:
+            at, c = u[copy[2]], b[copy[key]]
             at.real -= np.ldexp(c.imag, self._balance)
             at.imag += np.ldexp(c.real, self._balance)
-        _transform(big, np.fft.ifft, self._pair_inverse)
-        big *= self.size
+        _transform(u, np.fft.ifft, self._pair_inverse)
+        u *= self.size
         if self._balance:
-            np.ldexp(big.imag, -self._balance, out=big.imag)
-        return big
+            np.ldexp(u.imag, -self._balance, out=u.imag)
+        return u, u.real, u.imag
 
     def _padded_product(self, a, b):
-        # the product's coefficients times self.size, frequency
-        # shift_a + shift_b + p at position p of the padded lattice
-        if self.packed and b is not a:
+        # the product's coefficients times self.size, frequency q at
+        # position q mod m (dealiased) or q - lo_a - lo_b (fitted)
+        big, u, v = self._samples(a, b, 1)
+        if self._char0 is None:
+            big *= v
+        else:
             # u v times the character, one block of first-axis rows at a
             # time, so each entry of the padded array is read and written once
-            ua = self._pair_samples(a, b, 1)
             d = len(self.pad_shape)
             rows = max(1, _BLOCK_ENTRIES // self._char_rest.size)
             for p in range(0, self.pad_shape[0], rows):
-                block = ua[(Ellipsis, slice(p, p + rows)) + (slice(None),) * (d - 1)]
+                at = (Ellipsis, slice(p, p + rows)) + (slice(None),) * (d - 1)
                 char = self._char0[p : p + rows] * self._char_rest
-                np.multiply(block.real * block.imag, char, out=block)
-        else:
-            ua = self._samples(a, 0, 1)
-            ua *= ua if b is a else self._samples(b, 1, 1)
-        _transform(ua, np.fft.fft, self._forward)
-        return ua
+                np.multiply(u[at] * v[at], char, out=big[at])
+        _transform(big, np.fft.fft, self._forward)
+        return big
+
+    def sample_energy(self, box_a, box_b):
+        """Sum of |u v|^2 over the padded samples u, v of two factors' boxes.
+
+        The boxes are laid out as `gather` returns them; one array twice
+        gives the sum of |u|^4.  No character is applied: it does not
+        change |u v|.
+        """
+        _, u, v = self._samples(box_a, box_b, 0)
+        uv = np.multiply(u, v, out=u)
+        sq = np.abs(uv) if np.iscomplexobj(uv) else uv
+        np.square(sq, out=sq)
+        return float(np.sum(sq))
 
     def product(self, a, b):
         """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""

@@ -10,7 +10,8 @@ to the transverse scale while A alone stays at N^(alpha+1).  That mismatch
 produces third-derivative growth like t * N^(s - alpha + 9/4) against data
 norm N^(s + 1/4), so the normalized ratio R(N) grows at exponent
 3/2 - alpha - 2s: positive (C^3 failure) exactly below s = 3/4 - alpha/2.
-A and B are `symbols.denom_A` and `symbols.denom_B` on the quadrature lattices.
+A and B are `symbols.denom_A` and `symbols.denom_B` on the quadrature
+lattices, and the output phase is `symbols.phase_grid`.
 
 Two of the four patterns are computed, (+,+,+) and (+,+,-), and two are
 mirrored.  phi0 is odd, so flipping every sign negates both denominators
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandExceedsGridError, InsufficientSpanError, InvalidSpecError
-from .estimates import RatioSample, fit_exponent, grows
+from .estimates import fit_exponent, grows
 from .fields import SpectralField
-from .symbols import denom_A, denom_B, phi0, phi1
+from .symbols import denom_A, denom_B, phase_grid, phi1
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def third_derivative_norm(cfg, params, chunk=32):
             bracket = 1j * t * (phi1(z2) - p1[sl, None])
             fib = np.sum(bracket / a_sl, axis=1) * fiber_w[cols[sl]]
             np.add.at(x, rows[sl], fib * delta)
-        x *= (k12 * kout) * np.exp(1j * t * (phi0(params, kout) - eta_out**2 / kout))
+        x *= (k12 * kout) * np.exp(1j * t * phase_grid(params, kout, eta_out**2))
 
         sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))
         per_k[kout] = math.sqrt((2.0 * math.pi) ** 2 * sq)
@@ -176,12 +177,12 @@ def third_derivative_norm(cfg, params, chunk=32):
 
 @dataclass(frozen=True)
 class ScalingVerdict:
-    samples: tuple
     fit: object
     predicted_exponent: float
     verdict: str
     restricted_fit: object
     wnorm_exponent: float
+    rows: tuple  # per N: N, thirdNorm, restrictedNorm, wNorm, value
 
 
 def illposed_scaling(Ns, params, s, betaInterval=0.05, t=0.1, etaQuadPoints=64):
@@ -190,32 +191,30 @@ def illposed_scaling(Ns, params, s, betaInterval=0.05, t=0.1, etaQuadPoints=64):
     Predicted exponent: 3/2 - alpha - 2s.  Verdict 'C3 fails' when the fitted
     exponent exceeds 0.1 (the map cannot be three-times differentiable), else
     'no failure detected'.  Both the full-norm and the k = +-N restricted fits
-    are reported, along with the data-norm exponent (ideal value s + 1/4).
+    are reported, along with the data-norm exponent (ideal value s + 1/4),
+    and `rows` holds each N's results.csv row.
     """
     if len(Ns) < 4:
         raise InsufficientSpanError(f"need >= 4 sweep points, got {len(Ns)}")
     rows = []
-    total_samples, restricted_samples, wnorm_samples = [], [], []
     for n in Ns:
         cfg = IllposedConfig(
             N=int(n), betaInterval=betaInterval, s=s, t=t, etaQuadPoints=etaQuadPoints
         )
         rep = third_derivative_norm(cfg, params)
         wn = wN_norm_exact(cfg, s)
-        total_samples.append(RatioSample(int(n), rep.total / wn**3))
-        restricted_samples.append(RatioSample(int(n), rep.restricted / wn**3))
-        wnorm_samples.append(RatioSample(int(n), wn))
-        rows.append((int(n), rep, wn))
-    fit = fit_exponent(total_samples)
-    rfit = fit_exponent(restricted_samples)
-    wfit = fit_exponent(wnorm_samples)
+        rows.append({"N": int(n), "thirdNorm": rep.total, "restrictedNorm": rep.restricted,
+                     "wNorm": wn, "value": rep.total / wn**3})
+    fit = fit_exponent([(r["N"], r["value"]) for r in rows])
+    rfit = fit_exponent([(r["N"], r["restrictedNorm"] / r["wNorm"] ** 3) for r in rows])
+    wfit = fit_exponent([(r["N"], r["wNorm"]) for r in rows])
     predicted = 1.5 - params.alpha - 2.0 * s
     verdict = "C3 fails" if grows(fit.exponent) else "no failure detected"
     return ScalingVerdict(
-        samples=tuple(rows),
         fit=fit,
         predicted_exponent=predicted,
         verdict=verdict,
         restricted_fit=rfit,
         wnorm_exponent=wfit.exponent,
+        rows=tuple(rows),
     )

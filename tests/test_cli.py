@@ -345,6 +345,20 @@ def test_illposed_expectation_exit_code(tmp_path):
     assert main(["illposed-scaling", "--config", str(cfg), "--expect", "bounded"]) == 2
 
 
+@pytest.mark.parametrize("expect", ["bounded", "fails"])
+def test_expect_without_a_verdict_is_an_error(tmp_path, capsys, expect):
+    # picard gives no verdict, so a declared expectation cannot be checked
+    cfg = tmp_path / "pc.json"
+    cfg.write_text(json.dumps(
+        {"kMax": 4, "yPoints": 16, "yLength": 8 * math.pi, "tPoints": 16,
+         "tWindow": 0.2, "T": 0.05, "iters": 2, "crossCheck": False}
+    ))
+    assert main(["picard", "--config", str(cfg), "--expect", expect]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "expectation-uncheckable"
+    assert expect in error["detail"]
+
+
 def test_evolve_and_picard_runners(tmp_path):
     out = tmp_path / "ev"
     env = run(

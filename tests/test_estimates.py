@@ -37,6 +37,7 @@ from kplab.fields import (
     SpaceTimeField,
     SpectralField,
     make_grid,
+    occupied_box,
     phi_grid,
     product_grid,
     random_field,
@@ -218,10 +219,12 @@ def test_product_l2_lhs_matches_doubled_grid_3d():
 
 
 def _two_array_lhs(u0, v0, weights, params):
-    # oracle: the lhs as formed before two real fields were packed into one
-    # transform, each factor's shifted samples in a padded array of its own
+    # oracle: the lhs on the unpacked plan for the same boxes and pad, each
+    # factor's samples in a padded array of its own
     g = u0.grid
-    plan = ProductPlan.fitted(u0.coeffs, v0.coeffs)
+    packed = ProductPlan.fitted(u0.coeffs, v0.coeffs)
+    boxes = occupied_box(u0.coeffs), occupied_box(v0.coeffs)
+    plan = ProductPlan(u0.coeffs.shape, packed.pad_shape, boxes)
     phi = phi_grid(g, params)
     a, phi_a = plan.gather(u0.coeffs, 0), plan.gather(phi, 0)
     b, phi_b = plan.gather(v0.coeffs, 1), plan.gather(phi, 1)
@@ -230,9 +233,8 @@ def _two_array_lhs(u0, v0, weights, params):
     for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
-        ua = plan.samples(a * np.exp(1j * t * phi_a), 0)
-        ua *= plan.samples(b * np.exp(1j * t * phi_b), 1)
-        total += w * w * float(np.sum(np.abs(ua) ** 2))
+        ua, ub = a * np.exp(1j * t * phi_a), b * np.exp(1j * t * phi_b)
+        total += w * w * plan.sample_energy(ua, ub)
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 

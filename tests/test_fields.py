@@ -846,27 +846,35 @@ def test_product_exact_grid_doubles_bands():
 
 
 class _IxProductPlan:
-    """The padded product as `ProductPlan` formed it with np.ix_ index maps
-    and whole-array ifftn/fftn (the oracle: the plan must match it bit for bit)."""
+    """The padded product as `ProductPlan` forms it, with np.ix_ index maps,
+    whole-array ifftn/fftn and the character applied to the whole array
+    at once (the oracle: the plan must match it bit for bit)."""
 
     def __init__(self, shape, pad_shape, boxes=None, out_shape=None):
         self.pad_shape = tuple(pad_shape)
         self.size = math.prod(self.pad_shape)
         self.out_shape = tuple(shape if out_shape is None else out_shape)
-        if boxes is None:
-            full = tuple((-(n // 2), (n - 1) // 2) for n in shape)
-            boxes, shifts = (full, full), ((0,) * len(shape),) * 2
-        else:
-            shifts = tuple(tuple(lo for lo, _ in box) for box in boxes)
-        self._factors = [
-            self._placement(shape, box, shift) for box, shift in zip(boxes, shifts)
-        ]
+        boxed = boxes is not None
+        if not boxed:
+            boxes = (tuple((-(n // 2), (n - 1) // 2) for n in shape),) * 2
+        # every factor unshifted: frequency q at padded position q mod m
+        self._factors = [self._placement(shape, box, (0,) * len(shape)) for box in boxes]
         out_box = [
             (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
             for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
         ]
-        out_shift = [sa + sb for sa, sb in zip(*shifts)]
+        out_shift = [la + lb if boxed else 0 for (la, _), (lb, _) in zip(*boxes)]
         self._out = self._placement(self.out_shape, out_box, out_shift)
+        # a fitted product is multiplied by e^{-i (lo_a + lo_b) . x}: the
+        # first axis's factor times the product of the others', in axis order
+        chars = [
+            np.exp(-2j * math.pi * (s * np.arange(m) % m) / m)
+            for s, m in zip(out_shift, self.pad_shape)
+        ]
+        rest = np.ones(self.pad_shape[1:], complex)
+        for i, char in enumerate(chars[1:]):
+            rest *= char.reshape((-1,) + (1,) * (len(chars) - 2 - i))
+        self._char = chars[0].reshape((-1,) + (1,) * (len(chars) - 1)) * rest if boxed else None
 
     def _placement(self, shape, box, shift):
         q = [np.arange(lo, hi + 1) for lo, hi in box]
@@ -887,6 +895,8 @@ class _IxProductPlan:
     def product(self, a, b):
         ua = self.samples(self.gather(a, 0), 0)
         ua *= ua if b is a else self.samples(self.gather(b, 1), 1)
+        if self._char is not None:
+            ua *= self._char
         np.fft.fftn(ua, out=ua)
         ua /= self.size
         out = np.zeros(self.out_shape, dtype=complex)
@@ -917,8 +927,10 @@ def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid):
     for second in (b, a):  # a twice takes the squared-samples path
         assert np.array_equal(plan.product(a, second), oracle.product(a, second))
     assert np.array_equal(plan.gather(a, 1), oracle.gather(a, 1))
-    box = plan.gather(a, 0)
-    assert np.array_equal(plan.samples(box, 0), oracle.samples(box, 0))
+    boxes = plan.gather(a, 0), plan.gather(b, 1)
+    _, u, v = plan._samples(*boxes, 0)
+    assert np.array_equal(u, oracle.samples(boxes[0], 0))
+    assert np.array_equal(v, oracle.samples(boxes[1], 1))
 
 
 @pytest.mark.parametrize(
@@ -944,10 +956,13 @@ def test_fitted_plan_is_bit_identical_to_the_ix_route(shape, boxes):
         assert both == (boxes[0], boxes[1] if second is b else boxes[0])
         oracle = _IxProductPlan(shape, plan.pad_shape, both, out_shape)
         assert np.array_equal(plan.product(a, second), oracle.product(a, second))
+        held = [plan.gather(c, factor) for factor, c in enumerate((a, second))]
         for factor, c in enumerate((a, second)):
-            box = plan.gather(c, factor)
-            assert np.array_equal(box, oracle.gather(c, factor))
-            assert np.array_equal(plan.samples(box, factor), oracle.samples(box, factor))
+            assert np.array_equal(held[factor], oracle.gather(c, factor))
+        # a twice is one box, squared: its samples are u = v
+        _, u, v = plan._samples(held[0], held[0] if second is a else held[1], 0)
+        assert np.array_equal(u, oracle.samples(held[0], 0))
+        assert np.array_equal(v, oracle.samples(held[1], 1))
 
 
 def test_plan_batches_match_a_loop_over_their_slices():
