@@ -34,7 +34,6 @@ from .evolution import (  # noqa: F401
 )
 from .estimates import (  # noqa: F401
     CounterexampleConfig,
-    RatioSample,
     ScalingFit,
     adversarial_pair,
     bilinear_ratio,

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__, estimates, evolution, illposed
 from .errors import InvalidSpecError, KPLabError, SweepWorkerError
-from .estimates import envelope_fit, grows
 from .evolution import (CutoffSpec, SolveConfig, _l2_diff, evolve_nonlinear, observed_order,
                         picard_solve, whole_steps)
 from .fields import SpectralField, make_grid, save_field
@@ -203,47 +202,25 @@ def _run_sweep(point_name, cfg, workers, outdir):
     ]
     # looked up at call time, so that a wrapper installed on the module runs
     rows = sweep_parallel(points, getattr(estimates, point_name), workers)
-    fit = envelope_fit(rows)
-    summary = {
-        "fittedExponent": fit.exponent,
-        "residual": fit.residual,
-        "perNMax": {str(s.N): s.value for s in fit.samples},
-    }
-    verdict = "estimate fails" if grows(fit.exponent) else "bounded"
+    summary, verdict = estimates.sweep_verdict(rows)
     return rows, summary, verdict
 
 
 def _run_counterexample(cfg, workers, outdir):
-    report = estimates.counterexample_verdict(
+    return estimates.counterexample_verdict(
         cfg["Ns"], cfg["s"], cfg["halfWidthExponent"], cfg["quadPoints"]
     )
-    summary = {
-        "fittedExponent": report.fit.exponent,
-        "predictedExponent": report.predicted_exponent,
-        "residual": report.fit.residual,
-        "routeAgreement": report.route_agreement,
-    }
-    return list(report.rows), summary, report.verdict
 
 
 def _run_illposed(cfg, workers, outdir):
-    params = DispersionParams(cfg["alpha"], 1)
-    report = illposed.illposed_scaling(
+    return illposed.illposed_scaling(
         cfg["Ns"],
-        params,
+        DispersionParams(cfg["alpha"], 1),
         s=cfg["s"],
         betaInterval=cfg["betaInterval"],
         t=cfg["t"],
         etaQuadPoints=cfg["etaQuadPoints"],
     )
-    summary = {
-        "fittedExponent": report.fit.exponent,
-        "restrictedExponent": report.restricted_fit.exponent,
-        "predictedExponent": report.predicted_exponent,
-        "wNormExponent": report.wnorm_exponent,
-        "residual": report.fit.residual,
-    }
-    return list(report.rows), summary, report.verdict
 
 
 # ---------------------------------------------------------------------------

@@ -55,30 +55,22 @@ from .symbols import DispersionParams
 
 
 @dataclass(frozen=True)
-class RatioSample:
-    N: int
-    value: float
-
-
-@dataclass(frozen=True)
 class ScalingFit:
-    samples: tuple
+    samples: tuple  # the fitted (N, value) pairs
     exponent: float
     residual: float
 
 
 def fit_exponent(samples):
-    """Least squares on (log N, log value); returns slope and RMS residual.
+    """Least squares on (log N, log value) over (N, value) pairs; slope and RMS residual.
 
-    The samples must span at least a factor of 8 in N.
+    The samples must span at least a factor of 8 in N, and every value must
+    be finite and positive.
     """
-    pts = [
-        (s.N, s.value) if isinstance(s, RatioSample) else (s[0], s[1]) for s in samples
-    ]
+    pts = list(samples)
     if len(pts) < 2:
         raise InsufficientSpanError(f"need at least 2 samples, got {len(pts)}")
-    ns = np.array([p[0] for p in pts], dtype=float)
-    vals = np.array([p[1] for p in pts], dtype=float)
+    ns, vals = np.array(pts, dtype=float).T
     if ns.max() < 8.0 * ns.min():
         raise InsufficientSpanError(
             f"N span {ns.min():g}..{ns.max():g} is below the required 8x"
@@ -90,11 +82,7 @@ def fit_exponent(samples):
     x, y = np.log(ns), np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ScalingFit(
-        samples=tuple(RatioSample(int(n), float(v)) for n, v in pts),
-        exponent=float(slope),
-        residual=resid,
-    )
+    return ScalingFit(tuple((int(n), float(v)) for n, v in pts), float(slope), resid)
 
 
 def grows(exponent):
@@ -317,21 +305,14 @@ def counterexample_denominator(cfg, s):
     return 2.0 * cfg.N**s * cfg.halfWidth
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    fit: ScalingFit
-    verdict: str
-    predicted_exponent: float
-    route_agreement: float
-    rows: tuple  # per N: N, halfWidth, lhs, lhsTauRoute, denominator, value
-
-
 def counterexample_verdict(Ns, s, half_width_exponent, quad_points=96):
     """Sweep the ratio lhs / (N^s |I|) with |I| = N^a and fit its growth.
 
-    Predicted exponent is 1/2 - s - a/2; the verdict flags 'estimate fails'
-    when the fitted exponent exceeds 0.1.  Also reports the worst two-route
-    quadrature disagreement across the sweep, and both routes' values per N.
+    Returns the `counterexample` subcommand's (rows, summary, verdict): one
+    row per N with both quadrature routes' values, and `sweep_verdict` on the
+    per-N envelope (an N given twice is fitted once).  The summary adds the
+    predicted exponent 1/2 - s - a/2 and routeAgreement, the worst two-route
+    quadrature disagreement across the sweep.
     """
     if len(Ns) < 3:
         raise InsufficientSpanError(f"need >= 3 sweep points, got {len(Ns)}")
@@ -354,10 +335,10 @@ def counterexample_verdict(Ns, s, half_width_exponent, quad_points=96):
                 "value": lhs / denom,
             }
         )
-    fit = fit_exponent([(r["N"], r["value"]) for r in rows])
-    predicted = 0.5 - s - 0.5 * half_width_exponent
-    verdict = "estimate fails" if grows(fit.exponent) else "bounded"
-    return CounterexampleReport(fit, verdict, predicted, worst, tuple(rows))
+    summary, verdict = sweep_verdict(rows)
+    summary["predictedExponent"] = 0.5 - s - 0.5 * half_width_exponent
+    summary["routeAgreement"] = worst
+    return rows, summary, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +416,7 @@ def spacetime_pair(kind, N, grid, seed):
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers (shared by the CLI and the acceptance suite)
+# sweep points (shared by the CLI and the tests) and the one verdict step
 
 STRICHARTZ2D_KINDS = ("random", "comparable", "high-high-to-low", "low-high")
 BILINEAR_KINDS = ("random", "comparable", "high-high-to-low")
@@ -510,11 +491,27 @@ def bilinear_point(point):
 
 
 def envelope_fit(rows):
-    """Fit the per-N maximum ratio (the empirical operator norm) over a sweep."""
+    """Fit the per-N maximum ratio (the empirical operator norm) over a sweep.
+
+    A non-finite value raises, naming its N: a NaN loses every comparison.
+    """
     best = {}
     for row in rows:
         n, v = int(row["N"]), float(row["value"])
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"sweep value at N={n} is not finite: {v}")
         if n not in best or v > best[n]:
             best[n] = v
-    samples = [RatioSample(n, best[n]) for n in sorted(best)]
-    return fit_exponent(samples)
+    return fit_exponent(sorted(best.items()))
+
+
+def sweep_verdict(rows, fails="estimate fails", holds="bounded"):
+    """The one verdict step: fit the rows' per-N envelope and apply `grows`.
+
+    Returns (summary, verdict); the summary holds fittedExponent, residual
+    and perNMax, the envelope keyed by str(N).
+    """
+    fit = envelope_fit(rows)
+    summary = {"fittedExponent": fit.exponent, "residual": fit.residual,
+               "perNMax": {str(n): v for n, v in fit.samples}}
+    return summary, (fails if grows(fit.exponent) else holds)

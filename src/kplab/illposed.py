@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandExceedsGridError, InsufficientSpanError, InvalidSpecError
-from .estimates import fit_exponent, grows
+from .estimates import fit_exponent, sweep_verdict
 from .fields import SpectralField
 from .symbols import denom_A, denom_B, phase_grid, phi1
 
@@ -175,24 +175,16 @@ def third_derivative_norm(cfg, params, chunk=32):
     return ThirdDerivativeReport(total=total, restricted=restricted, per_k=per_k)
 
 
-@dataclass(frozen=True)
-class ScalingVerdict:
-    fit: object
-    predicted_exponent: float
-    verdict: str
-    restricted_fit: object
-    wnorm_exponent: float
-    rows: tuple  # per N: N, thirdNorm, restrictedNorm, wNorm, value
-
-
 def illposed_scaling(Ns, params, s, betaInterval=0.05, t=0.1, etaQuadPoints=64):
     """Sweep R(N) = ||third derivative||_{H^s} / ||w_N||^3 and fit its exponent.
 
-    Predicted exponent: 3/2 - alpha - 2s.  Verdict 'C3 fails' when the fitted
-    exponent exceeds 0.1 (the map cannot be three-times differentiable), else
-    'no failure detected'.  Both the full-norm and the k = +-N restricted fits
-    are reported, along with the data-norm exponent (ideal value s + 1/4),
-    and `rows` holds each N's results.csv row.
+    Returns the `illposed-scaling` subcommand's (rows, summary, verdict): one
+    row per N, and `sweep_verdict` on the per-N envelope of R (an N given
+    twice is fitted once), 'C3 fails' when the fitted exponent exceeds 0.1
+    (the map cannot be three-times differentiable), else 'no failure
+    detected'.  The summary adds the predicted exponent 3/2 - alpha - 2s, the
+    k = +-N restricted fit's exponent and the data-norm exponent (ideal
+    value s + 1/4).
     """
     if len(Ns) < 4:
         raise InsufficientSpanError(f"need >= 4 sweep points, got {len(Ns)}")
@@ -205,16 +197,9 @@ def illposed_scaling(Ns, params, s, betaInterval=0.05, t=0.1, etaQuadPoints=64):
         wn = wN_norm_exact(cfg, s)
         rows.append({"N": int(n), "thirdNorm": rep.total, "restrictedNorm": rep.restricted,
                      "wNorm": wn, "value": rep.total / wn**3})
-    fit = fit_exponent([(r["N"], r["value"]) for r in rows])
-    rfit = fit_exponent([(r["N"], r["restrictedNorm"] / r["wNorm"] ** 3) for r in rows])
-    wfit = fit_exponent([(r["N"], r["wNorm"]) for r in rows])
-    predicted = 1.5 - params.alpha - 2.0 * s
-    verdict = "C3 fails" if grows(fit.exponent) else "no failure detected"
-    return ScalingVerdict(
-        fit=fit,
-        predicted_exponent=predicted,
-        verdict=verdict,
-        restricted_fit=rfit,
-        wnorm_exponent=wfit.exponent,
-        rows=tuple(rows),
-    )
+    summary, verdict = sweep_verdict(rows, fails="C3 fails", holds="no failure detected")
+    restricted = [(r["N"], r["restrictedNorm"] / r["wNorm"] ** 3) for r in rows]
+    summary["restrictedExponent"] = fit_exponent(restricted).exponent
+    summary["predictedExponent"] = 1.5 - params.alpha - 2.0 * s
+    summary["wNormExponent"] = fit_exponent([(r["N"], r["wNorm"]) for r in rows]).exponent
+    return rows, summary, verdict

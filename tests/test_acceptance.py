@@ -10,16 +10,13 @@ import time
 
 import numpy as np
 
-from kplab import cli, estimates, illposed
-from kplab.estimates import envelope_fit
+from kplab import cli
 from kplab.evolution import (
-    CutoffSpec,
     SolveConfig,
     bump,
     evolve_nonlinear,
     free_evolve,
     observed_order,
-    picard_solve,
 )
 from kplab.fields import (
     BandSpec,
@@ -191,17 +188,14 @@ def test_criterion_04_l2_conservation_and_order():
 
 def test_criterion_05_picard_duhamel_cross_validation():
     t0 = time.time()
-    p = DispersionParams(2.0, 1)
-    grid = make_grid(10, 64, 16 * math.pi, tPoints=128, tWindow=0.2)
-    f0 = _smooth_data(grid, 0.01)
-    res = picard_solve(f0, CutoffSpec(T=0.05), 8, p)
-    traj = evolve_nonlinear(f0, SolveConfig(dt=6.25e-4, T=0.05), p, save_every=10**9)
-    pic = res.at_time(0.05)
-    diff = math.sqrt(
-        grid.xy_measure * np.sum(np.abs(pic.coeffs - traj.final.coeffs) ** 2)
-    )
-    rel = diff / traj.final.l2_norm()
-    diffs = res.diff_norms
+    env = cli.run("picard", {
+        "alpha": 2.0, "kMax": 10, "yPoints": 64, "yLength": 16 * math.pi,
+        "dt": 6.25e-4, "T": 0.05, "amplitude": 0.01, "etaWidth": 1.0,
+        "tPoints": 128, "tWindow": 0.2, "iters": 8, "crossCheck": True,
+    })
+    rel = env["summary"]["crossCheckRelDiff"]
+    diff = env["summary"]["crossCheckL2Diff"]
+    diffs = [row["diffNorm"] for row in env["rows"]]
     geometric = all(
         diffs[i + 1] < diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0
     )
@@ -219,24 +213,19 @@ def test_criterion_05_picard_duhamel_cross_validation():
 
 def test_criterion_06_cutoff_bilinear_estimate_boundedness():
     t0 = time.time()
-    rows = []
-    for n in (8, 16, 32, 64, 128):
-        for kind in estimates.STRICHARTZ2D_KINDS:
-            for seed in (0, 1, 2, 3, 4):
-                rows.append(
-                    estimates.strichartz2d_point(
-                        {"alpha": 2.0, "N": n, "kind": kind, "seed": seed,
-                         "s1": 0.25, "s2": 0.0}
-                    )
-                )
-    fit = envelope_fit(rows)
-    ok = -0.15 <= fit.exponent <= 0.1
+    env = cli.run("strichartz2d", {
+        "alpha": 2.0, "Ns": [8, 16, 32, 64, 128], "seeds": [0, 1, 2, 3, 4],
+        "s1": 0.25, "s2": 0.0,
+        "kinds": ["random", "comparable", "high-high-to-low", "low-high"],
+    })
+    slope = env["summary"]["fittedExponent"]
+    ok = -0.15 <= slope <= 0.1
     report(
         6,
         "time-cutoff bilinear estimate boundedness (2d)",
         ok,
-        f"per-N max slope {fit.exponent:+.4f} over N=8..128, "
-        f"{len(rows)} samples, residual {fit.residual:.3f}",
+        f"per-N max slope {slope:+.4f} over N=8..128, "
+        f"{len(env['rows'])} samples, residual {env['summary']['residual']:.3f}",
         time.time() - t0,
         300.0,
     )
@@ -244,21 +233,16 @@ def test_criterion_06_cutoff_bilinear_estimate_boundedness():
 
 def test_criterion_07_global_bilinear_estimate_3d():
     t0 = time.time()
-    rows = []
-    for n in (4, 8, 16, 32):
-        for seed in (0, 1, 2):
-            rows.append(
-                estimates.strichartz3d_point(
-                    {"alpha": 2.0, "N": n, "seed": seed, "s1": 0.6, "s2": 0.6}
-                )
-            )
-    fit = envelope_fit(rows)
-    ok = fit.exponent <= 0.1
+    env = cli.run("strichartz3d", {
+        "alpha": 2.0, "Ns": [4, 8, 16, 32], "seeds": [0, 1, 2], "s1": 0.6, "s2": 0.6,
+    })
+    slope = env["summary"]["fittedExponent"]
+    ok = slope <= 0.1
     report(
         7,
         "global bilinear estimate boundedness (3d)",
         ok,
-        f"per-N max slope {fit.exponent:+.4f} over N=4..32",
+        f"per-N max slope {slope:+.4f} over N=4..32",
         time.time() - t0,
         300.0,
     )
@@ -266,24 +250,27 @@ def test_criterion_07_global_bilinear_estimate_3d():
 
 def test_criterion_08_global_estimate_failure_2d():
     t0 = time.time()
-    ns = [16, 32, 64, 128, 256]
-    rep_const = estimates.counterexample_verdict(ns, 0.0, 0.0, quad_points=96)
-    rep_shrink = estimates.counterexample_verdict(ns, 0.0, -1.0, quad_points=96)
+    const, shrink = (
+        cli.run("counterexample", {
+            "Ns": [16, 32, 64, 128, 256], "s": 0.0, "halfWidthExponent": a, "quadPoints": 96,
+        })
+        for a in (0.0, -1.0)
+    )
+    agreement = max(const["summary"]["routeAgreement"], shrink["summary"]["routeAgreement"])
     ok = (
-        abs(rep_const.fit.exponent - 0.5) <= 0.15
-        and abs(rep_shrink.fit.exponent - 1.0) <= 0.15
-        and rep_const.verdict == "estimate fails"
-        and rep_shrink.verdict == "estimate fails"
-        and rep_const.route_agreement <= 0.01
-        and rep_shrink.route_agreement <= 0.01
+        abs(const["summary"]["fittedExponent"] - 0.5) <= 0.15
+        and abs(shrink["summary"]["fittedExponent"] - 1.0) <= 0.15
+        and const["verdict"] == "estimate fails"
+        and shrink["verdict"] == "estimate fails"
+        and agreement <= 0.01
     )
     report(
         8,
         "failure of the global 2d estimate",
         ok,
-        f"|I|=1 slope {rep_const.fit.exponent:.4f} (predicted 0.5), "
-        f"|I|=1/N slope {rep_shrink.fit.exponent:.4f} (predicted 1.0), "
-        f"two-route agreement {max(rep_const.route_agreement, rep_shrink.route_agreement):.2e}",
+        f"|I|=1 slope {const['summary']['fittedExponent']:.4f} (predicted 0.5), "
+        f"|I|=1/N slope {shrink['summary']['fittedExponent']:.4f} (predicted 1.0), "
+        f"two-route agreement {agreement:.2e}",
         time.time() - t0,
         120.0,
     )
@@ -291,23 +278,24 @@ def test_criterion_08_global_estimate_failure_2d():
 
 def test_criterion_09_flow_derivative_scaling():
     t0 = time.time()
-    ns = [16, 32, 64, 128]
     results = {}
     for alpha, s in ((2.0, 0.0), (2.0, -0.75), (3.0, -0.5)):
-        p = DispersionParams(alpha, 1)
-        results[(alpha, s)] = illposed.illposed_scaling(ns, p, s=s)
+        results[(alpha, s)] = cli.run("illposed-scaling", {
+            "alpha": alpha, "s": s, "Ns": [16, 32, 64, 128],
+            "betaInterval": 0.05, "t": 0.1, "etaQuadPoints": 64,
+        })
     checks = []
-    for (alpha, s), rep in results.items():
+    for (alpha, s), env in results.items():
         predicted = 1.5 - alpha - 2 * s
-        checks.append(abs(rep.fit.exponent - predicted) <= 0.2)
+        checks.append(abs(env["summary"]["fittedExponent"] - predicted) <= 0.2)
         below_threshold = s < 0.75 - alpha / 2
-        checks.append((rep.verdict == "C3 fails") == below_threshold)
-        checks.append(abs(rep.wnorm_exponent - (s + 0.25)) <= 0.05)
+        checks.append((env["verdict"] == "C3 fails") == below_threshold)
+        checks.append(abs(env["summary"]["wNormExponent"] - (s + 0.25)) <= 0.05)
     ok = all(checks)
     detail = "; ".join(
-        f"(a={a},s={s}): slope {rep.fit.exponent:+.3f} vs {1.5 - a - 2 * s:+.2f}, "
-        f"{rep.verdict}"
-        for (a, s), rep in results.items()
+        f"(a={a},s={s}): slope {env['summary']['fittedExponent']:+.3f} "
+        f"vs {1.5 - a - 2 * s:+.2f}, {env['verdict']}"
+        for (a, s), env in results.items()
     )
     report(9, "third-derivative scaling + verdict flip", ok, detail,
            time.time() - t0, 600.0)
@@ -324,14 +312,11 @@ def test_criterion_10_bourgain_bilinear_spot_checks():
                            "bPrime": -0.45, "beta": 0.0,
                            "lhsFlavor": "x", "rhsFlavor": "x"}),
     ):
-        rows = []
-        for n in (8, 16, 32, 64):
-            for kind in ("random", "comparable", "high-high-to-low"):
-                for seed in (0, 1):
-                    point = dict(params)
-                    point.update({"N": n, "kind": kind, "seed": seed})
-                    rows.append(estimates.bilinear_point(point))
-        slopes[label] = envelope_fit(rows).exponent
+        env = cli.run("bilinear-ratio", {
+            **params, "Ns": [8, 16, 32, 64], "seeds": [0, 1],
+            "kinds": ["random", "comparable", "high-high-to-low"],
+        })
+        slopes[label] = env["summary"]["fittedExponent"]
     ok = all(v <= 0.1 for v in slopes.values())
     report(
         10,
@@ -351,6 +336,8 @@ def test_criterion_11_determinism_across_workers(tmp_path):
         out = tmp_path / f"d{i}"
         cli.run("strichartz2d", cfg, workers=workers, outdir=str(out))
         blobs.append((out / "results.csv").read_bytes())
+    # counterexample reads no --workers, so its pair checks that a serial
+    # rerun is byte-identical
     ce = {"Ns": [16, 32, 64, 128], "quadPoints": 48}
     for i, workers in enumerate((1, 3)):
         out = tmp_path / f"c{i}"

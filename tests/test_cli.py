@@ -259,6 +259,31 @@ def test_envelope_echo_contains_defaults():
     assert env["summary"]["routeAgreement"] <= 0.01
 
 
+# every fitted subcommand, on a small config, with the summary keys it adds
+# to the fit of its per-N envelope
+FITTED_RUNS = [
+    ("strichartz2d", {"Ns": [1, 8], "seeds": [0], "kinds": ["random", "comparable"]}, set()),
+    ("strichartz3d", {"Ns": [1, 8], "seeds": [0, 1]}, set()),
+    ("bilinear-ratio", {"Ns": [1, 8], "seeds": [0], "kinds": ["random", "comparable"]}, set()),
+    ("counterexample", {"Ns": [8, 16, 16, 64], "quadPoints": 16},
+     {"predictedExponent", "routeAgreement"}),
+    ("illposed-scaling", {"Ns": [8, 16, 32, 32, 64], "etaQuadPoints": 32},
+     {"restrictedExponent", "predictedExponent", "wNormExponent"}),
+]
+
+
+@pytest.mark.parametrize("subcommand, config, own_keys", FITTED_RUNS)
+def test_every_fitted_summary_has_one_shape(subcommand, config, own_keys):
+    env = run(subcommand, config)
+    summary = env["summary"]
+    assert set(summary) == {"fittedExponent", "residual", "perNMax"} | own_keys
+    envelope = {}
+    for row in env["rows"]:
+        envelope[str(row["N"])] = max(row["value"], envelope.get(str(row["N"]), row["value"]))
+    assert summary["perNMax"] == envelope
+    assert len(env["rows"]) > len(envelope)  # a maximum over more than one row per N
+
+
 SMALL_SWEEP = {
     "Ns": [8, 64],
     "seeds": [0],

@@ -16,7 +16,6 @@ from kplab.errors import (
 from kplab import estimates
 from kplab.estimates import (
     CounterexampleConfig,
-    RatioSample,
     adversarial_pair,
     bilinear_ratio,
     counterexample_denominator,
@@ -28,6 +27,7 @@ from kplab.estimates import (
     spacetime_pair,
     strichartz2d_ratio,
     strichartz3d_ratio,
+    sweep_verdict,
 )
 from kplab.evolution import CutoffSpec, bump, raised_cosine_window
 from kplab.fields import (
@@ -56,7 +56,7 @@ def test_fit_exponent_basics():
     assert fit_exponent([(10, 1.0), (100, 10.0)]).exponent == pytest.approx(1.0)
     flat = fit_exponent([(8, 3.0), (16, 3.0), (64, 3.0)])
     assert flat.exponent == pytest.approx(0.0, abs=1e-12)
-    syn = fit_exponent([RatioSample(n, 2.5 * n**-0.5) for n in (8, 16, 32, 64)])
+    syn = fit_exponent([(n, 2.5 * n**-0.5) for n in (8, 16, 32, 64)])
     assert syn.exponent == pytest.approx(-0.5, abs=1e-12)
     assert syn.residual < 1e-12
 
@@ -88,9 +88,38 @@ def test_envelope_fit_uses_per_n_max():
         {"N": 64, "value": 0.5},
     ]
     fit = envelope_fit(rows)
-    assert fit.samples[0].value == 3.0
-    assert fit.samples[1].value == 2.9
+    assert fit.samples == ((8, 3.0), (64, 2.9))
     assert fit.exponent == pytest.approx(math.log(2.9 / 3.0) / math.log(8.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_envelope_fit_rejects_a_non_finite_member(bad):
+    # a NaN loses every comparison, so a per-N maximum used to drop it and
+    # fit the remaining members as if it had never been computed
+    rows = [
+        {"N": 8, "value": 1.0},
+        {"N": 8, "value": bad},
+        {"N": 64, "value": 2.0},
+        {"N": 64, "value": bad},
+    ]
+    with pytest.raises(NonFiniteValueError, match="N=8"):
+        envelope_fit(rows)
+    with pytest.raises(NonFiniteValueError, match="N=8"):
+        sweep_verdict(rows)
+
+
+def test_sweep_verdict_summary_and_words():
+    rows = [{"N": 8, "value": 1.0}, {"N": 64, "value": 8.0}, {"N": 64, "value": 0.5}]
+    summary, verdict = sweep_verdict(rows)
+    assert verdict == "estimate fails"
+    assert summary["fittedExponent"] == pytest.approx(1.0)
+    assert summary["perNMax"] == {"8": 1.0, "64": 8.0}
+    assert set(summary) == {"fittedExponent", "residual", "perNMax"}
+    flat = [{"N": 8, "value": 1.0}, {"N": 64, "value": 1.0}]
+    assert sweep_verdict(flat)[1] == "bounded"
+    assert sweep_verdict(flat, fails="C3 fails", holds="no failure detected")[1] == (
+        "no failure detected"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +371,16 @@ def test_counterexample_resolution_warning():
 
 
 def test_counterexample_verdicts():
-    rep = counterexample_verdict([16, 32, 64, 128], 0.0, 0.0, quad_points=64)
-    assert 0.35 <= rep.fit.exponent <= 0.65
-    assert rep.predicted_exponent == pytest.approx(0.5)
-    assert rep.verdict == "estimate fails"
-    assert rep.route_agreement <= 0.01
+    _, summary, verdict = counterexample_verdict([16, 32, 64, 128], 0.0, 0.0, quad_points=64)
+    assert 0.35 <= summary["fittedExponent"] <= 0.65
+    assert summary["predictedExponent"] == pytest.approx(0.5)
+    assert verdict == "estimate fails"
+    assert summary["routeAgreement"] <= 0.01
 
-    rep = counterexample_verdict([16, 32, 64, 128], 0.0, -1.0, quad_points=64)
-    assert 0.85 <= rep.fit.exponent <= 1.15
-    assert rep.predicted_exponent == pytest.approx(1.0)
-    assert rep.verdict == "estimate fails"
+    _, summary, verdict = counterexample_verdict([16, 32, 64, 128], 0.0, -1.0, quad_points=64)
+    assert 0.85 <= summary["fittedExponent"] <= 1.15
+    assert summary["predictedExponent"] == pytest.approx(1.0)
+    assert verdict == "estimate fails"
 
     with pytest.raises(InsufficientSpanError):
         counterexample_verdict([16, 32], 0.0, 0.0)

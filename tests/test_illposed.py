@@ -347,10 +347,10 @@ def test_third_derivative_forms_only_in_band_pairs(monkeypatch):
 
 
 def test_illposed_scaling_smoke_bounded_case():
-    rep = illposed_scaling([16, 32, 64, 128], P2, s=0.0)
-    assert rep.verdict == "no failure detected"
-    assert rep.fit.exponent == pytest.approx(-0.5, abs=0.1)
-    assert rep.wnorm_exponent == pytest.approx(0.25, abs=0.05)
+    _, summary, verdict = illposed_scaling([16, 32, 64, 128], P2, s=0.0)
+    assert verdict == "no failure detected"
+    assert summary["fittedExponent"] == pytest.approx(-0.5, abs=0.1)
+    assert summary["wNormExponent"] == pytest.approx(0.25, abs=0.05)
 
 
 def test_wn_norm_exponent_fit():
