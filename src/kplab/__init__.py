@@ -38,7 +38,6 @@ from .estimates import (  # noqa: F401
     adversarial_pair,
     bilinear_ratio,
     counterexample_lhs,
-    counterexample_verdict,
     fit_exponent,
     strichartz2d_ratio,
     strichartz3d_ratio,
@@ -46,6 +45,5 @@ from .estimates import (  # noqa: F401
 from .illposed import (  # noqa: F401
     IllposedConfig,
     build_wN,
-    illposed_scaling,
     third_derivative_norm,
 )

@@ -187,40 +187,26 @@ def _run_picard(cfg, workers, outdir):
     return rows, summary, None
 
 
-_SWEEP_COLUMNS = ["N", "kind", "seed", "value"]
+def _run_sweep(module, point_name, extra_name, labels, cfg, workers, outdir):
+    """A fitted sweep: `module.<point_name>` makes each row, the verdict step fits them.
 
-
-def _run_sweep(point_name, cfg, workers, outdir):
-    """A ratio sweep over (N, kind, seed) points, fitted by its per-N envelope."""
-    kinds = cfg.get("kinds", ["random"])
-    # rows come back in this (N, kind, seed) order for any worker count
+    `module.<extra_name>` (rows, cfg) -> dict adds the subcommand's own summary
+    keys; `labels` are the verdict's (fails, holds) words.
+    """
+    # one point per (N, kind, seed), in this order for any worker count; a
+    # subcommand without kinds or seeds has one point per N
     points = [
         {**cfg, "N": int(n), "kind": kind, "seed": int(seed) + cfg["baseSeed"]}
         for n in cfg["Ns"]
-        for kind in kinds
-        for seed in cfg["seeds"]
+        for kind in cfg.get("kinds", ["random"])
+        for seed in cfg.get("seeds", [0])
     ]
     # looked up at call time, so that a wrapper installed on the module runs
-    rows = sweep_parallel(points, getattr(estimates, point_name), workers)
-    summary, verdict = estimates.sweep_verdict(rows)
+    rows = sweep_parallel(points, getattr(module, point_name), workers)
+    summary, verdict = estimates.sweep_verdict(rows, *labels)
+    if extra_name:
+        summary.update(getattr(module, extra_name)(rows, cfg))
     return rows, summary, verdict
-
-
-def _run_counterexample(cfg, workers, outdir):
-    return estimates.counterexample_verdict(
-        cfg["Ns"], cfg["s"], cfg["halfWidthExponent"], cfg["quadPoints"]
-    )
-
-
-def _run_illposed(cfg, workers, outdir):
-    return illposed.illposed_scaling(
-        cfg["Ns"],
-        DispersionParams(cfg["alpha"], 1),
-        s=cfg["s"],
-        betaInterval=cfg["betaInterval"],
-        t=cfg["t"],
-        etaQuadPoints=cfg["etaQuadPoints"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +247,10 @@ def _ge(lo):
 
 
 def _at_least(count, lo):
-    """At least `count` values, each >= lo."""
+    """At least `count` distinct values, each >= lo: a repeat would only be computed again."""
     return (
-        lambda v: len(v) >= count and all(n >= lo for n in v),
-        f"(at least {count}, each >= {lo})",
+        lambda v: len(set(v)) == len(v) >= count and all(n >= lo for n in v),
+        f"(at least {count} distinct, each >= {lo})",
     )
 
 
@@ -302,7 +288,8 @@ class _Subcommand(NamedTuple):
 
 def _sweep(point_name, alpha, Ns, seeds, **keys):
     """The entry of an (N, kind, seed) ratio sweep over `estimates.<point_name>`."""
-    return _Subcommand(functools.partial(_run_sweep, point_name), _SWEEP_COLUMNS, {
+    runner = functools.partial(_run_sweep, estimates, point_name, None, ())
+    return _Subcommand(runner, ["N", "kind", "seed", "value"], {
         "alpha": _alpha(alpha),
         "Ns": _Key(Ns, [int], *_at_least(1, 1)),
         "seeds": _Key(seeds, [int], *_at_least(1, 0)),
@@ -337,7 +324,9 @@ _TABLE = {
         s2=_Key(0.6, float, *_ge(0)),
     ),
     "counterexample": _Subcommand(
-        _run_counterexample, ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"], {
+        functools.partial(_run_sweep, estimates, "counterexample_point",
+                          "counterexample_summary", ()),
+        ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"], {
             # no alpha: the lhs is measured from the fold, where alpha drops out
             "Ns": _Key([16, 32, 64, 128, 256], [int], *_at_least(3, 8)),
             "s": _Key(0.0, float),
@@ -356,7 +345,9 @@ _TABLE = {
         kinds=_Key(list(estimates.BILINEAR_KINDS), [str], *_some_of(estimates.BILINEAR_KINDS)),
     ),
     "illposed-scaling": _Subcommand(
-        _run_illposed, ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"], {
+        functools.partial(_run_sweep, illposed, "illposed_point", "illposed_scaling",
+                          ("C3 fails", "no failure detected")),
+        ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"], {
             "alpha": _alpha(2.0),
             "s": _Key(-0.75, float),
             "Ns": _Key([16, 32, 64, 128], [int], *_at_least(4, 8)),

@@ -305,40 +305,27 @@ def counterexample_denominator(cfg, s):
     return 2.0 * cfg.N**s * cfg.halfWidth
 
 
-def counterexample_verdict(Ns, s, half_width_exponent, quad_points=96):
-    """Sweep the ratio lhs / (N^s |I|) with |I| = N^a and fit its growth.
+def counterexample_point(point):
+    """One N's ratio lhs / (N^s |I|), |I| = N^a, with the lhs by both quadrature routes."""
+    n, quad = point["N"], point["quadPoints"]
+    cfg = CounterexampleConfig(N=n, halfWidth=float(n) ** point["halfWidthExponent"])
+    lhs = counterexample_lhs(cfg, quad, route="omega")
+    denom = counterexample_denominator(cfg, point["s"])
+    return {"N": n, "halfWidth": cfg.halfWidth, "lhs": lhs,
+            "lhsTauRoute": counterexample_lhs(cfg, quad, route="tau"),
+            "denominator": denom, "value": lhs / denom}
 
-    Returns the `counterexample` subcommand's (rows, summary, verdict): one
-    row per N with both quadrature routes' values, and `sweep_verdict` on the
-    per-N envelope (an N given twice is fitted once).  The summary adds the
-    predicted exponent 1/2 - s - a/2 and routeAgreement, the worst two-route
-    quadrature disagreement across the sweep.
+
+def counterexample_summary(rows, cfg):
+    """`counterexample`'s own summary keys: the predicted exponent 1/2 - s - a/2 and
+    routeAgreement, the worst two-route quadrature disagreement.
+
+    The verdict step has fitted every row's value, so every lhs is positive.
     """
-    if len(Ns) < 3:
-        raise InsufficientSpanError(f"need >= 3 sweep points, got {len(Ns)}")
-    rows = []
-    worst = 0.0
-    for n in Ns:
-        cfg = CounterexampleConfig(N=int(n), halfWidth=float(n) ** half_width_exponent)
-        lhs = counterexample_lhs(cfg, quad_points, route="omega")
-        alt = counterexample_lhs(cfg, quad_points, route="tau")
-        if lhs > 0:
-            worst = max(worst, abs(alt - lhs) / lhs)
-        denom = counterexample_denominator(cfg, s)
-        rows.append(
-            {
-                "N": int(n),
-                "halfWidth": cfg.halfWidth,
-                "lhs": lhs,
-                "lhsTauRoute": alt,
-                "denominator": denom,
-                "value": lhs / denom,
-            }
-        )
-    summary, verdict = sweep_verdict(rows)
-    summary["predictedExponent"] = 0.5 - s - 0.5 * half_width_exponent
-    summary["routeAgreement"] = worst
-    return rows, summary, verdict
+    return {
+        "predictedExponent": 0.5 - cfg["s"] - 0.5 * cfg["halfWidthExponent"],
+        "routeAgreement": max(abs(r["lhsTauRoute"] - r["lhs"]) / r["lhs"] for r in rows),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ inside an integral over the constant), so indicator edges always fall on cell
 boundaries and the quadrature error is second order with no edge straddling.
 Unimodular prefactors (the i from the x-derivative, integral signs) are
 dropped throughout; only coefficient magnitudes enter the norms.
+
+The `illposed-scaling` subcommand runs `illposed_point` once per N, and its
+verdict is 'C3 fails' when R(N) grows (the map is not three times
+differentiable); `illposed_scaling` adds the summary keys fitted from the rows.
 """
 
 import math
@@ -32,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandExceedsGridError, InsufficientSpanError, InvalidSpecError
-from .estimates import fit_exponent, sweep_verdict
+from .errors import BandExceedsGridError, InvalidSpecError
+from .estimates import fit_exponent
 from .fields import SpectralField
-from .symbols import denom_A, denom_B, phase_grid, phi1
+from .symbols import DispersionParams, denom_A, denom_B, phase_grid, phi1
 
 
 @dataclass(frozen=True)
@@ -175,31 +179,25 @@ def third_derivative_norm(cfg, params, chunk=32):
     return ThirdDerivativeReport(total=total, restricted=restricted, per_k=per_k)
 
 
-def illposed_scaling(Ns, params, s, betaInterval=0.05, t=0.1, etaQuadPoints=64):
-    """Sweep R(N) = ||third derivative||_{H^s} / ||w_N||^3 and fit its exponent.
+def illposed_point(point):
+    """One N's R(N) = ||third derivative||_{H^s} / ||w_N||^3, with the norms it is made of."""
+    cfg = IllposedConfig(N=point["N"], betaInterval=point["betaInterval"], s=point["s"],
+                         t=point["t"], etaQuadPoints=point["etaQuadPoints"])
+    rep = third_derivative_norm(cfg, DispersionParams(point["alpha"], 1))
+    wn = wN_norm_exact(cfg, cfg.s)
+    return {"N": cfg.N, "thirdNorm": rep.total, "restrictedNorm": rep.restricted,
+            "wNorm": wn, "value": rep.total / wn**3}
 
-    Returns the `illposed-scaling` subcommand's (rows, summary, verdict): one
-    row per N, and `sweep_verdict` on the per-N envelope of R (an N given
-    twice is fitted once), 'C3 fails' when the fitted exponent exceeds 0.1
-    (the map cannot be three-times differentiable), else 'no failure
-    detected'.  The summary adds the predicted exponent 3/2 - alpha - 2s, the
-    k = +-N restricted fit's exponent and the data-norm exponent (ideal
-    value s + 1/4).
+
+def illposed_scaling(rows, cfg):
+    """`illposed-scaling`'s own summary keys, fitted from its rows.
+
+    The predicted exponent 3/2 - alpha - 2s, the k = +-N restricted fit's
+    exponent and the data-norm exponent (ideal value s + 1/4).
     """
-    if len(Ns) < 4:
-        raise InsufficientSpanError(f"need >= 4 sweep points, got {len(Ns)}")
-    rows = []
-    for n in Ns:
-        cfg = IllposedConfig(
-            N=int(n), betaInterval=betaInterval, s=s, t=t, etaQuadPoints=etaQuadPoints
-        )
-        rep = third_derivative_norm(cfg, params)
-        wn = wN_norm_exact(cfg, s)
-        rows.append({"N": int(n), "thirdNorm": rep.total, "restrictedNorm": rep.restricted,
-                     "wNorm": wn, "value": rep.total / wn**3})
-    summary, verdict = sweep_verdict(rows, fails="C3 fails", holds="no failure detected")
     restricted = [(r["N"], r["restrictedNorm"] / r["wNorm"] ** 3) for r in rows]
-    summary["restrictedExponent"] = fit_exponent(restricted).exponent
-    summary["predictedExponent"] = 1.5 - params.alpha - 2.0 * s
-    summary["wNormExponent"] = fit_exponent([(r["N"], r["wNorm"]) for r in rows]).exponent
-    return rows, summary, verdict
+    return {
+        "restrictedExponent": fit_exponent(restricted).exponent,
+        "predictedExponent": 1.5 - cfg["alpha"] - 2.0 * cfg["s"],
+        "wNormExponent": fit_exponent([(r["N"], r["wNorm"]) for r in rows]).exponent,
+    }

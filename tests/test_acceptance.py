@@ -336,14 +336,17 @@ def test_criterion_11_determinism_across_workers(tmp_path):
         out = tmp_path / f"d{i}"
         cli.run("strichartz2d", cfg, workers=workers, outdir=str(out))
         blobs.append((out / "results.csv").read_bytes())
-    # counterexample reads no --workers, so its pair checks that a serial
-    # rerun is byte-identical
-    ce = {"Ns": [16, 32, 64, 128], "quadPoints": 48}
-    for i, workers in enumerate((1, 3)):
-        out = tmp_path / f"c{i}"
-        cli.run("counterexample", ce, workers=workers, outdir=str(out))
-        blobs.append((out / "results.csv").read_bytes())
-    ok = blobs[0] == blobs[1] == blobs[2] and blobs[3] == blobs[4]
+    # counterexample and illposed-scaling fan their N out through the same
+    # point runner: each pair holds a serial run against a pooled one
+    for name, subcommand, config in (
+        ("c", "counterexample", {"Ns": [16, 32, 64, 128], "quadPoints": 48}),
+        ("i", "illposed-scaling", {"s": -0.75, "Ns": [16, 32, 64, 128], "etaQuadPoints": 32}),
+    ):
+        for workers in (1, 2):
+            out = tmp_path / f"{name}{workers}"
+            cli.run(subcommand, config, workers=workers, outdir=str(out))
+            blobs.append((out / "results.csv").read_bytes())
+    ok = blobs[0] == blobs[1] == blobs[2] and blobs[3] == blobs[4] and blobs[5] == blobs[6]
     report(
         11,
         "bit-identical CSV across runs and worker counts",

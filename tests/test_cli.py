@@ -82,6 +82,9 @@ def test_validation_checks_kinds_per_subcommand():
         ("picard", {"crossCheck": 1}, "crossCheck"),
         # the counterexample lhs does not depend on alpha, so it is not a key
         ("counterexample", {"alpha": 3.0}, "alpha"),
+        # a repeated seed or alpha would only repeat rows
+        ("strichartz3d", {"seeds": [0, 0]}, "seeds"),
+        ("resonance-audit", {"alphas": [2.0, 3.0, 2.0]}, "alphas"),
     ],
 )
 def test_validation_rejects_unknown_and_mistyped_keys(subcommand, config, key):
@@ -265,9 +268,9 @@ FITTED_RUNS = [
     ("strichartz2d", {"Ns": [1, 8], "seeds": [0], "kinds": ["random", "comparable"]}, set()),
     ("strichartz3d", {"Ns": [1, 8], "seeds": [0, 1]}, set()),
     ("bilinear-ratio", {"Ns": [1, 8], "seeds": [0], "kinds": ["random", "comparable"]}, set()),
-    ("counterexample", {"Ns": [8, 16, 16, 64], "quadPoints": 16},
+    ("counterexample", {"Ns": [8, 16, 64], "quadPoints": 16},
      {"predictedExponent", "routeAgreement"}),
-    ("illposed-scaling", {"Ns": [8, 16, 32, 32, 64], "etaQuadPoints": 32},
+    ("illposed-scaling", {"Ns": [8, 16, 32, 64], "etaQuadPoints": 32},
      {"restrictedExponent", "predictedExponent", "wNormExponent"}),
 ]
 
@@ -281,7 +284,37 @@ def test_every_fitted_summary_has_one_shape(subcommand, config, own_keys):
     for row in env["rows"]:
         envelope[str(row["N"])] = max(row["value"], envelope.get(str(row["N"]), row["value"]))
     assert summary["perNMax"] == envelope
-    assert len(env["rows"]) > len(envelope)  # a maximum over more than one row per N
+    if "seeds" in env["configEcho"]:  # an (N, kind, seed) sweep: a maximum over many rows
+        assert len(env["rows"]) > len(envelope)
+    else:  # one row per N, the only input its Ns rule admits
+        assert len(env["rows"]) == len(envelope)
+
+
+@pytest.mark.parametrize("subcommand", [entry[0] for entry in FITTED_RUNS])
+def test_every_fitted_subcommand_rejects_a_repeated_N(subcommand):
+    # the fit takes one value per N, so a repeated N would be computed again,
+    # and weighted twice by illposed-scaling's fits over every row
+    with pytest.raises(InvalidSpecError) as err:
+        cli._resolve(subcommand, {"Ns": [16, 32, 32, 64, 128]})
+    assert [v.split(":")[0] for v in err.value.violations] == ["Ns"]
+
+
+def test_counterexample_and_illposed_fan_out_over_the_workers(monkeypatch):
+    seen = []
+    fan_out = cli.sweep_parallel
+
+    def recording(points, worker, workers=1):
+        seen.append((worker.__name__, len(points), workers))
+        return fan_out(points, worker, workers)
+
+    monkeypatch.setattr(cli, "sweep_parallel", recording)
+    configs = {subcommand: config for subcommand, config, _ in FITTED_RUNS}
+    serial = run("counterexample", configs["counterexample"])
+    pooled = run("counterexample", configs["counterexample"], workers=2)
+    assert pooled["rows"] == serial["rows"]
+    run("illposed-scaling", configs["illposed-scaling"], workers=2)
+    assert seen == [("counterexample_point", 3, 1), ("counterexample_point", 3, 2),
+                    ("illposed_point", 4, 2)]
 
 
 SMALL_SWEEP = {

@@ -13,14 +13,13 @@ from kplab.errors import (
     NonpositiveValueError,
     ZeroDenominatorError,
 )
-from kplab import estimates
+from kplab import cli, estimates
 from kplab.estimates import (
     CounterexampleConfig,
     adversarial_pair,
     bilinear_ratio,
     counterexample_denominator,
     counterexample_lhs,
-    counterexample_verdict,
     envelope_fit,
     fit_exponent,
     grows,
@@ -371,19 +370,24 @@ def test_counterexample_resolution_warning():
 
 
 def test_counterexample_verdicts():
-    _, summary, verdict = counterexample_verdict([16, 32, 64, 128], 0.0, 0.0, quad_points=64)
+    config = {"Ns": [16, 32, 64, 128], "s": 0.0, "quadPoints": 64}
+    env = cli.run("counterexample", {**config, "halfWidthExponent": 0.0})
+    summary = env["summary"]
     assert 0.35 <= summary["fittedExponent"] <= 0.65
     assert summary["predictedExponent"] == pytest.approx(0.5)
-    assert verdict == "estimate fails"
+    assert env["verdict"] == "estimate fails"
     assert summary["routeAgreement"] <= 0.01
 
-    _, summary, verdict = counterexample_verdict([16, 32, 64, 128], 0.0, -1.0, quad_points=64)
+    env = cli.run("counterexample", {**config, "halfWidthExponent": -1.0})
+    summary = env["summary"]
     assert 0.85 <= summary["fittedExponent"] <= 1.15
     assert summary["predictedExponent"] == pytest.approx(1.0)
-    assert verdict == "estimate fails"
+    assert env["verdict"] == "estimate fails"
 
-    with pytest.raises(InsufficientSpanError):
-        counterexample_verdict([16, 32], 0.0, 0.0)
+    # two N are too few for the fit, and rejected before any quadrature runs
+    with pytest.raises(InvalidSpecError) as err:
+        cli.run("counterexample", {"Ns": [16, 32], "s": 0.0, "halfWidthExponent": 0.0})
+    assert [v.split(":")[0] for v in err.value.violations] == ["Ns"]
 
 
 def test_counterexample_denominator_law():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kplab import fields, illposed
+from kplab import cli, fields, illposed
 from kplab.errors import BandExceedsGridError, InvalidSpecError
 from kplab.evolution import free_evolve
 from kplab.fields import SpectralField, make_grid, sobolev_norm, to_physical
@@ -13,7 +13,6 @@ from kplab.illposed import (
     IllposedConfig,
     ThirdDerivativeReport,
     build_wN,
-    illposed_scaling,
     third_derivative_norm,
     wN_norm_exact,
 )
@@ -347,8 +346,9 @@ def test_third_derivative_forms_only_in_band_pairs(monkeypatch):
 
 
 def test_illposed_scaling_smoke_bounded_case():
-    _, summary, verdict = illposed_scaling([16, 32, 64, 128], P2, s=0.0)
-    assert verdict == "no failure detected"
+    env = cli.run("illposed-scaling", {"alpha": P2.alpha, "s": 0.0, "Ns": [16, 32, 64, 128]})
+    summary = env["summary"]
+    assert env["verdict"] == "no failure detected"
     assert summary["fittedExponent"] == pytest.approx(-0.5, abs=0.1)
     assert summary["wNormExponent"] == pytest.approx(0.25, abs=0.05)
 
