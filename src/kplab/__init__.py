@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .symbols import (  # noqa: F401
     DispersionParams,
     denom_A,
-    denom_B,
     phi0,
     phi1,
     phi2,

@@ -35,7 +35,8 @@ from .errors import InvalidSpecError, KPLabError, SweepWorkerError
 from .evolution import (CutoffSpec, SolveConfig, _l2_diff, evolve_nonlinear, observed_order,
                         picard_solve, whole_steps)
 from .fields import SpectralField, make_grid, save_field
-from .symbols import DispersionParams, resonance_bounds_audit, resonance_sample_audit
+from .symbols import (IDENTITY_TOL, DispersionParams, ResonanceSampleAudit,
+                      resonance_bounds_audit, resonance_sample_audit)
 
 
 def sweep_parallel(points, worker, workers=1):
@@ -87,28 +88,31 @@ def _small_smooth_data(grid, amplitude, eta_width):
 
 
 def _run_resonance_audit(cfg, workers, outdir):
+    """The exhaustive bound audit per alpha, and the sampled audit if identitySamples > 0.
+
+    The verdict fails on any bound violation, any sampled lower-bound or sign
+    failure, or a sampled identity residual above `symbols.IDENTITY_TOL`.
+    """
     rows = []
     for alpha in cfg["alphas"]:
         params = DispersionParams(float(alpha), 1)
         audit = resonance_bounds_audit(params, cfg["kMax"])
-        max_res = 0.0
+        sample = ResonanceSampleAudit(0.0, 0, 0)
         if cfg["identitySamples"]:
-            sample = resonance_sample_audit(
-                params, cfg["identitySamples"], seed=cfg["baseSeed"]
-            )
-            max_res = sample.max_rel_residual
-        rows.append(
-            {
-                "alpha": float(alpha),
-                "kMax": cfg["kMax"],
-                "checked": audit.checked,
-                "violations": len(audit.violations),
-                "maxResidual": max_res,
-            }
-        )
-    total = sum(r["violations"] for r in rows)
-    summary = {"totalViolations": total}
-    return rows, summary, ("bounded" if total == 0 else "estimate fails")
+            sample = resonance_sample_audit(params, cfg["identitySamples"], seed=cfg["baseSeed"])
+        rows.append({
+            "alpha": float(alpha),
+            "kMax": cfg["kMax"],
+            "checked": audit.checked,
+            "violations": len(audit.violations),
+            "maxResidual": sample.max_rel_residual,
+            "lowerBoundViolations": sample.lower_bound_violations,
+            "signDisagreements": sample.sign_disagreements,
+        })
+    total = sum(r["violations"] + r["lowerBoundViolations"] + r["signDisagreements"]
+                for r in rows)
+    ok = total == 0 and all(r["maxResidual"] <= IDENTITY_TOL for r in rows)
+    return rows, {"totalViolations": total}, ("bounded" if ok else "estimate fails")
 
 
 def _order_span(cfg):
@@ -356,7 +360,8 @@ _TABLE = {
             "etaQuadPoints": _Key(64, int, lambda v: v >= 32 and v % 2 == 0, "(even, >= 32)"),
         }),
     "resonance-audit": _Subcommand(
-        _run_resonance_audit, ["alpha", "kMax", "checked", "violations", "maxResidual"], {
+        _run_resonance_audit, ["alpha", "kMax", "checked", "violations", "maxResidual",
+                               "lowerBoundViolations", "signDisagreements"], {
             "alphas": _Key([2.0, 2.5, 3.0, 4.0], [float], *_at_least(1, 2)),
             "kMax": _Key(200, int, *_ge(2)),
             "identitySamples": _Key(0, int, *_ge(0)),
@@ -395,6 +400,15 @@ def _resolve(subcommand, config):
             problems.append(
                 f"T: measureOrder needs min(T, 0.1) = {T!r} to be a multiple of 4*dt = {dt!r}"
             )
+    if {"dt", "T", "tWindow", "tPoints", "crossCheck"} <= valid and cfg["crossCheck"]:
+        # the cross-check steps to T by dt and reads the Picard iterate at t = T
+        if not whole_steps(cfg["T"], cfg["dt"]):
+            problems.append(f"T: crossCheck needs T = {cfg['T']!r} to be a multiple of "
+                            f"dt = {cfg['dt']!r}")
+        spacing = 2.0 * cfg["tWindow"] / cfg["tPoints"]
+        if not whole_steps(cfg["T"], spacing):
+            problems.append(f"T: crossCheck needs T = {cfg['T']!r} on the t lattice, a "
+                            f"multiple of 2*tWindow/tPoints = {spacing!r}")
     if problems:
         raise InvalidSpecError(problems)
     return cfg

@@ -119,38 +119,40 @@ def _product_l2_lhs(u0, v0, weights, params):
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 
-def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
-    """Cutoff bilinear ratio ||psi (e^{itphi}u0)(e^{itphi}v0)|| / (H^s1 x H^s2).
-
-    The product is formed in collocation space on a grid fitted to the two
-    factors' supports (exact, no aliasing) and integrated over the grid's
-    time window; the cutoff must vanish at the window edge.
-    """
-    if u0.grid != v0.grid:
+def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, window):
+    # the body of both ratios: `window(grid)` checks the grid's time window
+    # and gives the time weights of the lhs
+    g = u0.grid
+    if g != v0.grid:
         raise InvalidSpecError(["u0 and v0 must share a grid"])
-    if u0.grid.yDims != 1:
-        raise InvalidSpecError(["the cutoff estimate lives on T x R (yDims = 1)"])
+    if g.yDims != y_dims:
+        raise InvalidSpecError([f"this estimate needs yDims = {y_dims}, got {g.yDims}"])
     if s1 < 0 or s2 < 0:
         raise InvalidSpecError([f"s1, s2 must be >= 0, got {s1}, {s2}"])
     denom = sobolev_norm(u0, s1, 0.0) * sobolev_norm(v0, s2, 0.0)
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the ratio is undefined")
-    cutoff.check_window(u0.grid)
-    w = cutoff.values(u0.grid.t_axis())
-    return _product_l2_lhs(u0, v0, w, params) / denom
+    return _product_l2_lhs(u0, v0, window(g), params) / denom
+
+
+def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
+    """Cutoff bilinear ratio ||psi (e^{itphi}u0)(e^{itphi}v0)|| / (H^s1 x H^s2) on T x R.
+
+    The product is formed in collocation space on a grid fitted to the two
+    factors' supports (exact, no aliasing) and integrated over the grid's
+    time window; the cutoff must vanish at the window edge.
+    """
+
+    def window(grid):
+        cutoff.check_window(grid)
+        return cutoff.values(grid.t_axis())
+
+    return _strichartz_ratio(u0, v0, s1, s2, params, 1, window)
 
 
 def strichartz3d_ratio(u0, v0, s1, s2, params):
     """Global-in-time bilinear ratio on T x R^2 (wide tapered window surrogate)."""
-    if u0.grid != v0.grid:
-        raise InvalidSpecError(["u0 and v0 must share a grid"])
-    if u0.grid.yDims != 2:
-        raise InvalidSpecError(["the global estimate experiment needs yDims = 2"])
-    denom = sobolev_norm(u0, s1, 0.0) * sobolev_norm(v0, s2, 0.0)
-    if denom == 0.0:
-        raise ZeroDenominatorError("zero data: the ratio is undefined")
-    w = raised_cosine_window(u0.grid)
-    return _product_l2_lhs(u0, v0, w, params) / denom
+    return _strichartz_ratio(u0, v0, s1, s2, params, 2, raised_cosine_window)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +165,12 @@ def adversarial_pair(kind, N, grid, seed):
     comparable:        both factors at x-frequencies +-[N, N+2], transverse
                        width 0.35 sqrt(N) (the parabolic packet family);
                        returns the same field twice.
+    random:            two independent real fields on [N, 2N].
     high-high-to-low:  one-sided complex factors on [N, 2N] and [-2N, -N], so
                        the product's x-support is [-N, N].
     low-high:          a low band [1, max(2, N/8)] against [N, 2N].
 
-    The last two are random fields with |eta| <= min(2, 0.45 eta_Nyquist).
+    The last three are random fields with |eta| <= min(2, 0.45 eta_Nyquist).
     """
     eta_nyq = grid.deta * grid.yPoints / 2
     eta_hi = min(2.0, 0.45 * eta_nyq)
@@ -189,22 +192,22 @@ def adversarial_pair(kind, N, grid, seed):
         fields._zero_nyquist(c, grid)
         u = SpectralField(grid, c)
         return u, u
-    if kind == "high-high-to-low":
-        if 2 * N > grid.kMax:
-            raise BandExceedsGridError(f"band [N, 2N] needs kMax >= {2 * N}")
-        band = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
-        u = random_field(grid, band, np.random.SeedSequence((seed, N, 1)), side="+")
-        v = random_field(grid, band, np.random.SeedSequence((seed, N, 2)), side="-")
-        return u, v
-    if kind == "low-high":
-        if 2 * N > grid.kMax:
-            raise BandExceedsGridError(f"band [N, 2N] needs kMax >= {2 * N}")
-        lo = BandSpec(kLo=1, kHi=max(2, N // 8), etaHi=eta_hi)
-        hi = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
-        u = random_field(grid, lo, np.random.SeedSequence((seed, N, 3)))
-        v = random_field(grid, hi, np.random.SeedSequence((seed, N, 4)))
-        return u, v
-    raise InvalidSpecError([f"unknown adversarial kind {kind!r}"])
+    hi = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
+    lo = BandSpec(kLo=1, kHi=max(2, N // 8), etaHi=eta_hi)
+    # each factor's (band, side, seed tag)
+    factors = {
+        "random": ((hi, None, 21), (hi, None, 22)),
+        "high-high-to-low": ((hi, "+", 1), (hi, "-", 2)),
+        "low-high": ((lo, None, 3), (hi, None, 4)),
+    }
+    if kind not in factors:
+        raise InvalidSpecError([f"unknown adversarial kind {kind!r}"])
+    if 2 * N > grid.kMax:
+        raise BandExceedsGridError(f"band [N, 2N] needs kMax >= {2 * N}")
+    return tuple(
+        random_field(grid, band, np.random.SeedSequence((seed, N, tag)), side=side)
+        for band, side, tag in factors[kind]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +434,9 @@ def strichartz2d_point(point):
     params = DispersionParams(point["alpha"], 1)
     grid = strichartz2d_grid(point["N"])
     cutoff = CutoffSpec(T=1.0)
-    kind, seed, n = point["kind"], point["seed"], point["N"]
-    if kind == "random":
-        eta_nyq = grid.deta * grid.yPoints / 2
-        band = BandSpec(kLo=n, kHi=2 * n, etaHi=min(2.0, 0.45 * eta_nyq))
-        u = random_field(grid, band, np.random.SeedSequence((seed, n, 21)))
-        v = random_field(grid, band, np.random.SeedSequence((seed, n, 22)))
-    else:
-        u, v = adversarial_pair(kind, n, grid, seed)
+    u, v = adversarial_pair(point["kind"], point["N"], grid, point["seed"])
     value = strichartz2d_ratio(u, v, point["s1"], point["s2"], cutoff, params)
-    return _sample_row(point, kind, value)
+    return _sample_row(point, point["kind"], value)
 
 
 def strichartz3d_point(point):

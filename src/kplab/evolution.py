@@ -298,14 +298,11 @@ class PicardResult:
     coeffs: np.ndarray  # (tPoints, ...) final iterate over the whole lattice
     diff_norms: list  # sup-in-t L2 norm of successive iterate differences
 
-    def snapshot(self, index):
-        return SpectralField(self.grid, self.coeffs[index])
-
     def at_time(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > 1e-9:
             raise InvalidSpecError([f"t = {t} is not on the time lattice"])
-        return self.snapshot(idx)
+        return SpectralField(self.grid, self.coeffs[idx])
 
 
 def picard_solve(f, cutoff, iters, params):

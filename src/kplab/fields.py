@@ -247,19 +247,6 @@ class SpaceTimeBox:
         )
 
 
-def _alt_signs(n):
-    # (-1)^q along an FFT-ordered axis, from the -L/2 (or -tWindow) origin shift
-    q = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    return np.where(q % 2 == 0, 1.0, -1.0)
-
-
-def _y_sign_array(grid):
-    s = _alt_signs(grid.yPoints)
-    if grid.yDims == 1:
-        return s
-    return s[:, None] * s[None, :]
-
-
 def project_mean_zero(f):
     """Zero the k = 0 plane; idempotent, touches nothing else."""
     c = np.array(f.coeffs)
@@ -270,43 +257,54 @@ def project_mean_zero(f):
     return SpectralField(f.grid, c)
 
 
+def _origin_step(a, g, to_samples, axes=None):
+    """Coefficients of a field (or a space-time field) <-> its collocation samples.
+
+    The one step where the synthesis convention meets numpy's transforms:
+    the character (-1)^q of the y origin at -L/2 (and of the t origin at
+    -tWindow), the lattice weight deta^d (times dtau), and numpy's 1/n,
+    which the samples take back.  `axes` are the transformed ones (all by
+    default); `to_samples=False` is the exact inverse, from samples of
+    either shape.
+    """
+    st = a.ndim == 2 + g.yDims
+    if not to_samples and a.shape not in (g.spatial_shape, g.st_shape):
+        raise ShapeMismatchError(f"sample shape {a.shape} fits neither grid shape")
+    # on these even-length axes q and its FFT index have the same parity
+    ys = 1.0 - 2.0 * (np.arange(g.yPoints) % 2)
+    signs = [ys if g.yDims == 1 else ys[:, None] * ys[None, :]]
+    if st:
+        ts = 1.0 - 2.0 * (np.arange(g.tPoints) % 2)
+        signs.insert(0, ts.reshape((-1,) + (1,) * (1 + g.yDims)))
+    weight = g.dtau * g.deta**g.yDims if st else g.deta**g.yDims
+    n = math.prod(a.shape if axes is None else [a.shape[i] for i in axes])
+    if not to_samples:
+        a = np.fft.fftn(a) / n
+    for s in signs:
+        a = a * s
+    if not to_samples:
+        return a / weight
+    return np.fft.ifftn(a * weight, axes=axes) * n
+
+
 def to_physical(f):
     """Spectral -> collocation samples on (x_j, y_m); returns a complex array."""
-    g = f.grid
-    a = f.coeffs * _y_sign_array(g) * g.deta**g.yDims
-    return np.fft.ifftn(a) * (g.nx * g.yPoints**g.yDims)
+    return _origin_step(f.coeffs, f.grid, True)
 
 
 def to_spectral(samples, grid):
     """Collocation samples -> SpectralField (exact inverse of to_physical)."""
-    samples = np.asarray(samples)
-    if samples.shape != grid.spatial_shape:
-        raise ShapeMismatchError(
-            f"sample shape {samples.shape} != grid {grid.spatial_shape}"
-        )
-    a = np.fft.fftn(samples) / (grid.nx * grid.yPoints**grid.yDims)
-    return SpectralField(grid, a * _y_sign_array(grid) / grid.deta**grid.yDims)
+    return SpectralField(grid, _origin_step(np.asarray(samples), grid, False))
 
 
 def st_to_physical(F):
     """Space-time spectral -> samples on (t_n, x_j, y_m)."""
-    g = F.grid
-    signs = _alt_signs(g.tPoints).reshape((-1,) + (1,) * (1 + g.yDims))
-    a = F.coeffs * signs * _y_sign_array(g) * (g.dtau * g.deta**g.yDims)
-    return np.fft.ifftn(a) * (g.tPoints * g.nx * g.yPoints**g.yDims)
+    return _origin_step(F.coeffs, F.grid, True)
 
 
 def st_from_physical(samples, grid):
-    samples = np.asarray(samples)
-    if samples.shape != grid.st_shape:
-        raise ShapeMismatchError(
-            f"sample shape {samples.shape} != grid {grid.st_shape}"
-        )
-    a = np.fft.fftn(samples) / (grid.tPoints * grid.nx * grid.yPoints**grid.yDims)
-    signs = _alt_signs(grid.tPoints).reshape((-1,) + (1,) * (1 + grid.yDims))
-    return SpaceTimeField(
-        grid, a * signs * _y_sign_array(grid) / (grid.dtau * grid.deta**grid.yDims)
-    )
+    """Samples on (t_n, x_j, y_m) -> SpaceTimeField (exact inverse of st_to_physical)."""
+    return SpaceTimeField(grid, _origin_step(np.asarray(samples), grid, False))
 
 
 def phi_grid(grid, params):
@@ -356,16 +354,17 @@ class NormSpec:
 
 def sobolev_norm(f, s1, s2):
     """Anisotropic Sobolev norm ||<k>^s1 <eta>^s2 C|| with the lattice measure."""
-    w = _sobolev_weight(f.grid, s1, s2)
+    g = f.grid
+    w = _sobolev_weight(g.k_axis(), g.eta_sq_grid(), s1, s2)
     total = float(np.sum(np.abs(w * f.coeffs) ** 2))
-    return math.sqrt(f.grid.xy_measure * total)
+    return math.sqrt(g.xy_measure * total)
 
 
-def _sobolev_weight(g, s1, s2):
-    """<k>^s1 <eta>^s2 over the grid's (k, eta) lattice."""
-    wk = _bracket(g.k_axis()) ** s1
-    weta = _bracket(np.sqrt(g.eta_sq_grid())) ** s2
-    return wk.reshape((-1,) + (1,) * g.yDims) * weta[None, ...]
+def _sobolev_weight(k, eta_sq, s1, s2):
+    """<k>^s1 <eta>^s2 over the (k, eta) lattice of a k axis and the |eta|^2 grid."""
+    wk = _bracket(k) ** s1
+    weta = _bracket(np.sqrt(eta_sq)) ** s2
+    return wk.reshape((-1,) + (1,) * eta_sq.ndim) * weta[None, ...]
 
 
 # `bourgain_norm` weights whole tau rows, and `evolution.picard_solve` forms
@@ -403,7 +402,6 @@ def bourgain_norm(F, spec, params):
     tau, k, *etas = F.axes()
     tau = tau.reshape((-1,) + (1,) * (1 + g.yDims))
     eta_sq = etas[0] ** 2 if g.yDims == 1 else etas[0][:, None] ** 2 + etas[1][None, :] ** 2
-    weta = _bracket(np.sqrt(eta_sq)) ** spec.s2
     b = -1.0 if spec.flavor == "y" else spec.b
     weighted = spec.flavor != "x" and spec.beta != 0.0
     # the k != 0 columns: one run of a field, up to two of a box
@@ -415,7 +413,7 @@ def bourgain_norm(F, spec, params):
         G = F.coeffs[:, run]
         kr = k[run].reshape((-1,) + (1,) * g.yDims)
         phi = symbols.phase_grid(params, kr, eta_sq[None, ...])
-        base = _bracket(kr) ** spec.s1 * weta[None, ...]
+        base = _sobolev_weight(k[run], eta_sq, spec.s1, spec.s2)
         ka = _bracket(kr) ** (params.alpha + 1.0)
         rows = max(1, _BLOCK_ENTRIES // phi.size)
         inner = 0.0
@@ -458,11 +456,8 @@ def mixed_norm(F, r, p, q):
         raise ExponentRangeError(f"p, q must lie in [1, inf], got p={p}, q={q}")
     g = F.grid
     # inverse transform in tau and y only: h(k; t, y), unitary in x
-    axes_shape = (-1,) + (1,) * (1 + g.yDims)
-    a = F.coeffs * _alt_signs(g.tPoints).reshape(axes_shape) * _y_sign_array(g)
-    a = a * (g.dtau * g.deta**g.yDims)
     y_axes = tuple(range(2, 2 + g.yDims))
-    h = np.fft.ifftn(a, axes=(0,) + y_axes) * (g.tPoints * g.yPoints**g.yDims)
+    h = _origin_step(F.coeffs, g, True, axes=(0,) + y_axes)
     h = h * math.sqrt(2.0 * math.pi)
     mod = np.abs(h)
 
@@ -947,7 +942,6 @@ def dealias_grid(grid, frac):
 # serialization
 
 _MAGIC = b"KPLF\x01"
-_CSV_MAX_ENTRIES = 1 << 20
 
 
 def save_field(path, field):
@@ -995,40 +989,3 @@ def load_field(path):
     if kind == "spacetime":
         return SpaceTimeField(grid, arr)
     return SpectralField(grid, arr)
-
-
-def field_to_csv(field, path):
-    """Plain-text dump (one coefficient per row) for small grids."""
-    c = field.coeffs
-    if c.size > _CSV_MAX_ENTRIES:
-        raise InvalidSpecError(
-            [f"field has {c.size} entries; CSV export is capped at {_CSV_MAX_ENTRIES}"]
-        )
-    g = field.grid
-    st = isinstance(field, SpaceTimeField)
-    k = g.k_axis()
-    eta = g.eta_axis()
-    tau = g.tau_axis()
-    cols = (["tau"] if st else []) + ["k"] + [f"eta{i+1}" for i in range(g.yDims)]
-    close = False
-    if isinstance(path, (str, bytes)):
-        fh = open(path, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = path
-    try:
-        fh.write(",".join(cols + ["re", "im"]) + "\n")
-        for idx in np.ndindex(c.shape):
-            vals = []
-            j = 0
-            if st:
-                vals.append(repr(float(tau[idx[0]])))
-                j = 1
-            vals.append(str(int(k[idx[j]])))
-            for ax in range(g.yDims):
-                vals.append(repr(float(eta[idx[j + 1 + ax]])))
-            z = c[idx]
-            fh.write(",".join(vals + [repr(z.real), repr(z.imag)]) + "\n")
-    finally:
-        if close:
-            fh.close()

@@ -10,8 +10,8 @@ to the transverse scale while A alone stays at N^(alpha+1).  That mismatch
 produces third-derivative growth like t * N^(s - alpha + 9/4) against data
 norm N^(s + 1/4), so the normalized ratio R(N) grows at exponent
 3/2 - alpha - 2s: positive (C^3 failure) exactly below s = 3/4 - alpha/2.
-A and B are `symbols.denom_A` and `symbols.denom_B` on the quadrature
-lattices, and the output phase is `symbols.phase_grid`.
+A and B are both `symbols.denom_A` on the quadrature lattices, B being A
+relabelled at (xi3, xi1 + xi2), and the output phase is `symbols.phase_grid`.
 
 Two of the four patterns are computed, (+,+,+) and (+,+,-), and two are
 mirrored.  phi0 is odd, so flipping every sign negates both denominators
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BandExceedsGridError, InvalidSpecError
 from .estimates import fit_exponent
 from .fields import SpectralField
-from .symbols import DispersionParams, denom_A, denom_B, phase_grid, phi1
+from .symbols import DispersionParams, denom_A, phase_grid, phi1
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,8 @@ def third_derivative_norm(cfg, params, chunk=32):
     per_k = {}
     for k3 in (n, -n):
         kout = k12 + k3
-        b = denom_B(params, n, n, k3, (e_out - u) ** 2, u**2, e_out**2)
+        # B is A at (xi3, xi1 + xi2)
+        b = denom_A(params, k3, k12, (e_out - u) ** 2, u**2, e_out**2)
         p1 = phi1(1j * t * b)
 
         x = np.zeros(eta_out.size, dtype=complex)

@@ -4,11 +4,14 @@ Everything here is exact frequency-space algebra on numpy arrays: the
 dispersion symbol phi0(k) = |k|^alpha k, the full phase phi(k, eta) =
 phi0(k) - |eta|^2/k, the exhaustive and sampled audits of the resonance
 function r(k, k1) (its two-sided |k_min||k_max|^alpha bounds and the
-resonance identity), the interaction denominators A and B, and the stable
+resonance identity), the interaction denominator A, and the stable
 divided-difference family phi1/phi2/phi3 used wherever (e^z - 1)/z style
 factors appear.  Transverse frequencies enter as squared norms.  Nothing
 checks admissibility: callers form only admissible frequencies, and the
 scalar, checked route through the same algebra is an oracle in the tests.
+The second denominator, B(xi1, xi2, xi3) = phi(xi3) + phi(xi1 + xi2) -
+phi(xi1 + xi2 + xi3), is A relabelled: `denom_A` at (xi3, xi1 + xi2), with
+the same floating-point operations in the same order.
 """
 
 from dataclasses import dataclass
@@ -81,10 +84,6 @@ class ResonanceAudit:
     checked: int
     violations: tuple
 
-    @property
-    def ok(self):
-        return not self.violations
-
 
 def resonance_bounds_audit(params, kMax):
     """Exhaustively check the two-sided resonance bound on 1 <= |k|,|k1| <= kMax.
@@ -114,6 +113,10 @@ def resonance_bounds_audit(params, kMax):
     return ResonanceAudit(K.size, violations)
 
 
+# the sampled audit's bound on the relative residual of the resonance identity
+IDENTITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ResonanceSampleAudit:
     max_rel_residual: float
@@ -127,7 +130,7 @@ def resonance_sample_audit(params, n, seed):
     Draws n admissible (tau, k, eta) x (tau_1, k_1, eta_1) pairs, with
     1 <= |k| <= 128, each eta coordinate uniform on [-8, 8] and tau uniform on
     [-100, 100], and verifies vectorized:
-    |sigma_1+sigma_2-sigma - (r + transverse)| <= 1e-9 (1 + |lhs|),
+    |sigma_1+sigma_2-sigma - (r + transverse)| <= IDENTITY_TOL (1 + |lhs|),
     sign(r) == sign(transverse) when both are nonzero, and the max-modulation
     lower bound. Deterministic for a fixed seed.
     """
@@ -183,6 +186,7 @@ def denom_A(params, k1, k2, eta1_sq, eta2_sq, eta12_sq):
     """A = phi(xi1) + phi(xi2) - phi(xi1 + xi2) on arrays, xi_j = (k_j, eta_j).
 
     Takes |eta1|^2, |eta2|^2, |eta1 + eta2|^2; k1, k2, k1 + k2 nonzero (Gamma_1).
+    B is this at (xi3, xi1 + xi2): k1 -> k3, k2 -> k1 + k2 (Gamma_2).
     """
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
@@ -193,27 +197,6 @@ def denom_A(params, k1, k2, eta1_sq, eta2_sq, eta12_sq):
         - np.asarray(eta1_sq) / k1
         - np.asarray(eta2_sq) / k2
         + np.asarray(eta12_sq) / (k1 + k2)
-    )
-
-
-def denom_B(params, k1, k2, k3, eta3_sq, eta12_sq, eta123_sq):
-    """B = phi(xi3) + phi(xi1 + xi2) - phi(xi1 + xi2 + xi3) on arrays.
-
-    Takes |eta3|^2, |eta1 + eta2|^2, |eta1 + eta2 + eta3|^2; every k_j, k1 + k2
-    and k1 + k2 + k3 nonzero (Gamma_2).
-    """
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    k3 = np.asarray(k3, dtype=float)
-    k12 = k1 + k2
-    k123 = k12 + k3
-    return (
-        phi0(params, k3)
-        + phi0(params, k12)
-        - phi0(params, k123)
-        - np.asarray(eta3_sq) / k3
-        - np.asarray(eta12_sq) / k12
-        + np.asarray(eta123_sq) / k123
     )
 
 

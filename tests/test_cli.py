@@ -14,7 +14,7 @@ from kplab import cli, evolution
 from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
 from kplab.errors import InvalidSpecError, SweepWorkerError
 from kplab.fields import make_grid
-from kplab.symbols import DispersionParams
+from kplab.symbols import IDENTITY_TOL, DispersionParams, ResonanceSampleAudit
 
 
 _NO_SCIPY_RUNS = """
@@ -220,6 +220,25 @@ def test_evolve_checks_the_order_ladder_before_the_solve(monkeypatch):
     cli._resolve("evolve", {"dt": 1e-3, "T": 0.25, "measureOrder": True})
 
 
+@pytest.mark.parametrize("config, messages", [
+    # T = 0.05 is 10.67 steps of the t lattice's 0.6/128
+    ({"tWindow": 0.3}, ["t lattice"]),
+    # T = 0.051 is 81.6 steps of dt = 6.25e-4 and 16.32 of the lattice's 0.4/128
+    ({"T": 0.051}, ["dt = ", "t lattice"]),
+])
+def test_picard_checks_its_cross_check_time_before_the_solve(monkeypatch, config, messages):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "picard_solve", no_solve)
+    with pytest.raises(InvalidSpecError) as err:
+        run("picard", config)
+    assert [v.split(":")[0] for v in err.value.violations] == ["T"] * len(messages)
+    assert all(m in v for m, v in zip(messages, err.value.violations))
+    # without the cross-check the Picard solve alone needs neither
+    assert cli._resolve("picard", {**config, "crossCheck": False})["crossCheck"] is False
+
+
 def test_unknown_subcommand():
     with pytest.raises(InvalidSpecError):
         run("frobnicate", {})
@@ -253,6 +272,30 @@ def test_resonance_audit_run():
     assert env["configEcho"]["kMax"] == 30
     assert env["configEcho"]["subcommand"] == "resonance-audit"
     assert len(env["rows"]) == 2
+    env = run("resonance-audit", {"alphas": [2.0, 4.0], "kMax": 30, "identitySamples": 2000})
+    assert env["verdict"] == "bounded"
+    for row in env["rows"]:
+        assert row["lowerBoundViolations"] == row["signDisagreements"] == 0
+        assert 0.0 < row["maxResidual"] <= IDENTITY_TOL
+
+
+@pytest.mark.parametrize("residual, lower, sign", [(0.5, 0, 0), (0.0, 7, 0), (0.0, 0, 3)])
+def test_resonance_audit_fails_on_the_sampled_audit(monkeypatch, residual, lower, sign):
+    # the exhaustive bound audit passes; only the sampled audit reports failures
+    monkeypatch.setattr(cli, "resonance_sample_audit",
+                        lambda params, n, seed: ResonanceSampleAudit(residual, lower, sign))
+    env = run("resonance-audit", {"alphas": [2.0, 3.0], "kMax": 10, "identitySamples": 5})
+    assert env["verdict"] == "estimate fails"
+    assert env["summary"]["totalViolations"] == 2 * (lower + sign)
+    for row in env["rows"]:
+        assert row["violations"] == 0
+        assert (row["maxResidual"], row["lowerBoundViolations"], row["signDisagreements"]) == (
+            residual, lower, sign)
+    # a residual at the audit's own tolerance still passes
+    monkeypatch.setattr(cli, "resonance_sample_audit",
+                        lambda params, n, seed: ResonanceSampleAudit(IDENTITY_TOL, 0, 0))
+    assert run("resonance-audit", {"alphas": [2.0], "kMax": 10,
+                                   "identitySamples": 5})["verdict"] == "bounded"
 
 
 def test_envelope_echo_contains_defaults():

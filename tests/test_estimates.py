@@ -226,11 +226,7 @@ def _doubled_grid_lhs(u0, v0, weights, params):
 def test_product_l2_lhs_matches_doubled_grid(kind):
     n = 4
     g = make_grid(2 * n + 2, 64, 32 * math.pi, tPoints=32, tWindow=2.0)
-    if kind == "random":
-        band = BandSpec(kLo=n, kHi=2 * n, etaHi=2.0)
-        u, v = random_field(g, band, seed=21), random_field(g, band, seed=22)
-    else:
-        u, v = adversarial_pair(kind, n, g, seed=3)
+    u, v = adversarial_pair(kind, n, g, seed=3)
     w = CutoffSpec(T=1.0).values(g.t_axis())
     got = estimates._product_l2_lhs(u, v, w, P2)
     assert got == pytest.approx(_doubled_grid_lhs(u, v, w, P2), rel=1e-12)
@@ -276,17 +272,11 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
     s1, s2 = 0.25, 0.1
     if step == "3d":
         p, g = DispersionParams(2.0, 2), estimates.strichartz3d_grid(n)
-        eta_hi = min(0.8, 0.4 * g.deta * g.yPoints / 2)
-        seeds = (31, 32)
+        band = BandSpec(kLo=n, kHi=2 * n, etaHi=min(0.8, 0.4 * g.deta * g.yPoints / 2))
+        u, v = (random_field(g, band, np.random.SeedSequence((0, n, s))) for s in (31, 32))
     else:
         p, g = P2, estimates.strichartz2d_grid(n)
-        eta_hi = min(2.0, 0.45 * g.deta * g.yPoints / 2)
-        seeds = (21, 22)
-    if kind == "low-high":
         u, v = adversarial_pair(kind, n, g, seed=0)
-    else:
-        band = BandSpec(kLo=n, kHi=2 * n, etaHi=eta_hi)
-        u, v = (random_field(g, band, np.random.SeedSequence((0, n, s))) for s in seeds)
     assert ProductPlan.fitted(u.coeffs, v.coeffs).packed
     denom = sobolev_norm(u, s1, 0.0) * sobolev_norm(v, s2, 0.0)
     if step == "3d":

@@ -115,7 +115,7 @@ def free_block(f, cutoff, params):
     t = g.t_axis().reshape((-1,) + (1,) * (1 + g.yDims))
     samples = w.reshape(t.shape) * np.exp(1j * t * phi[None, ...]) * f.coeffs[None, ...]
     spec = np.fft.fft(samples, axis=0) / (g.tPoints * g.dtau)
-    signs = fields._alt_signs(g.tPoints).reshape(t.shape)
+    signs = np.where(np.arange(g.tPoints) % 2, -1.0, 1.0).reshape(t.shape)  # t origin -tWindow
     return SpaceTimeField(g, spec * signs)
 
 

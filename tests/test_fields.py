@@ -1,6 +1,5 @@
 """Grid, transform, norm, random-data, and serialization checks."""
 
-import io
 import json
 import math
 import struct
@@ -31,7 +30,6 @@ from kplab.fields import (
     SpectralField,
     bourgain_norm,
     dealias_grid,
-    field_to_csv,
     load_field,
     make_grid,
     mixed_norm,
@@ -1027,20 +1025,6 @@ def test_load_field_rejects_malformed_headers(tmp_path):
         path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
         with pytest.raises(InvalidSpecError):
             load_field(path)
-
-
-def test_csv_export_small_grid():
-    g = make_grid(2, 8, 4 * math.pi, tPoints=8, tWindow=1.0)
-    c = np.zeros(g.spatial_shape, complex)
-    c[1, 2] = 1.5 - 0.25j
-    f = SpectralField(g, c)
-    buf = io.StringIO()
-    field_to_csv(f, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "k,eta1,re,im"
-    assert len(lines) == 1 + c.size
-    hit = [ln for ln in lines[1:] if ln.startswith("1,") and "1.5" in ln]
-    assert hit and "-0.25" in hit[0]
 
 
 def test_fields_are_immutable():
