@@ -42,7 +42,6 @@ from .fields import (
     BandSpec,
     NormSpec,
     SpaceTimeBox,
-    SpaceTimeField,
     SpectralField,
     bourgain_norm,
     make_grid,
@@ -171,6 +170,7 @@ def adversarial_pair(kind, N, grid, seed):
     low-high:          a low band [1, max(2, N/8)] against [N, 2N].
 
     The last three are random fields with |eta| <= min(2, 0.45 eta_Nyquist).
+    On T x R^2, random is strichartz3d's pair: |eta| <= min(0.8, 0.4 eta_Nyquist).
     """
     eta_nyq = grid.deta * grid.yPoints / 2
     eta_hi = min(2.0, 0.45 * eta_nyq)
@@ -180,13 +180,9 @@ def adversarial_pair(kind, N, grid, seed):
         width = min(0.35 * math.sqrt(N), 0.45 * eta_nyq)
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, 5)))
         c = np.zeros(grid.spatial_shape, dtype=complex)
-        eta = grid.eta_axis()
-        band = np.abs(eta) <= width
-        kaxis = grid.k_axis()
-        for k in range(N, N + 3):
-            col = np.where(kaxis == k)[0][0]
-            amp = 1.0 + 0.05 * rng.standard_normal(int(band.sum()))
-            c[col, band] = amp
+        band = np.sqrt(grid.eta_sq_grid()) <= width
+        for k in range(N, N + 3):  # FFT order: k >= 0 at index k
+            c[k, band] = 1.0 + 0.05 * rng.standard_normal(int(band.sum()))
         c = (c + fields._conj_mirror(c)) / 2.0
         c[0] = 0.0
         fields._zero_nyquist(c, grid)
@@ -194,9 +190,11 @@ def adversarial_pair(kind, N, grid, seed):
         return u, u
     hi = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
     lo = BandSpec(kLo=1, kHi=max(2, N // 8), etaHi=eta_hi)
+    hi3 = BandSpec(kLo=N, kHi=2 * N, etaHi=min(0.8, 0.4 * eta_nyq))
     # each factor's (band, side, seed tag)
     factors = {
-        "random": ((hi, None, 21), (hi, None, 22)),
+        "random": ((hi, None, 21), (hi, None, 22)) if grid.yDims == 1 else (
+            (hi3, None, 31), (hi3, None, 32)),
         "high-high-to-low": ((hi, "+", 1), (hi, "-", 2)),
         "low-high": ((lo, None, 3), (hi, None, 4)),
     }
@@ -336,15 +334,15 @@ def counterexample_summary(rows, cfg):
 
 
 def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
-    """||d_x(uv)||_lhs / (||u||_rhs ||v||_rhs) for space-time fields.
+    """||d_x(uv)||_lhs / (||u||_rhs ||v||_rhs) for SpaceTimeBoxes (or SpaceTimeFields).
 
-    The product is computed by inverse transform to (t, x, y) samples,
-    pointwise multiplication, and forward transform, on a lattice fitted to
-    the factors' supports so no coefficient of the product is lost or
-    aliased; it is returned on its occupied box of the doubled lattice
-    (`st_product_exact`, whose `fields.ProductPlan` places every pair alike
-    and alone decides how to form the samples: the random and comparable
-    members of `spacetime_pair` are two real fields and share one inverse
+    The factors are read on their boxes, as `spacetime_pair` makes them.  The
+    product is computed by inverse transform to (t, x, y) samples, pointwise
+    multiplication, and forward transform, on a lattice fitted to the two
+    boxes so no coefficient of the product is lost or aliased; it is
+    returned on its occupied box of the doubled lattice (`st_product_exact`,
+    whose `fields.ProductPlan` alone decides how to form the samples: the
+    random and comparable members are two real fields and share one inverse
     transform).  d_x is applied to the box in place, so the box is the one
     product-sized array live while the lhs norm runs, and the norm's own
     scratch memory is per tau block: it does not grow with tPoints.
@@ -361,23 +359,22 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the bilinear ratio is undefined")
     prod = st_product_exact(u, v)
-    g2, lo, dx = prod.grid, prod.lo, prod.coeffs
-    k = prod.axes()[1].astype(float)
-    del prod
-    # st_product_exact returns a fresh buffer that only `dx` holds now, so d_x
-    # is applied in place rather than in a second product-sized array
+    # a fresh buffer: d_x is applied in place, not in a second product-sized array
+    dx = prod.coeffs
     dx.flags.writeable = True
-    dx *= 1j * k.reshape((1, -1) + (1,) * g2.yDims)
-    return bourgain_norm(SpaceTimeBox(g2, lo, dx), lhs_spec, params) / denom
+    dx *= 1j * prod.axes()[1].reshape((1, -1) + (1,) * prod.grid.yDims)
+    return bourgain_norm(prod, lhs_spec, params) / denom
 
 
 def spacetime_pair(kind, N, grid, seed):
-    """Space-time ensemble member for the bilinear sweeps.
+    """Space-time ensemble member for the bilinear sweeps: two SpaceTimeBoxes.
 
     random:            independent Hermitian random fields, band [N, 2N],
                        |eta| <= min(0.9, 0.45 eta_Nyquist).
     comparable:        the parabolic spatial pair times a single tau profile.
     high-high-to-low:  one-sided spatial pair times random tau profiles.
+
+    The last two are a spatial box times a tau-profile box, each occupied.
     """
     eta_nyq = grid.deta * grid.yPoints / 2
     if kind == "random":
@@ -398,10 +395,11 @@ def spacetime_pair(kind, N, grid, seed):
             prof_v = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
             prof_u[nt // 2] = 0.0
             prof_v[nt // 2] = 0.0
-        shape = (-1,) + (1,) * (1 + grid.yDims)
-        u = SpaceTimeField(grid, prof_u.reshape(shape) * ua.coeffs[None, ...])
-        v = SpaceTimeField(grid, prof_v.reshape(shape) * va.coeffs[None, ...])
-        return u, v
+        pair = []
+        for prof, f in ((prof_u, ua), (prof_v, va)):
+            (lo_t, p), (lo, c) = fields._occupied(prof), fields._occupied(f.coeffs)
+            pair.append(SpaceTimeBox(grid, lo_t + lo, np.multiply.outer(p, c)))
+        return tuple(pair)
     raise InvalidSpecError([f"unknown space-time ensemble kind {kind!r}"])
 
 
@@ -442,11 +440,7 @@ def strichartz2d_point(point):
 def strichartz3d_point(point):
     params = DispersionParams(point["alpha"], 2)
     grid = strichartz3d_grid(point["N"])
-    n, seed = point["N"], point["seed"]
-    eta_nyq = grid.deta * grid.yPoints / 2
-    band = BandSpec(kLo=n, kHi=2 * n, etaHi=min(0.8, 0.4 * eta_nyq))
-    u = random_field(grid, band, np.random.SeedSequence((seed, n, 31)))
-    v = random_field(grid, band, np.random.SeedSequence((seed, n, 32)))
+    u, v = adversarial_pair("random", point["N"], grid, point["seed"])
     value = strichartz3d_ratio(u, v, point["s1"], point["s2"], params)
     return _sample_row(point, "random", value)
 

@@ -24,6 +24,10 @@ Nyquist ambiguity); y and t axes are even-length power-of-two lattices whose
 Nyquist rows are kept identically zero by every constructor so that real
 fields have exact Hermitian symmetry.
 
+A SpaceTimeBox holds G over a box of signed frequencies only, the lattice
+being zero outside it.  The random space-time ensembles and the exact
+products are boxes, and SpaceTimeBox.field() gives the SpaceTimeField.
+
 Mean-zero condition: all k = 0 coefficients vanish.  project_mean_zero
 enforces it; Bourgain-type norms skip the k = 0 column, where the phase is
 undefined (those coefficients are zero for any admissible field).
@@ -44,6 +48,11 @@ from .errors import (
     InvalidSpecError,
     ShapeMismatchError,
 )
+
+
+def _eta_sq(etas):
+    """|eta|^2 over the open mesh of the eta axes, one per y dimension."""
+    return sum(e**2 for e in np.ix_(*etas))
 
 
 def _is_pow2(n):
@@ -146,10 +155,7 @@ class GridSpec:
 
     def eta_sq_grid(self):
         """|eta|^2 on the y-frequency lattice, shape (yPoints,)*yDims."""
-        e = self.eta_axis()
-        if self.yDims == 1:
-            return e**2
-        return e[:, None] ** 2 + e[None, :] ** 2
+        return _eta_sq((self.eta_axis(),) * self.yDims)
 
     @property
     def xy_measure(self):
@@ -245,6 +251,12 @@ class SpaceTimeBox:
             np.arange(lo, lo + m) * step
             for lo, m, step in zip(self.lo, self.coeffs.shape, steps)
         )
+
+    def field(self):
+        """The SpaceTimeField of `grid` that the box stands for: zero outside it."""
+        c = np.zeros(self.grid.st_shape, dtype=complex)
+        c[_box_index(self.lo, self.coeffs.shape, c.shape)] = self.coeffs
+        return SpaceTimeField(self.grid, c)
 
 
 def project_mean_zero(f):
@@ -401,7 +413,7 @@ def bourgain_norm(F, spec, params):
     g = F.grid
     tau, k, *etas = F.axes()
     tau = tau.reshape((-1,) + (1,) * (1 + g.yDims))
-    eta_sq = etas[0] ** 2 if g.yDims == 1 else etas[0][:, None] ** 2 + etas[1][None, :] ** 2
+    eta_sq = _eta_sq(etas)
     b = -1.0 if spec.flavor == "y" else spec.b
     weighted = spec.flavor != "x" and spec.beta != 0.0
     # the k != 0 columns: one run of a field, up to two of a box
@@ -490,18 +502,14 @@ class BandSpec:
 
 
 def _conj_mirror(arr):
-    out = np.conj(arr)
-    for ax in range(arr.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+    # conj(arr[-q]): index q -> (-q) mod n on every axis
+    return np.roll(np.flip(np.conj(arr)), 1, axis=tuple(range(arr.ndim)))
 
 
-def _zero_nyquist(c, grid, st=False):
+def _zero_nyquist(c, grid):
     # axes counted from the end, so `c` may carry leading batch axes
     for ax in range(grid.yDims):
         c[(Ellipsis, grid.yPoints // 2) + (slice(None),) * ax] = 0.0
-    if st:
-        c[(Ellipsis, grid.tPoints // 2) + (slice(None),) * (1 + grid.yDims)] = 0.0
 
 
 def _band_mask(grid, band):
@@ -515,7 +523,7 @@ def _band_mask(grid, band):
             f"eta band up to {band.etaHi} exceeds lattice Nyquist {eta_nyq:g}"
         )
     absk = np.abs(grid.k_axis())
-    mk = (absk >= band.kLo) & (absk <= band.kHi)
+    mk = (absk >= max(band.kLo, 1)) & (absk <= band.kHi)  # never k = 0: mean zero
     meta = np.sqrt(grid.eta_sq_grid()) <= band.etaHi
     return mk.reshape((-1,) + (1,) * grid.yDims) & meta[None, ...]
 
@@ -546,16 +554,29 @@ def random_field(grid, band, seed, side=None):
 
 
 def st_random_field(grid, band, seed):
-    """Random real mean-zero SpaceTimeField with band-limited (k, eta) support."""
+    """Random real mean-zero space-time data, as the SpaceTimeBox of its (k, eta) band.
+
+    The box holds every tau row but the Nyquist one.  The normals are drawn
+    over all of st_shape, a block of tau rows at a time, and the box is
+    symmetric, so the Hermitian mirror of q is the box reversed.
+    """
+    mask = _band_mask(grid, band)
+    _zero_nyquist(mask, grid)
+    lo, inside = _occupied(mask)
+    index = _box_index(lo, inside.shape, mask.shape)
+    nt, h = grid.tPoints, grid.tPoints // 2 - 1
+    rows = max(1, _BLOCK_ENTRIES // mask.size)
     rng = np.random.default_rng(seed)
-    shape = grid.st_shape
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    z *= _band_mask(grid, band)[None, ...]
-    z[:, 0] = 0.0
-    _zero_nyquist(z, grid, st=True)
-    z = (z + _conj_mirror(z)) / math.sqrt(2.0)
-    z[:, 0] = 0.0
-    return SpaceTimeField(grid, z)
+
+    def part():  # one whole-grid draw, on the box
+        blocks = [rng.standard_normal((min(rows, nt - p),) + mask.shape)[index]
+                  for p in range(0, nt, rows)]
+        return np.concatenate(blocks)[np.arange(-h, h + 1) % nt]
+
+    z = (part() + 1j * part()) / math.sqrt(2.0)
+    z *= inside
+    z = (z + np.conj(np.flip(z))) / math.sqrt(2.0)
+    return SpaceTimeBox(grid, (-h,) + lo, z)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +598,17 @@ def occupied_box(c):
     return tuple(box)
 
 
+def _box_index(lo, m, shape):
+    # index of the m[i] frequencies from lo[i] per FFT-ordered axis (of `shape`)
+    return (Ellipsis,) + np.ix_(*(np.arange(a, a + k) % n for a, k, n in zip(lo, m, shape)))
+
+
+def _occupied(c):
+    # the low corner of the occupied box of `c` and its entries there
+    lo, hi = zip(*occupied_box(c))
+    return lo, c[_box_index(lo, np.subtract(hi, lo) + 1, c.shape)]
+
+
 def _axis_runs(n, box, shift, m):
     # frequency q of the box sits at index q mod n of the FFT-ordered array
     # and at position (q - shift) mod m of the padded one; split lo..hi where
@@ -593,25 +625,12 @@ def _axis_runs(n, box, shift, m):
     ]
 
 
-def _hermitian_energy(c, box):
-    # sum |c|^2 over the symmetric box (-h..h per axis) of the FFT-ordered
-    # `c`, which is zero outside it, if c[-q] == conj(c[q]) there bit for
-    # bit, else None.  Per axis, q = 0 pairs with itself and the runs
-    # q = 1..h and -h..-1 with each other, read backwards: every block is a
-    # view of `c`, so the copies are block-sized
-    pairs = []
-    for n, (_, h) in zip(c.shape, box):
-        pos, neg = slice(1, h + 1), slice(n - h, n)
-        pairs.append([(slice(0, 1), slice(0, 1))] + (
-            [(pos, slice(n - 1, n - h - 1, -1)), (neg, slice(h, 0, -1))] if h else []
-        ))
-    energy = 0.0
-    for combo in itertools.product(*pairs):
-        block = c[tuple(s for s, _ in combo)]
-        if not np.array_equal(block, np.conj(c[tuple(m for _, m in combo)])):
-            return None
-        energy += float(np.sum(np.square(np.abs(block))))
-    return energy
+def _hermitian_energy(c):
+    # sum |c|^2 over a symmetric box `c` if c[-q] == conj(c[q]) bit for bit,
+    # else None; the mirror of q is the box reversed
+    if not np.array_equal(c, np.conj(np.flip(c))):
+        return None
+    return float(np.sum(np.square(np.abs(c))))
 
 
 def _copies(axis_runs):
@@ -664,14 +683,15 @@ class ProductPlan:
 
     * dealiased (`boxes=None`): both factors cover all of `shape`, and the
       product is cropped back to `shape`;
-    * fitted (`ProductPlan.fitted`): each axis is the smallest 11-smooth
-      length >= span_a + span_b - 1 of the two occupied boxes, so no
-      frequency of the product wraps.  The samples' product is multiplied
-      by the unimodular character e^{-i (lo_a + lo_b) . x}, which moves
-      frequency lo_a + lo_b to position 0, so the product's box starts at
-      the front of the padded array: `box_product` returns it there, in
-      place, from frequency `out_lo`.  |ua ub|, and `sample_energy`, the
-      sum of |ua ub|^2 over the samples, do not depend on the character.
+    * fitted (`boxed`, or `fitted` on whole arrays' occupied boxes): each
+      axis is the smallest 11-smooth length >= span_a + span_b - 1 of the
+      two boxes, so no frequency of the product wraps.  The samples'
+      product is multiplied by the unimodular character
+      e^{-i (lo_a + lo_b) . x}, which moves frequency lo_a + lo_b to
+      position 0, so the product's box starts at the front of the padded
+      array: `box_product` returns it there, in place, from frequency
+      `out_lo`.  |ua ub|, and `sample_energy`, the sum of |ua ub|^2 over
+      the samples, do not depend on the character.
 
     A plan forms its samples one of three ways.  One array twice squares
     its own samples.  Two real factors (`packed` is True) share one
@@ -758,21 +778,24 @@ class ProductPlan:
 
     @classmethod
     def fitted(cls, a, b, out_shape=None):
-        """Alias-free plan for the product of `a` and `b`, sized to their occupied boxes.
+        """The `boxed` plan of the occupied boxes of the FFT-ordered arrays `a`, `b`:
+        `product` takes `a` and `b`, the box methods boxes as `gather` returns them."""
+        held = _occupied(a)
+        return cls.boxed(a.shape, *held, *(held if b is a else _occupied(b)), out_shape)
 
-        The plan is packed when `a` and `b` are two different arrays of
-        exactly Hermitian coefficients on symmetric boxes (see the class
-        docstring); it then serves factors with those properties only.
+    @classmethod
+    def boxed(cls, shape, lo_a, a, lo_b, b, out_shape=None):
+        """Alias-free plan for two boxes of arrays of `shape`, from lo_a and lo_b.
+
+        Packed when `a` and `b` are two different, exactly Hermitian arrays on
+        symmetric boxes (see the class docstring), it serves only such factors.
         """
-        box_a = occupied_box(a)
-        box_b = box_a if b is a else occupied_box(b)
-        pad = [
-            _next_fast_len(ha - la + hb - lb + 1)
-            for (la, ha), (lb, hb) in zip(box_a, box_b)
-        ]
-        plan = cls(a.shape, pad, (box_a, box_b), out_shape)
-        if b is not a and all(lo == -hi for lo, hi in box_a + box_b):
-            energy = [_hermitian_energy(c, box) for c, box in ((a, box_a), (b, box_b))]
+        boxes = [tuple((low, low + m - 1) for low, m in zip(lo, c.shape))
+                 for lo, c in ((lo_a, a), (lo_b, b))]
+        pad = [_next_fast_len(ha - la + hb - lb + 1) for (la, ha), (lb, hb) in zip(*boxes)]
+        plan = cls(shape, pad, boxes, out_shape)
+        if b is not a and all(lo == -hi for lo, hi in boxes[0] + boxes[1]):
+            energy = [_hermitian_energy(c) for c in (a, b)]
             if all(e is not None and 0.0 < e < math.inf for e in energy):
                 # the second factor goes in times 2^balance, to within a
                 # factor 2 of the first's l2 norm, and its samples come out
@@ -780,9 +803,9 @@ class ProductPlan:
                 # in the shared transform stays relative to its own size.  The
                 # inverse lines cover the wider box per axis
                 plan._balance = (math.frexp(energy[0])[1] - math.frexp(energy[1])[1]) // 2
-                reach = [max(ha, hb) for (_, ha), (_, hb) in zip(box_a, box_b)]
+                reach = [max(ha, hb) for (_, ha), (_, hb) in zip(*boxes)]
                 plan._pair_inverse = _lines(
-                    [_axis_runs(n, (-h, h), 0, m) for n, h, m in zip(a.shape, reach, pad)],
+                    [_axis_runs(n, (-h, h), 0, m) for n, h, m in zip(shape, reach, pad)],
                     forward=False,
                 )
                 plan.packed = True
@@ -828,10 +851,11 @@ class ProductPlan:
             np.ldexp(u.imag, -self._balance, out=u.imag)
         return u, u.real, u.imag
 
-    def _padded_product(self, a, b):
+    def _padded_product(self, a, b, key):
         # the product's coefficients times self.size, frequency q at
-        # position q mod m (dealiased) or q - lo_a - lo_b (fitted)
-        big, u, v = self._samples(a, b, 1)
+        # position q mod m (dealiased) or q - lo_a - lo_b (fitted); key 0
+        # reads two boxes, key 1 two FFT-ordered arrays
+        big, u, v = self._samples(a, b, key)
         if self._char0 is None:
             big *= v
         else:
@@ -861,7 +885,7 @@ class ProductPlan:
 
     def product(self, a, b):
         """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
-        ua = self._padded_product(a, b)
+        ua = self._padded_product(a, b, 1)
         lead = ua.shape[: ua.ndim - len(self.pad_shape)]
         out = np.zeros(lead + self.out_shape, dtype=complex)
         for _, at, pad in self._crop:
@@ -871,14 +895,15 @@ class ProductPlan:
     def box_product(self, a, b):
         """The product's coefficients over its box, clipped to what `out_shape` holds.
 
-        Position p holds the signed frequency `out_lo` + p.  For a fitted
+        `a` and `b` are the factors' boxes, laid out as `gather` returns
+        them.  Position p holds the signed frequency `out_lo` + p.  For a fitted
         plan the box sits at the start of the padded array without
         wrapping, so it is that array cropped in place (a view), with the
         same values that `product` writes to `out_shape`.
         """
         if self._out_box is None:
             raise InvalidSpecError(["box_product needs a fitted plan"])
-        box = self._padded_product(a, b)[self._out_box]
+        box = self._padded_product(a, b, 0)[self._out_box]
         box /= self.size
         return box
 
@@ -898,19 +923,20 @@ def product_grid(grid):
 
 
 def st_product_exact(Fa, Fb):
-    """Exact space-time pointwise product, as a SpaceTimeBox of the doubled grid.
+    """Exact space-time pointwise product of two SpaceTimeBoxes, as one of the doubled grid.
 
-    The box is the product's occupied one, lo_a + lo_b .. hi_a + hi_b per
-    axis, clipped to what `product_grid` holds; its values are the ones the
-    doubled (tau, k, eta) grid would hold there, and every entry of that grid
-    outside the box is zero.  It is the fitted plan's padded array cropped in
-    place, so no doubled-grid array is formed.
+    A SpaceTimeField is taken on its occupied box.  The product's box, lo_a +
+    lo_b .. hi_a + hi_b clipped to `product_grid`, is the `ProductPlan.boxed`
+    padded array cropped in place: no whole-grid array is formed.
     """
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
+    a, b = (F if isinstance(F, SpaceTimeBox) else SpaceTimeBox(F.grid, *_occupied(F.coeffs))
+            for F in (Fa, Fb))
+    b = a if Fb is Fa else b
     g2 = product_grid(Fa.grid)
-    plan = ProductPlan.fitted(Fa.coeffs, Fb.coeffs, g2.st_shape)
-    box = plan.box_product(Fa.coeffs, Fb.coeffs)
+    plan = ProductPlan.boxed(Fa.grid.st_shape, a.lo, a.coeffs, b.lo, b.coeffs, g2.st_shape)
+    box = plan.box_product(a.coeffs, b.coeffs)
     box *= g2.dtau * g2.deta**g2.yDims
     return SpaceTimeBox(g2, plan.out_lo, box)
 

@@ -13,8 +13,9 @@ from kplab.errors import (
     NonpositiveValueError,
     ZeroDenominatorError,
 )
-from kplab import cli, estimates
+from kplab import cli, estimates, fields
 from kplab.estimates import (
+    BILINEAR_KINDS,
     CounterexampleConfig,
     adversarial_pair,
     bilinear_ratio,
@@ -33,6 +34,7 @@ from kplab.fields import (
     BandSpec,
     NormSpec,
     ProductPlan,
+    SpaceTimeBox,
     SpaceTimeField,
     SpectralField,
     make_grid,
@@ -475,8 +477,83 @@ def test_spacetime_pair_kinds():
     g = make_grid(34, 64, 32 * math.pi, tPoints=16, tWindow=2.0)
     for kind in ("random", "comparable", "high-high-to-low"):
         u, v = spacetime_pair(kind, 16, g, seed=0)
-        assert u.coeffs.shape == g.st_shape
-        assert np.max(np.abs(u.coeffs)) > 0
-        assert np.all(u.coeffs[:, 0] == 0)
+        assert isinstance(u, SpaceTimeBox) and u.grid == g
+        full = u.field().coeffs
+        assert np.max(np.abs(full)) > 0
+        assert np.all(full[:, 0] == 0)
     with pytest.raises(InvalidSpecError):
         spacetime_pair("junk", 16, g, seed=0)
+
+
+def _full_grid_st_random_field(grid, band, seed):
+    # `st_random_field`'s values formed on the whole (tau, k, eta) grid
+    rng = np.random.default_rng(seed)
+    shape = grid.st_shape
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    z *= fields._band_mask(grid, band)[None, ...]
+    z[:, 0] = 0.0
+    fields._zero_nyquist(z, grid)
+    z[grid.tPoints // 2] = 0.0
+    z = (z + fields._conj_mirror(z)) / math.sqrt(2.0)
+    z[:, 0] = 0.0
+    return z
+
+
+def _full_grid_spacetime_pair(kind, N, grid, seed):
+    # the oracle: `spacetime_pair`'s members formed on the whole grid
+    eta_nyq = grid.deta * grid.yPoints / 2
+    if kind == "random":
+        band = BandSpec(kLo=N, kHi=2 * N, etaHi=min(0.9, 0.45 * eta_nyq))
+        return [
+            _full_grid_st_random_field(grid, band, np.random.SeedSequence((seed, N, tag)))
+            for tag in (11, 12)
+        ]
+    ua, va = adversarial_pair(kind, N, grid, seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, N, 13)))
+    nt = grid.tPoints
+    if kind == "comparable":
+        prof_u = np.zeros(nt, dtype=complex)
+        prof_u[0] = 1.0
+        prof_v = prof_u
+    else:
+        prof_u = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+        prof_v = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+        prof_u[nt // 2] = 0.0
+        prof_v[nt // 2] = 0.0
+    shape = (-1,) + (1,) * (1 + grid.yDims)
+    return [prof_u.reshape(shape) * ua.coeffs[None, ...],
+            prof_v.reshape(shape) * va.coeffs[None, ...]]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("kind", BILINEAR_KINDS)
+@pytest.mark.parametrize("y_dims", [1, 2])
+def test_spacetime_pair_boxes_match_the_full_grid_formula(y_dims, kind, seed):
+    # the same bits as the whole-grid construction, which is zero outside
+    # the box, and the box is the occupied one, so the fitted product's pad
+    # is the one the whole grid gave
+    if y_dims == 1:
+        g = make_grid(10, 64, 32 * math.pi, tPoints=16, tWindow=2.0)
+    else:
+        g = make_grid(10, 16, 8 * math.pi, yDims=2, tPoints=8, tWindow=2.0)
+    pair = spacetime_pair(kind, 4, g, seed)
+    for box, want in zip(pair, _full_grid_spacetime_pair(kind, 4, g, seed)):
+        assert np.array_equal(box.field().coeffs, want)
+        assert occupied_box(want) == tuple(
+            (lo, lo + m - 1) for lo, m in zip(box.lo, box.coeffs.shape)
+        )
+    assert pair[0].coeffs is not pair[1].coeffs  # two arrays: the packed product
+
+
+def test_strichartz3d_pair_is_the_adversarial_random_pair():
+    # strichartz3d's band |eta| <= min(0.8, 0.4 eta_Nyquist) and seed tags 31/32
+    n, seed = 4, 3
+    g = estimates.strichartz3d_grid(n)
+    band = BandSpec(kLo=n, kHi=2 * n, etaHi=min(0.8, 0.4 * g.deta * g.yPoints / 2))
+    u, v = adversarial_pair("random", n, g, seed)
+    for f, tag in ((u, 31), (v, 32)):
+        want = random_field(g, band, np.random.SeedSequence((seed, n, tag)))
+        assert np.array_equal(f.coeffs, want.coeffs)
+    row = estimates.strichartz3d_point(
+        {"N": n, "seed": seed, "alpha": 2.0, "s1": 0.6, "s2": 0.6, "kind": "random"})
+    assert row["value"] == strichartz3d_ratio(u, v, 0.6, 0.6, DispersionParams(2.0, 2))

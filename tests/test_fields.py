@@ -19,13 +19,14 @@ from kplab.errors import (
     ShapeMismatchError,
 )
 from kplab import fields
-from kplab.estimates import bilinear_grid, bilinear_ratio, spacetime_pair
+from kplab.estimates import bilinear_grid, bilinear_point, bilinear_ratio, spacetime_pair
 from kplab.evolution import _quadratic_term
 from kplab.fields import (
     BandSpec,
     GridSpec,
     NormSpec,
     ProductPlan,
+    SpaceTimeBox,
     SpaceTimeField,
     SpectralField,
     bourgain_norm,
@@ -132,7 +133,7 @@ def test_transform_shape_mismatch():
 
 def test_spacetime_round_trip():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=2)
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=2).field()
     samples = st_to_physical(F)
     assert np.max(np.abs(samples.imag)) < 1e-12  # Hermitian data is real
     back = st_from_physical(samples, g)
@@ -182,7 +183,7 @@ def test_bourgain_atom_on_surface_independent_of_b():
 
 def test_bourgain_zero_exponents_is_l2():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=5)
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=5).field()
     assert bourgain_norm(F, NormSpec(flavor="x"), P2) == pytest.approx(
         F.l2_norm(), rel=1e-12
     )
@@ -207,7 +208,7 @@ def test_bourgain_weight_factor_direct_substitution():
 
 def test_z_norm_is_sum_of_parts_recomputed_independently():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=6)
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=6).field()
     spec = NormSpec(flavor="z", s1=0.3, s2=0.1, beta=0.25)
     z = bourgain_norm(F, spec, P2)
     y = bourgain_norm(F, NormSpec(flavor="y", s1=0.3, s2=0.1, beta=0.25), P2)
@@ -301,7 +302,7 @@ _ORACLE_SPECS = (
 def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
     g = small_grid(yDims=y_dims, yPoints=16)
     params = DispersionParams(3.0, y_dims)
-    c = np.array(st_random_field(g, BandSpec(1, 6, 0.9), seed=(20, y_dims)).coeffs)
+    c = np.array(st_random_field(g, BandSpec(1, 6, 0.9), seed=(20, y_dims)).field().coeffs)
     c[:, 0] = 0.3 + 0.1j  # k = 0 content, which every norm skips
     F = SpaceTimeField(g, c)
     if rows is not None:
@@ -325,17 +326,18 @@ def _doubled_grid_product(Fa, Fb):
     return SpaceTimeField(g2, prod)
 
 
-def _scatter(box):
-    # a SpaceTimeBox as the SpaceTimeField of its grid: zero outside the box
-    c = np.zeros(box.grid.st_shape, complex)
-    index = [(lo + np.arange(m)) % n
-             for lo, m, n in zip(box.lo, box.coeffs.shape, box.grid.st_shape)]
-    c[np.ix_(*index)] = box.coeffs
-    return SpaceTimeField(box.grid, c)
+def _full(F):
+    # the SpaceTimeField a SpaceTimeBox stands for; a field as it is
+    return F.field() if isinstance(F, SpaceTimeBox) else F
 
 
 def _st_product_scattered(fa, fb):
-    return _scatter(st_product_exact(fa, fb))
+    return st_product_exact(fa, fb).field()
+
+
+def _st_random_full(grid, band, seed):
+    # the generators' callable for a whole field
+    return st_random_field(grid, band, seed).field()
 
 
 @pytest.mark.parametrize("kind", ["random", "comparable", "high-high-to-low"])
@@ -349,11 +351,11 @@ def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
     got = bilinear_ratio(u, v, lhs, rhs, P3)
 
-    prod = _scatter(st_product_exact(u, v))
+    prod = st_product_exact(u, v).field()
     g2 = prod.grid
     ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
     dxprod = SpaceTimeField(g2, ik * prod.coeffs)
-    denom = _dense_bourgain_norm(u, rhs, P3) * _dense_bourgain_norm(v, rhs, P3)
+    denom = _dense_bourgain_norm(u.field(), rhs, P3) * _dense_bourgain_norm(v.field(), rhs, P3)
     assert got == pytest.approx(_dense_bourgain_norm(dxprod, lhs, P3) / denom, rel=1e-13)
     # d_x is applied in place to the product, never to the factors
     assert np.array_equal(u.coeffs, before[0]) and np.array_equal(v.coeffs, before[1])
@@ -361,7 +363,8 @@ def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
 
 def _box_case(case):
     # factor pairs whose product boxes are: a generic one, at yDims 1 and 2;
-    # a single atom; one tau row (the comparable pair); all zero
+    # a single atom; one tau row (the comparable pair); all zero.  The
+    # generators give boxes, the others fields
     if case == "random-yDims2":
         g = small_grid(yDims=2, yPoints=16)
         band = BandSpec(1, 6, 0.9)
@@ -374,7 +377,7 @@ def _box_case(case):
         a[3, 5, 2] = 1.0 + 0.5j
         b[-2, -7, -3] = 0.7j
     else:
-        a = np.array(spacetime_pair("random", 4, g, seed=2)[0].coeffs)
+        a = np.array(spacetime_pair("random", 4, g, seed=2)[0].field().coeffs)
     return SpaceTimeField(g, a), SpaceTimeField(g, b)
 
 
@@ -382,6 +385,7 @@ def _box_case(case):
 def test_boxed_product_matches_the_doubled_grid(case):
     u, v = _box_case(case)
     box = st_product_exact(u, v)
+    u, v = _full(u), _full(v)
     oracle = _doubled_grid_product(u, v)
     assert box.grid == oracle.grid == product_grid(u.grid)
     # the box is the occupied one, lo_a + lo_b .. hi_a + hi_b, clipped to the grid
@@ -398,7 +402,7 @@ def test_boxed_product_matches_the_doubled_grid(case):
     if case == "zero":
         assert not np.any(box.coeffs)
     # the same bits as the doubled grid, which is zero outside the box
-    assert np.array_equal(_scatter(box).coeffs, oracle.coeffs)
+    assert np.array_equal(box.field().coeffs, oracle.coeffs)
     params = DispersionParams(3.0, u.grid.yDims)
     for spec in _ORACLE_SPECS:
         want = bourgain_norm(oracle, spec, params)
@@ -412,7 +416,7 @@ def test_bilinear_ratio_matches_the_doubled_grid_route(flavor, y_dims):
     params = DispersionParams(3.0, y_dims)
     lhs = NormSpec(flavor=flavor, s1=0.2, s2=0.1, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, s2=0.1, b=0.55, beta=0.4)
-    prod = _doubled_grid_product(u, v)
+    prod = _doubled_grid_product(_full(u), _full(v))
     g2 = prod.grid
     ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
     lhs_norm = bourgain_norm(SpaceTimeField(g2, ik * prod.coeffs), lhs, params)
@@ -454,6 +458,36 @@ def test_bilinear_ratio_memory_is_one_padded_array():
     assert peak < 35 * 2**20, peak
 
 
+def test_spacetime_pair_memory_is_the_band_boxes():
+    # the N = 64 random member: each factor's whole (32, 261, 64) grid takes
+    # 8.2 MiB, and forming both there peaked at 33.5 MiB; each band box
+    # (31, 257, 29) takes 3.5 MiB
+    g = bilinear_grid(64)
+    tracemalloc.start()
+    try:
+        spacetime_pair("random", 64, g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20, peak
+
+
+def test_bilinear_point_memory_is_boxes_and_one_padded_array():
+    # the whole N = 64 random point, ensemble included: on whole grids it
+    # peaked at 49.0 MiB; on boxes, the 30.3 MiB padded product array is
+    # most of it
+    point = {"N": 64, "kind": "random", "seed": 0, "alpha": 3.0, "s1": 0.2, "s2": 0.0,
+             "b": 0.55, "bPrime": -0.45, "beta": 0.4,
+             "lhsFlavor": "xweighted", "rhsFlavor": "xweighted"}
+    tracemalloc.start()
+    try:
+        bilinear_point(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20, peak
+
+
 def test_bourgain_norm_scratch_memory_is_per_tau_block():
     # the doubled grid of the N = 64 bilinear sweep: 65 MiB of coefficients;
     # weighting the whole grid at once allocated 196 MiB of float temporaries
@@ -479,7 +513,7 @@ def test_bourgain_norm_scratch_memory_is_per_tau_block():
 
 def test_mixed_norm_properties():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=8)
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=8).field()
     assert mixed_norm(F, 2, 2, 2) == pytest.approx(F.l2_norm(), rel=1e-10)
 
     gc = np.zeros(g.st_shape, complex)
@@ -519,8 +553,8 @@ def test_norm_homogeneity_and_triangle():
         params,
     ) + [lambda F: mixed_norm(F, 1.5, 2.0, 4.0)]
     for seed in range(3):
-        a = st_random_field(g, BandSpec(1, 6, 1.5), seed=(10, seed))
-        b = st_random_field(g, BandSpec(1, 6, 1.5), seed=(11, seed))
+        a = st_random_field(g, BandSpec(1, 6, 1.5), seed=(10, seed)).field()
+        b = st_random_field(g, BandSpec(1, 6, 1.5), seed=(11, seed)).field()
         ab = SpaceTimeField(g, a.coeffs + b.coeffs)
         for norm in norms:
             na = norm(a)
@@ -533,7 +567,7 @@ def test_norm_homogeneity_and_triangle():
 
 def test_mean_zero_projection_never_increases_norms():
     g = small_grid()
-    c = np.array(st_random_field(g, BandSpec(1, 6, 1.5), seed=12).coeffs)
+    c = np.array(st_random_field(g, BandSpec(1, 6, 1.5), seed=12).field().coeffs)
     c[:, 0, :] = 0.3 + 0.1j  # inject k = 0 content
     F = SpaceTimeField(g, c)
     Fz = project_mean_zero(F)
@@ -633,7 +667,7 @@ def test_dealiased_product_matches_direct_convolution():
     cases = (
         (_dealiased_product, random_field, g.deta),
         (_product_exact, random_field, g.deta),
-        (_st_product_scattered, st_random_field, g.dtau * g.deta),
+        (_st_product_scattered, _st_random_full, g.dtau * g.deta),
     )
     for product, make, weight in cases:
         fa = make(g, band, seed=1)
@@ -743,7 +777,7 @@ def test_packed_route_gate_negative_controls(control, spacetime):
     g = small_grid()
     band = BandSpec(1, g.kMax // 2, 0.9)
     make, product, weight = (
-        (st_random_field, _st_product_scattered, g.dtau * g.deta)
+        (_st_random_full, _st_product_scattered, g.dtau * g.deta)
         if spacetime
         else (random_field, _product_exact, g.deta)
     )
@@ -762,8 +796,8 @@ def test_packed_route_keeps_each_factor_relative_accuracy():
     # general route, which transforms each factor alone
     g = small_grid()
     band = BandSpec(1, g.kMax // 2, 0.9)
-    a = st_random_field(g, band, seed=1).coeffs
-    b = st_random_field(g, band, seed=2).coeffs * 1e-9
+    a = st_random_field(g, band, seed=1).field().coeffs
+    b = st_random_field(g, band, seed=2).field().coeffs * 1e-9
     out = product_grid(g).st_shape
     plan = ProductPlan.fitted(a, b, out)
     assert plan.packed
@@ -989,7 +1023,7 @@ def test_serialization_round_trip(tmp_path):
     assert back.grid == g
     assert np.array_equal(back.coeffs, f.coeffs)
 
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=14)
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=14).field()
     path2 = tmp_path / "st.bin"
     save_field(path2, F)
     back2 = load_field(path2)
@@ -1095,7 +1129,11 @@ def test_random_fields_are_hermitian_so_samples_are_real(data):
     u = to_physical(f)
     assert np.max(np.abs(u.imag)) <= 1e-12 * max(1e-300, np.max(np.abs(u.real)))
 
-    F = st_random_field(g, band, seed)
+    box = st_random_field(g, band, seed)
+    # the box is symmetric: the mirror of q is the box reversed
+    assert all(lo == -(lo + m - 1) for lo, m in zip(box.lo, box.coeffs.shape))
+    assert np.array_equal(box.coeffs, np.conj(np.flip(box.coeffs)))
+    F = box.field()
     C = F.coeffs
     assert np.array_equal(C, np.conj(_mirror(C, range(C.ndim))))
     assert np.all(C[:, 0] == 0)
