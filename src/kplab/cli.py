@@ -392,7 +392,7 @@ def _resolve(subcommand, config):
     # the only rules that tie keys together
     if {"dt", "T"} <= valid and cfg["dt"] > cfg["T"]:
         problems.append("dt: exceeds T")
-    if {"T", "tWindow"} <= valid and 2 * cfg["T"] > cfg["tWindow"]:
+    if {"T", "tWindow"} <= valid and not CutoffSpec(cfg["T"]).fits(cfg["tWindow"]):
         problems.append("T: cutoff support 2T exceeds tWindow")
     if {"dt", "T", "measureOrder"} <= valid and cfg["measureOrder"]:
         T, dt = _order_span(cfg)

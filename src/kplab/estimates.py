@@ -96,24 +96,24 @@ def grows(exponent):
 
 
 def _product_l2_lhs(u0, v0, weights, params):
-    # each factor's box of coefficients, with its phase taken at the box's
-    # own frequencies, on a smooth-length grid just large enough for the
-    # product; the samples give the integral of |uv|^2 exactly with the
-    # cell (2 pi) L^d / plan.size.  phi is odd, so the free flow keeps real
-    # fields real, and the plan fitted to u0, v0 serves every t
+    # each factor's occupied box of coefficients, with the phase read on the
+    # same box, on a smooth-length grid just large enough for the product;
+    # the samples give the integral of |uv|^2 exactly with the cell
+    # (2 pi) L^d / plan.size.  phi is odd, so the free flow keeps real
+    # fields real, and the plan of the boxes at t = 0 serves every t
     g = u0.grid
-    plan = fields.ProductPlan.fitted(u0.coeffs, v0.coeffs)
+    a = fields.occupied(u0.coeffs)
+    b = a if v0 is u0 else fields.occupied(v0.coeffs)
+    plan = fields.ProductPlan.boxed(g.spatial_shape, *a, *b)
     phi = fields.phi_grid(g, params)
-    same = v0 is u0
-    a, phi_a = plan.gather(u0.coeffs, 0), plan.gather(phi, 0)
-    b, phi_b = (a, phi_a) if same else (plan.gather(v0.coeffs, 1), plan.gather(phi, 1))
+    phi_a, phi_b = (phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in (a, b))
     cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
     total = 0.0
     for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
-        ua = a * np.exp(1j * t * phi_a)
-        ub = ua if same else b * np.exp(1j * t * phi_b)
+        ua = a[1] * np.exp(1j * t * phi_a)
+        ub = ua if b is a else b[1] * np.exp(1j * t * phi_b)
         total += w * w * plan.sample_energy(ua, ub)
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
@@ -336,8 +336,9 @@ def counterexample_summary(rows, cfg):
 def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     """||d_x(uv)||_lhs / (||u||_rhs ||v||_rhs) for SpaceTimeBoxes (or SpaceTimeFields).
 
-    The factors are read on their boxes, as `spacetime_pair` makes them.  The
-    product is computed by inverse transform to (t, x, y) samples, pointwise
+    The factors are read on their boxes, as `spacetime_pair` makes them (a
+    SpaceTimeField on its occupied box, `fields.occupied`).  The product is
+    computed by inverse transform to (t, x, y) samples, pointwise
     multiplication, and forward transform, on a lattice fitted to the two
     boxes so no coefficient of the product is lost or aliased; it is
     returned on its occupied box of the doubled lattice (`st_product_exact`,
@@ -397,7 +398,7 @@ def spacetime_pair(kind, N, grid, seed):
             prof_v[nt // 2] = 0.0
         pair = []
         for prof, f in ((prof_u, ua), (prof_v, va)):
-            (lo_t, p), (lo, c) = fields._occupied(prof), fields._occupied(f.coeffs)
+            (lo_t, p), (lo, c) = fields.occupied(prof), fields.occupied(f.coeffs)
             pair.append(SpaceTimeBox(grid, lo_t + lo, np.multiply.outer(p, c)))
         return tuple(pair)
     raise InvalidSpecError([f"unknown space-time ensemble kind {kind!r}"])

@@ -96,9 +96,13 @@ class CutoffSpec:
     def support_halfwidth(self):
         return 2.0 * self.T
 
+    def fits(self, t_window):
+        """The one cutoff-window rule: the support fits tWindow, to 1e-12 relative."""
+        return self.support_halfwidth <= t_window * (1.0 + 1e-12)
+
     def check_window(self, grid):
         """Raise WindowTooSmallError unless the support fits the grid's time window."""
-        if self.support_halfwidth > grid.tWindow * (1.0 + 1e-12):
+        if not self.fits(grid.tWindow):
             raise WindowTooSmallError(
                 f"cutoff support halfwidth {self.support_halfwidth} exceeds "
                 f"tWindow {grid.tWindow}"

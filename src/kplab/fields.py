@@ -27,6 +27,8 @@ fields have exact Hermitian symmetry.
 A SpaceTimeBox holds G over a box of signed frequencies only, the lattice
 being zero outside it.  The random space-time ensembles and the exact
 products are boxes, and SpaceTimeBox.field() gives the SpaceTimeField.
+`occupied` is the one step from an FFT-ordered array to its occupied box,
+and every exact product reads its factors on their boxes.
 
 Mean-zero condition: all k = 0 coefficients vanish.  project_mean_zero
 enforces it; Bourgain-type norms skip the k = 0 column, where the phase is
@@ -541,11 +543,9 @@ def random_field(grid, band, seed, side=None):
         + 1j * rng.standard_normal(grid.spatial_shape)
     ) / math.sqrt(2.0)
     z *= _band_mask(grid, band)
-    z[0] = 0.0
     _zero_nyquist(z, grid)
     if side is None:
         z = (z + _conj_mirror(z)) / math.sqrt(2.0)
-        z[0] = 0.0
     elif side == "+":
         z[grid.k_axis() < 0] = 0.0
     elif side == "-":
@@ -556,24 +556,19 @@ def random_field(grid, band, seed, side=None):
 def st_random_field(grid, band, seed):
     """Random real mean-zero space-time data, as the SpaceTimeBox of its (k, eta) band.
 
-    The box holds every tau row but the Nyquist one.  The normals are drawn
-    over all of st_shape, a block of tau rows at a time, and the box is
-    symmetric, so the Hermitian mirror of q is the box reversed.
+    The box holds every tau row but the Nyquist one.  Each part (real, then
+    imaginary) is one draw of normals over all of st_shape, read on the box
+    through the same index as `occupied`.  The box is symmetric, so the
+    Hermitian mirror of q is the box reversed.
     """
     mask = _band_mask(grid, band)
     _zero_nyquist(mask, grid)
-    lo, inside = _occupied(mask)
-    index = _box_index(lo, inside.shape, mask.shape)
-    nt, h = grid.tPoints, grid.tPoints // 2 - 1
-    rows = max(1, _BLOCK_ENTRIES // mask.size)
+    lo, inside = occupied(mask)
+    h = grid.tPoints // 2 - 1
+    index = _box_index((-h,) + lo, (2 * h + 1,) + inside.shape, grid.st_shape)
     rng = np.random.default_rng(seed)
-
-    def part():  # one whole-grid draw, on the box
-        blocks = [rng.standard_normal((min(rows, nt - p),) + mask.shape)[index]
-                  for p in range(0, nt, rows)]
-        return np.concatenate(blocks)[np.arange(-h, h + 1) % nt]
-
-    z = (part() + 1j * part()) / math.sqrt(2.0)
+    z = rng.standard_normal(grid.st_shape)[index]
+    z = (z + 1j * rng.standard_normal(grid.st_shape)[index]) / math.sqrt(2.0)
     z *= inside
     z = (z + np.conj(np.flip(z))) / math.sqrt(2.0)
     return SpaceTimeBox(grid, (-h,) + lo, z)
@@ -583,29 +578,25 @@ def st_random_field(grid, band, seed):
 # zero-padded products
 
 
-def occupied_box(c):
-    """Per axis, the signed frequencies (lo, hi) spanning the nonzero entries of `c`.
-
-    `c` is FFT-ordered on every axis.  An all-zero array gets (0, 0) on every
-    axis, so its products come out zero with no special case.
-    """
-    nonzero = c != 0
-    box = []
-    for ax, n in enumerate(c.shape):
-        hit = np.any(nonzero, axis=tuple(i for i in range(c.ndim) if i != ax))
-        q = ((np.arange(n) + n // 2) % n - n // 2)[hit]  # fftfreq order, as integers
-        box.append((int(q.min()), int(q.max())) if q.size else (0, 0))
-    return tuple(box)
-
-
 def _box_index(lo, m, shape):
     # index of the m[i] frequencies from lo[i] per FFT-ordered axis (of `shape`)
     return (Ellipsis,) + np.ix_(*(np.arange(a, a + k) % n for a, k, n in zip(lo, m, shape)))
 
 
-def _occupied(c):
-    # the low corner of the occupied box of `c` and its entries there
-    lo, hi = zip(*occupied_box(c))
+def occupied(c):
+    """The occupied box of the FFT-ordered array `c`: its low corner and its entries there.
+
+    Per axis the box spans the signed frequencies lo..hi of the nonzero
+    entries.  An all-zero array gets the one entry at frequency 0 on every
+    axis, so its products come out zero with no special case.
+    """
+    nonzero = c != 0
+    spans = []
+    for ax, n in enumerate(c.shape):
+        hit = np.any(nonzero, axis=tuple(i for i in range(c.ndim) if i != ax))
+        q = ((np.arange(n) + n // 2) % n - n // 2)[hit].tolist() or [0]  # fftfreq order
+        spans.append((min(q), max(q)))
+    lo, hi = zip(*spans)
     return lo, c[_box_index(lo, np.subtract(hi, lo) + 1, c.shape)]
 
 
@@ -633,11 +624,12 @@ def _hermitian_energy(c):
     return float(np.sum(np.square(np.abs(c))))
 
 
-def _copies(axis_runs):
-    # every combination of one run per axis, as (box, source, padded) index
-    # tuples over the trailing axes
+def _copies(axis_runs, read):
+    # every combination of one run per axis, as a pair of index tuples over
+    # the trailing axes: the runs' box (read 0) or source (read 1) slices,
+    # and their padded ones
     return [
-        tuple((Ellipsis, *(run[i] for run in combo)) for i in range(3))
+        tuple((Ellipsis, *(run[i] for run in combo)) for i in (read, 2))
         for combo in itertools.product(*axis_runs)
     ]
 
@@ -673,25 +665,27 @@ def _transform(a, fft, lines):
 
 
 class ProductPlan:
-    """Pointwise product of two FFT-ordered coefficient arrays on a padded grid.
+    """Pointwise product of two factors' coefficients on a padded grid.
 
     One placement rule serves every plan: each factor brings its
     coefficients over a box of signed frequencies (lo..hi per axis), and
     frequency q goes to position q mod m of a padded axis of length m.
     `product` writes the product's frequencies that `out_shape` can hold
-    back at their FFT-ordered indices.  There are two kinds of plan:
+    back at their FFT-ordered indices.  There are two kinds of plan, and
+    the kind fixes the one layout the plan reads its factors in:
 
-    * dealiased (`boxes=None`): both factors cover all of `shape`, and the
-      product is cropped back to `shape`;
-    * fitted (`boxed`, or `fitted` on whole arrays' occupied boxes): each
-      axis is the smallest 11-smooth length >= span_a + span_b - 1 of the
-      two boxes, so no frequency of the product wraps.  The samples'
-      product is multiplied by the unimodular character
-      e^{-i (lo_a + lo_b) . x}, which moves frequency lo_a + lo_b to
-      position 0, so the product's box starts at the front of the padded
-      array: `box_product` returns it there, in place, from frequency
-      `out_lo`.  |ua ub|, and `sample_energy`, the sum of |ua ub|^2 over
-      the samples, do not depend on the character.
+    * dealiased (`boxes=None`): both factors cover all of `shape` and come
+      as FFT-ordered arrays, and the product is cropped back to `shape`;
+    * fitted (`boxed`): the factors come as boxes, position p of an axis
+      holding frequency lo + p, as `occupied` returns them.  Each axis is
+      the smallest 11-smooth length >= span_a + span_b - 1 of the two
+      boxes, so no frequency of the product wraps.  The samples' product
+      is multiplied by the unimodular character e^{-i (lo_a + lo_b) . x},
+      which moves frequency lo_a + lo_b to position 0, so the product's box
+      starts at the front of the padded array: `box_product` returns it
+      there, in place, from frequency `out_lo`.  |ua ub|, and
+      `sample_energy`, the sum of |ua ub|^2 over the samples, do not depend
+      on the character.
 
     A plan forms its samples one of three ways.  One array twice squares
     its own samples.  Two real factors (`packed` is True) share one
@@ -741,8 +735,8 @@ class ProductPlan:
             [_axis_runs(n, axis, 0, m) for n, axis, m in zip(shape, box, self.pad_shape)]
             for box in boxes
         ]
-        self._box_shape = [tuple(hi - lo + 1 for lo, hi in box) for box in boxes]
-        self._copies = [_copies(runs) for runs in factors]
+        # a fitted plan reads boxes, a dealiased one FFT-ordered arrays
+        self._copies = [_copies(runs, 0 if boxed else 1) for runs in factors]
         self._inverse = [_lines(runs, forward=False) for runs in factors]
         out_box = [
             (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
@@ -754,7 +748,7 @@ class ProductPlan:
             _axis_runs(*args)
             for args in zip(self.out_shape, out_box, out_shift, self.pad_shape)
         ]
-        self._crop = _copies(out)
+        self._crop = _copies(out, 1)
         self._forward = _lines(out, forward=True)
         self.out_lo = tuple(lo for lo, _ in out_box)
         self.packed = False
@@ -777,16 +771,10 @@ class ProductPlan:
             self._char_rest *= char[0]
 
     @classmethod
-    def fitted(cls, a, b, out_shape=None):
-        """The `boxed` plan of the occupied boxes of the FFT-ordered arrays `a`, `b`:
-        `product` takes `a` and `b`, the box methods boxes as `gather` returns them."""
-        held = _occupied(a)
-        return cls.boxed(a.shape, *held, *(held if b is a else _occupied(b)), out_shape)
-
-    @classmethod
     def boxed(cls, shape, lo_a, a, lo_b, b, out_shape=None):
         """Alias-free plan for two boxes of arrays of `shape`, from lo_a and lo_b.
 
+        Its methods read the factors as boxes of the shapes of `a` and `b`.
         Packed when `a` and `b` are two different, exactly Hermitian arrays on
         symmetric boxes (see the class docstring), it serves only such factors.
         """
@@ -811,51 +799,41 @@ class ProductPlan:
                 plan.packed = True
         return plan
 
-    def gather(self, c, factor):
-        """The entries of `c` on the box of factor 0 or 1, as `sample_energy` takes them."""
-        lead = c.shape[: c.ndim - len(self.pad_shape)]
-        box = np.empty(lead + self._box_shape[factor], dtype=c.dtype)
-        for at, src, _ in self._copies[factor]:
-            box[at] = c[src]
-        return box
-
-    def _place(self, c, factor, key, lines):
+    def _place(self, c, factor, lines):
         # factor 0 or 1 of `c` in a zero padded array, frequency q at
-        # position q mod m, then its samples if given the inverse lines;
-        # `key` picks the runs' box (0) or source (1) slices to read `c` with
+        # position q mod m, then its samples if given the inverse lines
         lead = c.shape[: c.ndim - len(self.pad_shape)]
         big = np.zeros(lead + self.pad_shape, dtype=complex)
-        for copy in self._copies[factor]:
-            big[copy[2]] = c[copy[key]]
+        for at, pad in self._copies[factor]:
+            big[pad] = c[at]
         if lines:
             _transform(big, np.fft.ifft, lines)
             big *= self.size
         return big
 
-    def _samples(self, a, b, key):
+    def _samples(self, a, b):
         # the padded samples u = sum_q a_q e^{i q . x} of `a` and v of `b`,
         # and the complex array that their product goes into: (u, u, u) for
         # one array twice, (u + i v, u, v) for two real factors, else
         # (u, u, v)
         pair = self.packed and b is not a
-        u = self._place(a, 0, key, None if pair else self._inverse[0])
+        u = self._place(a, 0, None if pair else self._inverse[0])
         if not pair:
-            return u, u, (u if b is a else self._place(b, 1, key, self._inverse[1]))
-        for copy in self._copies[1]:
-            at, c = u[copy[2]], b[copy[key]]
-            at.real -= np.ldexp(c.imag, self._balance)
-            at.imag += np.ldexp(c.real, self._balance)
+            return u, u, (u if b is a else self._place(b, 1, self._inverse[1]))
+        for at, pad in self._copies[1]:
+            big, c = u[pad], b[at]
+            big.real -= np.ldexp(c.imag, self._balance)
+            big.imag += np.ldexp(c.real, self._balance)
         _transform(u, np.fft.ifft, self._pair_inverse)
         u *= self.size
         if self._balance:
             np.ldexp(u.imag, -self._balance, out=u.imag)
         return u, u.real, u.imag
 
-    def _padded_product(self, a, b, key):
+    def _padded_product(self, a, b):
         # the product's coefficients times self.size, frequency q at
-        # position q mod m (dealiased) or q - lo_a - lo_b (fitted); key 0
-        # reads two boxes, key 1 two FFT-ordered arrays
-        big, u, v = self._samples(a, b, key)
+        # position q mod m (dealiased) or q - lo_a - lo_b (fitted)
+        big, u, v = self._samples(a, b)
         if self._char0 is None:
             big *= v
         else:
@@ -870,14 +848,13 @@ class ProductPlan:
         _transform(big, np.fft.fft, self._forward)
         return big
 
-    def sample_energy(self, box_a, box_b):
-        """Sum of |u v|^2 over the padded samples u, v of two factors' boxes.
+    def sample_energy(self, a, b):
+        """Sum of |u v|^2 over the padded samples u, v of the factors `a`, `b`.
 
-        The boxes are laid out as `gather` returns them; one array twice
-        gives the sum of |u|^4.  No character is applied: it does not
-        change |u v|.
+        One array twice gives the sum of |u|^4.  No character is applied: it
+        does not change |u v|.
         """
-        _, u, v = self._samples(box_a, box_b, 0)
+        _, u, v = self._samples(a, b)
         uv = np.multiply(u, v, out=u)
         sq = np.abs(uv) if np.iscomplexobj(uv) else uv
         np.square(sq, out=sq)
@@ -885,25 +862,24 @@ class ProductPlan:
 
     def product(self, a, b):
         """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
-        ua = self._padded_product(a, b, 1)
+        ua = self._padded_product(a, b)
         lead = ua.shape[: ua.ndim - len(self.pad_shape)]
         out = np.zeros(lead + self.out_shape, dtype=complex)
-        for _, at, pad in self._crop:
+        for at, pad in self._crop:
             np.divide(ua[pad], self.size, out=out[at])
         return out
 
     def box_product(self, a, b):
         """The product's coefficients over its box, clipped to what `out_shape` holds.
 
-        `a` and `b` are the factors' boxes, laid out as `gather` returns
-        them.  Position p holds the signed frequency `out_lo` + p.  For a fitted
-        plan the box sits at the start of the padded array without
+        A fitted plan's only: position p holds the signed frequency `out_lo`
+        + p.  The box sits at the start of the padded array without
         wrapping, so it is that array cropped in place (a view), with the
         same values that `product` writes to `out_shape`.
         """
         if self._out_box is None:
             raise InvalidSpecError(["box_product needs a fitted plan"])
-        box = self._padded_product(a, b, 0)[self._out_box]
+        box = self._padded_product(a, b)[self._out_box]
         box /= self.size
         return box
 
@@ -931,7 +907,7 @@ def st_product_exact(Fa, Fb):
     """
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
-    a, b = (F if isinstance(F, SpaceTimeBox) else SpaceTimeBox(F.grid, *_occupied(F.coeffs))
+    a, b = (F if isinstance(F, SpaceTimeBox) else SpaceTimeBox(F.grid, *occupied(F.coeffs))
             for F in (Fa, Fb))
     b = a if Fb is Fa else b
     g2 = product_grid(Fa.grid)
@@ -971,7 +947,12 @@ _MAGIC = b"KPLF\x01"
 
 
 def save_field(path, field):
-    """Self-describing binary container: magic, JSON header, little-endian c16."""
+    """Self-describing binary container: magic, JSON header, little-endian c16.
+
+    A SpaceTimeBox is saved as its whole field, `box.field()`.
+    """
+    if isinstance(field, SpaceTimeBox):
+        field = field.field()
     kind = "spacetime" if isinstance(field, SpaceTimeField) else "spectral"
     header = {
         "kind": kind,
@@ -989,7 +970,10 @@ def save_field(path, field):
 
 
 def load_field(path):
-    """Read a `save_field` container; a truncated or corrupt file raises InvalidSpecError."""
+    """Read a `save_field` container; a truncated or corrupt file raises InvalidSpecError.
+
+    So does a header whose shape is not its kind's grid shape.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -1007,6 +991,9 @@ def load_field(path):
         raise InvalidSpecError([f"truncated or corrupt header in {path}: {exc!r}"]) from exc
     if kind not in ("spectral", "spacetime"):
         raise InvalidSpecError([f"{path}: unknown field kind {kind!r}"])
+    want = list(grid.st_shape if kind == "spacetime" else grid.spatial_shape)
+    if shape != want:
+        raise InvalidSpecError([f"{path}: {kind} shape {shape} is not its grid's {want}"])
     if len(raw) != expected:
         raise InvalidSpecError(
             [f"{path} holds {len(raw)} coefficient bytes, expected {expected}"]

@@ -12,7 +12,8 @@ import pytest
 import kplab
 from kplab import cli, evolution
 from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
-from kplab.errors import InvalidSpecError, SweepWorkerError
+from kplab.errors import InvalidSpecError, SweepWorkerError, WindowTooSmallError
+from kplab.evolution import CutoffSpec
 from kplab.fields import make_grid
 from kplab.symbols import IDENTITY_TOL, DispersionParams, ResonanceSampleAudit
 
@@ -51,6 +52,23 @@ def test_validation_reports_field_names():
     with pytest.raises(InvalidSpecError) as err:
         run("picard", {"T": 0.2, "tWindow": 0.2})
     assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
+
+
+def test_cli_and_solver_share_the_cutoff_window_rule():
+    # 2T above tWindow by less than the 1e-12 relative slack of
+    # CutoffSpec.check_window: both accept it, and both reject 1e-11
+    for shrink, fits in ((1e-13, True), (1e-11, False)):
+        config = {"T": 0.1, "tWindow": 0.2 * (1 - shrink), "crossCheck": False}
+        grid = make_grid(4, 16, 8 * math.pi, tPoints=16, tWindow=config["tWindow"])
+        if fits:
+            assert cli._resolve("picard", config)["tWindow"] == config["tWindow"]
+            CutoffSpec(T=0.1).check_window(grid)
+            continue
+        with pytest.raises(InvalidSpecError) as err:
+            cli._resolve("picard", config)
+        assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
+        with pytest.raises(WindowTooSmallError):
+            CutoffSpec(T=0.1).check_window(grid)
 
 
 def test_validation_checks_kinds_per_subcommand():

@@ -38,7 +38,7 @@ from kplab.fields import (
     SpaceTimeField,
     SpectralField,
     make_grid,
-    occupied_box,
+    occupied,
     phi_grid,
     product_grid,
     random_field,
@@ -248,12 +248,13 @@ def _two_array_lhs(u0, v0, weights, params):
     # oracle: the lhs on the unpacked plan for the same boxes and pad, each
     # factor's samples in a padded array of its own
     g = u0.grid
-    packed = ProductPlan.fitted(u0.coeffs, v0.coeffs)
-    boxes = occupied_box(u0.coeffs), occupied_box(v0.coeffs)
+    held = occupied(u0.coeffs), occupied(v0.coeffs)
+    (_, a), (_, b) = held
+    packed = ProductPlan.boxed(g.spatial_shape, *held[0], *held[1])
+    boxes = [tuple((q, q + m - 1) for q, m in zip(lo, c.shape)) for lo, c in held]
     plan = ProductPlan(u0.coeffs.shape, packed.pad_shape, boxes)
     phi = phi_grid(g, params)
-    a, phi_a = plan.gather(u0.coeffs, 0), plan.gather(phi, 0)
-    b, phi_b = plan.gather(v0.coeffs, 1), plan.gather(phi, 1)
+    phi_a, phi_b = (phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in held)
     cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
     total = 0.0
     for w, t in zip(weights, g.t_axis()):
@@ -279,7 +280,7 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
     else:
         p, g = P2, estimates.strichartz2d_grid(n)
         u, v = adversarial_pair(kind, n, g, seed=0)
-    assert ProductPlan.fitted(u.coeffs, v.coeffs).packed
+    assert ProductPlan.boxed(g.spatial_shape, *occupied(u.coeffs), *occupied(v.coeffs)).packed
     denom = sobolev_norm(u, s1, 0.0) * sobolev_norm(v, s2, 0.0)
     if step == "3d":
         got = strichartz3d_ratio(u, v, s1, s2, p)
@@ -309,8 +310,9 @@ def test_adversarial_high_high_to_low_product_support():
     g = make_grid(4 * n, 32, 16 * math.pi, tPoints=16, tWindow=2.0)
     u, v = adversarial_pair("high-high-to-low", n, g, seed=1)
     g2 = product_grid(g)
-    plan = ProductPlan.fitted(u.coeffs, v.coeffs, g2.spatial_shape)
-    prod = plan.product(u.coeffs, v.coeffs) * g2.deta
+    (lo_u, a), (lo_v, b) = occupied(u.coeffs), occupied(v.coeffs)
+    plan = ProductPlan.boxed(g.spatial_shape, lo_u, a, lo_v, b, g2.spatial_shape)
+    prod = plan.product(a, b) * g2.deta
     outside = np.abs(g2.k_axis()) > g2.kMax // 4
     assert np.max(np.abs(prod[outside])) < 1e-14
     assert np.max(np.abs(prod)) > 0
@@ -539,9 +541,8 @@ def test_spacetime_pair_boxes_match_the_full_grid_formula(y_dims, kind, seed):
     pair = spacetime_pair(kind, 4, g, seed)
     for box, want in zip(pair, _full_grid_spacetime_pair(kind, 4, g, seed)):
         assert np.array_equal(box.field().coeffs, want)
-        assert occupied_box(want) == tuple(
-            (lo, lo + m - 1) for lo, m in zip(box.lo, box.coeffs.shape)
-        )
+        lo, entries = occupied(want)
+        assert lo == box.lo and np.array_equal(entries, box.coeffs)
     assert pair[0].coeffs is not pair[1].coeffs  # two arrays: the packed product
 
 

@@ -34,7 +34,7 @@ from kplab.fields import (
     load_field,
     make_grid,
     mixed_norm,
-    occupied_box,
+    occupied,
     phi_grid,
     product_grid,
     project_mean_zero,
@@ -315,13 +315,27 @@ def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
         assert bourgain_norm(F, spec, params) == pytest.approx(want, rel=1e-13), spec
 
 
+def _boxed_plan(a, b, out_shape=None):
+    # the fitted plan of the occupied boxes of the FFT-ordered arrays `a`,
+    # `b`, and the two boxes it reads (one box twice for one array twice)
+    held = occupied(a)
+    held_b = held if b is a else occupied(b)
+    return ProductPlan.boxed(a.shape, *held, *held_b, out_shape), held[1], held_b[1]
+
+
+def _span(c):
+    # per axis, the signed frequencies (lo, hi) of the occupied box of `c`
+    lo, box = occupied(c)
+    return tuple((a, a + m - 1) for a, m in zip(lo, box.shape))
+
+
 def _doubled_grid_product(Fa, Fb):
     # the oracle: the exact space-time product written onto the whole doubled
     # (tau, k, eta) grid, as `st_product_exact` formed it before it returned
     # the product's box
     g2 = product_grid(Fa.grid)
-    plan = ProductPlan.fitted(Fa.coeffs, Fb.coeffs, g2.st_shape)
-    prod = plan.product(Fa.coeffs, Fb.coeffs)
+    plan, a, b = _boxed_plan(Fa.coeffs, Fb.coeffs, g2.st_shape)
+    prod = plan.product(a, b)
     prod *= g2.dtau * g2.deta**g2.yDims
     return SpaceTimeField(g2, prod)
 
@@ -390,8 +404,7 @@ def test_boxed_product_matches_the_doubled_grid(case):
     assert box.grid == oracle.grid == product_grid(u.grid)
     # the box is the occupied one, lo_a + lo_b .. hi_a + hi_b, clipped to the grid
     for (la, ha), (lb, hb), n, lo, m in zip(
-        occupied_box(u.coeffs), occupied_box(v.coeffs), box.grid.st_shape,
-        box.lo, box.coeffs.shape,
+        _span(u.coeffs), _span(v.coeffs), box.grid.st_shape, box.lo, box.coeffs.shape,
     ):
         assert lo == max(la + lb, -(n // 2))
         assert lo + m - 1 == min(ha + hb, (n - 1) // 2)
@@ -649,8 +662,8 @@ def _product_exact(fa, fb):
     # the exact spectral product on the doubled grid, formed as
     # `st_product_exact` forms the space-time one
     g2 = product_grid(fa.grid)
-    plan = ProductPlan.fitted(fa.coeffs, fb.coeffs, g2.spatial_shape)
-    return SpectralField(g2, plan.product(fa.coeffs, fb.coeffs) * g2.deta**g2.yDims)
+    plan, a, b = _boxed_plan(fa.coeffs, fb.coeffs, g2.spatial_shape)
+    return SpectralField(g2, plan.product(a, b) * g2.deta**g2.yDims)
 
 
 def _dealiased_product(fa, fb):
@@ -744,7 +757,7 @@ def test_fitted_product_matches_direct_convolution(data):
     # two real fields take the packed route: both factors in one transform
     packed = pairing == "hermitian" and bool(np.any(fa.coeffs) and np.any(fb.coeffs))
     doubled = tuple(2 * n for n in shape)
-    assert ProductPlan.fitted(fa.coeffs, fb.coeffs, doubled).packed == packed
+    assert _boxed_plan(fa.coeffs, fb.coeffs, doubled)[0].packed == packed
     prod = product(fa, fb)
     direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
     assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
@@ -782,9 +795,9 @@ def test_packed_route_gate_negative_controls(control, spacetime):
         else (random_field, _product_exact, g.deta)
     )
     fa, fb = make(g, band, seed=5), make(g, band, seed=6)
-    assert ProductPlan.fitted(fa.coeffs, fb.coeffs).packed
+    assert _boxed_plan(fa.coeffs, fb.coeffs)[0].packed
     fb = type(fb)(g, control(fb.coeffs))
-    assert not ProductPlan.fitted(fa.coeffs, fb.coeffs).packed
+    assert not _boxed_plan(fa.coeffs, fb.coeffs)[0].packed
     prod = product(fa, fb)
     direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
     assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -799,10 +812,10 @@ def test_packed_route_keeps_each_factor_relative_accuracy():
     a = st_random_field(g, band, seed=1).field().coeffs
     b = st_random_field(g, band, seed=2).field().coeffs * 1e-9
     out = product_grid(g).st_shape
-    plan = ProductPlan.fitted(a, b, out)
+    plan, box_a, box_b = _boxed_plan(a, b, out)
     assert plan.packed
     direct = _direct_convolution(a, b, out)
-    assert np.max(np.abs(plan.product(a, b) - direct)) <= 1e-14 * np.max(np.abs(direct))
+    assert np.max(np.abs(plan.product(box_a, box_b) - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_fitted_product_crops_to_out_shape():
@@ -810,28 +823,30 @@ def test_fitted_product_crops_to_out_shape():
     # shape, the default) on the y axis: no runs there, and a zero product
     a = np.zeros((3, 8), complex)
     a[0, 2] = 1.0
-    assert not np.any(ProductPlan.fitted(a, a).product(a, a))
+    plan, box, _ = _boxed_plan(a, a)
+    assert not np.any(plan.product(box, box))
     # partly outside on both axes (odd lengths, so no sum lands on a Nyquist
     # row): the frequencies out_shape holds are the direct convolution's
     rng = np.random.default_rng(8)
     a, b = np.zeros((2, 7, 9), complex)
     a[1:4, 2:5] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b[2:4, 1:4] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    prod = ProductPlan.fitted(a, b).product(a, b)
+    plan, box_a, box_b = _boxed_plan(a, b)
+    prod = plan.product(box_a, box_b)
     direct = _direct_convolution(a, b, a.shape)
     assert np.any(direct) and np.max(np.abs(prod - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
-def test_fitted_plan_is_sized_to_the_occupied_boxes():
+def test_fitted_plan_is_sized_to_the_occupied_spans():
     g = make_grid(32, 256, 32 * math.pi)
     band = BandSpec(kLo=16, kHi=32, etaHi=2.0)
     u = random_field(g, band, seed=1, side="+")
     v = random_field(g, band, seed=2)
-    box_u, box_v = occupied_box(u.coeffs), occupied_box(v.coeffs)
+    box_u, box_v = _span(u.coeffs), _span(v.coeffs)
     assert box_u[0] == (16, 32) and box_v[0] == (-32, 32)
     assert box_u[1] == box_v[1] == (-32, 32)  # |eta| <= 2 at deta = 1/16
-    assert occupied_box(np.zeros((5, 8), complex)) == ((0, 0), (0, 0))
-    plan = ProductPlan.fitted(u.coeffs, v.coeffs)
+    assert _span(np.zeros((5, 8), complex)) == ((0, 0), (0, 0))
+    plan = _boxed_plan(u.coeffs, v.coeffs)[0]
     assert plan.pad_shape == (next_fast_len(17 + 65 - 1), next_fast_len(65 + 65 - 1))
     # the doubled grid would take 129 x 512 samples; the fitted one has
     # lengths whose prime factors are all small
@@ -914,7 +929,8 @@ class _IxProductPlan:
         dst = [(p - s) % m for p, s, m in zip(q, shift, self.pad_shape)]
         return np.ix_(*src), np.ix_(*dst)
 
-    def gather(self, c, factor):
+    def on_box(self, c, factor):
+        # the entries of the FFT-ordered `c` on the box of factor 0 or 1
         return c[self._factors[factor][0]]
 
     def samples(self, box_coeffs, factor):
@@ -925,8 +941,8 @@ class _IxProductPlan:
         return big
 
     def product(self, a, b):
-        ua = self.samples(self.gather(a, 0), 0)
-        ua *= ua if b is a else self.samples(self.gather(b, 1), 1)
+        ua = self.samples(self.on_box(a, 0), 0)
+        ua *= ua if b is a else self.samples(self.on_box(b, 1), 1)
         if self._char is not None:
             ua *= self._char
         np.fft.fftn(ua, out=ua)
@@ -958,11 +974,14 @@ def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid):
     a, b = (_complex_normal(rng, grid.spatial_shape) for _ in range(2))
     for second in (b, a):  # a twice takes the squared-samples path
         assert np.array_equal(plan.product(a, second), oracle.product(a, second))
-    assert np.array_equal(plan.gather(a, 1), oracle.gather(a, 1))
-    boxes = plan.gather(a, 0), plan.gather(b, 1)
-    _, u, v = plan._samples(*boxes, 0)
-    assert np.array_equal(u, oracle.samples(boxes[0], 0))
-    assert np.array_equal(v, oracle.samples(boxes[1], 1))
+    # no entry is zero, so the occupied box is the whole grid
+    lo, box = occupied(a)
+    assert lo == tuple(-(n // 2) for n in grid.spatial_shape)
+    assert np.array_equal(box, oracle.on_box(a, 1))
+    # the dealiased plan reads the FFT-ordered arrays themselves
+    _, u, v = plan._samples(a, b)
+    assert np.array_equal(u, oracle.samples(oracle.on_box(a, 0), 0))
+    assert np.array_equal(v, oracle.samples(oracle.on_box(b, 1), 1))
 
 
 @pytest.mark.parametrize(
@@ -983,16 +1002,16 @@ def test_fitted_plan_is_bit_identical_to_the_ix_route(shape, boxes):
         c[index] = _complex_normal(rng, c[index].shape)
     out_shape = tuple(2 * n for n in shape)
     for second in (b, a):
-        plan = ProductPlan.fitted(a, second, out_shape)
-        both = (occupied_box(a), occupied_box(second))
+        plan, *held = _boxed_plan(a, second, out_shape)
+        both = (_span(a), _span(second))
         assert both == (boxes[0], boxes[1] if second is b else boxes[0])
         oracle = _IxProductPlan(shape, plan.pad_shape, both, out_shape)
-        assert np.array_equal(plan.product(a, second), oracle.product(a, second))
-        held = [plan.gather(c, factor) for factor, c in enumerate((a, second))]
+        assert np.array_equal(plan.product(*held), oracle.product(a, second))
         for factor, c in enumerate((a, second)):
-            assert np.array_equal(held[factor], oracle.gather(c, factor))
+            assert np.array_equal(held[factor], oracle.on_box(c, factor))
         # a twice is one box, squared: its samples are u = v
-        _, u, v = plan._samples(held[0], held[0] if second is a else held[1], 0)
+        assert (held[1] is held[0]) == (second is a)
+        _, u, v = plan._samples(*held)
         assert np.array_equal(u, oracle.samples(held[0], 0))
         assert np.array_equal(v, oracle.samples(held[1], 1))
 
@@ -1006,11 +1025,13 @@ def test_plan_batches_match_a_loop_over_their_slices():
     assert got.shape == batch.shape
     for i, j in np.ndindex(batch.shape[:2]):
         assert np.array_equal(got[i, j], plan.product(batch[i, j], batch[i, j]))
-    fitted = ProductPlan.fitted(batch[0, 0], batch[1, 2], g.spatial_shape)
-    other = batch[::-1, ::-1]
-    got = fitted.product(batch, other)
+    # a fitted plan reads boxes; no entry is zero, so each box is the whole grid
+    fitted, box, _ = _boxed_plan(batch[0, 0], batch[1, 2], g.spatial_shape)
+    index = fields._box_index(occupied(batch[0, 0])[0], box.shape, g.spatial_shape)
+    boxes, other = batch[index], batch[::-1, ::-1][index]
+    got = fitted.product(boxes, other)
     for i, j in np.ndindex(batch.shape[:2]):
-        assert np.array_equal(got[i, j], fitted.product(batch[i, j], other[i, j]))
+        assert np.array_equal(got[i, j], fitted.product(boxes[i, j], other[i, j]))
 
 
 def test_serialization_round_trip(tmp_path):
@@ -1055,6 +1076,35 @@ def test_load_field_rejects_malformed_headers(tmp_path):
     unknown_grid_field = {**header, "grid": {**header["grid"], "zPoints": 8}}
     unknown_kind = {**header, "kind": "physical"}
     for bad in (no_grid, unknown_grid_field, unknown_kind):
+        text = json.dumps(bad).encode("utf-8")
+        path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
+        with pytest.raises(InvalidSpecError):
+            load_field(path)
+
+
+def test_a_saved_box_loads_as_its_whole_field(tmp_path):
+    g = small_grid()
+    box = st_random_field(g, BandSpec(1, 6, 1.5), seed=14)
+    path = tmp_path / "box.bin"
+    save_field(path, box)
+    back = load_field(path)
+    assert isinstance(back, SpaceTimeField)
+    assert back.grid == g
+    assert np.array_equal(back.coeffs, box.field().coeffs)
+
+
+def test_load_field_rejects_a_shape_that_is_not_its_grids(tmp_path):
+    g = small_grid()
+    path = tmp_path / "field.bin"
+    save_field(path, random_field(g, BandSpec(1, 6, 1.5), seed=13))
+    blob = path.read_bytes()
+    magic, (n,) = blob[:5], struct.unpack("<I", blob[5:9])
+    header, coeffs = json.loads(blob[9 : 9 + n]), blob[9 + n :]
+    # the same number of coefficients as the grid holds: reshaped, and a
+    # spectral shape called space-time
+    reshaped = {**header, "shape": [g.yPoints, g.nx]}
+    other_kind = {**header, "kind": "spacetime"}
+    for bad in (reshaped, other_kind):
         text = json.dumps(bad).encode("utf-8")
         path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
         with pytest.raises(InvalidSpecError):
