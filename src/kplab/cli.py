@@ -258,6 +258,13 @@ def _at_least(count, lo):
     )
 
 
+def _fit_ns(default, count, lo):
+    """The Ns key of a fitted sweep: `_at_least(count, lo)`, spanning what the fit needs."""
+    ok, what = _at_least(count, lo)
+    return _Key(default, [int], lambda v: ok(v) and estimates.spans_fit(v),
+                f"{what} (max >= 8 * min)")
+
+
 def _one_of(choices):
     return (lambda v: v in choices, f"(one of {choices})")
 
@@ -295,7 +302,7 @@ def _sweep(point_name, alpha, Ns, seeds, **keys):
     runner = functools.partial(_run_sweep, estimates, point_name, None, ())
     return _Subcommand(runner, ["N", "kind", "seed", "value"], {
         "alpha": _alpha(alpha),
-        "Ns": _Key(Ns, [int], *_at_least(1, 1)),
+        "Ns": _fit_ns(Ns, 1, 1),
         "seeds": _Key(seeds, [int], *_at_least(1, 0)),
         **keys,
     })
@@ -332,7 +339,7 @@ _TABLE = {
                           "counterexample_summary", ()),
         ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"], {
             # no alpha: the lhs is measured from the fold, where alpha drops out
-            "Ns": _Key([16, 32, 64, 128, 256], [int], *_at_least(3, 8)),
+            "Ns": _fit_ns([16, 32, 64, 128, 256], 3, 8),
             "s": _Key(0.0, float),
             "halfWidthExponent": _Key(0.0, float),
             "quadPoints": _Key(96, int, *_ge(16)),
@@ -354,7 +361,7 @@ _TABLE = {
         ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"], {
             "alpha": _alpha(2.0),
             "s": _Key(-0.75, float),
-            "Ns": _Key([16, 32, 64, 128], [int], *_at_least(4, 8)),
+            "Ns": _fit_ns([16, 32, 64, 128], 4, 8),
             "betaInterval": _Key(0.05, float, lambda v: 0 < v <= 0.1, "(must lie in (0, 0.1])"),
             "t": _Key(0.1, float, lambda v: v != 0, "(must be nonzero)"),
             "etaQuadPoints": _Key(64, int, lambda v: v >= 32 and v % 2 == 0, "(even, >= 32)"),

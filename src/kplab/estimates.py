@@ -60,17 +60,22 @@ class ScalingFit:
     residual: float
 
 
+def spans_fit(ns):
+    """Whether the N values `ns` span the factor of 8 that `fit_exponent` needs."""
+    return max(ns) >= 8 * min(ns)
+
+
 def fit_exponent(samples):
     """Least squares on (log N, log value) over (N, value) pairs; slope and RMS residual.
 
-    The samples must span at least a factor of 8 in N, and every value must
-    be finite and positive.
+    The samples must span at least a factor of 8 in N (`spans_fit`), and
+    every value must be finite and positive.
     """
     pts = list(samples)
     if len(pts) < 2:
         raise InsufficientSpanError(f"need at least 2 samples, got {len(pts)}")
     ns, vals = np.array(pts, dtype=float).T
-    if ns.max() < 8.0 * ns.min():
+    if not spans_fit(ns):
         raise InsufficientSpanError(
             f"N span {ns.min():g}..{ns.max():g} is below the required 8x"
         )
@@ -104,7 +109,7 @@ def _product_l2_lhs(u0, v0, weights, params):
     g = u0.grid
     a = fields.occupied(u0.coeffs)
     b = a if v0 is u0 else fields.occupied(v0.coeffs)
-    plan = fields.ProductPlan.boxed(g.spatial_shape, *a, *b)
+    plan = fields.ProductPlan(*a, *b)
     phi = fields.phi_grid(g, params)
     phi_a, phi_b = (phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in (a, b))
     cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size

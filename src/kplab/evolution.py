@@ -134,22 +134,22 @@ def _quadratic_term(grid, dealias=2.0 / 3.0):
 
     Returns the term and its padded grid's size.  The term acts on the
     trailing axes, so an array of several fields (leading axes) gives each
-    field's term.  The padded-product plan is built once, so build this once
-    per solve.
+    field's term.  `fields.dealiased_square` builds its index maps once, so
+    build this once per solve.
     """
     pad = fields.dealias_grid(grid, dealias)
-    plan = fields.ProductPlan(grid.spatial_shape, pad.spatial_shape)
+    square, size = fields.dealiased_square(grid.spatial_shape, pad.spatial_shape)
     k = grid.k_axis().reshape((-1,) + (1,) * grid.yDims)
     half_ik = -0.5j * k * grid.deta**grid.yDims
     k_zero = (Ellipsis, 0) + (slice(None),) * grid.yDims
 
     def term(c):
-        out = half_ik * plan.product(c, c)
+        out = half_ik * square(c)
         out[k_zero] = 0.0
         fields._zero_nyquist(out, grid)
         return out
 
-    return term, plan.size
+    return term, size
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ fields have exact Hermitian symmetry.
 A SpaceTimeBox holds G over a box of signed frequencies only, the lattice
 being zero outside it.  The random space-time ensembles and the exact
 products are boxes, and SpaceTimeBox.field() gives the SpaceTimeField.
-`occupied` is the one step from an FFT-ordered array to its occupied box,
-and every exact product reads its factors on their boxes.
+`occupied` is the one step from an FFT-ordered array to its occupied box.
+Each quadratic product has its caller's function: `ProductPlan`, the exact
+product of two boxes, and `dealiased_square`, the solvers' 2/3-rule square.
 
 Mean-zero condition: all k = 0 coefficients vanish.  project_mean_zero
 enforces it; Bourgain-type norms skip the k = 0 column, where the phase is
@@ -600,20 +601,21 @@ def occupied(c):
     return lo, c[_box_index(lo, np.subtract(hi, lo) + 1, c.shape)]
 
 
-def _axis_runs(n, box, shift, m):
-    # frequency q of the box sits at index q mod n of the FFT-ordered array
-    # and at position (q - shift) mod m of the padded one; split lo..hi where
-    # either index wraps, so each run is three slices: (box, source, padded).
-    # An empty box (lo > hi: a product wholly outside out_shape) has no runs
-    q = np.arange(box[0], box[1] + 1)
-    src, dst = q % n, (q - shift) % m
-    cuts = np.flatnonzero((np.diff(src) != 1) | (np.diff(dst) != 1)) + 1
-    bounds = [0, *cuts.tolist(), q.size] if q.size else [0]
+def _runs(at, pad):
+    # one axis's map, entry at[i] to padded position pad[i], as runs split
+    # where either index stops being consecutive: (unpadded, padded) slices
+    cuts = np.flatnonzero((np.diff(at) != 1) | (np.diff(pad) != 1)) + 1
+    bounds = [0, *cuts.tolist(), at.size]
     return [
-        (slice(a, b), slice(int(src[a]), int(src[a]) + b - a),
-         slice(int(dst[a]), int(dst[a]) + b - a))
+        (slice(int(at[a]), int(at[a]) + b - a), slice(int(pad[a]), int(pad[a]) + b - a))
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def _box_runs(box, pad_shape):
+    # per axis, the run(s) from position q - lo of a box lo..hi to q mod m
+    return [_runs(np.arange(hi - lo + 1), np.arange(lo, hi + 1) % m)
+            for (lo, hi), m in zip(box, pad_shape)]
 
 
 def _hermitian_energy(c):
@@ -624,12 +626,11 @@ def _hermitian_energy(c):
     return float(np.sum(np.square(np.abs(c))))
 
 
-def _copies(axis_runs, read):
+def _copies(axis_runs):
     # every combination of one run per axis, as a pair of index tuples over
-    # the trailing axes: the runs' box (read 0) or source (read 1) slices,
-    # and their padded ones
+    # the trailing axes: the runs' unpadded slices and their padded ones
     return [
-        tuple((Ellipsis, *(run[i] for run in combo)) for i in (read, 2))
+        tuple((Ellipsis, *(run[i] for run in combo)) for i in (0, 1))
         for combo in itertools.product(*axis_runs)
     ]
 
@@ -643,7 +644,7 @@ def _lines(axis_runs, forward):
     d = len(axis_runs)
     merged = []
     for runs in axis_runs:
-        spans = sorted([run[2].start, run[2].stop] for run in runs)
+        spans = sorted([run[1].start, run[1].stop] for run in runs)
         for i in reversed(range(1, len(spans))):
             if spans[i - 1][1] == spans[i][0]:  # adjacent runs: one view
                 spans[i - 1][1] = spans.pop(i)[1]
@@ -664,28 +665,71 @@ def _transform(a, fft, lines):
             fft(v, axis=axis, out=v)
 
 
+def _place(c, copies, pad_shape, lines):
+    # `c` in a zero padded array by its copies (leading batch axes kept),
+    # then its samples, times the padded size, if given the inverse lines
+    big = np.zeros(c.shape[: c.ndim - len(pad_shape)] + pad_shape, dtype=complex)
+    for at, pad in copies:
+        big[pad] = c[at]
+    if lines:
+        _transform(big, np.fft.ifft, lines)
+        big *= math.prod(pad_shape)
+    return big
+
+
+def dealiased_square(shape, pad_shape):
+    """The dealiased square of FFT-ordered coefficients of `shape`, zero-padded to `pad_shape`.
+
+    Returns `(square, size)`: `square(c)` places c (leading batch axes
+    allowed) at position q mod m of each padded axis, squares its samples
+    and writes the product's frequencies that `shape` holds back to their
+    FFT-ordered indices, divided by `size`, the number of padded samples.
+    The index maps are built once: on each axis two runs of consecutive
+    indices, split where q = 0 wraps, so every move of data is a slice copy.
+
+    The padded transforms go one axis at a time, last axis first as
+    `numpy.fft.ifftn`/`fftn` do, in place on views: the inverse skips the
+    lines still all zero (an earlier axis outside the placed runs), the
+    forward one those the crop drops (a later axis outside the kept runs),
+    548 of 710 lines transformed at 65 x 128 padded to 99 x 256.  Every line
+    transformed sees the same 1-D transform as in the full n-d one, so the
+    results are bit-identical to the full `ifftn`/`fftn` route.  That
+    matters: `evolve`'s `observedOrder` moves by 1e-7 under a rounding-level
+    change, and `perfbench/check.py` holds it to 1e-8.
+    """
+    pad_shape = tuple(pad_shape)
+    size = math.prod(pad_shape)
+    # per axis, frequency q of the grid from index q mod n to q mod m
+    runs = [_runs(q % n, q % m) for n, m in zip(shape, pad_shape)
+            for q in [np.arange(-(n // 2), (n + 1) // 2)]]
+    copies = _copies(runs)
+    inverse, forward = _lines(runs, forward=False), _lines(runs, forward=True)
+
+    def square(c):
+        u = _place(c, copies, pad_shape, inverse)
+        u *= u
+        _transform(u, np.fft.fft, forward)
+        out = np.zeros(c.shape, dtype=complex)
+        for at, pad in copies:
+            np.divide(u[pad], size, out=out[at])
+        return out
+
+    return square, size
+
+
 class ProductPlan:
-    """Pointwise product of two factors' coefficients on a padded grid.
+    """Exact pointwise product of two boxes of coefficients on a padded grid.
 
-    One placement rule serves every plan: each factor brings its
-    coefficients over a box of signed frequencies (lo..hi per axis), and
-    frequency q goes to position q mod m of a padded axis of length m.
-    `product` writes the product's frequencies that `out_shape` can hold
-    back at their FFT-ordered indices.  There are two kinds of plan, and
-    the kind fixes the one layout the plan reads its factors in:
-
-    * dealiased (`boxes=None`): both factors cover all of `shape` and come
-      as FFT-ordered arrays, and the product is cropped back to `shape`;
-    * fitted (`boxed`): the factors come as boxes, position p of an axis
-      holding frequency lo + p, as `occupied` returns them.  Each axis is
-      the smallest 11-smooth length >= span_a + span_b - 1 of the two
-      boxes, so no frequency of the product wraps.  The samples' product
-      is multiplied by the unimodular character e^{-i (lo_a + lo_b) . x},
-      which moves frequency lo_a + lo_b to position 0, so the product's box
-      starts at the front of the padded array: `box_product` returns it
-      there, in place, from frequency `out_lo`.  |ua ub|, and
-      `sample_energy`, the sum of |ua ub|^2 over the samples, do not depend
-      on the character.
+    Each factor comes as a box of signed frequencies, as `occupied` returns
+    it (position p of an axis holds frequency lo + p), and frequency q goes
+    to position q mod m of a padded axis of length m, the smallest 11-smooth
+    length >= span_a + span_b - 1, so no frequency of the product wraps.
+    The samples' product is multiplied by the unimodular character
+    e^{-i lo . x}, `lo` = lo_a + lo_b, which moves frequency lo to position
+    0: the product's box, lo .. hi_a + hi_b, starts at the front of the
+    padded array, and `box_product` returns it there, in place.  |ua ub|,
+    and `sample_energy`, the sum of |ua ub|^2 over the samples, do not
+    depend on the character.
 
     A plan forms its samples one of three ways.  One array twice squares
     its own samples.  Two real factors (`packed` is True) share one
@@ -696,92 +740,43 @@ class ProductPlan:
     its real part and v in its imaginary part (Numerical Recipes, section
     12.3).  B goes in scaled by a power of two to A's l2 size, so neither
     factor's rounding error is set by the other's size.  Other pairs take
-    a padded array each.
+    a padded array each.  A packed plan serves only such factors.
 
-    The index maps are built once per plan.  On each axis a map is a few runs
-    of consecutive indices (two at most: one index wraps at q = 0), so every
-    move of data is a slice copy.  The padded transforms go one axis at a
-    time, last axis first as `numpy.fft.ifftn`/`fftn` do, in place on views:
-    the inverse transform skips the lines that are still all zero (an earlier
-    axis outside the placed runs), and the forward one skips the lines that
-    the crop drops (a later axis outside the kept runs).  Every line that is
-    transformed sees the same 1-D transform as in the full n-d one, so the
-    results are bit-identical to the full `ifftn`/`fftn` route.  That
-    matters: `evolve`'s `observedOrder` moves by 1e-7 under a rounding-level
-    change, and `perfbench/check.py` holds it to 1e-8.  A dealiased plan
-    skips about a quarter of the lines (548 of 710 transformed at 65 x 128
-    padded to 99 x 256); a fitted box fills about half of its pad per axis.
-
-    `product`, `box_product` and `sample_energy` act on the trailing axes,
-    so the arrays may carry leading batch axes (the Picard solver passes
-    blocks of t rows); each slice of a batch gives what it would alone.
+    Index maps and transform lines are built once per plan and used as in
+    `dealiased_square` (a box fills about half of its pad per axis).
+    `box_product` and `sample_energy` act on the trailing axes, so the boxes
+    may carry leading batch axes, each slice giving what it would alone.
 
     No y (or t) origin sign is applied.  Moving the y origin to -L/2 (or the
-    t origin to -tWindow) multiplies the coefficients by the character
-    (-1)^q.  On even-length axes that character is multiplicative,
+    t origin to -tWindow) multiplies the coefficients by (-1)^q, which on an
+    even-length axis (every y and t axis here) is a multiplicative character,
     (-1)^(q1+q2) = (-1)^q1 (-1)^q2 with q taken mod the axis length, so it
-    cancels from every product; a sum of |ua ub|^2 over all samples does not
-    depend on the origin either.  Every y and t axis here has even length.
+    cancels from every product, and sum |ua ub|^2 does not depend on it.
     """
 
-    def __init__(self, shape, pad_shape, boxes=None, out_shape=None):
-        self.pad_shape = tuple(pad_shape)
+    def __init__(self, lo_a, a, lo_b, b):
+        boxes = [[(low, low + m - 1) for low, m in zip(lo, c.shape)]
+                 for lo, c in ((lo_a, a), (lo_b, b))]
+        spans = [ma + mb - 1 for ma, mb in zip(a.shape, b.shape)]
+        self.pad_shape = tuple(_next_fast_len(s) for s in spans)
         self.size = math.prod(self.pad_shape)
-        self.out_shape = tuple(shape if out_shape is None else out_shape)
-        boxed = boxes is not None
-        if not boxed:
-            boxes = (tuple((-(n // 2), (n - 1) // 2) for n in shape),) * 2
-        factors = [
-            [_axis_runs(n, axis, 0, m) for n, axis, m in zip(shape, box, self.pad_shape)]
-            for box in boxes
-        ]
-        # a fitted plan reads boxes, a dealiased one FFT-ordered arrays
-        self._copies = [_copies(runs, 0 if boxed else 1) for runs in factors]
+        self.lo = tuple(la + lb for la, lb in zip(lo_a, lo_b))
+        factors = [_box_runs(box, self.pad_shape) for box in boxes]
+        self._copies = [_copies(runs) for runs in factors]
         self._inverse = [_lines(runs, forward=False) for runs in factors]
-        out_box = [
-            (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
-            for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
-        ]
-        # where a fitted plan's character moves the product's lowest frequency
-        out_shift = [la + lb if boxed else 0 for (la, _), (lb, _) in zip(*boxes)]
-        out = [
-            _axis_runs(*args)
-            for args in zip(self.out_shape, out_box, out_shift, self.pad_shape)
-        ]
-        self._crop = _copies(out, 1)
-        self._forward = _lines(out, forward=True)
-        self.out_lo = tuple(lo for lo, _ in out_box)
-        self.packed = False
-        if not boxed:  # the product wraps, so only `product` serves it
-            self._out_box = self._char0 = None
-            return
-        self._out_box = (Ellipsis,) + tuple(
-            slice(lo - shift, hi - shift + 1) for (lo, hi), shift in zip(out_box, out_shift)
-        )
-        # e^{-i shift x_p} per axis, x_p = 2 pi p / m, with the phase's
-        # integer numerator reduced mod m, as an open mesh (np.ix_): the
-        # first axis's alone, and the product of the others' over their
-        # whole padded plane
+        # the product's box, at the front of the padded array
+        self._box = (Ellipsis,) + tuple(slice(0, s) for s in spans)
+        self._forward = _lines([[(s, s)] for s in self._box[1:]], forward=True)
+        # e^{-i lo x_p}, x_p = 2 pi p / m, its numerator reduced mod m, per
+        # axis (np.ix_): the first axis's alone, the others' over their plane
         chars = np.ix_(*(
             np.exp(-2j * math.pi * (shift * np.arange(m) % m) / m)
-            for shift, m in zip(out_shift, self.pad_shape)
+            for shift, m in zip(self.lo, self.pad_shape)
         ))
         self._char0, self._char_rest = chars[0], np.ones(self.pad_shape[1:], complex)
         for char in chars[1:]:
             self._char_rest *= char[0]
-
-    @classmethod
-    def boxed(cls, shape, lo_a, a, lo_b, b, out_shape=None):
-        """Alias-free plan for two boxes of arrays of `shape`, from lo_a and lo_b.
-
-        Its methods read the factors as boxes of the shapes of `a` and `b`.
-        Packed when `a` and `b` are two different, exactly Hermitian arrays on
-        symmetric boxes (see the class docstring), it serves only such factors.
-        """
-        boxes = [tuple((low, low + m - 1) for low, m in zip(lo, c.shape))
-                 for lo, c in ((lo_a, a), (lo_b, b))]
-        pad = [_next_fast_len(ha - la + hb - lb + 1) for (la, ha), (lb, hb) in zip(*boxes)]
-        plan = cls(shape, pad, boxes, out_shape)
+        self.packed = False
         if b is not a and all(lo == -hi for lo, hi in boxes[0] + boxes[1]):
             energy = [_hermitian_energy(c) for c in (a, b)]
             if all(e is not None and 0.0 < e < math.inf for e in energy):
@@ -790,26 +785,10 @@ class ProductPlan:
                 # times 2^-balance: both exact, so each factor's rounding error
                 # in the shared transform stays relative to its own size.  The
                 # inverse lines cover the wider box per axis
-                plan._balance = (math.frexp(energy[0])[1] - math.frexp(energy[1])[1]) // 2
-                reach = [max(ha, hb) for (_, ha), (_, hb) in zip(*boxes)]
-                plan._pair_inverse = _lines(
-                    [_axis_runs(n, (-h, h), 0, m) for n, h, m in zip(shape, reach, pad)],
-                    forward=False,
-                )
-                plan.packed = True
-        return plan
-
-    def _place(self, c, factor, lines):
-        # factor 0 or 1 of `c` in a zero padded array, frequency q at
-        # position q mod m, then its samples if given the inverse lines
-        lead = c.shape[: c.ndim - len(self.pad_shape)]
-        big = np.zeros(lead + self.pad_shape, dtype=complex)
-        for at, pad in self._copies[factor]:
-            big[pad] = c[at]
-        if lines:
-            _transform(big, np.fft.ifft, lines)
-            big *= self.size
-        return big
+                self._balance = (math.frexp(energy[0])[1] - math.frexp(energy[1])[1]) // 2
+                reach = [(-max(ha, hb), max(ha, hb)) for (_, ha), (_, hb) in zip(*boxes)]
+                self._pair_inverse = _lines(_box_runs(reach, self.pad_shape), forward=False)
+                self.packed = True
 
     def _samples(self, a, b):
         # the padded samples u = sum_q a_q e^{i q . x} of `a` and v of `b`,
@@ -817,9 +796,10 @@ class ProductPlan:
         # one array twice, (u + i v, u, v) for two real factors, else
         # (u, u, v)
         pair = self.packed and b is not a
-        u = self._place(a, 0, None if pair else self._inverse[0])
+        u = _place(a, self._copies[0], self.pad_shape, () if pair else self._inverse[0])
         if not pair:
-            return u, u, (u if b is a else self._place(b, 1, self._inverse[1]))
+            v = u if b is a else _place(b, self._copies[1], self.pad_shape, self._inverse[1])
+            return u, u, v
         for at, pad in self._copies[1]:
             big, c = u[pad], b[at]
             big.real -= np.ldexp(c.imag, self._balance)
@@ -829,24 +809,6 @@ class ProductPlan:
         if self._balance:
             np.ldexp(u.imag, -self._balance, out=u.imag)
         return u, u.real, u.imag
-
-    def _padded_product(self, a, b):
-        # the product's coefficients times self.size, frequency q at
-        # position q mod m (dealiased) or q - lo_a - lo_b (fitted)
-        big, u, v = self._samples(a, b)
-        if self._char0 is None:
-            big *= v
-        else:
-            # u v times the character, one block of first-axis rows at a
-            # time, so each entry of the padded array is read and written once
-            d = len(self.pad_shape)
-            rows = max(1, _BLOCK_ENTRIES // self._char_rest.size)
-            for p in range(0, self.pad_shape[0], rows):
-                at = (Ellipsis, slice(p, p + rows)) + (slice(None),) * (d - 1)
-                char = self._char0[p : p + rows] * self._char_rest
-                np.multiply(u[at] * v[at], char, out=big[at])
-        _transform(big, np.fft.fft, self._forward)
-        return big
 
     def sample_energy(self, a, b):
         """Sum of |u v|^2 over the padded samples u, v of the factors `a`, `b`.
@@ -860,26 +822,19 @@ class ProductPlan:
         np.square(sq, out=sq)
         return float(np.sum(sq))
 
-    def product(self, a, b):
-        """Coefficients, on `out_shape`, of the product of the samples of `a` and `b`."""
-        ua = self._padded_product(a, b)
-        lead = ua.shape[: ua.ndim - len(self.pad_shape)]
-        out = np.zeros(lead + self.out_shape, dtype=complex)
-        for at, pad in self._crop:
-            np.divide(ua[pad], self.size, out=out[at])
-        return out
-
     def box_product(self, a, b):
-        """The product's coefficients over its box, clipped to what `out_shape` holds.
-
-        A fitted plan's only: position p holds the signed frequency `out_lo`
-        + p.  The box sits at the start of the padded array without
-        wrapping, so it is that array cropped in place (a view), with the
-        same values that `product` writes to `out_shape`.
-        """
-        if self._out_box is None:
-            raise InvalidSpecError(["box_product needs a fitted plan"])
-        box = self._padded_product(a, b)[self._out_box]
+        """The product on its box, from frequency `lo`: a view of the padded array."""
+        big, u, v = self._samples(a, b)
+        # u v times the character, one block of first-axis rows at a time,
+        # so each entry of the padded array is read and written once
+        d = len(self.pad_shape)
+        rows = max(1, _BLOCK_ENTRIES // self._char_rest.size)
+        for p in range(0, self.pad_shape[0], rows):
+            at = (Ellipsis, slice(p, p + rows)) + (slice(None),) * (d - 1)
+            char = self._char0[p : p + rows] * self._char_rest
+            np.multiply(u[at] * v[at], char, out=big[at])
+        _transform(big, np.fft.fft, self._forward)
+        box = big[self._box]
         box /= self.size
         return box
 
@@ -902,8 +857,9 @@ def st_product_exact(Fa, Fb):
     """Exact space-time pointwise product of two SpaceTimeBoxes, as one of the doubled grid.
 
     A SpaceTimeField is taken on its occupied box.  The product's box, lo_a +
-    lo_b .. hi_a + hi_b clipped to `product_grid`, is the `ProductPlan.boxed`
-    padded array cropped in place: no whole-grid array is formed.
+    lo_b .. hi_a + hi_b, is the `ProductPlan` padded array cropped in place:
+    no whole-grid array is formed.  It always lies inside `product_grid`,
+    whose every axis holds the sum of two of the grid's frequencies.
     """
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
@@ -911,10 +867,10 @@ def st_product_exact(Fa, Fb):
             for F in (Fa, Fb))
     b = a if Fb is Fa else b
     g2 = product_grid(Fa.grid)
-    plan = ProductPlan.boxed(Fa.grid.st_shape, a.lo, a.coeffs, b.lo, b.coeffs, g2.st_shape)
+    plan = ProductPlan(a.lo, a.coeffs, b.lo, b.coeffs)
     box = plan.box_product(a.coeffs, b.coeffs)
     box *= g2.dtau * g2.deta**g2.yDims
-    return SpaceTimeBox(g2, plan.out_lo, box)
+    return SpaceTimeBox(g2, plan.lo, box)
 
 
 def _next_pow2(n):

@@ -10,9 +10,14 @@ from pathlib import Path
 import pytest
 
 import kplab
-from kplab import cli, evolution
+from kplab import cli, estimates, evolution
 from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
-from kplab.errors import InvalidSpecError, SweepWorkerError, WindowTooSmallError
+from kplab.errors import (
+    InsufficientSpanError,
+    InvalidSpecError,
+    SweepWorkerError,
+    WindowTooSmallError,
+)
 from kplab.evolution import CutoffSpec
 from kplab.fields import make_grid
 from kplab.symbols import IDENTITY_TOL, DispersionParams, ResonanceSampleAudit
@@ -143,7 +148,7 @@ def test_run_rejects_fewer_than_one_worker(tmp_path):
 
 def test_negative_seeds_are_rejected_before_the_run(tmp_path, capsys):
     # numpy takes no negative seed, so these must fail before the run starts
-    sweep = {"Ns": [8], "seeds": [0], "kinds": ["random"]}
+    sweep = {"Ns": [1, 8], "seeds": [0], "kinds": ["random"]}
     with pytest.raises(InvalidSpecError) as err:
         run("strichartz2d", {**sweep, "seeds": [-1]})
     assert [v.split(":")[0] for v in err.value.violations] == ["seeds"]
@@ -358,6 +363,24 @@ def test_every_fitted_subcommand_rejects_a_repeated_N(subcommand):
     with pytest.raises(InvalidSpecError) as err:
         cli._resolve(subcommand, {"Ns": [16, 32, 32, 64, 128]})
     assert [v.split(":")[0] for v in err.value.violations] == ["Ns"]
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("strichartz2d", {"Ns": [4, 8], "seeds": [0]}),
+    ("illposed-scaling", {"Ns": [16, 17, 18, 19]}),
+])
+def test_ns_too_narrow_to_fit_are_rejected_before_the_run(monkeypatch, subcommand, config):
+    # the fit needs N to span a factor of 8; no point may run before that is known
+    monkeypatch.setattr(cli, "sweep_parallel", lambda *args: pytest.fail("the sweep ran"))
+    with pytest.raises(InvalidSpecError) as err:
+        run(subcommand, config)
+    assert [v.split(":")[0] for v in err.value.violations] == ["Ns"]
+    # the fit's own rule, and an N of 8 times the smallest passes both
+    with pytest.raises(InsufficientSpanError):
+        estimates.fit_exponent([(n, 1.0) for n in config["Ns"]])
+    wide = config["Ns"] + [8 * min(config["Ns"])]
+    cli._resolve(subcommand, {**config, "Ns": wide})
+    estimates.fit_exponent([(n, 1.0) for n in wide])
 
 
 def test_counterexample_and_illposed_fan_out_over_the_workers(monkeypatch):

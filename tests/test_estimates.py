@@ -250,9 +250,8 @@ def _two_array_lhs(u0, v0, weights, params):
     g = u0.grid
     held = occupied(u0.coeffs), occupied(v0.coeffs)
     (_, a), (_, b) = held
-    packed = ProductPlan.boxed(g.spatial_shape, *held[0], *held[1])
-    boxes = [tuple((q, q + m - 1) for q, m in zip(lo, c.shape)) for lo, c in held]
-    plan = ProductPlan(u0.coeffs.shape, packed.pad_shape, boxes)
+    plan = ProductPlan(*held[0], *held[1])
+    plan.packed = False
     phi = phi_grid(g, params)
     phi_a, phi_b = (phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in held)
     cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
@@ -280,7 +279,7 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
     else:
         p, g = P2, estimates.strichartz2d_grid(n)
         u, v = adversarial_pair(kind, n, g, seed=0)
-    assert ProductPlan.boxed(g.spatial_shape, *occupied(u.coeffs), *occupied(v.coeffs)).packed
+    assert ProductPlan(*occupied(u.coeffs), *occupied(v.coeffs)).packed
     denom = sobolev_norm(u, s1, 0.0) * sobolev_norm(v, s2, 0.0)
     if step == "3d":
         got = strichartz3d_ratio(u, v, s1, s2, p)
@@ -311,8 +310,10 @@ def test_adversarial_high_high_to_low_product_support():
     u, v = adversarial_pair("high-high-to-low", n, g, seed=1)
     g2 = product_grid(g)
     (lo_u, a), (lo_v, b) = occupied(u.coeffs), occupied(v.coeffs)
-    plan = ProductPlan.boxed(g.spatial_shape, lo_u, a, lo_v, b, g2.spatial_shape)
-    prod = plan.product(a, b) * g2.deta
+    plan = ProductPlan(lo_u, a, lo_v, b)
+    box = plan.box_product(a, b)
+    prod = np.zeros(g2.spatial_shape, complex)
+    prod[fields._box_index(plan.lo, box.shape, prod.shape)] = box * g2.deta
     outside = np.abs(g2.k_axis()) > g2.kMax // 4
     assert np.max(np.abs(prod[outside])) < 1e-14
     assert np.max(np.abs(prod)) > 0

@@ -31,6 +31,7 @@ from kplab.fields import (
     SpectralField,
     bourgain_norm,
     dealias_grid,
+    dealiased_square,
     load_field,
     make_grid,
     mixed_norm,
@@ -315,12 +316,21 @@ def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
         assert bourgain_norm(F, spec, params) == pytest.approx(want, rel=1e-13), spec
 
 
-def _boxed_plan(a, b, out_shape=None):
+def _boxed_plan(a, b):
     # the fitted plan of the occupied boxes of the FFT-ordered arrays `a`,
     # `b`, and the two boxes it reads (one box twice for one array twice)
     held = occupied(a)
     held_b = held if b is a else occupied(b)
-    return ProductPlan.boxed(a.shape, *held, *held_b, out_shape), held[1], held_b[1]
+    return ProductPlan(*held, *held_b), held[1], held_b[1]
+
+
+def _on_grid(plan, a, b, shape):
+    # the plan's product of the boxes `a`, `b`, its box scattered onto the
+    # FFT-ordered grid of `shape` (after any leading batch axes)
+    box = plan.box_product(a, b)
+    out = np.zeros(box.shape[: box.ndim - len(shape)] + shape, complex)
+    out[fields._box_index(plan.lo, box.shape[-len(shape):], shape)] = box
+    return out
 
 
 def _span(c):
@@ -334,8 +344,8 @@ def _doubled_grid_product(Fa, Fb):
     # (tau, k, eta) grid, as `st_product_exact` formed it before it returned
     # the product's box
     g2 = product_grid(Fa.grid)
-    plan, a, b = _boxed_plan(Fa.coeffs, Fb.coeffs, g2.st_shape)
-    prod = plan.product(a, b)
+    plan, a, b = _boxed_plan(Fa.coeffs, Fb.coeffs)
+    prod = _on_grid(plan, a, b, g2.st_shape)
     prod *= g2.dtau * g2.deta**g2.yDims
     return SpaceTimeField(g2, prod)
 
@@ -402,7 +412,7 @@ def test_boxed_product_matches_the_doubled_grid(case):
     u, v = _full(u), _full(v)
     oracle = _doubled_grid_product(u, v)
     assert box.grid == oracle.grid == product_grid(u.grid)
-    # the box is the occupied one, lo_a + lo_b .. hi_a + hi_b, clipped to the grid
+    # the box is the occupied one, lo_a + lo_b .. hi_a + hi_b, inside the grid
     for (la, ha), (lb, hb), n, lo, m in zip(
         _span(u.coeffs), _span(v.coeffs), box.grid.st_shape, box.lo, box.coeffs.shape,
     ):
@@ -662,16 +672,17 @@ def _product_exact(fa, fb):
     # the exact spectral product on the doubled grid, formed as
     # `st_product_exact` forms the space-time one
     g2 = product_grid(fa.grid)
-    plan, a, b = _boxed_plan(fa.coeffs, fb.coeffs, g2.spatial_shape)
-    return SpectralField(g2, plan.product(a, b) * g2.deta**g2.yDims)
+    plan, a, b = _boxed_plan(fa.coeffs, fb.coeffs)
+    return SpectralField(g2, _on_grid(plan, a, b, g2.spatial_shape) * g2.deta**g2.yDims)
 
 
 def _dealiased_product(fa, fb):
-    # the 2/3-rule product on the factors' own grid, the plan of the solvers'
-    # quadratic term
+    # the 2/3-rule square on the factor's own grid, the solvers' quadratic
+    # term: one field twice
+    assert fb is fa
     g = fa.grid
-    plan = ProductPlan(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
-    return SpectralField(g, plan.product(fa.coeffs, fb.coeffs) * g.deta**g.yDims)
+    square, _ = dealiased_square(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
+    return SpectralField(g, square(fa.coeffs) * g.deta**g.yDims)
 
 
 def test_dealiased_product_matches_direct_convolution():
@@ -685,7 +696,8 @@ def test_dealiased_product_matches_direct_convolution():
     for product, make, weight in cases:
         fa = make(g, band, seed=1)
         fb = make(g, band, seed=2)
-        for second in (fb, fa):  # fa twice takes the squared-term path
+        # fa twice takes the squared-term path, the only one a dealiased square has
+        for second in (fa,) if product is _dealiased_product else (fb, fa):
             prod = product(fa, second)
             direct = _direct_convolution(fa.coeffs, second.coeffs, prod.coeffs.shape)
             assert np.max(np.abs(prod.coeffs - weight * direct)) < 1e-12, product.__name__
@@ -756,8 +768,7 @@ def test_fitted_product_matches_direct_convolution(data):
         fb = make(g, np.zeros(shape, complex))
     # two real fields take the packed route: both factors in one transform
     packed = pairing == "hermitian" and bool(np.any(fa.coeffs) and np.any(fb.coeffs))
-    doubled = tuple(2 * n for n in shape)
-    assert _boxed_plan(fa.coeffs, fb.coeffs, doubled)[0].packed == packed
+    assert _boxed_plan(fa.coeffs, fb.coeffs)[0].packed == packed
     prod = product(fa, fb)
     direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
     assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
@@ -812,29 +823,11 @@ def test_packed_route_keeps_each_factor_relative_accuracy():
     a = st_random_field(g, band, seed=1).field().coeffs
     b = st_random_field(g, band, seed=2).field().coeffs * 1e-9
     out = product_grid(g).st_shape
-    plan, box_a, box_b = _boxed_plan(a, b, out)
+    plan, box_a, box_b = _boxed_plan(a, b)
     assert plan.packed
     direct = _direct_convolution(a, b, out)
-    assert np.max(np.abs(plan.product(box_a, box_b) - direct)) <= 1e-14 * np.max(np.abs(direct))
-
-
-def test_fitted_product_crops_to_out_shape():
-    # the product's box wholly outside out_shape (here the factors' own
-    # shape, the default) on the y axis: no runs there, and a zero product
-    a = np.zeros((3, 8), complex)
-    a[0, 2] = 1.0
-    plan, box, _ = _boxed_plan(a, a)
-    assert not np.any(plan.product(box, box))
-    # partly outside on both axes (odd lengths, so no sum lands on a Nyquist
-    # row): the frequencies out_shape holds are the direct convolution's
-    rng = np.random.default_rng(8)
-    a, b = np.zeros((2, 7, 9), complex)
-    a[1:4, 2:5] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b[2:4, 1:4] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    plan, box_a, box_b = _boxed_plan(a, b)
-    prod = plan.product(box_a, box_b)
-    direct = _direct_convolution(a, b, a.shape)
-    assert np.any(direct) and np.max(np.abs(prod - direct)) <= 1e-14 * np.max(np.abs(direct))
+    prod = _on_grid(plan, box_a, box_b, out)
+    assert np.max(np.abs(prod - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_fitted_plan_is_sized_to_the_occupied_spans():
@@ -855,6 +848,37 @@ def test_fitted_plan_is_sized_to_the_occupied_spans():
             while m % p == 0:
                 m //= p
         assert m == 1
+
+
+def _box_convolution(a, b):
+    # the whole linear convolution of two boxes, one entry of `a` at a time
+    out = np.zeros([ma + mb - 1 for ma, mb in zip(a.shape, b.shape)], complex)
+    for p in np.ndindex(a.shape):
+        out[tuple(slice(i, i + m) for i, m in zip(p, b.shape))] += a[p] * b
+    return out
+
+
+@pytest.mark.parametrize("y_dims", [1, 2])
+def test_full_grid_product_box_fits_the_product_grid(y_dims):
+    # boxes over every frequency of the grid, Nyquist rows included: the
+    # product's box is lo_a + lo_b, span_a + span_b - 1 per axis, and
+    # `product_grid` holds it, so no product is ever clipped
+    g = make_grid(3 if y_dims == 1 else 1, 8, 8 * math.pi, yDims=y_dims, tPoints=8)
+    lo = tuple(-(n // 2) for n in g.st_shape)
+    rng = np.random.default_rng(12)
+    a, b = (SpaceTimeBox(g, lo, _complex_normal(rng, g.st_shape)) for _ in range(2))
+    for second in (b, a):
+        box = st_product_exact(a, second)
+        assert box.grid == product_grid(g)
+        assert box.lo == tuple(2 * q for q in lo)
+        assert box.coeffs.shape == tuple(2 * n - 1 for n in g.st_shape)
+        assert all(q >= -(n // 2) and q + m - 1 <= (n - 1) // 2
+                   for q, m, n in zip(box.lo, box.coeffs.shape, box.grid.st_shape))
+        direct = g.dtau * g.deta**y_dims * _box_convolution(a.coeffs, second.coeffs)
+        assert np.max(np.abs(box.coeffs - direct)) <= 1e-13 * np.max(np.abs(direct))
+    if y_dims == 1:
+        assert (box.lo, box.coeffs.shape, box.grid.st_shape) == (
+            (-8, -6, -8), (15, 13, 15), (16, 13, 16))
 
 
 def test_next_fast_len_matches_scipy():
@@ -893,25 +917,21 @@ def test_product_exact_grid_doubles_bands():
 
 
 class _IxProductPlan:
-    """The padded product as `ProductPlan` forms it, with np.ix_ index maps,
-    whole-array ifftn/fftn and the character applied to the whole array
-    at once (the oracle: the plan must match it bit for bit)."""
+    """The padded products as `dealiased_square` and `ProductPlan` form them,
+    with np.ix_ index maps, whole-array ifftn/fftn and the character applied
+    to the whole array at once (the oracle: both must match it bit for bit)."""
 
-    def __init__(self, shape, pad_shape, boxes=None, out_shape=None):
+    def __init__(self, shape, pad_shape, boxes=None):
         self.pad_shape = tuple(pad_shape)
         self.size = math.prod(self.pad_shape)
-        self.out_shape = tuple(shape if out_shape is None else out_shape)
         boxed = boxes is not None
         if not boxed:
             boxes = (tuple((-(n // 2), (n - 1) // 2) for n in shape),) * 2
         # every factor unshifted: frequency q at padded position q mod m
-        self._factors = [self._placement(shape, box, (0,) * len(shape)) for box in boxes]
-        out_box = [
-            (max(la + lb, -(n // 2)), min(ha + hb, (n - 1) // 2))
-            for (la, ha), (lb, hb), n in zip(*boxes, self.out_shape)
-        ]
-        out_shift = [la + lb if boxed else 0 for (la, _), (lb, _) in zip(*boxes)]
-        self._out = self._placement(self.out_shape, out_box, out_shift)
+        self._factors = [self._placement(shape, box) for box in boxes]
+        # a fitted product's box, lo_a + lo_b .. hi_a + hi_b, at the front
+        self._box = tuple(slice(0, ha - la + hb - lb + 1) for (la, ha), (lb, hb) in zip(*boxes))
+        out_shift = [la + lb for (la, _), (lb, _) in zip(*boxes)]
         # a fitted product is multiplied by e^{-i (lo_a + lo_b) . x}: the
         # first axis's factor times the product of the others', in axis order
         chars = [
@@ -923,10 +943,10 @@ class _IxProductPlan:
             rest *= char.reshape((-1,) + (1,) * (len(chars) - 2 - i))
         self._char = chars[0].reshape((-1,) + (1,) * (len(chars) - 1)) * rest if boxed else None
 
-    def _placement(self, shape, box, shift):
+    def _placement(self, shape, box):
         q = [np.arange(lo, hi + 1) for lo, hi in box]
         src = [p % n for p, n in zip(q, shape)]
-        dst = [(p - s) % m for p, s, m in zip(q, shift, self.pad_shape)]
+        dst = [p % m for p, m in zip(q, self.pad_shape)]
         return np.ix_(*src), np.ix_(*dst)
 
     def on_box(self, c, factor):
@@ -940,17 +960,26 @@ class _IxProductPlan:
         big *= self.size
         return big
 
-    def product(self, a, b):
+    def _padded_product(self, a, b):
         ua = self.samples(self.on_box(a, 0), 0)
         ua *= ua if b is a else self.samples(self.on_box(b, 1), 1)
         if self._char is not None:
             ua *= self._char
         np.fft.fftn(ua, out=ua)
         ua /= self.size
-        out = np.zeros(self.out_shape, dtype=complex)
-        src, dst = self._out
+        return ua
+
+    def square(self, a):
+        # the dealiased square, cropped back to the FFT-ordered grid
+        ua = self._padded_product(a, a)
+        out = np.zeros(a.shape, dtype=complex)
+        src, dst = self._factors[0]
         out[src] = ua[dst]
         return out
+
+    def box_product(self, a, b):
+        # the fitted product of the FFT-ordered `a` and `b`, on its box
+        return self._padded_product(a, b)[self._box]
 
 
 def _complex_normal(rng, shape):
@@ -966,22 +995,30 @@ def _complex_normal(rng, shape):
     ],
     ids=["evolve", "picard", "yDims2"],
 )
-def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid):
+def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid, monkeypatch):
     pad = dealias_grid(grid, 2.0 / 3.0).spatial_shape
-    plan = ProductPlan(grid.spatial_shape, pad)
+    square, size = dealiased_square(grid.spatial_shape, pad)
     oracle = _IxProductPlan(grid.spatial_shape, pad)
+    assert size == oracle.size
+    # a copy of the samples the square forms, as `fields._place` returns them
+    placed, place = [], fields._place
+
+    def spy(*args):
+        u = place(*args)
+        placed.append(np.array(u))
+        return u
+
+    monkeypatch.setattr(fields, "_place", spy)
     rng = np.random.default_rng(7)
-    a, b = (_complex_normal(rng, grid.spatial_shape) for _ in range(2))
-    for second in (b, a):  # a twice takes the squared-samples path
-        assert np.array_equal(plan.product(a, second), oracle.product(a, second))
+    a = _complex_normal(rng, grid.spatial_shape)
+    assert np.array_equal(square(a), oracle.square(a))
     # no entry is zero, so the occupied box is the whole grid
     lo, box = occupied(a)
     assert lo == tuple(-(n // 2) for n in grid.spatial_shape)
     assert np.array_equal(box, oracle.on_box(a, 1))
-    # the dealiased plan reads the FFT-ordered arrays themselves
-    _, u, v = plan._samples(a, b)
-    assert np.array_equal(u, oracle.samples(oracle.on_box(a, 0), 0))
-    assert np.array_equal(v, oracle.samples(oracle.on_box(b, 1), 1))
+    # the dealiased square reads the FFT-ordered array itself
+    assert len(placed) == 1
+    assert np.array_equal(placed[0], oracle.samples(oracle.on_box(a, 0), 0))
 
 
 @pytest.mark.parametrize(
@@ -993,20 +1030,18 @@ def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid):
     ids=["2d", "3d"],
 )
 def test_fitted_plan_is_bit_identical_to_the_ix_route(shape, boxes):
-    # every box straddles zero, so each factor's source indices wrap, and so
-    # do the product's on the doubled output grid
+    # every box straddles zero, so each factor's padded indices wrap
     rng = np.random.default_rng(11)
     a, b = np.zeros(shape, complex), np.zeros(shape, complex)
     for c, box in zip((a, b), boxes):
         index = np.ix_(*(np.arange(lo, hi + 1) % n for (lo, hi), n in zip(box, shape)))
         c[index] = _complex_normal(rng, c[index].shape)
-    out_shape = tuple(2 * n for n in shape)
     for second in (b, a):
-        plan, *held = _boxed_plan(a, second, out_shape)
+        plan, *held = _boxed_plan(a, second)
         both = (_span(a), _span(second))
         assert both == (boxes[0], boxes[1] if second is b else boxes[0])
-        oracle = _IxProductPlan(shape, plan.pad_shape, both, out_shape)
-        assert np.array_equal(plan.product(*held), oracle.product(a, second))
+        oracle = _IxProductPlan(shape, plan.pad_shape, both)
+        assert np.array_equal(plan.box_product(*held), oracle.box_product(a, second))
         for factor, c in enumerate((a, second)):
             assert np.array_equal(held[factor], oracle.on_box(c, factor))
         # a twice is one box, squared: its samples are u = v
@@ -1020,18 +1055,18 @@ def test_plan_batches_match_a_loop_over_their_slices():
     g = make_grid(5, 16, 8 * math.pi, yDims=2)
     rng = np.random.default_rng(3)
     batch = _complex_normal(rng, (2, 3) + g.spatial_shape)
-    plan = ProductPlan(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
-    got = plan.product(batch, batch)
+    square, _ = dealiased_square(g.spatial_shape, dealias_grid(g, 2.0 / 3.0).spatial_shape)
+    got = square(batch)
     assert got.shape == batch.shape
     for i, j in np.ndindex(batch.shape[:2]):
-        assert np.array_equal(got[i, j], plan.product(batch[i, j], batch[i, j]))
+        assert np.array_equal(got[i, j], square(batch[i, j]))
     # a fitted plan reads boxes; no entry is zero, so each box is the whole grid
-    fitted, box, _ = _boxed_plan(batch[0, 0], batch[1, 2], g.spatial_shape)
+    fitted, box, _ = _boxed_plan(batch[0, 0], batch[1, 2])
     index = fields._box_index(occupied(batch[0, 0])[0], box.shape, g.spatial_shape)
     boxes, other = batch[index], batch[::-1, ::-1][index]
-    got = fitted.product(boxes, other)
+    got = fitted.box_product(boxes, other)
     for i, j in np.ndindex(batch.shape[:2]):
-        assert np.array_equal(got[i, j], fitted.product(boxes[i, j], other[i, j]))
+        assert np.array_equal(got[i, j], fitted.box_product(boxes[i, j], other[i, j]))
 
 
 def test_serialization_round_trip(tmp_path):
