@@ -4,21 +4,24 @@ Each subcommand is one entry of `_TABLE`: its runner, its results.csv columns
 and every config key it takes, with the key's default, type and range check.
 A JSON config is resolved against that entry and validated up front (a key
 the subcommand does not take is an error; the complete violation list is
-reported), the sweep points fan out over a worker pool, and two artifacts are
-written into the output directory:
+reported), the output directory is made, the sweep points fan out over a
+worker pool, and two artifacts are written into the output directory:
 
-    results.csv   one row per sample, fixed column order, repr-formatted
-                  floats (bit-identical across runs and worker counts)
+    results.csv   one row per sample, fixed column order, each cell written
+                  by str (bit-identical across runs and worker counts)
     summary.json  fit/verdict/diagnostics plus the fully resolved config echo
                   and provenance (tool version, timestamp, seeds)
 
 Exit codes: 0 on success (and when a declared expectation matches the
-verdict), 2 when the verdict contradicts --expect, 1 on any error, which
-includes an --expect on a subcommand that gives no verdict (evolve, picard).
+verdict), 2 when the verdict contradicts --expect, 3 when the verdict is
+"inconclusive" (the fit's residual exceeds `estimates.MAX_RESIDUAL`), with or
+without --expect, and 1 on any error, which includes an --expect on a
+subcommand that gives no verdict (evolve, picard).
 """
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import datetime
 import functools
@@ -40,35 +43,27 @@ from .symbols import (IDENTITY_TOL, DispersionParams, ResonanceSampleAudit,
 
 
 def sweep_parallel(points, worker, workers=1):
-    """Run a pure worker over points; results ordered by point index.
+    """Run a pure worker over points; results in point order, at any worker count.
 
-    With workers > 1 the points fan out over a process pool; the reduce is by
-    index so output is identical to sequential execution.  The first worker
-    failure aborts the sweep and is reported with its point index.
+    One worker (or one point) maps in this process; more fan out over a pool
+    of at most one process per point.  Results are read in point order, so the
+    first failing point, the lowest index, aborts the sweep: it is reported
+    with its index, and the points not yet started are cancelled.
     """
     points = list(points)
-    if not points:
-        return []
-    if workers <= 1:
-        results = []
-        for i, p in enumerate(points):
-            try:
-                results.append(worker(p))
-            except Exception as exc:  # noqa: BLE001 - reported with index
-                raise SweepWorkerError(i, exc) from exc
-        return results
-    results = [None] * len(points)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(worker, p): i for i, p in enumerate(points)}
-        for fut in concurrent.futures.as_completed(futures):
-            i = futures[fut]
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001
-                for other in futures:
-                    other.cancel()
-                raise SweepWorkerError(i, exc) from exc
-    return results
+    workers = min(workers, len(points))
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            mapper = stack.enter_context(pool).map
+        rows = []
+        try:
+            for row in mapper(worker, points):
+                rows.append(row)
+        except Exception as exc:  # noqa: BLE001 - reported with its index
+            raise SweepWorkerError(len(rows), exc) from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +142,6 @@ def _run_evolve(cfg, workers, outdir):
             f0, params, T=order_T, dt=order_dt, dealias=cfg["dealias"], finest=traj.kept
         )
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "progress.jsonl"), "w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write(json.dumps(row) + "\n")
@@ -421,16 +415,10 @@ def _resolve(subcommand, config):
     return cfg
 
 
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def rows_to_csv(rows, columns):
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
+        lines.append(",".join(str(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -447,6 +435,8 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
     cfg["baseSeed"] = base_seed
 
     entry = _TABLE[subcommand]
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
     rows, summary, verdict = entry.runner(cfg, workers, outdir)
     envelope = {
         "configEcho": {**cfg, "subcommand": subcommand},
@@ -463,7 +453,6 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
         },
     }
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8") as fh:
             fh.write(rows_to_csv(rows, entry.columns))
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -522,6 +511,8 @@ def main(argv=None):
 
     verdict = envelope["verdict"]
     print(json.dumps({"verdict": verdict, "summary": envelope["summary"]}, default=str))
+    if verdict == "inconclusive":
+        return 3
     if args.expect and verdict is None:
         print(json.dumps({"error": "expectation-uncheckable",
                           "detail": f"{args.subcommand} gives no verdict to hold "

@@ -24,7 +24,7 @@ N^(1/2) |I|^(1/2) law exactly and keeps the two routes comparable.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,11 @@ def fit_exponent(samples):
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return ScalingFit(tuple((int(n), float(v)) for n, v in pts), float(slope), resid)
+
+
+# the largest RMS residual of a log-log fit that is still read as a power law;
+# every fitted acceptance criterion's is at most 0.06
+MAX_RESIDUAL = 0.25
 
 
 def grows(exponent):
@@ -455,20 +460,9 @@ def bilinear_point(point):
     params = DispersionParams(point["alpha"], 1)
     grid = bilinear_grid(point["N"])
     u, v = spacetime_pair(point["kind"], point["N"], grid, point["seed"])
-    lhs = NormSpec(
-        flavor=point["lhsFlavor"],
-        s1=point["s1"],
-        s2=point["s2"],
-        b=point["bPrime"],
-        beta=point["beta"],
-    )
-    rhs = NormSpec(
-        flavor=point["rhsFlavor"],
-        s1=point["s1"],
-        s2=point["s2"],
-        b=point["b"],
-        beta=point["beta"],
-    )
+    lhs = NormSpec(flavor=point["lhsFlavor"], s1=point["s1"], s2=point["s2"],
+                   b=point["bPrime"], beta=point["beta"])
+    rhs = replace(lhs, flavor=point["rhsFlavor"], b=point["b"])
     value = bilinear_ratio(u, v, lhs, rhs, params)
     return _sample_row(point, point["kind"], value)
 
@@ -492,9 +486,11 @@ def sweep_verdict(rows, fails="estimate fails", holds="bounded"):
     """The one verdict step: fit the rows' per-N envelope and apply `grows`.
 
     Returns (summary, verdict); the summary holds fittedExponent, residual
-    and perNMax, the envelope keyed by str(N).
+    and perNMax, the envelope keyed by str(N).  A fit whose residual exceeds
+    `MAX_RESIDUAL` is no power law, and its verdict is "inconclusive".
     """
     fit = envelope_fit(rows)
     summary = {"fittedExponent": fit.exponent, "residual": fit.residual,
                "perNMax": {str(n): v for n, v in fit.samples}}
-    return summary, (fails if grows(fit.exponent) else holds)
+    verdict = fails if grows(fit.exponent) else holds
+    return summary, ("inconclusive" if fit.residual > MAX_RESIDUAL else verdict)

@@ -1,12 +1,15 @@
 """Orchestration: validation, sweeps, envelopes, determinism, exit codes."""
 
+import concurrent.futures
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kplab
@@ -288,6 +291,51 @@ def test_sweep_parallel_contract():
     assert err.value.index == 3
 
 
+def _fail_on_one_slowly_and_two_at_once(x):
+    if x == 1:
+        time.sleep(0.5)
+    if x in (1, 2):
+        raise ValueError(f"point {x}")
+    return {"v": x}
+
+
+def test_a_failing_sweep_reports_its_lowest_failing_point():
+    # point 2 fails first in time; results are read in point order, so point 1
+    # is reported at every worker count
+    indices = []
+    for workers in (1, 2):
+        with pytest.raises(SweepWorkerError) as err:
+            sweep_parallel(range(4), _fail_on_one_slowly_and_two_at_once, workers=workers)
+        indices.append(err.value.index)
+    assert indices == [1, 1]
+
+
+def test_a_sweep_pool_has_at_most_one_process_per_point(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Records its size and maps in this process: no process is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert sweep_parallel([1, 2, 3], _square, workers=64) == [{"v": 1}, {"v": 4}, {"v": 9}]
+    assert sizes == [3]
+    # one point maps in this process, with no pool
+    assert sweep_parallel([5], _square, workers=64) == [{"v": 25}]
+    assert sizes == [3]
+
+
 def test_resonance_audit_run():
     env = run("resonance-audit", {"alphas": [2.0, 3.0], "kMax": 30})
     assert env["verdict"] == "bounded"
@@ -462,6 +510,20 @@ def test_rows_to_csv_float_formatting():
     assert text == "a,b\n0.1,3\n"
 
 
+def test_rows_to_csv_writes_numpy_scalars_like_python_numbers():
+    text = rows_to_csv([{"a": np.float64(0.1), "b": np.int64(3)}], ["a", "b"])
+    assert text == "a,b\n0.1,3\n"
+
+
+def test_an_unusable_output_path_fails_before_the_run(tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "results"
+    not_a_dir.write_text("")
+    monkeypatch.setattr(estimates, "strichartz2d_point", lambda p: pytest.fail("a point ran"))
+    with pytest.raises(OSError):
+        run("strichartz2d", {"Ns": [1, 8], "seeds": [0], "kinds": ["random"]},
+            outdir=str(not_a_dir))
+
+
 def test_main_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"Ns": [16, 32, 64, 128], "quadPoints": 48}))
@@ -485,6 +547,23 @@ def test_illposed_expectation_exit_code(tmp_path):
     # verdict 'C3 fails' matches the declared expectation -> success
     assert main(["illposed-scaling", "--config", str(cfg), "--expect", "fails"]) == 0
     assert main(["illposed-scaling", "--config", str(cfg), "--expect", "bounded"]) == 2
+
+
+# at alpha = 8 the float resonance arithmetic cancels, and the envelope is no
+# power law (fitted exponent -4.86 against a predicted +0.5, RMS residual 1.646)
+NOT_A_POWER_LAW = {"alpha": 8.0, "s": -3.5, "Ns": [16, 33, 65, 130], "etaQuadPoints": 32}
+
+
+def test_a_fit_that_is_not_a_power_law_is_inconclusive(tmp_path, capsys):
+    env = run("illposed-scaling", NOT_A_POWER_LAW)
+    assert env["summary"]["residual"] > estimates.MAX_RESIDUAL
+    assert env["verdict"] == "inconclusive"
+    cfg = tmp_path / "ip.json"
+    cfg.write_text(json.dumps(NOT_A_POWER_LAW))
+    # the result line is printed, and the exit code is 3 with or without --expect
+    for expect in ([], ["--expect", "fails"], ["--expect", "bounded"]):
+        assert main(["illposed-scaling", "--config", str(cfg), *expect]) == 3
+        assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
 
 
 @pytest.mark.parametrize("expect", ["bounded", "fails"])
