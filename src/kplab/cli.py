@@ -16,7 +16,8 @@ Exit codes: 0 on success (and when a declared expectation matches the
 verdict), 2 when the verdict contradicts --expect, 3 when the verdict is
 "inconclusive" (the fit's residual exceeds `estimates.MAX_RESIDUAL`), with or
 without --expect, and 1 on any error, which includes an --expect on a
-subcommand that gives no verdict (evolve, picard).
+subcommand that gives no verdict (evolve, picard) and an output path that
+cannot be made or written (an OSError, such as --out naming a file).
 """
 
 import argparse
@@ -504,7 +505,7 @@ def main(argv=None):
         print(json.dumps({"error": "config-invalid", "violations": exc.violations}),
               file=sys.stderr)
         return 1
-    except KPLabError as exc:
+    except (KPLabError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1

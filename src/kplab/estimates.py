@@ -344,10 +344,10 @@ def counterexample_summary(rows, cfg):
 
 
 def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
-    """||d_x(uv)||_lhs / (||u||_rhs ||v||_rhs) for SpaceTimeBoxes (or SpaceTimeFields).
+    """||d_x(uv)||_lhs / (||u||_rhs ||v||_rhs) for SpaceTimeBoxes.
 
-    The factors are read on their boxes, as `spacetime_pair` makes them (a
-    SpaceTimeField on its occupied box, `fields.occupied`).  The product is
+    The factors are read on their boxes, as `spacetime_pair` makes them (an
+    FFT-ordered array on its occupied box, `fields.box_of`).  The product is
     computed by inverse transform to (t, x, y) samples, pointwise
     multiplication, and forward transform, on a lattice fitted to the two
     boxes so no coefficient of the product is lost or aliased; it is

@@ -9,7 +9,7 @@ the synthesis convention
 
     u(x, y)    = sum_k sum_q C(k, q) * deta^d * exp(i(k x + eta_q . y)),
 
-and a SpaceTimeField stores G(p, k, q) with
+and a SpaceTimeBox stores G(p, k, q) with
 
     u(t, x, y) = sum_{p,k,q} G * dtau * deta^d * exp(i(tau_p t + k x + eta_q . y)),
 
@@ -25,9 +25,9 @@ Nyquist rows are kept identically zero by every constructor so that real
 fields have exact Hermitian symmetry.
 
 A SpaceTimeBox holds G over a box of signed frequencies only, the lattice
-being zero outside it.  The random space-time ensembles and the exact
-products are boxes, and SpaceTimeBox.field() gives the SpaceTimeField.
-`occupied` is the one step from an FFT-ordered array to its occupied box.
+being zero outside it; every space-time value is one.  `occupied` is the one
+step from an FFT-ordered array to its occupied box (`box_of` makes it a
+SpaceTimeBox), and SpaceTimeBox.whole() the one step back.
 Each quadratic product has its caller's function: `ProductPlan`, the exact
 product of two boxes, and `dealiased_square`, the solvers' 2/3-rule square.
 
@@ -199,36 +199,15 @@ class SpectralField:
 
 
 @dataclass(frozen=True)
-class SpaceTimeField:
-    """Coefficients over the (tau, k, eta) lattice; immutable after construction."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != self.grid.st_shape:
-            raise ShapeMismatchError(
-                f"coeffs shape {self.coeffs.shape} != grid {self.grid.st_shape}"
-            )
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs))
-
-    def l2_norm(self):
-        return math.sqrt(self.grid.st_measure * float(np.sum(np.abs(self.coeffs) ** 2)))
-
-    def axes(self):
-        """The signed frequencies of each axis, FFT-ordered: tau, k, then eta per y axis."""
-        g = self.grid
-        return (g.tau_axis(), g.k_axis()) + (g.eta_axis(),) * g.yDims
-
-
-@dataclass(frozen=True)
 class SpaceTimeBox:
-    """Coefficients over a box of the (tau, k, eta) lattice of `grid`.
+    """Coefficients over a box of the (tau, k, eta) lattice of `grid`: every space-time value.
 
     Position p of axis i holds the signed frequency lo[i] + p (times the
-    lattice step dtau, 1 or deta), inside the range `grid` holds.  The box
-    is a read-only view of `coeffs`, which need not be contiguous: wrapping
-    it does not copy it.
+    lattice step dtau, 1 or deta), inside the range `grid` holds, and the
+    lattice is zero outside the box.  The box is a read-only view of
+    `coeffs`, which need not be contiguous: wrapping it does not copy it.
+    `box_of` takes an FFT-ordered array to its occupied box, and `whole()`
+    scatters a box back to one.
     """
 
     grid: GridSpec
@@ -255,19 +234,29 @@ class SpaceTimeBox:
             for lo, m, step in zip(self.lo, self.coeffs.shape, steps)
         )
 
-    def field(self):
-        """The SpaceTimeField of `grid` that the box stands for: zero outside it."""
+    def whole(self):
+        """The FFT-ordered array of `grid.st_shape` that the box stands for: zero outside it."""
         c = np.zeros(self.grid.st_shape, dtype=complex)
         c[_box_index(self.lo, self.coeffs.shape, c.shape)] = self.coeffs
-        return SpaceTimeField(self.grid, c)
+        return c
+
+    def l2_norm(self):
+        return math.sqrt(self.grid.st_measure * float(np.sum(np.abs(self.coeffs) ** 2)))
+
+
+def box_of(grid, c):
+    """The SpaceTimeBox of the FFT-ordered coefficients `c` of `grid`: their occupied box."""
+    if c.shape != grid.st_shape:
+        raise ShapeMismatchError(f"coeffs shape {c.shape} != grid {grid.st_shape}")
+    return SpaceTimeBox(grid, *occupied(c))
 
 
 def project_mean_zero(f):
-    """Zero the k = 0 plane; idempotent, touches nothing else."""
+    """Zero the k = 0 plane of a SpectralField or SpaceTimeBox; idempotent, touches nothing else."""
     c = np.array(f.coeffs)
-    if isinstance(f, SpaceTimeField):
-        c[:, 0] = 0.0
-        return SpaceTimeField(f.grid, c)
+    if isinstance(f, SpaceTimeBox):
+        c[:, f.axes()[1] == 0] = 0.0
+        return SpaceTimeBox(f.grid, f.lo, c)
     c[0] = 0.0
     return SpectralField(f.grid, c)
 
@@ -313,13 +302,13 @@ def to_spectral(samples, grid):
 
 
 def st_to_physical(F):
-    """Space-time spectral -> samples on (t_n, x_j, y_m)."""
-    return _origin_step(F.coeffs, F.grid, True)
+    """SpaceTimeBox -> samples on (t_n, x_j, y_m), from its whole array."""
+    return _origin_step(F.whole(), F.grid, True)
 
 
 def st_from_physical(samples, grid):
-    """Samples on (t_n, x_j, y_m) -> SpaceTimeField (exact inverse of st_to_physical)."""
-    return SpaceTimeField(grid, _origin_step(np.asarray(samples), grid, False))
+    """Samples on (t_n, x_j, y_m) -> SpaceTimeBox (exact inverse of st_to_physical)."""
+    return box_of(grid, _origin_step(np.asarray(samples), grid, False))
 
 
 def phi_grid(grid, params):
@@ -390,7 +379,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def bourgain_norm(F, spec, params):
-    """Bourgain-family norms of a SpaceTimeField or a SpaceTimeBox.
+    """Bourgain-family norms of a SpaceTimeBox.
 
     x:          l2 of <k>^s1 <eta>^s2 <sigma>^b |G|
     xweighted:  additionally multiplied by (1 + <sigma>/<k>^(alpha+1))^beta
@@ -400,14 +389,13 @@ def bourgain_norm(F, spec, params):
     All carry the lattice measures that make the zero-exponent case coincide
     with the space-time L2 norm; the k = 0 column is excluded (mean zero),
     wherever it falls.  The weights, with sigma = tau - phi(k, eta), are
-    built from the field's own axes (`axes()`: FFT-ordered for a field,
-    lo .. lo + n - 1 for a box), so a box is summed over its own entries
-    only.  They are built and summed one block of tau rows at a time, so the
-    scratch memory is a few block-sized float arrays plus a few (k, eta)
-    ones: it does not grow with tPoints.
+    built from the box's own axes, lo .. lo + n - 1, so it is summed over
+    its own entries only.  They are built and summed one block of tau rows
+    at a time, so the scratch memory is a few block-sized float arrays plus
+    a few (k, eta) ones: it does not grow with tPoints.
     """
-    if not isinstance(F, (SpaceTimeField, SpaceTimeBox)):
-        raise InvalidSpecError(["bourgain_norm expects a SpaceTimeField or a SpaceTimeBox"])
+    if not isinstance(F, SpaceTimeBox):
+        raise InvalidSpecError(["bourgain_norm expects a SpaceTimeBox"])
     if spec.flavor == "z":
         y = bourgain_norm(F, replace(spec, flavor="y"), params)
         xw = bourgain_norm(F, replace(spec, flavor="xweighted", b=-0.5), params)
@@ -419,7 +407,7 @@ def bourgain_norm(F, spec, params):
     eta_sq = _eta_sq(etas)
     b = -1.0 if spec.flavor == "y" else spec.b
     weighted = spec.flavor != "x" and spec.beta != 0.0
-    # the k != 0 columns: one run of a field, up to two of a box
+    # the k != 0 columns: up to two runs
     zero = np.flatnonzero(k == 0)
     cut = int(zero[0]) if zero.size else k.size
     runs = [r for r in (slice(0, cut), slice(cut + 1, k.size)) if r.start < r.stop]
@@ -463,7 +451,7 @@ def mixed_norm(F, r, p, q):
 
     The x transform carries the unitary sqrt(2 pi) factor, so r = p = q = 2
     reproduces the space-time L2 norm exactly while single-k fields give
-    r-independent values.
+    r-independent values.  It reads the SpaceTimeBox's whole array.
     """
     if not (1.0 <= r <= 2.0):
         raise ExponentRangeError(f"r must lie in [1, 2], got {r}")
@@ -472,7 +460,7 @@ def mixed_norm(F, r, p, q):
     g = F.grid
     # inverse transform in tau and y only: h(k; t, y), unitary in x
     y_axes = tuple(range(2, 2 + g.yDims))
-    h = _origin_step(F.coeffs, g, True, axes=(0,) + y_axes)
+    h = _origin_step(F.whole(), g, True, axes=(0,) + y_axes)
     h = h * math.sqrt(2.0 * math.pi)
     mod = np.abs(h)
 
@@ -856,19 +844,16 @@ def product_grid(grid):
 def st_product_exact(Fa, Fb):
     """Exact space-time pointwise product of two SpaceTimeBoxes, as one of the doubled grid.
 
-    A SpaceTimeField is taken on its occupied box.  The product's box, lo_a +
-    lo_b .. hi_a + hi_b, is the `ProductPlan` padded array cropped in place:
-    no whole-grid array is formed.  It always lies inside `product_grid`,
-    whose every axis holds the sum of two of the grid's frequencies.
+    The product's box, lo_a + lo_b .. hi_a + hi_b, is the `ProductPlan`
+    padded array cropped in place: no whole-grid array is formed.  It always
+    lies inside `product_grid`, whose every axis holds the sum of two of the
+    grid's frequencies.
     """
     if Fa.grid != Fb.grid:
         raise InvalidSpecError(["product requires matching grids"])
-    a, b = (F if isinstance(F, SpaceTimeBox) else SpaceTimeBox(F.grid, *occupied(F.coeffs))
-            for F in (Fa, Fb))
-    b = a if Fb is Fa else b
     g2 = product_grid(Fa.grid)
-    plan = ProductPlan(a.lo, a.coeffs, b.lo, b.coeffs)
-    box = plan.box_product(a.coeffs, b.coeffs)
+    plan = ProductPlan(Fa.lo, Fa.coeffs, Fb.lo, Fb.coeffs)
+    box = plan.box_product(Fa.coeffs, Fb.coeffs)
     box *= g2.dtau * g2.deta**g2.yDims
     return SpaceTimeBox(g2, plan.lo, box)
 
@@ -905,15 +890,15 @@ _MAGIC = b"KPLF\x01"
 def save_field(path, field):
     """Self-describing binary container: magic, JSON header, little-endian c16.
 
-    A SpaceTimeBox is saved as its whole field, `box.field()`.
+    A SpectralField is saved as its coefficients, a SpaceTimeBox as its whole
+    array, `box.whole()`.
     """
-    if isinstance(field, SpaceTimeBox):
-        field = field.field()
-    kind = "spacetime" if isinstance(field, SpaceTimeField) else "spectral"
+    spacetime = isinstance(field, SpaceTimeBox)
+    coeffs = field.whole() if spacetime else field.coeffs
     header = {
-        "kind": kind,
+        "kind": "spacetime" if spacetime else "spectral",
         "grid": asdict(field.grid),
-        "shape": list(field.coeffs.shape),
+        "shape": list(coeffs.shape),
         "dtype": "complex128",
         "byteorder": "little",
     }
@@ -922,13 +907,15 @@ def save_field(path, field):
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(field.coeffs).astype("<c16").tobytes())
+        fh.write(np.ascontiguousarray(coeffs).astype("<c16").tobytes())
 
 
 def load_field(path):
     """Read a `save_field` container; a truncated or corrupt file raises InvalidSpecError.
 
-    So does a header whose shape is not its kind's grid shape.
+    So does a header whose shape is not its kind's grid shape.  A `spacetime`
+    file loads as the SpaceTimeBox of its array, a `spectral` one as a
+    SpectralField.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -955,6 +942,4 @@ def load_field(path):
             [f"{path} holds {len(raw)} coefficient bytes, expected {expected}"]
         )
     arr = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
-    if kind == "spacetime":
-        return SpaceTimeField(grid, arr)
-    return SpectralField(grid, arr)
+    return box_of(grid, arr) if kind == "spacetime" else SpectralField(grid, arr)

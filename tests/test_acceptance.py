@@ -114,9 +114,9 @@ def test_criterion_03_plancherel_unitarity_group_law():
     phys3 = (2 * math.pi / g3.nx) * g3.dy**2 * np.sum(np.abs(u3) ** 2)
     worst = max(worst, abs(phys3 - f3.l2_norm() ** 2) / f3.l2_norm() ** 2)
 
-    F = st_random_field(g, BandSpec(1, 10, 1.9), seed=33).field()
+    F = st_random_field(g, BandSpec(1, 10, 1.9), seed=33)
     s = st_to_physical(F)
-    worst = max(worst, float(np.max(np.abs(st_from_physical(s, g).coeffs - F.coeffs))))
+    worst = max(worst, float(np.max(np.abs(st_from_physical(s, g).whole() - F.whole()))))
     worst = max(
         worst,
         abs(bourgain_norm(F, NormSpec(flavor="x"), p) - F.l2_norm()) / F.l2_norm(),

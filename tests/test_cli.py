@@ -524,6 +524,14 @@ def test_an_unusable_output_path_fails_before_the_run(tmp_path, monkeypatch):
             outdir=str(not_a_dir))
 
 
+def test_main_reports_an_unusable_output_path_as_json(tmp_path, capsys):
+    not_a_dir = tmp_path / "results"
+    not_a_dir.write_text("")
+    assert main(["resonance-audit", "--out", str(not_a_dir)]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "FileExistsError"
+
+
 def test_main_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"Ns": [16, 32, 64, 128], "quadPoints": 48}))

@@ -35,8 +35,8 @@ from kplab.fields import (
     NormSpec,
     ProductPlan,
     SpaceTimeBox,
-    SpaceTimeField,
     SpectralField,
+    box_of,
     make_grid,
     occupied,
     phi_grid,
@@ -402,7 +402,7 @@ def bilinear_test_grid():
 
 def test_bilinear_ratio_zero_denominator_and_flavors():
     g = bilinear_test_grid()
-    u = SpaceTimeField(g, np.zeros(g.st_shape, complex))
+    u = box_of(g, np.zeros(g.st_shape, complex))
     lhs = NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
     with pytest.raises(ZeroDenominatorError):
@@ -421,8 +421,8 @@ def test_bilinear_ratio_single_atom_closed_form():
     p1, k1i, q1 = 5, 3, 2
     cu[p0, k0i, q0] = 1.5
     cv[p1, k1i, q1] = -0.7 + 0.3j
-    u = SpaceTimeField(g, cu)
-    v = SpaceTimeField(g, cv)
+    u = box_of(g, cu)
+    v = box_of(g, cv)
     s1, s2, b, bp, beta = 0.2, 0.1, 0.55, -0.45, 0.4
     lhs_spec = NormSpec(flavor="xweighted", s1=s1, s2=s2, b=bp, beta=beta)
     rhs_spec = NormSpec(flavor="xweighted", s1=s1, s2=s2, b=b, beta=beta)
@@ -481,7 +481,7 @@ def test_spacetime_pair_kinds():
     for kind in ("random", "comparable", "high-high-to-low"):
         u, v = spacetime_pair(kind, 16, g, seed=0)
         assert isinstance(u, SpaceTimeBox) and u.grid == g
-        full = u.field().coeffs
+        full = u.whole()
         assert np.max(np.abs(full)) > 0
         assert np.all(full[:, 0] == 0)
     with pytest.raises(InvalidSpecError):
@@ -541,7 +541,7 @@ def test_spacetime_pair_boxes_match_the_full_grid_formula(y_dims, kind, seed):
         g = make_grid(10, 16, 8 * math.pi, yDims=2, tPoints=8, tWindow=2.0)
     pair = spacetime_pair(kind, 4, g, seed)
     for box, want in zip(pair, _full_grid_spacetime_pair(kind, 4, g, seed)):
-        assert np.array_equal(box.field().coeffs, want)
+        assert np.array_equal(box.whole(), want)
         lo, entries = occupied(want)
         assert lo == box.lo and np.array_equal(entries, box.coeffs)
     assert pair[0].coeffs is not pair[1].coeffs  # two arrays: the packed product

@@ -28,8 +28,8 @@ from kplab.evolution import (
 )
 from kplab.fields import (
     BandSpec,
-    SpaceTimeField,
     SpectralField,
+    box_of,
     dealias_grid,
     make_grid,
     phi_grid,
@@ -104,7 +104,7 @@ def free_block(f, cutoff, params):
 
     The space-time coefficients of psi_T(t) e^{it phi(D)} u0, built directly
     from the spectral data: the tests below check the library's space-time
-    conventions (`st_to_physical`, `SpaceTimeField.l2_norm`, the tau lattice)
+    conventions (`st_to_physical`, `SpaceTimeBox.l2_norm`, the tau lattice)
     and `CutoffSpec.check_window` against it.  The grid's tau range must
     contain the data's dispersion surface (keep max |phi| well under pi/dt).
     """
@@ -116,7 +116,7 @@ def free_block(f, cutoff, params):
     samples = w.reshape(t.shape) * np.exp(1j * t * phi[None, ...]) * f.coeffs[None, ...]
     spec = np.fft.fft(samples, axis=0) / (g.tPoints * g.dtau)
     signs = np.where(np.arange(g.tPoints) % 2, -1.0, 1.0).reshape(t.shape)  # t origin -tWindow
-    return SpaceTimeField(g, spec * signs)
+    return box_of(g, spec * signs)
 
 
 def nonlinearity(f):
@@ -135,7 +135,7 @@ def test_free_block_single_mode_against_direct_summation():
     c = np.zeros(g.spatial_shape, complex)
     c[2, 3] = 1.0
     f = SpectralField(g, c)
-    F = free_block(f, CutoffSpec(T=1.0), P2)
+    F = free_block(f, CutoffSpec(T=1.0), P2).whole()
 
     phi = float(phase_grid(P2, 2.0, (3 * g.deta) ** 2))
     tl = g.t_axis()
@@ -143,9 +143,9 @@ def test_free_block_single_mode_against_direct_summation():
     for p_idx in (0, 5, 100, 200):
         tau = g.tau_axis()[p_idx]
         direct = np.sum(psi * np.exp(1j * tl * (phi - tau))) / (g.tPoints * g.dtau)
-        assert F.coeffs[p_idx, 2, 3] == pytest.approx(direct, abs=1e-13)
+        assert F[p_idx, 2, 3] == pytest.approx(direct, abs=1e-13)
     # energy concentrates at tau near phi
-    peak = g.tau_axis()[np.argmax(np.abs(F.coeffs[:, 2, 3]))]
+    peak = g.tau_axis()[np.argmax(np.abs(F[:, 2, 3]))]
     assert abs(peak - phi) <= 2 * g.dtau
 
 

@@ -27,9 +27,9 @@ from kplab.fields import (
     NormSpec,
     ProductPlan,
     SpaceTimeBox,
-    SpaceTimeField,
     SpectralField,
     bourgain_norm,
+    box_of,
     dealias_grid,
     dealiased_square,
     load_field,
@@ -134,11 +134,12 @@ def test_transform_shape_mismatch():
 
 def test_spacetime_round_trip():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=2).field()
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=2)
     samples = st_to_physical(F)
     assert np.max(np.abs(samples.imag)) < 1e-12  # Hermitian data is real
     back = st_from_physical(samples, g)
-    assert np.max(np.abs(back.coeffs - F.coeffs)) < 1e-12
+    assert isinstance(back, SpaceTimeBox)
+    assert np.max(np.abs(back.whole() - F.whole())) < 1e-12
     phys = g.dt * (2 * math.pi / g.nx) * g.dy * np.sum(np.abs(samples) ** 2)
     assert phys == pytest.approx(F.l2_norm() ** 2, rel=1e-12)
 
@@ -170,7 +171,7 @@ def test_bourgain_atom_on_surface_independent_of_b():
     gc = np.zeros(g.st_shape, complex)
     p_idx = 1  # tau = 1
     gc[p_idx, 1, 0] = 1.0
-    F = SpaceTimeField(g, gc)
+    F = box_of(g, gc)
     sigma = g.tau_axis()[p_idx] - phase_grid(P2, 1.0, 0.0)
     assert sigma == pytest.approx(0.0, abs=1e-14)
     vals = [
@@ -184,7 +185,7 @@ def test_bourgain_atom_on_surface_independent_of_b():
 
 def test_bourgain_zero_exponents_is_l2():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=5).field()
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=5)
     assert bourgain_norm(F, NormSpec(flavor="x"), P2) == pytest.approx(
         F.l2_norm(), rel=1e-12
     )
@@ -194,7 +195,7 @@ def test_bourgain_weight_factor_direct_substitution():
     g = grid_tau_integer()
     gc = np.zeros(g.st_shape, complex)
     gc[5, 2, 3] = 1.3
-    F = SpaceTimeField(g, gc)
+    F = box_of(g, gc)
     plain = bourgain_norm(F, NormSpec(flavor="x", s1=0.2, s2=0.1, b=0.4), P2)
     weighted = bourgain_norm(
         F, NormSpec(flavor="xweighted", s1=0.2, s2=0.1, b=0.4, beta=0.6), P2
@@ -209,7 +210,7 @@ def test_bourgain_weight_factor_direct_substitution():
 
 def test_z_norm_is_sum_of_parts_recomputed_independently():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=6).field()
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=6)
     spec = NormSpec(flavor="z", s1=0.3, s2=0.1, beta=0.25)
     z = bourgain_norm(F, spec, P2)
     y = bourgain_norm(F, NormSpec(flavor="y", s1=0.3, s2=0.1, beta=0.25), P2)
@@ -222,6 +223,7 @@ def test_z_norm_is_sum_of_parts_recomputed_independently():
     phi = np.empty((g.nx,) + (g.yPoints,))
     karr = g.k_axis()
     eta = g.eta_axis()
+    C = F.whole()
     acc = 0.0
     for ki, k in enumerate(karr):
         if k == 0:
@@ -235,7 +237,7 @@ def test_z_norm_is_sum_of_parts_recomputed_independently():
                 wt = (1 + bs / (1 + k**2) ** ((P2.alpha + 1) / 2)) ** 0.25
                 inner += (
                     (1 + k**2) ** 0.15 * (1 + e**2) ** 0.05 / bs * wt
-                    * abs(F.coeffs[pi, ki, qi])
+                    * abs(C[pi, ki, qi])
                 )
             acc += (g.dtau * inner) ** 2
     y_manual = (2 * math.pi) ** 1.5 * math.sqrt(g.deta * acc)
@@ -268,7 +270,7 @@ def _dense_bourgain_norm(F, spec, params):
         extra = (1.0 + bs / ka.reshape((-1,) + (1,) * g.yDims)) ** spec.beta
     else:
         extra = 1.0
-    absG = np.abs(F.coeffs)
+    absG = np.abs(F.whole())
     mask = np.ones(g.nx, dtype=bool)
     mask[0] = False
     mask = mask.reshape((1, -1) + (1,) * g.yDims)
@@ -303,9 +305,9 @@ _ORACLE_SPECS = (
 def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
     g = small_grid(yDims=y_dims, yPoints=16)
     params = DispersionParams(3.0, y_dims)
-    c = np.array(st_random_field(g, BandSpec(1, 6, 0.9), seed=(20, y_dims)).field().coeffs)
+    c = st_random_field(g, BandSpec(1, 6, 0.9), seed=(20, y_dims)).whole()
     c[:, 0] = 0.3 + 0.1j  # k = 0 content, which every norm skips
-    F = SpaceTimeField(g, c)
+    F = box_of(g, c)
     if rows is not None:
         # blocks of `rows` tau rows (the default is one block here); 3 does
         # not divide tPoints = 16, so the last block has one row
@@ -344,24 +346,15 @@ def _doubled_grid_product(Fa, Fb):
     # (tau, k, eta) grid, as `st_product_exact` formed it before it returned
     # the product's box
     g2 = product_grid(Fa.grid)
-    plan, a, b = _boxed_plan(Fa.coeffs, Fb.coeffs)
+    plan, a, b = _boxed_plan(Fa.whole(), Fb.whole())
     prod = _on_grid(plan, a, b, g2.st_shape)
     prod *= g2.dtau * g2.deta**g2.yDims
-    return SpaceTimeField(g2, prod)
+    return box_of(g2, prod)
 
 
-def _full(F):
-    # the SpaceTimeField a SpaceTimeBox stands for; a field as it is
-    return F.field() if isinstance(F, SpaceTimeBox) else F
-
-
-def _st_product_scattered(fa, fb):
-    return st_product_exact(fa, fb).field()
-
-
-def _st_random_full(grid, band, seed):
-    # the generators' callable for a whole field
-    return st_random_field(grid, band, seed).field()
+def _whole(f):
+    # the FFT-ordered coefficients of a SpectralField or of a SpaceTimeBox
+    return f.whole() if isinstance(f, SpaceTimeBox) else f.coeffs
 
 
 @pytest.mark.parametrize("kind", ["random", "comparable", "high-high-to-low"])
@@ -375,11 +368,11 @@ def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
     rhs = NormSpec(flavor="xweighted", s1=0.2, b=0.55, beta=0.4)
     got = bilinear_ratio(u, v, lhs, rhs, P3)
 
-    prod = st_product_exact(u, v).field()
+    prod = st_product_exact(u, v)
     g2 = prod.grid
     ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
-    dxprod = SpaceTimeField(g2, ik * prod.coeffs)
-    denom = _dense_bourgain_norm(u.field(), rhs, P3) * _dense_bourgain_norm(v.field(), rhs, P3)
+    dxprod = box_of(g2, ik * prod.whole())
+    denom = _dense_bourgain_norm(u, rhs, P3) * _dense_bourgain_norm(v, rhs, P3)
     assert got == pytest.approx(_dense_bourgain_norm(dxprod, lhs, P3) / denom, rel=1e-13)
     # d_x is applied in place to the product, never to the factors
     assert np.array_equal(u.coeffs, before[0]) and np.array_equal(v.coeffs, before[1])
@@ -388,7 +381,7 @@ def test_bilinear_ratio_matches_the_dense_route(kind, flavor):
 def _box_case(case):
     # factor pairs whose product boxes are: a generic one, at yDims 1 and 2;
     # a single atom; one tau row (the comparable pair); all zero.  The
-    # generators give boxes, the others fields
+    # generators give boxes, the others the boxes of whole arrays
     if case == "random-yDims2":
         g = small_grid(yDims=2, yPoints=16)
         band = BandSpec(1, 6, 0.9)
@@ -401,20 +394,19 @@ def _box_case(case):
         a[3, 5, 2] = 1.0 + 0.5j
         b[-2, -7, -3] = 0.7j
     else:
-        a = np.array(spacetime_pair("random", 4, g, seed=2)[0].field().coeffs)
-    return SpaceTimeField(g, a), SpaceTimeField(g, b)
+        a = spacetime_pair("random", 4, g, seed=2)[0].whole()
+    return box_of(g, a), box_of(g, b)
 
 
 @pytest.mark.parametrize("case", ["random", "random-yDims2", "atom", "comparable", "zero"])
 def test_boxed_product_matches_the_doubled_grid(case):
     u, v = _box_case(case)
     box = st_product_exact(u, v)
-    u, v = _full(u), _full(v)
     oracle = _doubled_grid_product(u, v)
     assert box.grid == oracle.grid == product_grid(u.grid)
     # the box is the occupied one, lo_a + lo_b .. hi_a + hi_b, inside the grid
     for (la, ha), (lb, hb), n, lo, m in zip(
-        _span(u.coeffs), _span(v.coeffs), box.grid.st_shape, box.lo, box.coeffs.shape,
+        _span(u.whole()), _span(v.whole()), box.grid.st_shape, box.lo, box.coeffs.shape,
     ):
         assert lo == max(la + lb, -(n // 2))
         assert lo + m - 1 == min(ha + hb, (n - 1) // 2)
@@ -425,7 +417,7 @@ def test_boxed_product_matches_the_doubled_grid(case):
     if case == "zero":
         assert not np.any(box.coeffs)
     # the same bits as the doubled grid, which is zero outside the box
-    assert np.array_equal(box.field().coeffs, oracle.coeffs)
+    assert np.array_equal(box.whole(), oracle.whole())
     params = DispersionParams(3.0, u.grid.yDims)
     for spec in _ORACLE_SPECS:
         want = bourgain_norm(oracle, spec, params)
@@ -439,10 +431,10 @@ def test_bilinear_ratio_matches_the_doubled_grid_route(flavor, y_dims):
     params = DispersionParams(3.0, y_dims)
     lhs = NormSpec(flavor=flavor, s1=0.2, s2=0.1, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, s2=0.1, b=0.55, beta=0.4)
-    prod = _doubled_grid_product(_full(u), _full(v))
+    prod = _doubled_grid_product(u, v)
     g2 = prod.grid
     ik = 1j * g2.k_axis().astype(float).reshape((1, -1) + (1,) * g2.yDims)
-    lhs_norm = bourgain_norm(SpaceTimeField(g2, ik * prod.coeffs), lhs, params)
+    lhs_norm = bourgain_norm(box_of(g2, ik * prod.whole()), lhs, params)
     want = lhs_norm / (bourgain_norm(u, rhs, params) * bourgain_norm(v, rhs, params))
     assert bilinear_ratio(u, v, lhs, rhs, params) == pytest.approx(want, rel=1e-13)
 
@@ -519,7 +511,7 @@ def test_bourgain_norm_scratch_memory_is_per_tau_block():
     rng = np.random.default_rng(3)
     c = np.zeros(g.st_shape, complex)
     c[:, 130:390, 32:96] = rng.standard_normal((64, 260, 64))
-    F = SpaceTimeField(g, c)
+    F = box_of(g, c)
     for spec in (
         NormSpec(flavor="xweighted", s1=0.2, b=-0.45, beta=0.4),
         NormSpec(flavor="y", s1=0.2, beta=0.4),
@@ -536,12 +528,12 @@ def test_bourgain_norm_scratch_memory_is_per_tau_block():
 
 def test_mixed_norm_properties():
     g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=8).field()
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=8)
     assert mixed_norm(F, 2, 2, 2) == pytest.approx(F.l2_norm(), rel=1e-10)
 
     gc = np.zeros(g.st_shape, complex)
     gc[3, 2, 5] = 0.7
-    single = SpaceTimeField(g, gc)
+    single = box_of(g, gc)
     vals = [mixed_norm(single, r, 2, 2) for r in (1.0, 1.3, 2.0)]
     assert max(vals) - min(vals) < 1e-12 * vals[0]
 
@@ -549,7 +541,7 @@ def test_mixed_norm_properties():
     gc2 = np.zeros(g.st_shape, complex)
     gc2[3, 1, 2] = 1.0
     gc2[4, 2, 5] = 0.5
-    two = SpaceTimeField(g, gc2)
+    two = box_of(g, gc2)
     assert mixed_norm(two, 1, 2, 2) <= mixed_norm(two, 2, 2, 2)
 
     with pytest.raises(ExponentRangeError):
@@ -576,24 +568,27 @@ def test_norm_homogeneity_and_triangle():
         params,
     ) + [lambda F: mixed_norm(F, 1.5, 2.0, 4.0)]
     for seed in range(3):
-        a = st_random_field(g, BandSpec(1, 6, 1.5), seed=(10, seed)).field()
-        b = st_random_field(g, BandSpec(1, 6, 1.5), seed=(11, seed)).field()
-        ab = SpaceTimeField(g, a.coeffs + b.coeffs)
+        a = st_random_field(g, BandSpec(1, 6, 1.5), seed=(10, seed))
+        b = st_random_field(g, BandSpec(1, 6, 1.5), seed=(11, seed))
+        ab = box_of(g, a.whole() + b.whole())
         for norm in norms:
             na = norm(a)
             nb = norm(b)
             nsum = norm(ab)
-            scaled = norm(SpaceTimeField(g, -2.5 * a.coeffs))
+            scaled = norm(box_of(g, -2.5 * a.whole()))
             assert scaled == pytest.approx(2.5 * na, rel=1e-10)
             assert nsum <= na + nb + 1e-10 * (na + nb)
 
 
 def test_mean_zero_projection_never_increases_norms():
     g = small_grid()
-    c = np.array(st_random_field(g, BandSpec(1, 6, 1.5), seed=12).field().coeffs)
+    c = st_random_field(g, BandSpec(1, 6, 1.5), seed=12).whole()
     c[:, 0, :] = 0.3 + 0.1j  # inject k = 0 content
-    F = SpaceTimeField(g, c)
+    F = box_of(g, c)
     Fz = project_mean_zero(F)
+    # a box maps to a box with the same entries but its k = 0 plane
+    assert isinstance(Fz, SpaceTimeBox) and Fz.lo == F.lo
+    assert not np.any(Fz.whole()[:, 0]) and np.array_equal(Fz.whole()[:, 1:], c[:, 1:])
     norms = _bourgain_norms(
         [
             NormSpec(flavor="x", s1=0.3, b=0.4),
@@ -691,16 +686,16 @@ def test_dealiased_product_matches_direct_convolution():
     cases = (
         (_dealiased_product, random_field, g.deta),
         (_product_exact, random_field, g.deta),
-        (_st_product_scattered, _st_random_full, g.dtau * g.deta),
+        (st_product_exact, st_random_field, g.dtau * g.deta),
     )
     for product, make, weight in cases:
         fa = make(g, band, seed=1)
         fb = make(g, band, seed=2)
         # fa twice takes the squared-term path, the only one a dealiased square has
         for second in (fa,) if product is _dealiased_product else (fb, fa):
-            prod = product(fa, second)
-            direct = _direct_convolution(fa.coeffs, second.coeffs, prod.coeffs.shape)
-            assert np.max(np.abs(prod.coeffs - weight * direct)) < 1e-12, product.__name__
+            prod = _whole(product(fa, second))
+            direct = _direct_convolution(_whole(fa), _whole(second), prod.shape)
+            assert np.max(np.abs(prod - weight * direct)) < 1e-12, product.__name__
 
 
 @st.composite
@@ -753,7 +748,7 @@ def test_fitted_product_matches_direct_convolution(data):
     )
     shape = g.st_shape if spacetime else g.spatial_shape
     make, product, weight = (
-        (SpaceTimeField, _st_product_scattered, g.dtau * g.deta**y_dims)
+        (box_of, st_product_exact, g.dtau * g.deta**y_dims)
         if spacetime
         else (SpectralField, _product_exact, g.deta**y_dims)
     )
@@ -767,11 +762,13 @@ def test_fitted_product_matches_direct_convolution(data):
     else:
         fb = make(g, np.zeros(shape, complex))
     # two real fields take the packed route: both factors in one transform
-    packed = pairing == "hermitian" and bool(np.any(fa.coeffs) and np.any(fb.coeffs))
-    assert _boxed_plan(fa.coeffs, fb.coeffs)[0].packed == packed
-    prod = product(fa, fb)
-    direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
-    assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+    a = _whole(fa)
+    b = a if fb is fa else _whole(fb)
+    packed = pairing == "hermitian" and bool(np.any(a) and np.any(b))
+    assert _boxed_plan(a, b)[0].packed == packed
+    prod = _whole(product(fa, fb))
+    direct = weight * _direct_convolution(a, b, prod.shape)
+    assert np.max(np.abs(prod - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
 def _nudged(c):
@@ -800,18 +797,18 @@ def test_packed_route_gate_negative_controls(control, spacetime):
     # products still match the direct convolution
     g = small_grid()
     band = BandSpec(1, g.kMax // 2, 0.9)
-    make, product, weight = (
-        (_st_random_full, _st_product_scattered, g.dtau * g.deta)
+    make, wrap, product, weight = (
+        (st_random_field, box_of, st_product_exact, g.dtau * g.deta)
         if spacetime
-        else (random_field, _product_exact, g.deta)
+        else (random_field, SpectralField, _product_exact, g.deta)
     )
     fa, fb = make(g, band, seed=5), make(g, band, seed=6)
-    assert _boxed_plan(fa.coeffs, fb.coeffs)[0].packed
-    fb = type(fb)(g, control(fb.coeffs))
-    assert not _boxed_plan(fa.coeffs, fb.coeffs)[0].packed
-    prod = product(fa, fb)
-    direct = weight * _direct_convolution(fa.coeffs, fb.coeffs, prod.coeffs.shape)
-    assert np.max(np.abs(prod.coeffs - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert _boxed_plan(_whole(fa), _whole(fb))[0].packed
+    fb = wrap(g, control(_whole(fb)))
+    assert not _boxed_plan(_whole(fa), _whole(fb))[0].packed
+    prod = _whole(product(fa, fb))
+    direct = weight * _direct_convolution(_whole(fa), _whole(fb), prod.shape)
+    assert np.max(np.abs(prod - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_packed_route_keeps_each_factor_relative_accuracy():
@@ -820,8 +817,8 @@ def test_packed_route_keeps_each_factor_relative_accuracy():
     # general route, which transforms each factor alone
     g = small_grid()
     band = BandSpec(1, g.kMax // 2, 0.9)
-    a = st_random_field(g, band, seed=1).field().coeffs
-    b = st_random_field(g, band, seed=2).field().coeffs * 1e-9
+    a = st_random_field(g, band, seed=1).whole()
+    b = st_random_field(g, band, seed=2).whole() * 1e-9
     out = product_grid(g).st_shape
     plan, box_a, box_b = _boxed_plan(a, b)
     assert plan.packed
@@ -1079,12 +1076,12 @@ def test_serialization_round_trip(tmp_path):
     assert back.grid == g
     assert np.array_equal(back.coeffs, f.coeffs)
 
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=14).field()
+    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=14)
     path2 = tmp_path / "st.bin"
     save_field(path2, F)
     back2 = load_field(path2)
-    assert isinstance(back2, SpaceTimeField)
-    assert np.array_equal(back2.coeffs, F.coeffs)
+    assert isinstance(back2, SpaceTimeBox)
+    assert np.array_equal(back2.whole(), F.whole())
 
 
 def test_load_field_rejects_truncated_files(tmp_path):
@@ -1117,15 +1114,19 @@ def test_load_field_rejects_malformed_headers(tmp_path):
             load_field(path)
 
 
-def test_a_saved_box_loads_as_its_whole_field(tmp_path):
+def test_a_saved_box_loads_as_the_same_box(tmp_path):
+    # the file holds the whole array, and loading takes it to its occupied box
     g = small_grid()
     box = st_random_field(g, BandSpec(1, 6, 1.5), seed=14)
     path = tmp_path / "box.bin"
     save_field(path, box)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[5:9])
+    assert json.loads(blob[9 : 9 + n])["shape"] == list(g.st_shape)
     back = load_field(path)
-    assert isinstance(back, SpaceTimeField)
-    assert back.grid == g
-    assert np.array_equal(back.coeffs, box.field().coeffs)
+    assert isinstance(back, SpaceTimeBox)
+    assert back.grid == g and back.lo == box.lo
+    assert np.array_equal(back.coeffs, box.coeffs)
 
 
 def test_load_field_rejects_a_shape_that_is_not_its_grids(tmp_path):
@@ -1218,11 +1219,10 @@ def test_random_fields_are_hermitian_so_samples_are_real(data):
     # the box is symmetric: the mirror of q is the box reversed
     assert all(lo == -(lo + m - 1) for lo, m in zip(box.lo, box.coeffs.shape))
     assert np.array_equal(box.coeffs, np.conj(np.flip(box.coeffs)))
-    F = box.field()
-    C = F.coeffs
+    C = box.whole()
     assert np.array_equal(C, np.conj(_mirror(C, range(C.ndim))))
     assert np.all(C[:, 0] == 0)
-    U = st_to_physical(F)
+    U = st_to_physical(box)
     assert np.max(np.abs(U.imag)) <= 1e-12 * max(1e-300, np.max(np.abs(U.real)))
 
 

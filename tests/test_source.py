@@ -1,4 +1,5 @@
-"""Checks on the library's source text: every function parameter is read."""
+"""Checks on the library's source text: every function parameter is read, and
+each name has one import path."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,14 @@ def test_every_parameter_is_read():
             if not (path.name == "cli.py" and name in runners and param in shared):
                 unread.append(f"{path.name}: {name}({param})")
     assert unread == []
+
+
+def test_the_package_re_exports_nothing():
+    # every name is imported from its own module: the package binds only
+    # __version__ and imports nothing
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
+    bound = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert bound == {"__version__"}
+    assert all(isinstance(n, (ast.Expr, ast.Assign)) for n in tree.body)
