@@ -149,7 +149,7 @@ def _run_evolve(cfg, workers, outdir):
     if cfg["saveFields"] and outdir:
         fdir = os.path.join(outdir, "fields")
         os.makedirs(fdir, exist_ok=True)
-        save_field(os.path.join(fdir, "initial.bin"), traj.snapshots[0])
+        save_field(os.path.join(fdir, "initial.bin"), f0)
         save_field(os.path.join(fdir, "final.bin"), traj.final)
     return rows, summary, None
 
@@ -177,7 +177,7 @@ def _run_picard(cfg, workers, outdir):
     summary = {"contractionRatios": ratios}
     if cfg["crossCheck"]:
         solve = SolveConfig(dt=cfg["dt"], T=cfg["T"])
-        traj = evolve_nonlinear(f0, solve, params, save_every=10**9)
+        traj = evolve_nonlinear(f0, solve, params)
         pic = result.at_time(cfg["T"])
         diff = _l2_diff(pic, traj.final)
         rel = diff / traj.final.l2_norm()

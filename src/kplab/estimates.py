@@ -128,9 +128,9 @@ def _product_l2_lhs(u0, v0, weights, params):
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 
-def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, window):
-    # the body of both ratios: `window(grid)` checks the grid's time window
-    # and gives the time weights of the lhs
+def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, weights):
+    # the body of both ratios; `weights` are the lhs's time weights on the
+    # grid's t axis
     g = u0.grid
     if g != v0.grid:
         raise InvalidSpecError(["u0 and v0 must share a grid"])
@@ -141,7 +141,7 @@ def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, window):
     denom = sobolev_norm(u0, s1, 0.0) * sobolev_norm(v0, s2, 0.0)
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the ratio is undefined")
-    return _product_l2_lhs(u0, v0, window(g), params) / denom
+    return _product_l2_lhs(u0, v0, weights, params) / denom
 
 
 def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
@@ -151,17 +151,13 @@ def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
     factors' supports (exact, no aliasing) and integrated over the grid's
     time window; the cutoff must vanish at the window edge.
     """
-
-    def window(grid):
-        cutoff.check_window(grid)
-        return cutoff.values(grid.t_axis())
-
-    return _strichartz_ratio(u0, v0, s1, s2, params, 1, window)
+    cutoff.check_window(u0.grid)
+    return _strichartz_ratio(u0, v0, s1, s2, params, 1, cutoff.values(u0.grid.t_axis()))
 
 
 def strichartz3d_ratio(u0, v0, s1, s2, params):
     """Global-in-time bilinear ratio on T x R^2 (wide tapered window surrogate)."""
-    return _strichartz_ratio(u0, v0, s1, s2, params, 2, raised_cosine_window)
+    return _strichartz_ratio(u0, v0, s1, s2, params, 2, raised_cosine_window(u0.grid))
 
 
 # ---------------------------------------------------------------------------

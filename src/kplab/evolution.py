@@ -170,14 +170,12 @@ class SolveConfig:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    snapshots: list
-    l2_drift: np.ndarray  # relative drift |norm(t)/norm(0) - 1| at each snapshot
-    kept: object = None  # the state after step `keep_step`, when one was asked for
+    """What a stepper run hands back: the drift record, the end state and one kept state."""
 
-    @property
-    def final(self):
-        return self.snapshots[-1]
+    times: np.ndarray  # 0, then every max(1, n_steps // 64) steps, and the end
+    l2_drift: np.ndarray  # relative drift |norm(t)/norm(0) - 1| at each of `times`
+    final: SpectralField
+    kept: object = None  # the state after step `keep_step`, when one was asked for
 
 
 def _etdrk4_tables(grid, params, dt):
@@ -198,17 +196,18 @@ def whole_steps(T, dt):
     return abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T)
 
 
-def evolve_nonlinear(f, cfg, params, save_every=None, keep_step=None):
+def evolve_nonlinear(f, cfg, params, keep_step=None):
     """Fourth-order exponential stepper for the full equation.
 
     The linear flow is applied exactly; the quadratic term uses the cached
-    dealiased product.  A snapshot is saved every `save_every` steps (default:
-    about 64 over the run) and at the end.  The state after step `keep_step`
-    (1 <= keep_step <= the step count), if given, is also handed back as
-    `Trajectory.kept`, outside the snapshot schedule.  Aborts with
-    SolverDivergenceError if the solution stops being finite at any step, or
-    if the L2 norm at a save point has grown tenfold (instability / dt too
-    large).
+    dealiased product.  The relative L2 drift is recorded every
+    max(1, n_steps // 64) steps and at the end; the state after the last
+    step is `Trajectory.final`, and the state after step `keep_step`
+    (1 <= keep_step <= the step count), if given, is `Trajectory.kept`.  No
+    other state is held, so the memory does not grow with the step count.
+    Aborts with SolverDivergenceError if the solution stops being finite at
+    any step, or if the L2 norm at a drift point has grown tenfold
+    (instability / dt too large).
     """
     g = f.grid
     n_steps = int(round(cfg.T / cfg.dt))
@@ -220,8 +219,7 @@ def evolve_nonlinear(f, cfg, params, save_every=None, keep_step=None):
         raise InvalidSpecError(
             [f"keep_step must lie in [1, {n_steps}], got {keep_step}"]
         )
-    if save_every is None:
-        save_every = max(1, n_steps // 64)
+    every = max(1, n_steps // 64)
 
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(g, params, cfg.dt)
     nl, _ = _quadratic_term(g, cfg.dealias)
@@ -230,7 +228,6 @@ def evolve_nonlinear(f, cfg, params, save_every=None, keep_step=None):
     u[0] = 0.0
     norm0 = math.sqrt(float(np.sum(np.abs(u) ** 2)))
     times = [0.0]
-    snaps = [SpectralField(g, u.copy())]
     drift = [0.0]
     kept = None
 
@@ -249,7 +246,7 @@ def evolve_nonlinear(f, cfg, params, save_every=None, keep_step=None):
             )
         if n == keep_step:
             kept = SpectralField(g, u.copy())
-        if n % save_every == 0 or n == n_steps:
+        if n % every == 0 or n == n_steps:
             nrm = math.sqrt(float(np.sum(np.abs(u) ** 2)))
             if norm0 > 0 and nrm > 10.0 * norm0:
                 raise SolverDivergenceError(
@@ -257,10 +254,9 @@ def evolve_nonlinear(f, cfg, params, save_every=None, keep_step=None):
                     "reduce dt"
                 )
             times.append(n * cfg.dt)
-            snaps.append(SpectralField(g, u.copy()))
             drift.append(abs(nrm / norm0 - 1.0) if norm0 > 0 else 0.0)
 
-    return Trajectory(np.array(times), snaps, np.array(drift), kept)
+    return Trajectory(np.array(times), np.array(drift), SpectralField(g, u), kept)
 
 
 def observed_order(f, params, T, dt, dealias=2.0 / 3.0, finest=None):
@@ -277,7 +273,7 @@ def observed_order(f, params, T, dt, dealias=2.0 / 3.0, finest=None):
 
     def final(scale):
         cfg = SolveConfig(dt=dt / scale, T=T, dealias=dealias)
-        return evolve_nonlinear(f, cfg, params, save_every=10**9).final
+        return evolve_nonlinear(f, cfg, params).final
 
     finals = [final(1), final(2), final(4) if finest is None else finest]
     e1 = _l2_diff(finals[0], finals[1])

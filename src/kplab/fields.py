@@ -39,6 +39,7 @@ undefined (those coefficients are zero for any admissible field).
 import itertools
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, asdict, replace
 
@@ -88,23 +89,21 @@ class GridSpec:
     tWindow: float = 2.0
 
     def __post_init__(self):
-        problems = []
-        if self.kMax < 1:
-            problems.append(f"kMax must be >= 1, got {self.kMax}")
-        if not (_is_pow2(self.yPoints) and self.yPoints >= 8):
-            problems.append(
-                f"yPoints must be a power of two >= 8, got {self.yPoints}"
-            )
-        if not (_is_pow2(self.tPoints) and self.tPoints >= 8):
-            problems.append(
-                f"tPoints must be a power of two >= 8, got {self.tPoints}"
-            )
-        if not self.yLength > 0:
-            problems.append(f"yLength must be positive, got {self.yLength}")
-        if not self.tWindow > 0:
-            problems.append(f"tWindow must be positive, got {self.tWindow}")
-        if self.yDims not in (1, 2):
-            problems.append(f"yDims must be 1 or 2, got {self.yDims}")
+        counts = {"kMax": self.kMax, "yPoints": self.yPoints,
+                  "tPoints": self.tPoints, "yDims": self.yDims}
+        problems = [f"{name} must be an integer, got {v!r}" for name, v in counts.items()
+                    if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+        if not problems:  # the rules below compare integers
+            if self.kMax < 1:
+                problems.append(f"kMax must be >= 1, got {self.kMax}")
+            for name in ("yPoints", "tPoints"):
+                if not (_is_pow2(counts[name]) and counts[name] >= 8):
+                    problems.append(f"{name} must be a power of two >= 8, got {counts[name]}")
+            if self.yDims not in (1, 2):
+                problems.append(f"yDims must be 1 or 2, got {self.yDims}")
+        for name, v in (("yLength", self.yLength), ("tWindow", self.tWindow)):
+            if not (isinstance(v, numbers.Real) and 0 < v < math.inf):
+                problems.append(f"{name} must be positive and finite, got {v!r}")
         if problems:
             raise InvalidSpecError(problems)
 
@@ -625,22 +624,16 @@ def _copies(axis_runs):
 
 def _lines(axis_runs, forward):
     # per axis, last first: the index tuples of the views whose lines along
-    # that axis get transformed.  When the inverse reaches axis j, the axes
-    # i < j are still nonzero only on the placed runs; when the forward one
-    # reaches axis j, the axes i > j are done and the crop reads only their
-    # kept runs
+    # that axis get transformed, one view per combination of padded runs.
+    # When the inverse reaches axis j, the axes i < j are still nonzero only
+    # on the placed runs; when the forward one reaches axis j, the axes i > j
+    # are done and the crop reads only their kept runs
     d = len(axis_runs)
-    merged = []
-    for runs in axis_runs:
-        spans = sorted([run[1].start, run[1].stop] for run in runs)
-        for i in reversed(range(1, len(spans))):
-            if spans[i - 1][1] == spans[i][0]:  # adjacent runs: one view
-                spans[i - 1][1] = spans.pop(i)[1]
-        merged.append([slice(a, b) for a, b in spans])
+    padded = [[run[1] for run in runs] for runs in axis_runs]
     full = [slice(None)]
     plan = []
     for j in reversed(range(d)):
-        axes = [merged[i] if (i > j if forward else i < j) else full for i in range(d)]
+        axes = [padded[i] if (i > j if forward else i < j) else full for i in range(d)]
         plan.append((j - d, [(Ellipsis, *c) for c in itertools.product(*axes)]))
     return plan
 
@@ -719,16 +712,16 @@ class ProductPlan:
     and `sample_energy`, the sum of |ua ub|^2 over the samples, do not
     depend on the character.
 
-    A plan forms its samples one of three ways.  One array twice squares
-    its own samples.  Two real factors (`packed` is True) share one
-    transform: two different arrays whose boxes are symmetric (lo = -hi on
-    every axis, so no Nyquist row is occupied) and whose coefficients are
+    A plan forms its samples one of two ways.  Two real factors (`packed`
+    is True) share one transform: arrays whose boxes are symmetric (lo = -hi
+    on every axis, so no Nyquist row is occupied) and whose coefficients are
     exactly Hermitian, c[-q] == conj(c[q]), have real samples, so both go
     into one padded array as A + iB, and one inverse transform gives u in
     its real part and v in its imaginary part (Numerical Recipes, section
-    12.3).  B goes in scaled by a power of two to A's l2 size, so neither
-    factor's rounding error is set by the other's size.  Other pairs take
-    a padded array each.  A packed plan serves only such factors.
+    12.3); one such array with itself is packed too.  B goes in scaled by a
+    power of two to A's l2 size, so neither factor's rounding error is set
+    by the other's size.  Other pairs take a padded array each.  A packed
+    plan serves only such factors.
 
     Index maps and transform lines are built once per plan and used as in
     `dealiased_square` (a box fills about half of its pad per axis).
@@ -765,7 +758,7 @@ class ProductPlan:
         for char in chars[1:]:
             self._char_rest *= char[0]
         self.packed = False
-        if b is not a and all(lo == -hi for lo, hi in boxes[0] + boxes[1]):
+        if all(lo == -hi for lo, hi in boxes[0] + boxes[1]):
             energy = [_hermitian_energy(c) for c in (a, b)]
             if all(e is not None and 0.0 < e < math.inf for e in energy):
                 # the second factor goes in times 2^balance, to within a
@@ -780,14 +773,11 @@ class ProductPlan:
 
     def _samples(self, a, b):
         # the padded samples u = sum_q a_q e^{i q . x} of `a` and v of `b`,
-        # and the complex array that their product goes into: (u, u, u) for
-        # one array twice, (u + i v, u, v) for two real factors, else
-        # (u, u, v)
-        pair = self.packed and b is not a
-        u = _place(a, self._copies[0], self.pad_shape, () if pair else self._inverse[0])
-        if not pair:
-            v = u if b is a else _place(b, self._copies[1], self.pad_shape, self._inverse[1])
-            return u, u, v
+        # and the complex array that their product goes into: (u + i v, u, v)
+        # for two real factors, else (u, u, v)
+        u = _place(a, self._copies[0], self.pad_shape, () if self.packed else self._inverse[0])
+        if not self.packed:
+            return u, u, _place(b, self._copies[1], self.pad_shape, self._inverse[1])
         for at, pad in self._copies[1]:
             big, c = u[pad], b[at]
             big.real -= np.ldexp(c.imag, self._balance)
@@ -801,8 +791,7 @@ class ProductPlan:
     def sample_energy(self, a, b):
         """Sum of |u v|^2 over the padded samples u, v of the factors `a`, `b`.
 
-        One array twice gives the sum of |u|^4.  No character is applied: it
-        does not change |u v|.
+        No character is applied: it does not change |u v|.
         """
         _, u, v = self._samples(a, b)
         uv = np.multiply(u, v, out=u)

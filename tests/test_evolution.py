@@ -212,7 +212,8 @@ def test_evolve_zero_data():
     g = make_grid(8, 32, 16 * math.pi)
     z = SpectralField(g, np.zeros(g.spatial_shape, complex))
     traj = evolve_nonlinear(z, SolveConfig(dt=0.01, T=0.05), P2)
-    assert all(np.all(s.coeffs == 0) for s in traj.snapshots)
+    assert np.all(traj.final.coeffs == 0)
+    assert np.all(traj.l2_drift == 0)
 
 
 def test_evolve_linear_limit_matches_free_flow():
@@ -222,10 +223,10 @@ def test_evolve_linear_limit_matches_free_flow():
     scale = 1e-12
     f = random_field(g, BandSpec(1, 6, 1.5), seed=6)
     f = SpectralField(g, scale * f.coeffs)
-    traj = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.05), P2, save_every=1)
-    for t, snap in zip(traj.times, traj.snapshots):
+    traj = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.05), P2, keep_step=3)
+    for t, state in ((0.03, traj.kept), (0.05, traj.final)):
         expect = free_evolve(f, t, P2)
-        assert np.max(np.abs(snap.coeffs - expect.coeffs)) / scale < 1e-12
+        assert np.max(np.abs(state.coeffs - expect.coeffs)) / scale < 1e-12
 
 
 def test_evolve_conservation_quick():
@@ -246,17 +247,17 @@ def test_evolve_blowup_guard():
     g = make_grid(16, 32, 16 * math.pi)
     f = small_smooth(g, amplitude=30.0, modes=((1, 1.0), (2, 1.0), (3, 1.0)))
     with pytest.raises(SolverDivergenceError):
-        evolve_nonlinear(f, SolveConfig(dt=0.25, T=50.0), P2, save_every=1)
+        evolve_nonlinear(f, SolveConfig(dt=0.25, T=50.0), P2)
 
 
 def test_evolve_rejects_nonfinite_between_save_points():
-    # huge data overflows within a few steps; with no save point before the
-    # end, only a per-step check sees it (the tenfold-growth test is False
-    # for NaN)
+    # huge data overflows within a few steps; 150 steps put a drift point
+    # every 2 steps, and the overflow between two of them is seen by the
+    # per-step check alone (the tenfold-growth test is False for NaN)
     g = make_grid(10, 64, 16 * math.pi)
     f = small_smooth(g, amplitude=1e6)
-    with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError):
-        evolve_nonlinear(f, SolveConfig(dt=4e-3, T=0.08), P2, save_every=10**9)
+    with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="no longer finite"):
+        evolve_nonlinear(f, SolveConfig(dt=4e-3, T=0.6), P2)
 
 
 def test_observed_order_at_least_3p5():
@@ -267,21 +268,36 @@ def test_observed_order_at_least_3p5():
 
 
 def test_evolve_keeps_one_step_outside_the_snapshot_schedule():
+    # 150 steps put a drift point every 2 steps; step 75 is not one
     g = make_grid(8, 32, 16 * math.pi)
     f = small_smooth(g)
-    plain = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.07), P2, save_every=3)
-    kept = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.07), P2, save_every=3, keep_step=4)
+    plain = evolve_nonlinear(f, SolveConfig(dt=0.01, T=1.5), P2)
+    kept = evolve_nonlinear(f, SolveConfig(dt=0.01, T=1.5), P2, keep_step=75)
     assert plain.kept is None
+    assert len(kept.times) == 76  # 0, 2, ..., 150 steps
     assert np.array_equal(kept.times, plain.times)
     assert np.array_equal(kept.l2_drift, plain.l2_drift)
-    assert all(
-        np.array_equal(a.coeffs, b.coeffs) for a, b in zip(kept.snapshots, plain.snapshots)
-    )
-    short = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.04), P2, save_every=10**9)
+    assert np.array_equal(kept.final.coeffs, plain.final.coeffs)
+    short = evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.75), P2)
     assert np.array_equal(kept.kept.coeffs, short.final.coeffs)
-    for bad in (0, 8):
+    for bad in (0, 151):
         with pytest.raises(InvalidSpecError):
-            evolve_nonlinear(f, SolveConfig(dt=0.01, T=0.07), P2, keep_step=bad)
+            evolve_nonlinear(f, SolveConfig(dt=0.01, T=1.5), P2, keep_step=bad)
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count():
+    # only the end state and the kept one are held, so 250 steps on the
+    # evolve benchmark grid (65 x 128, 130 KiB a state) peak at a few
+    # working arrays; 65 held states would take 8.5 MiB more
+    g = make_grid(32, 128, 32 * math.pi)
+    f = small_smooth(g)
+    tracemalloc.start()
+    try:
+        evolve_nonlinear(f, SolveConfig(dt=1e-3, T=0.25), P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_observed_order_rejects_zero_differences():
@@ -340,7 +356,7 @@ def test_picard_contracts_and_matches_exponential_stepper():
     assert all(
         diffs[i + 1] < diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0
     )
-    traj = evolve_nonlinear(f, SolveConfig(dt=6.25e-4, T=0.05), P2, save_every=10**9)
+    traj = evolve_nonlinear(f, SolveConfig(dt=6.25e-4, T=0.05), P2)
     pic = res.at_time(0.05)
     diff = math.sqrt(
         g.xy_measure * np.sum(np.abs(pic.coeffs - traj.final.coeffs) ** 2)

@@ -82,6 +82,27 @@ def test_make_grid_rejects_bad_specs():
     assert len(err.value.violations) == 6
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (8.5, 32, 10.0),  # nx would be 18.0
+        (True, 32, 10.0),
+        (8, 32.0, 10.0),
+        (8, 32, 10.0, 1.0),
+        (8, 32, math.inf),
+    ],
+    ids=["kMax-8.5", "kMax-True", "yPoints-32.0", "yDims-1.0", "yLength-inf"],
+)
+def test_make_grid_rejects_non_integer_counts_and_non_finite_lengths(args):
+    with pytest.raises(InvalidSpecError):
+        make_grid(*args)
+
+
+def test_make_grid_accepts_numpy_integers():
+    g = make_grid(np.int64(8), np.int32(32), np.float64(10.0), tPoints=np.int64(16))
+    assert g.nx == 17 and g.spatial_shape == (17, 32)
+
+
 def test_project_mean_zero():
     g = small_grid()
     c = np.zeros(g.spatial_shape, complex)
@@ -752,19 +773,21 @@ def test_fitted_product_matches_direct_convolution(data):
         if spacetime
         else (SpectralField, _product_exact, g.deta**y_dims)
     )
-    pairing = data.draw(st.sampled_from(["two", "same", "zero", "hermitian"]), label="pairing")
-    coeffs = _hermitian_coeffs if pairing == "hermitian" else _box_coeffs
+    pairings = ["two", "same", "zero", "hermitian", "hermitian-same"]
+    pairing = data.draw(st.sampled_from(pairings), label="pairing")
+    coeffs = _hermitian_coeffs if pairing.startswith("hermitian") else _box_coeffs
     fa = make(g, data.draw(coeffs(shape), label="a"))
     if pairing in ("two", "hermitian"):
         fb = make(g, data.draw(coeffs(shape), label="b"))
-    elif pairing == "same":
-        fb = fa  # one field twice takes the squared-samples path
+    elif pairing.endswith("same"):
+        fb = fa  # one field twice, as the comparable pair comes
     else:
         fb = make(g, np.zeros(shape, complex))
-    # two real fields take the packed route: both factors in one transform
+    # real fields take the packed route, one field twice too: both factors
+    # in one transform
     a = _whole(fa)
     b = a if fb is fa else _whole(fb)
-    packed = pairing == "hermitian" and bool(np.any(a) and np.any(b))
+    packed = pairing.startswith("hermitian") and bool(np.any(a) and np.any(b))
     assert _boxed_plan(a, b)[0].packed == packed
     prod = _whole(product(fa, fb))
     direct = weight * _direct_convolution(a, b, prod.shape)
@@ -984,16 +1007,20 @@ def _complex_normal(rng, shape):
 
 
 @pytest.mark.parametrize(
-    "grid",
+    "grid, frac",
     [
-        make_grid(32, 128, 32 * math.pi),  # the evolve benchmark grid: 65 x 128 -> 99 x 256
-        make_grid(10, 64, 16 * math.pi),  # the picard benchmark grid: 21 x 64 -> 33 x 128
-        make_grid(5, 16, 8 * math.pi, yDims=2),
+        # the evolve benchmark grid: 65 x 128 -> 99 x 256
+        (make_grid(32, 128, 32 * math.pi), 2.0 / 3.0),
+        # the picard benchmark grid: 21 x 64 -> 33 x 128
+        (make_grid(10, 64, 16 * math.pi), 2.0 / 3.0),
+        (make_grid(5, 16, 8 * math.pi, yDims=2), 2.0 / 3.0),
+        # no padding: each axis's two runs are adjacent in the padded array
+        (make_grid(32, 128, 32 * math.pi), 1.0),
     ],
-    ids=["evolve", "picard", "yDims2"],
+    ids=["evolve", "picard", "yDims2", "evolve-full"],
 )
-def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid, monkeypatch):
-    pad = dealias_grid(grid, 2.0 / 3.0).spatial_shape
+def test_dealiased_plan_is_bit_identical_to_the_ix_route(grid, frac, monkeypatch):
+    pad = dealias_grid(grid, frac).spatial_shape
     square, size = dealiased_square(grid.spatial_shape, pad)
     oracle = _IxProductPlan(grid.spatial_shape, pad)
     assert size == oracle.size
@@ -1041,7 +1068,7 @@ def test_fitted_plan_is_bit_identical_to_the_ix_route(shape, boxes):
         assert np.array_equal(plan.box_product(*held), oracle.box_product(a, second))
         for factor, c in enumerate((a, second)):
             assert np.array_equal(held[factor], oracle.on_box(c, factor))
-        # a twice is one box, squared: its samples are u = v
+        # a twice is one box: its samples are u = v
         assert (held[1] is held[0]) == (second is a)
         _, u, v = plan._samples(*held)
         assert np.array_equal(u, oracle.samples(held[0], 0))
@@ -1112,6 +1139,23 @@ def test_load_field_rejects_malformed_headers(tmp_path):
         path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
         with pytest.raises(InvalidSpecError):
             load_field(path)
+
+
+def test_load_field_rejects_a_fractional_grid(tmp_path):
+    # kMax + 1/2 makes nx = 2 kMax + 2, and the shape and the coefficient
+    # bytes agree with it: only the integer rule of GridSpec finds the fault
+    g = small_grid()
+    path = tmp_path / "field.bin"
+    save_field(path, random_field(g, BandSpec(1, 6, 1.5), seed=13))
+    blob = path.read_bytes()
+    magic, (n,) = blob[:5], struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9 : 9 + n])
+    nx = 2 * g.kMax + 2
+    header.update(grid={**header["grid"], "kMax": g.kMax + 0.5}, shape=[nx, g.yPoints])
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(magic + struct.pack("<I", len(text)) + text + bytes(16 * nx * g.yPoints))
+    with pytest.raises(InvalidSpecError):
+        load_field(path)
 
 
 def test_a_saved_box_loads_as_the_same_box(tmp_path):
