@@ -91,7 +91,7 @@ def _run_resonance_audit(cfg, workers, outdir):
     """
     rows = []
     for alpha in cfg["alphas"]:
-        params = DispersionParams(float(alpha), 1)
+        params = DispersionParams(float(alpha))
         audit = resonance_bounds_audit(params, cfg["kMax"])
         sample = ResonanceSampleAudit(0.0, 0, 0)
         if cfg["identitySamples"]:
@@ -123,7 +123,7 @@ def _order_span(cfg):
 
 
 def _run_evolve(cfg, workers, outdir):
-    params = DispersionParams(cfg["alpha"], 1)
+    params = DispersionParams(cfg["alpha"])
     grid = make_grid(cfg["kMax"], cfg["yPoints"], cfg["yLength"])
     f0 = _small_smooth_data(grid, cfg["amplitude"], cfg["etaWidth"])
     solve = SolveConfig(dt=cfg["dt"], T=cfg["T"], dealias=cfg["dealias"])
@@ -155,7 +155,7 @@ def _run_evolve(cfg, workers, outdir):
 
 
 def _run_picard(cfg, workers, outdir):
-    params = DispersionParams(cfg["alpha"], 1)
+    params = DispersionParams(cfg["alpha"])
     grid = make_grid(
         cfg["kMax"],
         cfg["yPoints"],

@@ -160,8 +160,8 @@ class SolveConfig:
 
     def __post_init__(self):
         problems = []
-        if not (0 < self.dt <= self.T):
-            problems.append(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        if not (0 < self.dt <= self.T < math.inf):
+            problems.append(f"need 0 < dt <= T < inf, got dt={self.dt}, T={self.T}")
         if not (0 < self.dealias <= 1.0):
             problems.append(f"dealias fraction must lie in (0, 1], got {self.dealias}")
         if problems:

@@ -386,12 +386,12 @@ def bourgain_norm(F, spec, params):
     z:          y  +  xweighted at b = -1/2
 
     All carry the lattice measures that make the zero-exponent case coincide
-    with the space-time L2 norm; the k = 0 column is excluded (mean zero),
+    with the space-time L2 norm; the k = 0 column has weight 0 (mean zero),
     wherever it falls.  The weights, with sigma = tau - phi(k, eta), are
     built from the box's own axes, lo .. lo + n - 1, so it is summed over
-    its own entries only.  They are built and summed one block of tau rows
-    at a time, so the scratch memory is a few block-sized float arrays plus
-    a few (k, eta) ones: it does not grow with tPoints.
+    its own entries only, in one pass over blocks of whole tau rows: the
+    scratch memory is a few block-sized float arrays plus a few (k, eta)
+    ones, and does not grow with tPoints.
     """
     if not isinstance(F, SpaceTimeBox):
         raise InvalidSpecError(["bourgain_norm expects a SpaceTimeBox"])
@@ -406,43 +406,36 @@ def bourgain_norm(F, spec, params):
     eta_sq = _eta_sq(etas)
     b = -1.0 if spec.flavor == "y" else spec.b
     weighted = spec.flavor != "x" and spec.beta != 0.0
-    # the k != 0 columns: up to two runs
-    zero = np.flatnonzero(k == 0)
-    cut = int(zero[0]) if zero.size else k.size
-    runs = [r for r in (slice(0, cut), slice(cut + 1, k.size)) if r.start < r.stop]
-    total = 0.0
-    for run in runs:
-        G = F.coeffs[:, run]
-        kr = k[run].reshape((-1,) + (1,) * g.yDims)
-        phi = symbols.phase_grid(params, kr, eta_sq[None, ...])
-        base = _sobolev_weight(k[run], eta_sq, spec.s1, spec.s2)
-        ka = _bracket(kr) ** (params.alpha + 1.0)
-        rows = max(1, _BLOCK_ENTRIES // phi.size)
-        inner = 0.0
-        for p in range(0, tau.shape[0], rows):
-            bs = tau[p : p + rows] - phi
-            np.square(bs, out=bs)
+    kc = k.reshape((-1,) + (1,) * g.yDims)
+    # the k = 0 column (mean zero) has base weight 0, its phase taken at k = 1
+    phi = symbols.phase_grid(params, np.where(kc == 0, 1, kc), eta_sq[None, ...])
+    base = _sobolev_weight(k, eta_sq, spec.s1, spec.s2)
+    base[k == 0] = 0.0
+    ka = _bracket(kc) ** (params.alpha + 1.0)
+    rows = max(1, _BLOCK_ENTRIES // phi.size)
+    inner = total = 0.0
+    for p in range(0, tau.shape[0], rows):
+        bs = tau[p : p + rows] - phi
+        np.square(bs, out=bs)
+        bs += 1.0
+        np.sqrt(bs, out=bs)  # <sigma>
+        w = bs**b
+        w *= base
+        if weighted:
+            bs /= ka
             bs += 1.0
-            np.sqrt(bs, out=bs)  # <sigma>
-            w = bs**b
-            w *= base
-            if weighted:
-                bs /= ka
-                bs += 1.0
-                bs **= spec.beta
-                w *= bs
-            w *= np.abs(G[p : p + rows], out=bs)
-            if spec.flavor == "y":
-                inner = inner + np.sum(w, axis=0)  # l1 in tau first
-            else:
-                np.square(w, out=w)
-                total += float(np.sum(w))
+            bs **= spec.beta
+            w *= bs
+        w *= np.abs(F.coeffs[p : p + rows], out=bs)
         if spec.flavor == "y":
-            total += float(np.sum((g.dtau * inner) ** 2))
+            inner = inner + np.sum(w, axis=0)  # l1 in tau first
+        else:
+            np.square(w, out=w)
+            total += float(np.sum(w))
     if spec.flavor != "y":
         return math.sqrt(g.st_measure * total)
     prefac = (2.0 * math.pi) ** (0.5 * (2 + g.yDims))
-    return prefac * math.sqrt(g.deta**g.yDims * total)
+    return prefac * math.sqrt(g.deta**g.yDims * float(np.sum((g.dtau * inner) ** 2)))
 
 
 def mixed_norm(F, r, p, q):

@@ -184,7 +184,7 @@ def illposed_point(point):
     """One N's R(N) = ||third derivative||_{H^s} / ||w_N||^3, with the norms it is made of."""
     cfg = IllposedConfig(N=point["N"], betaInterval=point["betaInterval"], s=point["s"],
                          t=point["t"], etaQuadPoints=point["etaQuadPoints"])
-    rep = third_derivative_norm(cfg, DispersionParams(point["alpha"], 1))
+    rep = third_derivative_norm(cfg, DispersionParams(point["alpha"]))
     wn = wN_norm_exact(cfg, cfg.s)
     return {"N": cfg.N, "thirdNorm": rep.total, "restrictedNorm": rep.restricted,
             "wNorm": wn, "value": rep.total / wn**3}

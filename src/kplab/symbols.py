@@ -14,28 +14,23 @@ phi(xi1 + xi2 + xi3), is A relabelled: `denom_A` at (xi3, xi1 + xi2), with
 the same floating-point operations in the same order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NonFiniteValueError
 
 
 @dataclass(frozen=True)
 class DispersionParams:
-    """Dispersion exponent alpha (>= 2) and the dimension of the y variable."""
+    """The dispersion exponent alpha, finite and >= 2 (the y dimension is the grid's)."""
 
     alpha: float = 2.0
-    yDims: int = 1
 
     def __post_init__(self):
-        problems = []
-        if not self.alpha >= 2.0:
-            problems.append(f"alpha must be >= 2, got {self.alpha}")
-        if self.yDims not in (1, 2):
-            problems.append(f"yDims must be 1 or 2, got {self.yDims}")
-        if problems:
-            raise InvalidSpecError(problems)
+        if not 2.0 <= self.alpha < math.inf:
+            raise InvalidSpecError([f"alpha must be finite and >= 2, got {self.alpha}"])
 
 
 def phi0(params, k):
@@ -66,17 +61,26 @@ def resonance_constants(params):
     return a / 2.0**a, a + 1.0 + 2.0 ** (-a)
 
 
+def _k_part(params, k1, k2):
+    """phi0(k1) + phi0(k2) - phi0(k1 + k2): the k-part of A, and of -r(k1 + k2, k1)."""
+    return phi0(params, k1) + phi0(params, k2) - phi0(params, k1 + k2)
+
+
 def _resonance(params, k, k1):
     """r(k, k1) = phi0(k) - phi0(k1) - phi0(k - k1) and its scale |k_min||k_max|^alpha.
 
     k, k1 are integer arrays with k1 != 0 and k != k1; k_min/k_max run over |k|, |k1|, |k - k1|.
+    Raises NonFiniteValueError if r or the scale is not finite (phi0 overflowed).
     """
     k2 = k - k1
-    r = phi0(params, k) - phi0(params, k1) - phi0(params, k2)
+    r = -_k_part(params, k1, k2)
     absk = np.abs(np.stack([k, k1, k2]))
     kmin = absk.min(axis=0).astype(float)
     kmax = absk.max(axis=0).astype(float)
-    return r, kmin * np.exp(params.alpha * np.log(kmax))
+    scale = kmin * np.exp(params.alpha * np.log(kmax))
+    if not np.isfinite([r, scale]).all():
+        raise NonFiniteValueError(f"r or its scale is not finite at alpha = {params.alpha}")
+    return r, scale
 
 
 @dataclass(frozen=True)
@@ -124,18 +128,18 @@ class ResonanceSampleAudit:
     sign_disagreements: int
 
 
-def resonance_sample_audit(params, n, seed):
+def resonance_sample_audit(params, n, seed, y_dims=1):
     """Randomized audit of the resonance identity, sign claim, and lower bound.
 
     Draws n admissible (tau, k, eta) x (tau_1, k_1, eta_1) pairs, with
-    1 <= |k| <= 128, each eta coordinate uniform on [-8, 8] and tau uniform on
-    [-100, 100], and verifies vectorized:
+    1 <= |k| <= 128, eta in R^y_dims with each coordinate uniform on [-8, 8]
+    and tau uniform on [-100, 100], and verifies vectorized:
     |sigma_1+sigma_2-sigma - (r + transverse)| <= IDENTITY_TOL (1 + |lhs|),
     sign(r) == sign(transverse) when both are nonzero, and the max-modulation
-    lower bound. Deterministic for a fixed seed.
+    lower bound. Deterministic for a fixed seed.  A residual, r or scale that
+    is not finite raises NonFiniteValueError.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d = params.yDims
 
     def draw_k(size):
         return rng.integers(1, 129, size=size) * rng.choice([-1, 1], size=size)
@@ -143,14 +147,11 @@ def resonance_sample_audit(params, n, seed):
     k = draw_k(n)
     k1 = draw_k(n)
     # resample the degenerate slots (k = k1) until admissible
-    while True:
-        bad = k == k1
-        if not bad.any():
-            break
+    while (bad := k == k1).any():
         k1[bad] = draw_k(int(bad.sum()))
 
-    eta = rng.uniform(-8.0, 8.0, size=(n, d))
-    eta1 = rng.uniform(-8.0, 8.0, size=(n, d))
+    eta = rng.uniform(-8.0, 8.0, size=(n, y_dims))
+    eta1 = rng.uniform(-8.0, 8.0, size=(n, y_dims))
     tau = rng.uniform(-100.0, 100.0, size=n)
     tau1 = rng.uniform(-100.0, 100.0, size=n)
 
@@ -167,6 +168,8 @@ def resonance_sample_audit(params, n, seed):
     ).astype(float)
 
     residual = np.abs(lhs - (r + trans)) / (1.0 + np.abs(lhs))
+    if not np.isfinite(residual).all():
+        raise NonFiniteValueError(f"identity residual is not finite at alpha = {params.alpha}")
     both = (r != 0) & (trans != 0)
     sign_bad = int(np.sum(np.sign(r[both]) != np.sign(trans[both])))
 
@@ -191,9 +194,7 @@ def denom_A(params, k1, k2, eta1_sq, eta2_sq, eta12_sq):
     k1 = np.asarray(k1, dtype=float)
     k2 = np.asarray(k2, dtype=float)
     return (
-        phi0(params, k1)
-        + phi0(params, k2)
-        - phi0(params, k1 + k2)
+        _k_part(params, k1, k2)
         - np.asarray(eta1_sq) / k1
         - np.asarray(eta2_sq) / k2
         + np.asarray(eta12_sq) / (k1 + k2)
@@ -214,11 +215,8 @@ _N_TERMS = 8
 def _phi_series(z, m):
     # sum_{n>=0} z^n / (n+m)!
     z = np.asarray(z)
-    fact = 1.0
-    for i in range(1, m + 1):
-        fact *= i
     out = np.zeros_like(z)
-    term = np.ones_like(z) / fact
+    term = np.ones_like(z) / math.factorial(m)
     for n in range(_N_TERMS):
         out = out + term
         term = term * z / (n + m + 1)

@@ -57,7 +57,7 @@ def test_criterion_01_resonance_bound_audit():
     worst = 0
     checked = 0
     for alpha in ALPHAS:
-        audit = resonance_bounds_audit(DispersionParams(alpha, 1), 200)
+        audit = resonance_bounds_audit(DispersionParams(alpha), 200)
         worst += len(audit.violations)
         checked += audit.checked
     report(
@@ -77,7 +77,7 @@ def test_criterion_02_resonance_identity_and_lower_bound():
     signs = 0
     for alpha in ALPHAS:
         audit = resonance_sample_audit(
-            DispersionParams(alpha, 1), 100_000, seed=2024
+            DispersionParams(alpha), 100_000, seed=2024
         )
         worst_res = max(worst_res, audit.max_rel_residual)
         lb += audit.lower_bound_violations
@@ -99,7 +99,7 @@ def test_criterion_03_plancherel_unitarity_group_law():
     worst = 0.0
 
     g = make_grid(12, 64, 16 * math.pi, tPoints=32, tWindow=2.0)
-    p = DispersionParams(2.0, 1)
+    p = DispersionParams(2.0)
     f = random_field(g, BandSpec(1, 10, 1.9), seed=31)
     u = to_physical(f)
     worst = max(worst, float(np.max(np.abs(to_spectral(u, g).coeffs - f.coeffs))))
@@ -108,7 +108,7 @@ def test_criterion_03_plancherel_unitarity_group_law():
     worst = max(worst, abs(sobolev_norm(f, 0, 0) - f.l2_norm()) / f.l2_norm())
 
     g3 = make_grid(6, 16, 8 * math.pi, yDims=2, tPoints=16, tWindow=2.0)
-    p3 = DispersionParams(2.5, 2)
+    p3 = DispersionParams(2.5)
     f3 = random_field(g3, BandSpec(1, 5, 1.5), seed=32)
     u3 = to_physical(f3)
     phys3 = (2 * math.pi / g3.nx) * g3.dy**2 * np.sum(np.abs(u3) ** 2)
@@ -167,7 +167,7 @@ def _smooth_data(grid, amplitude, modes=((1, 1.0),), eta_width=1.0):
 
 def test_criterion_04_l2_conservation_and_order():
     t0 = time.time()
-    p = DispersionParams(2.0, 1)
+    p = DispersionParams(2.0)
     grid = make_grid(32, 128, 32 * math.pi)
     f0 = _smooth_data(grid, 0.01)
     traj = evolve_nonlinear(f0, SolveConfig(dt=1e-3, T=1.0), p)

@@ -18,6 +18,7 @@ from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
 from kplab.errors import (
     InsufficientSpanError,
     InvalidSpecError,
+    NonFiniteValueError,
     SweepWorkerError,
     WindowTooSmallError,
 )
@@ -201,7 +202,7 @@ def test_evolve_order_from_the_main_solve_matches_a_separate_finest_solve(T):
     f0 = cli._small_smooth_data(grid, config["amplitude"], config["etaWidth"])
     order_T, order_dt = cli._order_span(config)
     alone = evolution.observed_order(
-        f0, DispersionParams(config["alpha"], 1), T=order_T, dt=order_dt,
+        f0, DispersionParams(config["alpha"]), T=order_T, dt=order_dt,
         dealias=config["dealias"],
     )
     assert env["summary"]["observedOrder"] == alone
@@ -367,6 +368,21 @@ def test_resonance_audit_fails_on_the_sampled_audit(monkeypatch, residual, lower
                         lambda params, n, seed: ResonanceSampleAudit(IDENTITY_TOL, 0, 0))
     assert run("resonance-audit", {"alphas": [2.0], "kMax": 10,
                                    "identitySamples": 5})["verdict"] == "bounded"
+
+
+@pytest.mark.parametrize("samples", [0, 500])
+def test_resonance_audit_gives_no_verdict_from_overflowed_arithmetic(tmp_path, capsys, samples):
+    # phi0 overflows at alpha = 200, so every r is NaN: it read "bounded"
+    # (or "estimate fails" with a NaN maxResidual) instead of failing
+    config = {"alphas": [200.0], "kMax": 200, "identitySamples": samples}
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValueError):
+        run("resonance-audit", config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["resonance-audit", "--config", str(path)]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "NonFiniteValueError"
 
 
 def test_envelope_echo_contains_defaults():

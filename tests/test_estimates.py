@@ -46,7 +46,7 @@ from kplab.fields import (
 )
 from kplab.symbols import DispersionParams, phase_grid
 
-P2 = DispersionParams(2.0, 1)
+P2 = DispersionParams(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_strichartz2d_rejects_wrong_dimension():
 
 
 def test_strichartz3d_single_mode_and_errors():
-    p = DispersionParams(2.0, 2)
+    p = DispersionParams(2.0)
     g = make_grid(4, 16, 8 * math.pi, yDims=2, tPoints=32, tWindow=4.0)
     c = np.zeros(g.spatial_shape, complex)
     c[1, 2, 3] = 1.0
@@ -235,7 +235,7 @@ def test_product_l2_lhs_matches_doubled_grid(kind):
 
 
 def test_product_l2_lhs_matches_doubled_grid_3d():
-    p = DispersionParams(2.0, 2)
+    p = DispersionParams(2.0)
     g = make_grid(6, 16, 16 * math.pi, yDims=2, tPoints=16, tWindow=4.0)
     band = BandSpec(kLo=2, kHi=4, etaHi=0.8)
     u, v = random_field(g, band, seed=31), random_field(g, band, seed=32)
@@ -273,7 +273,7 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
     # the real pairs of the strichartz2d/3d sweeps, at the benchmark's sizes
     s1, s2 = 0.25, 0.1
     if step == "3d":
-        p, g = DispersionParams(2.0, 2), estimates.strichartz3d_grid(n)
+        p, g = DispersionParams(2.0), estimates.strichartz3d_grid(n)
         band = BandSpec(kLo=n, kHi=2 * n, etaHi=min(0.8, 0.4 * g.deta * g.yPoints / 2))
         u, v = (random_field(g, band, np.random.SeedSequence((0, n, s))) for s in (31, 32))
     else:
@@ -558,4 +558,4 @@ def test_strichartz3d_pair_is_the_adversarial_random_pair():
         assert np.array_equal(f.coeffs, want.coeffs)
     row = estimates.strichartz3d_point(
         {"N": n, "seed": seed, "alpha": 2.0, "s1": 0.6, "s2": 0.6, "kind": "random"})
-    assert row["value"] == strichartz3d_ratio(u, v, 0.6, 0.6, DispersionParams(2.0, 2))
+    assert row["value"] == strichartz3d_ratio(u, v, 0.6, 0.6, DispersionParams(2.0))

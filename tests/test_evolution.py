@@ -39,7 +39,7 @@ from kplab.fields import (
 )
 from kplab.symbols import DispersionParams, phase_grid
 
-P2 = DispersionParams(2.0, 1)
+P2 = DispersionParams(2.0)
 
 
 def test_bump_shape():
@@ -89,7 +89,7 @@ def test_free_evolve_identity_unitarity_group_law():
 )
 def test_free_evolve_group_law_property(y_dims, alpha, s, t, seed):
     g = make_grid(6, 16, 8 * math.pi, yDims=y_dims)
-    params = DispersionParams(alpha, y_dims)
+    params = DispersionParams(alpha)
     f = random_field(g, BandSpec(1, 6, 1.5), seed)
     a = free_evolve(free_evolve(f, s, params), t, params)
     b = free_evolve(f, s + t, params)
@@ -206,6 +206,13 @@ def test_solve_config_validation():
         SolveConfig(dt=0.2, T=0.1)
     with pytest.raises(InvalidSpecError):
         SolveConfig(dt=0.01, T=0.1, dealias=0.0)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_solve_config_rejects_a_time_that_is_not_finite(T):
+    # an infinite T used to pass and end in an OverflowError from int(T / dt)
+    with pytest.raises(InvalidSpecError):
+        SolveConfig(dt=0.01, T=T)
 
 
 def test_evolve_zero_data():

@@ -51,8 +51,8 @@ from kplab.fields import (
 )
 from kplab.symbols import DispersionParams, phase_grid
 
-P2 = DispersionParams(2.0, 1)
-P3 = DispersionParams(3.0, 1)
+P2 = DispersionParams(2.0)
+P3 = DispersionParams(3.0)
 
 
 def small_grid(**kw):
@@ -325,15 +325,15 @@ _ORACLE_SPECS = (
 @pytest.mark.parametrize("y_dims", [1, 2])
 def test_blocked_bourgain_norm_matches_dense_oracle(monkeypatch, y_dims, rows):
     g = small_grid(yDims=y_dims, yPoints=16)
-    params = DispersionParams(3.0, y_dims)
+    params = DispersionParams(3.0)
     c = st_random_field(g, BandSpec(1, 6, 0.9), seed=(20, y_dims)).whole()
     c[:, 0] = 0.3 + 0.1j  # k = 0 content, which every norm skips
     F = box_of(g, c)
     if rows is not None:
-        # blocks of `rows` tau rows (the default is one block here); 3 does
-        # not divide tPoints = 16, so the last block has one row
-        spatial = (g.nx - 1) * g.yPoints**y_dims
-        monkeypatch.setattr(fields, "_BLOCK_ENTRIES", rows * spatial)
+        # blocks of `rows` tau rows (the default is one block here), sized
+        # by the box's (k, eta) plane, which the norm weights in one pass; 3
+        # does not divide tPoints = 16, so the last block has one row
+        monkeypatch.setattr(fields, "_BLOCK_ENTRIES", rows * F.coeffs[0].size)
     for spec in _ORACLE_SPECS:
         want = _dense_bourgain_norm(F, spec, params)
         assert bourgain_norm(F, spec, params) == pytest.approx(want, rel=1e-13), spec
@@ -439,7 +439,7 @@ def test_boxed_product_matches_the_doubled_grid(case):
         assert not np.any(box.coeffs)
     # the same bits as the doubled grid, which is zero outside the box
     assert np.array_equal(box.whole(), oracle.whole())
-    params = DispersionParams(3.0, u.grid.yDims)
+    params = DispersionParams(3.0)
     for spec in _ORACLE_SPECS:
         want = bourgain_norm(oracle, spec, params)
         assert bourgain_norm(box, spec, params) == pytest.approx(want, rel=1e-13), spec
@@ -449,7 +449,7 @@ def test_boxed_product_matches_the_doubled_grid(case):
 @pytest.mark.parametrize("flavor", ["x", "xweighted", "z"])
 def test_bilinear_ratio_matches_the_doubled_grid_route(flavor, y_dims):
     u, v = _box_case("random" if y_dims == 1 else "random-yDims2")
-    params = DispersionParams(3.0, y_dims)
+    params = DispersionParams(3.0)
     lhs = NormSpec(flavor=flavor, s1=0.2, s2=0.1, b=-0.45, beta=0.4)
     rhs = NormSpec(flavor="xweighted", s1=0.2, s2=0.1, b=0.55, beta=0.4)
     prod = _doubled_grid_product(u, v)

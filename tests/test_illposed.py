@@ -18,7 +18,7 @@ from kplab.illposed import (
 )
 from kplab.symbols import DispersionParams, denom_A, phase_grid, phi0, phi1
 
-P2 = DispersionParams(2.0, 1)
+P2 = DispersionParams(2.0)
 # the admissible (k1, k2, k3) / N of the indicator family
 SIGN_PATTERNS = ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1))
 # criterion 9's (alpha, s) pairs, which the benchmark's illposed-scaling steps also run
@@ -253,7 +253,7 @@ def _dense_third_derivative_norm(cfg, params, chunk=32):
 @pytest.mark.parametrize("m", [32, 48])
 def test_third_derivative_band_matches_dense_quadrature(n, alpha, t, m):
     cfg = IllposedConfig(N=n, t=t, etaQuadPoints=m, s=-0.5)
-    params = DispersionParams(alpha, 1)
+    params = DispersionParams(alpha)
     got = third_derivative_norm(cfg, params)
     want = _dense_third_derivative_norm(cfg, params)
     assert set(got.per_k) == set(want.per_k)
@@ -319,7 +319,7 @@ def _four_pattern_third_derivative_norm(cfg, params, chunk=32):
 @pytest.mark.parametrize("alpha, s", CRITERION_9_PAIRS)
 @pytest.mark.parametrize("m", [48, 64])
 def test_third_derivative_mirrored_patterns_match_all_four_exactly(alpha, s, m):
-    params = DispersionParams(alpha, 1)
+    params = DispersionParams(alpha)
     for n in (16, 32, 64, 128):
         cfg = IllposedConfig(N=n, s=s, etaQuadPoints=m)
         got = third_derivative_norm(cfg, params)

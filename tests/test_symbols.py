@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kplab import symbols
-from kplab.errors import DegenerateFrequencyError, InvalidSpecError
+from kplab.errors import DegenerateFrequencyError, InvalidSpecError, NonFiniteValueError
 from kplab.symbols import (
     DispersionParams,
     denom_A,
@@ -69,10 +69,6 @@ def phase(params, p):
     """Full phase at a FrequencyPoint. Rejects k = 0 (mean-zero modes never enter)."""
     if p.k == 0:
         raise DegenerateFrequencyError("phase is undefined at k = 0")
-    if len(p.eta) != params.yDims:
-        raise InvalidSpecError(
-            [f"eta has length {len(p.eta)}, expected yDims = {params.yDims}"]
-        )
     return float(phi0(params, p.k) - p.eta_sq / p.k)
 
 
@@ -141,18 +137,18 @@ def resonance_identity(params, m, m1):
 
 # ---------------------------------------------------------------------------
 
-P2 = DispersionParams(2.0, 1)
+P2 = DispersionParams(2.0)
 
 
 def test_phi0_hand_values():
     assert phi0(P2, 3) == pytest.approx(27.0, rel=1e-14)
     assert phi0(P2, -3) == pytest.approx(-27.0, rel=1e-14)
-    assert phi0(DispersionParams(2.5, 1), 0) == 0.0
+    assert phi0(DispersionParams(2.5), 0) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
 def test_phi0_odd_exactly(alpha):
-    p = DispersionParams(alpha, 1)
+    p = DispersionParams(alpha)
     k = np.arange(1, 60)
     assert np.array_equal(phi0(p, k), -phi0(p, -k))
 
@@ -160,7 +156,7 @@ def test_phi0_odd_exactly(alpha):
 def test_phase_hand_values():
     assert phase(P2, FrequencyPoint(1, 0.0)) == pytest.approx(1.0, rel=1e-14)
     assert phase(P2, FrequencyPoint(1, 2.0)) == pytest.approx(-3.0, rel=1e-14)
-    p2d = DispersionParams(2.0, 2)
+    p2d = DispersionParams(2.0)
     assert phase(p2d, FrequencyPoint(-2, (1.0, 1.0))) == pytest.approx(-7.0, rel=1e-14)
 
 
@@ -186,7 +182,7 @@ def test_resonance_bound_single_pairs():
     assert hi * 1 * 2**2 == pytest.approx(13.0)
     assert lo * 4 <= abs(r) <= hi * 4
 
-    p4 = DispersionParams(4.0, 1)
+    p4 = DispersionParams(4.0)
     r4 = resonance_r(p4, 2, 1)
     assert r4 == pytest.approx(30.0, rel=1e-13)
     lo4, hi4 = resonance_constants(p4)
@@ -197,7 +193,7 @@ def test_resonance_bound_single_pairs():
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
 def test_resonance_bounds_audit_small(alpha):
-    audit = resonance_bounds_audit(DispersionParams(alpha, 1), 40)
+    audit = resonance_bounds_audit(DispersionParams(alpha), 40)
     assert audit.violations == ()
     assert audit.checked == 80 * 80 - 80  # the 80 diagonal pairs k = k1 drop out
 
@@ -239,10 +235,36 @@ def test_resonance_identity_rejects_degenerate():
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
 def test_resonance_sampled_properties(alpha):
-    audit = resonance_sample_audit(DispersionParams(alpha, 1), 20000, seed=11)
+    audit = resonance_sample_audit(DispersionParams(alpha), 20000, seed=11)
     assert audit.max_rel_residual <= 1e-9
     assert audit.lower_bound_violations == 0
     assert audit.sign_disagreements == 0
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+def test_resonance_sampled_properties_on_two_transverse_dimensions(alpha):
+    audit = resonance_sample_audit(DispersionParams(alpha), 20000, seed=11, y_dims=2)
+    assert audit.max_rel_residual <= 1e-9
+    assert audit.lower_bound_violations == 0
+    assert audit.sign_disagreements == 0
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.5])
+def test_dispersion_params_rejects_an_alpha_that_is_not_finite_and_at_least_two(alpha):
+    with pytest.raises(InvalidSpecError):
+        DispersionParams(alpha)
+
+
+def test_overflowing_resonance_arithmetic_raises_in_both_audits():
+    # |k|^200 k overflows at |k| = 200 (and at 128), so r is inf - inf = NaN,
+    # which would fail neither bound comparison
+    params = DispersionParams(200.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValueError):
+        resonance_bounds_audit(params, 200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValueError):
+        resonance_sample_audit(params, 500, seed=0)
+    # where phi0 stays finite, both audits still run
+    assert resonance_bounds_audit(params, 2).violations == ()
 
 
 def test_transverse_sign_matches_r():
