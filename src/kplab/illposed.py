@@ -18,6 +18,11 @@ mirrored.  phi0 is odd, so flipping every sign negates both denominators
 exactly; the flipped pattern's coefficients are the complex conjugates of the
 original's, and its norm is the same number.
 
+A fiber sums (E(A_j + B) - E(B))/A_j over its nodes j, E(x) = (e^{itx} - 1)/x
+= it phi1(itx): sum_j E(A_j + B)/A_j - E(B) sum_j 1/A_j.  On the nodes E is
+real arithmetic, E(x) = 2 tau (i - tau)/((1 + tau^2) x) with tau = tan(tx/2),
+and E(0) = it where the float A + B is exactly 0.
+
 The triple transverse integral is evaluated on dedicated midpoint lattices
 tied to the indicator width (a fiber integral along eta_1 + eta_2 = const
 inside an integral over the constant), so indicator edges always fall on cell
@@ -108,23 +113,46 @@ class ThirdDerivativeReport:
     per_k: dict
 
 
+def _fiber_expm1(x, t):
+    """(Re E, Im E) of E(x) = (e^{itx} - 1)/x from tau = tan(tx/2); E(0) = it."""
+    tau = np.tan(x * (0.5 * t))
+    im = tau * tau  # in place from here on: no more fiber-sized temporaries
+    im += 1.0
+    im *= x
+    with np.errstate(invalid="ignore"):  # 0/0 where x = 0, set to the limit below
+        np.divide(tau, im, out=im)
+    im *= 2.0
+    im[x == 0] = t
+    tau *= im
+    np.negative(tau, out=tau)
+    return tau, im
+
+
+def _fiber_sums(a, b, rows, cols, weights, t, size, chunk):
+    """One sign pattern's output rows from a = A_j per u (2m, m) and b = B per pair."""
+    inv_a = 1.0 / a
+    inv_sum = np.sum(inv_a, axis=1)
+    e_b = 1j * t * phi1(1j * t * b)
+    x = np.zeros(size, dtype=complex)
+    for i0 in range(0, size, chunk):
+        sl = slice(*np.searchsorted(rows, (i0, i0 + chunk)))
+        c = cols[sl]
+        re, im = _fiber_expm1(a[c] + b[sl, None], t)
+        inv = inv_a[c]
+        fib = np.einsum("ij,ij->i", re, inv) + 1j * np.einsum("ij,ij->i", im, inv)
+        np.add.at(x, rows[sl], (fib - e_b[sl] * inv_sum[c]) * weights[c])
+    return x
+
+
 def third_derivative_norm(cfg, params, chunk=32):
     """H^s norm of the third data-derivative of the flow for the indicator family.
 
-    Evaluates each transverse triple integral as an exact-limit fiber
-    quadrature inside a midpoint sum over the fiber constant, assembles the
-    output over k in {+-3N, +-N}, and returns total / k = +-N restricted norms
-    plus the per-k breakdown.  Of the four admissible sign patterns only
-    (+,+,+) and (+,+,-) are computed.  phi0 is odd, so flipping every sign
-    negates both denominators A and B exactly; the flipped patterns'
-    coefficients are then the complex conjugates of these two, and their norms
-    at -3N and -N are taken from +3N and +N.  `per_k` is filled in the order
-    3N, N, -N, -3N, the order `total` sums in.  The third factor's indicator
-    confines the sum over the fiber constant u to the band |eta_out - u| <= w:
-    output row i meets only the nodes u_{i-m} .. u_{i-1} that exist, so 2m^2
-    of the (3m+1) * 2m (eta_out, u) pairs carry weight, and only those pairs
-    are formed.  The output eta lattice is processed `chunk` rows at a time,
-    each block with its in-band pairs alone.
+    Returns total / k = +-N restricted norms and `per_k` in the order 3N, N,
+    -N, -3N that `total` sums in; -N and -3N mirror N and 3N.  A fiber sums
+    to sum_j E(A_j + B)/A_j - E(B) sum_j 1/A_j, the first sum in tangent form
+    with E(0) = it.  Only the 2m^2 (eta_out, u) pairs of the (3m+1) * 2m with
+    |eta_out - u| <= w (the third factor's band) are formed, `chunk` output
+    rows at a time.
     """
     n = cfg.N
     w = cfg.half_width
@@ -142,13 +170,10 @@ def third_derivative_norm(cfg, params, chunk=32):
     fiber_w = (hi - lo) / m
 
     # the in-band (eta_out, u) pairs, row-major, so each block's pairs are contiguous
-    rows, cols = np.nonzero(
-        np.abs(eta_out[:, None] - u_nodes[None, :]) <= w * (1.0 + 1e-12)
-    )
+    rows, cols = np.nonzero(np.abs(eta_out[:, None] - u_nodes[None, :]) <= w * (1.0 + 1e-12))
     e_out, u = eta_out[rows], u_nodes[cols]
 
-    # both computed patterns have k1 = k2 = N, so they share the fiber
-    # denominator A; eta1 + eta2 is the fiber constant u
+    # both computed patterns have k1 = k2 = N and share A; eta1 + eta2 is the fiber constant u
     k12 = 2 * n
     a = denom_A(params, n, n, eta1**2, (u_nodes[:, None] - eta1) ** 2, (u_nodes**2)[:, None])
 
@@ -157,23 +182,11 @@ def third_derivative_norm(cfg, params, chunk=32):
         kout = k12 + k3
         # B is A at (xi3, xi1 + xi2)
         b = denom_A(params, k3, k12, (e_out - u) ** 2, u**2, e_out**2)
-        p1 = phi1(1j * t * b)
-
-        x = np.zeros(eta_out.size, dtype=complex)
-        for i0 in range(0, eta_out.size, chunk):
-            sl = slice(*np.searchsorted(rows, (i0, i0 + chunk)))
-            a_sl = a[cols[sl]]
-            z2 = 1j * t * (a_sl + b[sl, None])
-            bracket = 1j * t * (phi1(z2) - p1[sl, None])
-            fib = np.sum(bracket / a_sl, axis=1) * fiber_w[cols[sl]]
-            np.add.at(x, rows[sl], fib * delta)
+        x = _fiber_sums(a, b, rows, cols, fiber_w * delta, t, eta_out.size, chunk)
         x *= (k12 * kout) * np.exp(1j * t * phase_grid(params, kout, eta_out**2))
-
         sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))
         per_k[kout] = math.sqrt((2.0 * math.pi) ** 2 * sq)
-    # the mirrored patterns (-,-,+) and (-,-,-)
-    per_k[-n] = per_k[n]
-    per_k[-3 * n] = per_k[3 * n]
+    per_k[-n], per_k[-3 * n] = per_k[n], per_k[3 * n]  # the mirrored (-,-,+) and (-,-,-)
 
     total = math.sqrt(sum(v**2 for v in per_k.values()))
     restricted = math.sqrt(per_k[n] ** 2 + per_k[-n] ** 2)

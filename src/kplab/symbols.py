@@ -5,8 +5,9 @@ dispersion symbol phi0(k) = |k|^alpha k, the full phase phi(k, eta) =
 phi0(k) - |eta|^2/k, the exhaustive and sampled audits of the resonance
 function r(k, k1) (its two-sided |k_min||k_max|^alpha bounds and the
 resonance identity), the interaction denominator A, and the stable
-divided-difference family phi1/phi2/phi3 used wherever (e^z - 1)/z style
-factors appear.  Transverse frequencies enter as squared norms.  Nothing
+divided-difference family phi1/phi2/phi3 of the ETDRK4 tables and the
+third-derivative quadrature's per-pair E(B), bits pinned by evolve's
+observedOrder check.  Transverse frequencies enter as squared norms.  Nothing
 checks admissibility: callers form only admissible frequencies, and the
 scalar, checked route through the same algebra is an oracle in the tests.
 The second denominator, B(xi1, xi2, xi3) = phi(xi3) + phi(xi1 + xi2) -
@@ -70,14 +71,15 @@ def _resonance(params, k, k1):
     """r(k, k1) = phi0(k) - phi0(k1) - phi0(k - k1) and its scale |k_min||k_max|^alpha.
 
     k, k1 are integer arrays with k1 != 0 and k != k1; k_min/k_max run over |k|, |k1|, |k - k1|.
-    Raises NonFiniteValueError if r or the scale is not finite (phi0 overflowed).
+    Raises NonFiniteValueError, with no numpy warning first, if r or the scale overflowed.
     """
     k2 = k - k1
-    r = -_k_part(params, k1, k2)
     absk = np.abs(np.stack([k, k1, k2]))
     kmin = absk.min(axis=0).astype(float)
     kmax = absk.max(axis=0).astype(float)
-    scale = kmin * np.exp(params.alpha * np.log(kmax))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = -_k_part(params, k1, k2)
+        scale = kmin * np.exp(params.alpha * np.log(kmax))
     if not np.isfinite([r, scale]).all():
         raise NonFiniteValueError(f"r or its scale is not finite at alpha = {params.alpha}")
     return r, scale

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,15 @@ def test_resonance_audit_gives_no_verdict_from_overflowed_arithmetic(tmp_path, c
         assert main(["resonance-audit", "--config", str(path)]) == 1
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "NonFiniteValueError"
+
+
+def test_resonance_audit_overflow_is_an_error_not_a_warning():
+    # the audit's own finiteness check reports the overflow; numpy's overflow
+    # and invalid-value RuntimeWarnings from the same arithmetic are not raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError):
+            run("resonance-audit", {"alphas": [200.0], "kMax": 200})
 
 
 def test_envelope_echo_contains_defaults():

@@ -1,5 +1,6 @@
 """Indicator-data derivative experiment: construction, kernels, scaling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -247,11 +248,17 @@ def _dense_third_derivative_norm(cfg, params, chunk=32):
     return ThirdDerivativeReport(total=total, restricted=restricted, per_k=per_k)
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
-@pytest.mark.parametrize("alpha", [2.0, 3.0])
-@pytest.mark.parametrize("t", [0.1, -0.05])
-@pytest.mark.parametrize("m", [32, 48])
-def test_third_derivative_band_matches_dense_quadrature(n, alpha, t, m):
+# the float A + B is exactly 0 on some (+,+,-) fiber nodes of these (8 at N = 64,
+# 162 at N = 128, 29,012 at alpha = 8), where the kernel takes the limit E(0) = it
+ZERO_DENOMINATOR_CASES = [(48, 0.1, 3.0, 64), (48, 0.1, 3.0, 128), (32, 0.1, 8.0, 16)]
+
+
+@pytest.mark.parametrize(
+    "m, t, alpha, n",
+    list(itertools.product([32, 48], [0.1, -0.05], [2.0, 3.0], [8, 16, 32]))
+    + ZERO_DENOMINATOR_CASES,
+)
+def test_third_derivative_band_matches_dense_quadrature(m, t, alpha, n):
     cfg = IllposedConfig(N=n, t=t, etaQuadPoints=m, s=-0.5)
     params = DispersionParams(alpha)
     got = third_derivative_norm(cfg, params)
@@ -296,16 +303,8 @@ def _four_pattern_third_derivative_norm(cfg, params, chunk=32):
         eta2 = u_nodes[:, None] - eta1
         a = pa - eta1**2 / k1 - eta2**2 / k2 + (u_nodes**2)[:, None] / k12
         b = pb - (e_out - u) ** 2 / k3 - u**2 / k12 + e_out**2 / kout
-        p1 = phi1(1j * t * b)
-
-        x = np.zeros(eta_out.size, dtype=complex)
-        for i0 in range(0, eta_out.size, chunk):
-            sl = slice(*np.searchsorted(rows, (i0, i0 + chunk)))
-            a_sl = a[cols[sl]]
-            z2 = 1j * t * (a_sl + b[sl, None])
-            bracket = 1j * t * (phi1(z2) - p1[sl, None])
-            fib = np.sum(bracket / a_sl, axis=1) * fiber_w[cols[sl]]
-            np.add.at(x, rows[sl], fib * delta)
+        # the library's per-pattern fiber sum, run here on all four patterns
+        x = illposed._fiber_sums(a, b, rows, cols, fiber_w * delta, t, eta_out.size, chunk)
         x *= (k12 * kout) * np.exp(1j * t * (phi0(params, kout) - eta_out**2 / kout))
 
         sq = (1.0 + kout**2) ** cfg.s * float(np.trapezoid(np.abs(x) ** 2, dx=delta))
@@ -331,18 +330,45 @@ def test_third_derivative_mirrored_patterns_match_all_four_exactly(alpha, s, m):
 
 
 def test_third_derivative_forms_only_in_band_pairs(monkeypatch):
-    seen = []
+    seen = {"phi1": 0, "fiber": 0}
 
     def counting_phi1(z):
-        seen.append(np.size(z))
+        seen["phi1"] += np.size(z)
         return phi1(z)
 
+    def counting_fiber(x, t):
+        seen["fiber"] += np.size(x)
+        return fiber_expm1(x, t)
+
+    fiber_expm1 = illposed._fiber_expm1
     monkeypatch.setattr(illposed, "phi1", counting_phi1)
+    monkeypatch.setattr(illposed, "_fiber_expm1", counting_fiber)
     m = 32
     third_derivative_norm(IllposedConfig(N=16, etaQuadPoints=m), P2)
-    # per computed sign pattern (two of the four): phi1(i t b) on the 2m^2 pairs,
-    # phi1(z2) on their m fiber nodes
-    assert sum(seen) == 2 * 2 * m * m * (m + 1) == 135168
+    # per computed sign pattern (two of the four): E(B) = i t phi1(i t B) on the
+    # 2m^2 pairs, E(A_j + B) on their m fiber nodes
+    assert seen["phi1"] == 2 * 2 * m * m == 4096
+    assert seen["fiber"] == 2 * 2 * m * m * m == 131072
+
+
+ULP = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("t", [0.1, -0.05, 1.0])
+def test_fiber_expm1_matches_phi1_on_both_sides_of_the_switch(t):
+    # |t x| from 1e-8 to 1e20, across phi1's series/direct switch at |z| = 1e-4
+    rng = np.random.default_rng(7)
+    tx = 10.0 ** rng.uniform(-8.0, 20.0, 200_000)
+    tx = np.concatenate([tx, np.geomspace(0.5e-4, 2e-4, 1001), [1e-4]])
+    x = tx * rng.choice([-1.0, 1.0], tx.size) / abs(t)
+    re, im = illposed._fiber_expm1(x, t)
+    want = 1j * t * phi1(1j * t * x)
+    assert np.all(np.abs(re + 1j * im - want) <= 4 * ULP * np.abs(want))
+    # the zero limit exactly, and the mirror bit for bit
+    re0, im0 = illposed._fiber_expm1(np.array([0.0, -0.0]), t)
+    assert np.array_equal(re0, [0.0, 0.0]) and np.array_equal(im0, [t, t])
+    re_neg, im_neg = illposed._fiber_expm1(-x, t)
+    assert np.array_equal(re_neg, -re) and np.array_equal(im_neg, im)
 
 
 def test_illposed_scaling_smoke_bounded_case():
