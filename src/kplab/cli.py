@@ -156,25 +156,13 @@ def _run_evolve(cfg, workers, outdir):
 
 def _run_picard(cfg, workers, outdir):
     params = DispersionParams(cfg["alpha"])
-    grid = make_grid(
-        cfg["kMax"],
-        cfg["yPoints"],
-        cfg["yLength"],
-        tPoints=cfg["tPoints"],
-        tWindow=cfg["tWindow"],
-    )
+    grid = make_grid(cfg["kMax"], cfg["yPoints"], cfg["yLength"],
+                     tPoints=cfg["tPoints"], tWindow=cfg["tWindow"])
     f0 = _small_smooth_data(grid, cfg["amplitude"], cfg["etaWidth"])
     result = picard_solve(f0, CutoffSpec(T=cfg["T"]), cfg["iters"], params)
-    rows = [
-        {"iteration": i + 1, "diffNorm": float(d)}
-        for i, d in enumerate(result.diff_norms)
-    ]
-    ratios = [
-        result.diff_norms[i + 1] / result.diff_norms[i]
-        for i in range(len(result.diff_norms) - 1)
-        if result.diff_norms[i] > 0
-    ]
-    summary = {"contractionRatios": ratios}
+    d = result.diff_norms
+    rows = [{"iteration": i + 1, "diffNorm": float(x)} for i, x in enumerate(d)]
+    summary = {"contractionRatios": [b / a for a, b in zip(d, d[1:]) if a > 0]}
     if cfg["crossCheck"]:
         solve = SolveConfig(dt=cfg["dt"], T=cfg["T"])
         traj = evolve_nonlinear(f0, solve, params)

@@ -317,11 +317,15 @@ def picard_solve(f, cutoff, iters, params):
     aborts if one of those norms is not finite, or if they grow three
     iterations in a row.
 
-    The quadratic term is formed on blocks of whole t rows, about
-    `fields._BLOCK_ENTRIES` padded entries per block (at least one row): one
-    padded-product call per block instead of one per row, while its scratch
-    stays a few block-sized padded arrays, whatever tPoints is.  Each row
-    comes out bit for bit as it would alone.
+    It holds three arrays the size of the (t, k, eta) lattice: e^{it phi},
+    the iterate, and a work array that takes the integrand and then, in
+    place, its prefix integrals.  The integrand is 0 where psi_T is, so the
+    quadratic term is formed only on the t rows where psi_T != 0, and not in
+    the first iteration, whose iterate is 0; it goes in blocks of whole t
+    rows, about `fields._BLOCK_ENTRIES` padded entries each (at least one
+    row), each row bit for bit as it would come alone.  The rest goes in
+    t-row or column blocks of about as many lattice entries: the scratch is
+    a few block-sized arrays, whatever tPoints is.
     """
     g = f.grid
     if iters < 1:
@@ -333,33 +337,41 @@ def picard_solve(f, cutoff, iters, params):
 
     shape_t = (-1,) + (1,) * (1 + g.yDims)
     phi = fields.phi_grid(g, params)
-    e_plus = np.exp(1j * t.reshape(shape_t) * phi[None, ...])
     psi1 = bump(t).reshape(shape_t)
-    psiT = cutoff.values(t)
-    psiT_sq = (psiT**2).reshape(shape_t)
-    psiT_col = psiT.reshape(shape_t)
-
+    psiT = cutoff.values(t).reshape(shape_t)
+    live = np.flatnonzero(psiT)  # one run of rows: psi_T > 0 on (-2T, 2T) alone
+    lo, hi = live[0], live[-1] + 1
     c0 = np.array(f.coeffs)
     c0[0] = 0.0
-    free = psi1 * e_plus * c0[None, ...]
-
     nl, pad_size = _quadratic_term(g)
     rows = max(1, fields._BLOCK_ENTRIES // pad_size)
-    cur = np.zeros_like(free)
+    step = max(1, fields._BLOCK_ENTRIES // phi.size)
+    width = max(1, fields._BLOCK_ENTRIES // g.tPoints)
+    blocks = [slice(p, p + step) for p in range(0, g.tPoints, step)]
+    e_plus = np.empty((g.tPoints,) + phi.shape, complex)
+    for b in blocks:
+        np.exp(1j * t[b].reshape(shape_t) * phi[None, ...], out=e_plus[b])
+    cur, work = np.zeros_like(e_plus), np.zeros_like(e_plus)
+    columns = work.reshape(g.tPoints, -1)
+    axes = tuple(range(1, e_plus.ndim))
+    d = np.empty(g.tPoints)
     diffs = []
     grow = 0
-    measure = g.xy_measure
 
-    for _ in range(iters):
-        integrand = np.empty_like(free)
-        for p in range(0, g.tPoints, rows):
-            integrand[p : p + rows] = nl(cur[p : p + rows])
-        integrand = np.conj(e_plus) * (psiT_sq * integrand)
-        cum = _cumulative_simpson(integrand, g.dt)
-        prefix = cum - cum[i_zero][None, ...]
-        nxt = free + psiT_col * e_plus * prefix
-
-        d = np.sqrt(measure * np.sum(np.abs(nxt - cur) ** 2, axis=tuple(range(1, nxt.ndim))))
+    for n in range(iters):
+        if n > 0:  # the first iterate is 0, and so is its integrand
+            work[:lo] = work[hi:] = 0.0
+            for p in range(lo, hi, rows):
+                b = slice(p, min(p + rows, hi))
+                work[b] = np.conj(e_plus[b]) * (psiT[b] ** 2 * nl(cur[b]))
+            for q in range(0, columns.shape[1], width):
+                col = columns[:, q : q + width]
+                col[...] = _cumulative_simpson(col, g.dt)
+                col -= col[i_zero]
+        for b in blocks:
+            nxt = psi1[b] * e_plus[b] * c0 + psiT[b] * e_plus[b] * work[b]
+            d[b] = np.sqrt(g.xy_measure * np.sum(np.abs(nxt - cur[b]) ** 2, axis=axes))
+            cur[b] = nxt
         diffs.append(float(d.max()))
         if not math.isfinite(diffs[-1]):
             raise SolverDivergenceError(
@@ -375,6 +387,5 @@ def picard_solve(f, cutoff, iters, params):
                 )
         else:
             grow = 0
-        cur = nxt
 
     return PicardResult(g, t, cur, diffs)

@@ -370,10 +370,10 @@ def _sobolev_weight(k, eta_sq, s1, s2):
     return wk.reshape((-1,) + (1,) * eta_sq.ndim) * weta[None, ...]
 
 
-# `bourgain_norm` weights whole tau rows, and `evolution.picard_solve` forms
-# its quadratic term on whole t rows, about this many entries (of the
-# (tau, k, eta) grid, or of the padded product grid) at a time, at least one
-# row: each of a block's few temporaries takes 0.5-1 MiB, whatever tPoints is
+# `bourgain_norm` weights whole tau rows, and `evolution.picard_solve` goes
+# over blocks of t rows or columns, about this many entries (of the (tau, k,
+# eta) grid, or of the padded product grid) at a time, at least one row or
+# column: each of a block's few temporaries takes 0.5-1 MiB, whatever tPoints is
 _BLOCK_ENTRIES = 1 << 16
 
 

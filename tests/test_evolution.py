@@ -412,6 +412,7 @@ def test_picard_integrand_scratch_is_per_t_block(monkeypatch):
     # it: about two block-sized padded arrays (1 MiB each at 15 rows of
     # 33 x 128), where all 128 rows at once would take 8.25 MiB per array
     g = picard_grid()
+    cutoff = CutoffSpec(T=0.05)
     build = evolution._quadratic_term
     scratch = []
 
@@ -430,8 +431,127 @@ def test_picard_integrand_scratch_is_per_t_block(monkeypatch):
     monkeypatch.setattr(evolution, "_quadratic_term", measured_term)
     tracemalloc.start()
     try:
-        picard_solve(small_smooth(g), CutoffSpec(T=0.05), 2, P2)
+        picard_solve(small_smooth(g), cutoff, 2, P2)
     finally:
         tracemalloc.stop()
-    assert len(scratch) == 2 * 9  # ceil(128 / 15) blocks per iteration
+    # none in iteration 1, whose iterate is 0; then one call per block of 15
+    # of the rows where psi_T != 0 (63 of the 128, so 5 blocks)
+    live = np.count_nonzero(cutoff.values(g.t_axis()))
+    assert len(scratch) == math.ceil(live / 15)
     assert max(scratch) < 3 * 2**20
+
+
+def _picard_full_lattice(f, cutoff, iters, params):
+    """Oracle: the Picard iteration on whole (t, k, eta) arrays.
+
+    The same operations as `picard_solve`, in the same operand order, but
+    with every term held over the whole lattice and the quadratic term formed
+    on every t row in every iteration, the iterate 0 and psi_T = 0 included.
+    """
+    g = f.grid
+    t = g.t_axis()
+    i_zero = g.tPoints // 2
+    shape_t = (-1,) + (1,) * (1 + g.yDims)
+    e_plus = np.exp(1j * t.reshape(shape_t) * phi_grid(g, params)[None, ...])
+    psiT = cutoff.values(t).reshape(shape_t)
+    c0 = np.array(f.coeffs)
+    c0[0] = 0.0
+    free = bump(t).reshape(shape_t) * e_plus * c0[None, ...]
+    nl, _ = _quadratic_term(g)
+    cur = np.zeros_like(free)
+    diffs = []
+    for _ in range(iters):
+        cum = evolution._cumulative_simpson(np.conj(e_plus) * (psiT**2 * nl(cur)), g.dt)
+        nxt = free + psiT * e_plus * (cum - cum[i_zero][None, ...])
+        d = np.sqrt(g.xy_measure * np.sum(np.abs(nxt - cur) ** 2, axis=tuple(range(1, nxt.ndim))))
+        diffs.append(float(d.max()))
+        cur = nxt
+    return cur, diffs
+
+
+@pytest.mark.parametrize("y_dims, T", [(1, 0.05), (1, 0.1), (2, 0.05)])
+def test_picard_matches_the_full_lattice_iteration_bit_for_bit(y_dims, T):
+    # at T = 0.1, psi_T != 0 on every t row of the picard grid but the first
+    if y_dims == 1:
+        g = picard_grid()
+        f = small_smooth(g)
+    else:
+        g = make_grid(4, 16, 8 * math.pi, yDims=2, tPoints=64, tWindow=0.2)
+        f = SpectralField(g, 0.01 * random_field(g, BandSpec(1, 3, 1.0), seed=6).coeffs)
+    cutoff = CutoffSpec(T=T)
+    res = picard_solve(f, cutoff, 8, P2)
+    coeffs, diffs = _picard_full_lattice(f, cutoff, 8, P2)
+    assert res.coeffs.tobytes() == coeffs.tobytes()
+    assert res.diff_norms == diffs
+    assert diffs[-1] < 1e-3 * diffs[0]  # a contraction, not a run of zeros
+
+
+def test_picard_holds_three_lattice_arrays():
+    # e^{it phi}, the iterate and the work array take 2.625 MiB each on the
+    # picard grid (128 x 21 x 64 complex); the block scratch adds about
+    # 3 MiB.  The full-lattice iteration, which held about eight such arrays,
+    # peaked at 22.35 MiB.
+    f = small_smooth(picard_grid())
+    tracemalloc.start()
+    try:
+        picard_solve(f, CutoffSpec(T=0.05), 8, P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * 2**20
+
+
+def shear(c, m, grid):
+    """Galilean shear of coefficient arrays (yDims = 1): eta index j -> j + m k.
+
+    Each k row (the second-to-last axis) is rolled by m k along eta, so the
+    lattice shear moves eta by c k with c = m deta, and wraps at the edge.
+    """
+    out = np.empty_like(c)
+    for i, k in enumerate(grid.k_axis()):
+        out[..., i, :] = np.roll(c[..., i, :], m * k, axis=-1)
+    return out
+
+
+def _picard_shear_defect(m):
+    """(defect, tolerance) of Picard's shear equivariance on the picard grid.
+
+    phi(k, eta + ck) = phi(k, eta) - 2c eta - c^2 k is linear in (k, eta),
+    so the shear maps solutions to solutions up to a character, and the
+    coefficient moduli of the sheared solve are the sheared moduli of the
+    plain one.  On the lattice the shear wraps: it differs from the exact one
+    only where row k's entries lie within m |k| of the eta edge.  The
+    tolerance is measured first: that transverse tail, the largest modulus of
+    the plain solution there relative to its largest modulus, plus 16 eps of
+    rounding.  (Measured at amplitude 0.01: for m = 1 the tail is 9.8e-18 and
+    the defect 4.1e-16; for m = 3 both are 5.2e-13; at yPoints = 32 or wider
+    data the defect equals the tail, up to 2e-3.)
+    """
+    g = picard_grid()
+    f = small_smooth(g)
+    cutoff = CutoffSpec(T=0.05)
+    plain = np.abs(picard_solve(f, cutoff, 8, P2).coeffs)
+    j = np.abs(np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints))
+    edge = j[None, :] + abs(m) * np.abs(g.k_axis())[:, None] >= g.yPoints // 2
+    tail = np.max(plain[:, edge]) / np.max(plain)
+    tol = tail + 16 * np.finfo(float).eps
+    sheared = picard_solve(SpectralField(g, shear(f.coeffs, m, g)), cutoff, 8, P2)
+    defect = np.max(np.abs(np.abs(sheared.coeffs) - shear(plain, m, g))) / np.max(plain)
+    return defect, tol
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_picard_is_equivariant_under_the_galilean_shear(m):
+    defect, tol = _picard_shear_defect(m)
+    assert defect <= tol
+
+
+def test_picard_shear_property_fails_for_a_quartic_transverse_phase(monkeypatch):
+    # negative control: + |eta|^4 makes phi's transverse part not quadratic,
+    # so no shear leaves the resonance function unchanged
+    phi = fields.phi_grid
+    monkeypatch.setattr(
+        fields, "phi_grid", lambda grid, params: phi(grid, params) + grid.eta_sq_grid() ** 2
+    )
+    defect, tol = _picard_shear_defect(1)
+    assert defect > 1e3 * tol
