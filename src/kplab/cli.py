@@ -253,7 +253,9 @@ def _one_of(choices):
 
 
 def _some_of(choices):
-    return (lambda v: v and all(k in choices for k in v), f"(from {choices})")
+    """At least one distinct value, each from `choices`: a repeat would only be computed again."""
+    return (lambda v: len(set(v)) == len(v) >= 1 and all(k in choices for k in v),
+            f"(at least 1 distinct, from {choices})")
 
 
 def _alpha(default):

@@ -50,7 +50,7 @@ from .fields import (
     st_product_exact,
     st_random_field,
 )
-from .symbols import DispersionParams
+from .symbols import DispersionParams, require_finite
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,32 @@ def grows(exponent):
 
 
 def _product_l2_lhs(u0, v0, weights, params):
-    # each factor's occupied box of coefficients, with the phase read on the
-    # same box, on a smooth-length grid just large enough for the product;
-    # the samples give the integral of |uv|^2 exactly with the cell
-    # (2 pi) L^d / plan.size.  phi is odd, so the free flow keeps real
-    # fields real, and the plan of the boxes at t = 0 serves every t
+    # each distinct factor's occupied box of coefficients, with the phase read
+    # on the same box, on a smooth-length grid just large enough for the
+    # product; the samples give the integral of |uv|^2 exactly with the cell
+    # (2 pi) L^d / plan.size.  phi is odd, so the free flow keeps real fields
+    # real, and the plan of the boxes at t = 0 serves every t.  t_n = -tWindow
+    # + n dt, so each box takes np.exp once, a row before the first of nonzero
+    # weight, then one multiply by e^{i dt phi} per row: exact conjugates stay
+    # exact conjugates, and each row adds a few ulp of rounding per entry
     g = u0.grid
-    a = fields.occupied(u0.coeffs)
-    b = a if v0 is u0 else fields.occupied(v0.coeffs)
-    plan = fields.ProductPlan(*a, *b)
+    held = [fields.occupied(f.coeffs) for f in ((u0,) if v0 is u0 else (u0, v0))]
+    plan = fields.ProductPlan(*held[0], *held[-1])
     phi = fields.phi_grid(g, params)
-    phi_a, phi_b = (phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in (a, b))
+    phis = [phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in held]
+    with np.errstate(over="ignore"):
+        require_finite(params, "t phi on the time window", *(g.tWindow * p for p in phis))
+    rows = np.flatnonzero(weights)
+    t0 = g.t_axis()[rows[0]] - g.dt
+    boxes = [c * np.exp(1j * t0 * p) for (_, c), p in zip(held, phis)]
+    steps = [np.exp(1j * g.dt * p) for p in phis]
     cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
     total = 0.0
-    for w, t in zip(weights, g.t_axis()):
-        if w == 0.0:
-            continue
-        ua = a[1] * np.exp(1j * t * phi_a)
-        ub = ua if b is a else b[1] * np.exp(1j * t * phi_b)
-        total += w * w * plan.sample_energy(ua, ub)
+    for w in weights[rows[0] : rows[-1] + 1]:
+        for box, step in zip(boxes, steps):
+            box *= step
+        if w != 0.0:
+            total += w * w * plan.sample_energy(boxes[0], boxes[-1])
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 

@@ -59,10 +59,6 @@ def _eta_sq(etas):
     return sum(e**2 for e in np.ix_(*etas))
 
 
-def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _next_fast_len(n):
     """The smallest 2^a 3^b 5^c 7^d 11^e >= n: a length pocketfft transforms
     without falling back to Bluestein's algorithm."""
@@ -97,7 +93,7 @@ class GridSpec:
             if self.kMax < 1:
                 problems.append(f"kMax must be >= 1, got {self.kMax}")
             for name in ("yPoints", "tPoints"):
-                if not (_is_pow2(counts[name]) and counts[name] >= 8):
+                if not (counts[name] >= 8 and (counts[name] & (counts[name] - 1)) == 0):
                     problems.append(f"{name} must be a power of two >= 8, got {counts[name]}")
             if self.yDims not in (1, 2):
                 problems.append(f"yDims must be 1 or 2, got {self.yDims}")
@@ -409,6 +405,9 @@ def bourgain_norm(F, spec, params):
     kc = k.reshape((-1,) + (1,) * g.yDims)
     # the k = 0 column (mean zero) has base weight 0, its phase taken at k = 1
     phi = symbols.phase_grid(params, np.where(kc == 0, 1, kc), eta_sq[None, ...])
+    # every block's <sigma> is at most sqrt(1 + (max |tau| + |phi|)^2)
+    with np.errstate(over="ignore"):
+        symbols.require_finite(params, "<tau - phi>", (np.abs(tau).max() + np.abs(phi)) ** 2)
     base = _sobolev_weight(k, eta_sq, spec.s1, spec.s2)
     base[k == 0] = 0.0
     ka = _bracket(kc) ** (params.alpha + 1.0)
@@ -840,27 +839,15 @@ def st_product_exact(Fa, Fb):
     return SpaceTimeBox(g2, plan.lo, box)
 
 
-def _next_pow2(n):
-    m = 8
-    while m < n:
-        m *= 2
-    return m
-
-
 def dealias_grid(grid, frac):
     """Padded grid implementing the zero-padding rule for a retention fraction.
 
     deta is preserved: padding adds high-frequency headroom, it does not
     refine the lattice.
     """
-    nx_p = math.ceil(grid.nx / frac)
-    if nx_p % 2 == 0:
-        nx_p += 1
-    return replace(
-        grid,
-        kMax=(nx_p - 1) // 2,
-        yPoints=_next_pow2(math.ceil(grid.yPoints / frac)),
-    )
+    # the least odd x length (2 kMax + 1) and power-of-two y length holding the grid's / frac
+    return replace(grid, kMax=math.ceil(grid.nx / frac) // 2,
+                   yPoints=1 << (math.ceil(grid.yPoints / frac) - 1).bit_length())
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ def phi0(params, k):
     out = np.zeros_like(k_arr)
     nz = k_arr != 0
     ak = np.abs(k_arr[nz])
-    out[nz] = np.exp(params.alpha * np.log(ak)) * k_arr[nz]
+    with np.errstate(over="ignore"):  # inf on overflow: callers check what they use
+        out[nz] = np.exp(params.alpha * np.log(ak)) * k_arr[nz]
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out)
     return out
@@ -60,6 +61,12 @@ def resonance_constants(params):
     """Lower/upper constants of the two-sided resonance bound."""
     a = params.alpha
     return a / 2.0**a, a + 1.0 + 2.0 ** (-a)
+
+
+def require_finite(params, what, *values):
+    """Raises NonFiniteValueError, naming alpha, unless every entry of `values` is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteValueError(f"{what} is not finite at alpha = {params.alpha}")
 
 
 def _k_part(params, k1, k2):
@@ -80,8 +87,7 @@ def _resonance(params, k, k1):
     with np.errstate(over="ignore", invalid="ignore"):
         r = -_k_part(params, k1, k2)
         scale = kmin * np.exp(params.alpha * np.log(kmax))
-    if not np.isfinite([r, scale]).all():
-        raise NonFiniteValueError(f"r or its scale is not finite at alpha = {params.alpha}")
+    require_finite(params, "r or its scale", r, scale)
     return r, scale
 
 
@@ -170,8 +176,7 @@ def resonance_sample_audit(params, n, seed, y_dims=1):
     ).astype(float)
 
     residual = np.abs(lhs - (r + trans)) / (1.0 + np.abs(lhs))
-    if not np.isfinite(residual).all():
-        raise NonFiniteValueError(f"identity residual is not finite at alpha = {params.alpha}")
+    require_finite(params, "identity residual", residual)
     both = (r != 0) & (trans != 0)
     sign_bad = int(np.sum(np.sign(r[both]) != np.sign(trans[both])))
 

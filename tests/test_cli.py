@@ -41,15 +41,20 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def _python(args, cwd, check=True):
+    # a fresh interpreter that imports this checkout's kplab
+    src = str(Path(kplab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300, check=check)
+
+
 def test_kplab_runs_without_importing_scipy(tmp_path):
     # scipy is a test-only oracle: importing it (scipy.fft, scipy.integrate)
     # pulls in scipy.special, linalg and sparse, and more than doubles the
     # start-up time and resident memory of every run
-    src = str(Path(kplab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUNS], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
+    proc = _python(["-c", _NO_SCIPY_RUNS], tmp_path)
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
@@ -113,6 +118,8 @@ def test_validation_checks_kinds_per_subcommand():
         # a repeated seed or alpha would only repeat rows
         ("strichartz3d", {"seeds": [0, 0]}, "seeds"),
         ("resonance-audit", {"alphas": [2.0, 3.0, 2.0]}, "alphas"),
+        ("strichartz2d", {"kinds": ["random", "low-high", "random"]}, "kinds"),
+        ("bilinear-ratio", {"kinds": ["comparable", "comparable"]}, "kinds"),
     ],
 )
 def test_validation_rejects_unknown_and_mistyped_keys(subcommand, config, key):
@@ -393,6 +400,27 @@ def test_resonance_audit_overflow_is_an_error_not_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValueError):
             run("resonance-audit", {"alphas": [200.0], "kMax": 200})
+
+
+@pytest.mark.parametrize("subcommand, alpha", [
+    ("strichartz2d", 400.0), ("strichartz3d", 400.0),
+    ("bilinear-ratio", 150.0), ("bilinear-ratio", 400.0),
+])
+def test_an_overflowed_phase_stops_a_ratio_sweep_with_one_error(tmp_path, subcommand, alpha):
+    # |k|^alpha k, or the modulation tau - phi squared, overflows at N = 8 (at
+    # alpha = 400 bilinear-ratio's product already at N = 1); the sweep used to
+    # print numpy's RuntimeWarnings and then fail on a NaN value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": alpha, "Ns": [1, 8], "seeds": [0]}))
+    proc = _python(["-W", "default", "-m", "kplab.cli", subcommand, "--config", str(path)],
+                   tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "SweepWorkerError"
+    assert "NonFiniteValueError" in error["detail"]
+    assert f"alpha = {alpha}" in error["detail"]
 
 
 def test_envelope_echo_contains_defaults():

@@ -1,6 +1,7 @@
 """Ratio harnesses: oracles, generators, counterexample quadrature, fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,22 +245,22 @@ def test_product_l2_lhs_matches_doubled_grid_3d():
     assert got == pytest.approx(_doubled_grid_lhs(u, v, w, p), rel=1e-12)
 
 
-def _two_array_lhs(u0, v0, weights, params):
-    # oracle: the lhs on the unpacked plan for the same boxes and pad, each
-    # factor's samples in a padded array of its own
+def _direct_lhs(u0, v0, weights, phi, packed=True, phase=lambda x: np.exp(1j * x)):
+    # oracle: the lhs with each row's phase formed afresh, phase(t phi) read
+    # on each factor's occupied box, as before the phase recurrence; with
+    # packed False each factor's samples take a padded array of their own
     g = u0.grid
     held = occupied(u0.coeffs), occupied(v0.coeffs)
     (_, a), (_, b) = held
     plan = ProductPlan(*held[0], *held[1])
-    plan.packed = False
-    phi = phi_grid(g, params)
+    plan.packed = plan.packed and packed
     phi_a, phi_b = (phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in held)
     cell = 2.0 * math.pi * g.yLength**g.yDims / plan.size
     total = 0.0
     for w, t in zip(weights, g.t_axis()):
         if w == 0.0:
             continue
-        ua, ub = a * np.exp(1j * t * phi_a), b * np.exp(1j * t * phi_b)
+        ua, ub = a * phase(t * phi_a), b * phase(t * phi_b)
         total += w * w * plan.sample_energy(ua, ub)
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
@@ -288,7 +289,125 @@ def test_packed_strichartz_ratios_match_the_two_array_route(step, kind, n):
         cutoff = CutoffSpec(T=1.0)
         got = strichartz2d_ratio(u, v, s1, s2, cutoff, p)
         w = cutoff.values(g.t_axis())
-    assert got == pytest.approx(_two_array_lhs(u, v, w, p) / denom, rel=1e-13)
+    two_array = _direct_lhs(u, v, w, phi_grid(g, p), packed=False)
+    assert got == pytest.approx(two_array / denom, rel=1e-13)
+
+
+RECURRENCE_KINDS = ("random", "comparable", "low-high")
+
+
+def _sweep_pair(kind, n, t_points):
+    # a strichartz2d sweep member on its grid with `t_points` rows, and the weights
+    g = replace(estimates.strichartz2d_grid(n), tPoints=t_points)
+    return adversarial_pair(kind, n, g, seed=0), CutoffSpec(T=1.0).values(g.t_axis())
+
+
+@pytest.mark.parametrize("t_points", [64, 1024])
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("kind", RECURRENCE_KINDS)
+def test_phase_recurrence_matches_the_per_row_exponential(kind, n, t_points):
+    # at alpha = 2 each row advanced adds a few ulp per entry: the bound was
+    # set at 1e-13 before measuring (the largest move measured is 5.2e-15)
+    (u, v), w = _sweep_pair(kind, n, t_points)
+    direct = _direct_lhs(u, v, w, phi_grid(u.grid, P2))
+    assert estimates._product_l2_lhs(u, v, w, P2) == pytest.approx(direct, rel=1e-13)
+
+
+def _longdouble_phase(x):
+    # e^{ix} from a long double phase: the argument is not rounded to float64
+    return (np.cos(x) + 1j * np.sin(x)).astype(complex)
+
+
+def _longdouble_phi(g, alpha):
+    # phi_grid's phi(k, eta) = |k|^alpha k - eta^2 / k, formed in long double
+    k = g.k_axis().astype(np.longdouble)[:, None]
+    k[0] = 1.0  # the unused k = 0 row, zeroed below
+    eta = g.eta_axis().astype(np.longdouble)[None, :]
+    phi = np.abs(k) ** alpha * k - eta**2 / k
+    phi[0] = 0.0
+    return phi
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is float64 here")
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("kind", RECURRENCE_KINDS)
+def test_phase_recurrence_is_as_close_to_a_long_double_phase_as_the_direct_route(kind, n):
+    # at alpha = 4, t phi reaches 1e9 and is not exact in float64; both routes
+    # are set off the long double oracle by phi's rounding to float64, the
+    # recurrence by at most 1.7x the direct route's distance where measured
+    p = DispersionParams(4.0)
+    (u, v), w = _sweep_pair(kind, n, 64)
+    oracle = _direct_lhs(u, v, w, _longdouble_phi(u.grid, p.alpha), phase=_longdouble_phase)
+    direct = abs(_direct_lhs(u, v, w, phi_grid(u.grid, p)) / oracle - 1.0)
+    recurrence = abs(estimates._product_l2_lhs(u, v, w, p) / oracle - 1.0)
+    assert recurrence <= 3.0 * direct
+
+
+def shear(c, m, grid, axis=1):
+    """Galilean shear along the eta axis `axis`: index j -> j + m k in each k row.
+
+    The lattice shear moves eta by c k with c = m deta.  Nothing may wrap:
+    every nonzero entry must land strictly inside the eta lattice, off its
+    Nyquist index, so a Hermitian array stays Hermitian.
+    """
+    j = np.fft.fftfreq(grid.yPoints, 1.0 / grid.yPoints)  # signed eta indices
+    out = np.zeros_like(c)
+    for i, k in enumerate(grid.k_axis()):
+        row = np.moveaxis(c[i], axis - 1, 0)
+        hit = np.any(row != 0, axis=tuple(range(1, row.ndim)))
+        assert np.all(np.abs(j[hit] + m * k) < grid.yPoints // 2), "the shear would wrap"
+        np.moveaxis(out[i], axis - 1, 0)[...] = np.roll(row, m * k, axis=0)
+    return out
+
+
+def _sheared(u, v, m, axis=1):
+    # the sheared pair; one field twice stays one field
+    us = SpectralField(u.grid, shear(u.coeffs, m, u.grid, axis))
+    return us, us if v is u else SpectralField(v.grid, shear(v.coeffs, m, v.grid, axis))
+
+
+def _strichartz2d_shear_change(kind, alpha, m):
+    # phi(k, eta + ck) = phi(k, eta) - 2c eta - c^2 k is linear in (k, eta), so
+    # the shear moves each e^{it phi} u0 by a translation in (x, y) and leaves
+    # |uv|^2 integrated over the torus, and the s2 = 0 denominators, unchanged
+    p, g = DispersionParams(alpha), estimates.strichartz2d_grid(8)
+    u, v = adversarial_pair(kind, 8, g, seed=0)
+    cutoff = CutoffSpec(T=1.0)
+    plain = strichartz2d_ratio(u, v, 0.25, 0.0, cutoff, p)
+    return abs(strichartz2d_ratio(*_sheared(u, v, m), 0.25, 0.0, cutoff, p) / plain - 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 3, -2])
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("kind", estimates.STRICHARTZ2D_KINDS)
+def test_strichartz2d_is_invariant_under_the_galilean_shear(kind, alpha, m):
+    assert _strichartz2d_shear_change(kind, alpha, m) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, -2])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_strichartz3d_is_invariant_under_the_galilean_shear_of_each_transverse_axis(axis, m):
+    g = estimates.strichartz3d_grid(2)
+    u, v = adversarial_pair("random", 2, g, seed=0)
+    plain = strichartz3d_ratio(u, v, 0.6, 0.0, P2)
+    sheared = strichartz3d_ratio(*_sheared(u, v, m, axis), 0.6, 0.0, P2)
+    assert sheared == pytest.approx(plain, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", estimates.STRICHARTZ2D_KINDS)
+def test_strichartz2d_shear_property_fails_for_a_quartic_transverse_phase(monkeypatch, kind):
+    # negative control: + sign(k) |eta|^4 makes phi's transverse part not
+    # quadratic, so no shear leaves the resonance function unchanged; the
+    # sign keeps phi odd, so real fields stay real and the packed route valid
+    phi = fields.phi_grid
+
+    def quartic(grid, params):
+        sign = np.sign(grid.k_axis()).reshape((-1,) + (1,) * grid.yDims)
+        return phi(grid, params) + sign * grid.eta_sq_grid() ** 2
+
+    monkeypatch.setattr(fields, "phi_grid", quartic)
+    assert _strichartz2d_shear_change(kind, 2.0, 1) > 1e3 * 1e-13
 
 
 # ---------------------------------------------------------------------------
