@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__, estimates, evolution, illposed
 from .errors import InvalidSpecError, KPLabError, SweepWorkerError
-from .evolution import (CutoffSpec, SolveConfig, _l2_diff, evolve_nonlinear, observed_order,
-                        picard_solve, whole_steps)
+from .evolution import (CutoffSpec, SolveConfig, evolve_nonlinear, observed_order, picard_solve,
+                        whole_steps)
 from .fields import SpectralField, make_grid, save_field
 from .symbols import (IDENTITY_TOL, DispersionParams, ResonanceSampleAudit,
                       resonance_bounds_audit, resonance_sample_audit)
@@ -167,7 +167,7 @@ def _run_picard(cfg, workers, outdir):
         solve = SolveConfig(dt=cfg["dt"], T=cfg["T"])
         traj = evolve_nonlinear(f0, solve, params)
         pic = result.at_time(cfg["T"])
-        diff = _l2_diff(pic, traj.final)
+        diff = SpectralField(grid, pic.coeffs - traj.final.coeffs).l2_norm()
         rel = diff / traj.final.l2_norm()
         summary["crossCheckL2Diff"] = diff
         summary["crossCheckRelDiff"] = rel

@@ -117,8 +117,7 @@ def _product_l2_lhs(u0, v0, weights, params):
     g = u0.grid
     held = [fields.occupied(f.coeffs) for f in ((u0,) if v0 is u0 else (u0, v0))]
     plan = fields.ProductPlan(*held[0], *held[-1])
-    phi = fields.phi_grid(g, params)
-    phis = [phi[fields._box_index(lo, c.shape, phi.shape)] for lo, c in held]
+    phis = [fields.phase_mesh(params, *fields.box_axes(g, lo, c.shape)) for lo, c in held]
     with np.errstate(over="ignore"):
         require_finite(params, "t phi on the time window", *(g.tWindow * p for p in phis))
     rows = np.flatnonzero(weights)

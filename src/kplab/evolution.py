@@ -30,7 +30,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .fields import SpectralField
-from .symbols import phi1, phi2, phi3
+from .symbols import phi1, phi2, phi3, require_finite
 
 
 def _cumulative_simpson(y, dx):
@@ -181,14 +181,12 @@ class Trajectory:
 def _etdrk4_tables(grid, params, dt):
     phi = fields.phi_grid(grid, params)
     z = 1j * dt * phi
-    e_full = np.exp(z)
-    e_half = np.exp(0.5 * z)
-    q = 0.5 * dt * phi1(0.5 * z)
-    p1, p2, p3 = phi1(z), phi2(z), phi3(z)
-    f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-    f2 = dt * (p2 - 2.0 * p3)
-    f3 = dt * (4.0 * p3 - p2)
-    return e_full, e_half, q, f1, f2, f3
+    with np.errstate(over="ignore", invalid="ignore"):  # (dt phi)^2 may overflow
+        p1, p2, p3 = phi1(z), phi2(z), phi3(z)
+        tables = (np.exp(z), np.exp(0.5 * z), 0.5 * dt * phi1(0.5 * z),
+                  dt * (p1 - 3.0 * p2 + 4.0 * p3), dt * (p2 - 2.0 * p3), dt * (4.0 * p3 - p2))
+    require_finite(params, "an ETDRK4 table entry", *tables)
+    return tables
 
 
 def whole_steps(T, dt):
@@ -276,8 +274,8 @@ def observed_order(f, params, T, dt, dealias=2.0 / 3.0, finest=None):
         return evolve_nonlinear(f, cfg, params).final
 
     finals = [final(1), final(2), final(4) if finest is None else finest]
-    e1 = _l2_diff(finals[0], finals[1])
-    e2 = _l2_diff(finals[1], finals[2])
+    e1, e2 = (SpectralField(f.grid, a.coeffs - b.coeffs).l2_norm()
+              for a, b in zip(finals, finals[1:]))
     if e1 == 0.0 or e2 == 0.0:
         raise NonFiniteValueError(
             f"observed order undefined: step-halving differences {e1!r}, {e2!r}"
@@ -285,24 +283,19 @@ def observed_order(f, params, T, dt, dealias=2.0 / 3.0, finest=None):
     return math.log2(e1 / e2)
 
 
-def _l2_diff(fa, fb):
-    return math.sqrt(
-        fa.grid.xy_measure * float(np.sum(np.abs(fa.coeffs - fb.coeffs) ** 2))
-    )
-
-
 @dataclass
 class PicardResult:
     grid: object
-    times: np.ndarray
     coeffs: np.ndarray  # (tPoints, ...) final iterate over the whole lattice
     diff_norms: list  # sup-in-t L2 norm of successive iterate differences
 
     def at_time(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
+        """The iterate at t, a whole number of the grid's dt (`whole_steps`) inside its window."""
+        g = self.grid
+        row = g.tPoints // 2 + int(round(t / g.dt))
+        if not (whole_steps(t, g.dt) and 0 <= row < g.tPoints):
             raise InvalidSpecError([f"t = {t} is not on the time lattice"])
-        return SpectralField(self.grid, self.coeffs[idx])
+        return SpectralField(g, self.coeffs[row])
 
 
 def picard_solve(f, cutoff, iters, params):
@@ -322,10 +315,10 @@ def picard_solve(f, cutoff, iters, params):
     place, its prefix integrals.  The integrand is 0 where psi_T is, so the
     quadratic term is formed only on the t rows where psi_T != 0, and not in
     the first iteration, whose iterate is 0; it goes in blocks of whole t
-    rows, about `fields._BLOCK_ENTRIES` padded entries each (at least one
-    row), each row bit for bit as it would come alone.  The rest goes in
-    t-row or column blocks of about as many lattice entries: the scratch is
-    a few block-sized arrays, whatever tPoints is.
+    rows, `fields.row_blocks` of the padded grid, each row bit for bit as it
+    would come alone.  The rest goes in `fields.row_blocks` of t rows or
+    columns of the lattice: the scratch is a few block-sized arrays, whatever
+    tPoints is.
     """
     g = f.grid
     if iters < 1:
@@ -344,10 +337,7 @@ def picard_solve(f, cutoff, iters, params):
     c0 = np.array(f.coeffs)
     c0[0] = 0.0
     nl, pad_size = _quadratic_term(g)
-    rows = max(1, fields._BLOCK_ENTRIES // pad_size)
-    step = max(1, fields._BLOCK_ENTRIES // phi.size)
-    width = max(1, fields._BLOCK_ENTRIES // g.tPoints)
-    blocks = [slice(p, p + step) for p in range(0, g.tPoints, step)]
+    blocks = list(fields.row_blocks(g.tPoints, phi.size))
     e_plus = np.empty((g.tPoints,) + phi.shape, complex)
     for b in blocks:
         np.exp(1j * t[b].reshape(shape_t) * phi[None, ...], out=e_plus[b])
@@ -361,11 +351,10 @@ def picard_solve(f, cutoff, iters, params):
     for n in range(iters):
         if n > 0:  # the first iterate is 0, and so is its integrand
             work[:lo] = work[hi:] = 0.0
-            for p in range(lo, hi, rows):
-                b = slice(p, min(p + rows, hi))
+            for b in fields.row_blocks(hi, pad_size, lo):
                 work[b] = np.conj(e_plus[b]) * (psiT[b] ** 2 * nl(cur[b]))
-            for q in range(0, columns.shape[1], width):
-                col = columns[:, q : q + width]
+            for q in fields.row_blocks(columns.shape[1], g.tPoints):
+                col = columns[:, q]
                 col[...] = _cumulative_simpson(col, g.dt)
                 col -= col[i_zero]
         for b in blocks:
@@ -388,4 +377,4 @@ def picard_solve(f, cutoff, iters, params):
         else:
             grow = 0
 
-    return PicardResult(g, t, cur, diffs)
+    return PicardResult(g, cur, diffs)

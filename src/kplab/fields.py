@@ -32,8 +32,10 @@ Each quadratic product has its caller's function: `ProductPlan`, the exact
 product of two boxes, and `dealiased_square`, the solvers' 2/3-rule square.
 
 Mean-zero condition: all k = 0 coefficients vanish.  project_mean_zero
-enforces it; Bourgain-type norms skip the k = 0 column, where the phase is
-undefined (those coefficients are zero for any admissible field).
+enforces it.  The phase phi(k, eta) = |k|^alpha k - |eta|^2/k is undefined at
+k = 0; `phase_mesh`, the one function that forms phi on a mesh, sets it to 0
+there, and Bourgain-type norms give the k = 0 column weight 0 (those
+coefficients are zero for any admissible field).
 """
 
 import itertools
@@ -164,9 +166,7 @@ class GridSpec:
         return self.xy_measure * 2.0 * math.pi * self.dtau
 
 
-def make_grid(kMax, yPoints, yLength, yDims=1, tPoints=64, tWindow=2.0):
-    """Validated GridSpec constructor; raises InvalidSpecError listing all violations."""
-    return GridSpec(kMax, yPoints, yLength, yDims, tPoints, tWindow)
+make_grid = GridSpec  # it raises InvalidSpecError listing every violation
 
 
 def _frozen(arr):
@@ -222,12 +222,7 @@ class SpaceTimeBox:
 
     def axes(self):
         """The signed frequencies of each axis, in order: tau, k, then eta per y axis."""
-        g = self.grid
-        steps = (g.dtau, 1) + (g.deta,) * g.yDims
-        return tuple(
-            np.arange(lo, lo + m) * step
-            for lo, m, step in zip(self.lo, self.coeffs.shape, steps)
-        )
+        return box_axes(self.grid, self.lo, self.coeffs.shape)
 
     def whole(self):
         """The FFT-ordered array of `grid.st_shape` that the box stands for: zero outside it."""
@@ -237,6 +232,12 @@ class SpaceTimeBox:
 
     def l2_norm(self):
         return math.sqrt(self.grid.st_measure * float(np.sum(np.abs(self.coeffs) ** 2)))
+
+
+def box_axes(grid, lo, shape):
+    """The signed frequencies of each axis of a box at `lo` of `shape`: (tau,) k, eta per y axis."""
+    steps = ((grid.dtau, 1) + (grid.deta,) * grid.yDims)[-len(shape):]
+    return tuple(np.arange(a, a + m) * step for a, m, step in zip(lo, shape, steps))
 
 
 def box_of(grid, c):
@@ -306,14 +307,18 @@ def st_from_physical(samples, grid):
     return box_of(grid, _origin_step(np.asarray(samples), grid, False))
 
 
-def phi_grid(grid, params):
-    """phi(k, eta) over the lattice; the (unused) k = 0 slot is set to 0."""
-    k = grid.k_axis().astype(float)
-    k[0] = np.nan
-    shape = (grid.nx,) + (1,) * grid.yDims
-    phi = symbols.phase_grid(params, k.reshape(shape), grid.eta_sq_grid()[None, ...])
-    phi[0] = 0.0
+def phase_mesh(params, k, *etas):
+    """phi(k, eta) on the open mesh of a k axis and its eta axes, 0 at k = 0, and finite."""
+    kc = np.reshape(k, (-1,) + (1,) * len(etas)).astype(float)
+    phi = symbols.phase_grid(params, np.where(kc == 0, 1.0, kc), _eta_sq(etas)[None, ...])
+    phi[kc.ravel() == 0] = 0.0
+    symbols.require_finite(params, "phi", phi)
     return phi
+
+
+def phi_grid(grid, params):
+    """phi(k, eta) over the grid's whole (k, eta) lattice, `phase_mesh` of its axes."""
+    return phase_mesh(params, grid.k_axis(), *(grid.eta_axis(),) * grid.yDims)
 
 
 def _bracket(x):
@@ -366,11 +371,18 @@ def _sobolev_weight(k, eta_sq, s1, s2):
     return wk.reshape((-1,) + (1,) * eta_sq.ndim) * weta[None, ...]
 
 
-# `bourgain_norm` weights whole tau rows, and `evolution.picard_solve` goes
-# over blocks of t rows or columns, about this many entries (of the (tau, k,
-# eta) grid, or of the padded product grid) at a time, at least one row or
-# column: each of a block's few temporaries takes 0.5-1 MiB, whatever tPoints is
+# `bourgain_norm`, `ProductPlan.box_product` and `evolution.picard_solve` go
+# over blocks of rows (or columns), about this many entries at a time, at
+# least one row: each of a block's few temporaries takes 0.5-1 MiB, whatever
+# tPoints is
 _BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(stop, row_entries, start=0):
+    """Slices of rows start..stop, rows of `row_entries` entries, about _BLOCK_ENTRIES each."""
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+    for p in range(start, stop, step):
+        yield slice(p, min(p + step, stop))
 
 
 def bourgain_norm(F, spec, params):
@@ -399,22 +411,18 @@ def bourgain_norm(F, spec, params):
     g = F.grid
     tau, k, *etas = F.axes()
     tau = tau.reshape((-1,) + (1,) * (1 + g.yDims))
-    eta_sq = _eta_sq(etas)
     b = -1.0 if spec.flavor == "y" else spec.b
     weighted = spec.flavor != "x" and spec.beta != 0.0
-    kc = k.reshape((-1,) + (1,) * g.yDims)
-    # the k = 0 column (mean zero) has base weight 0, its phase taken at k = 1
-    phi = symbols.phase_grid(params, np.where(kc == 0, 1, kc), eta_sq[None, ...])
+    phi = phase_mesh(params, k, *etas)
     # every block's <sigma> is at most sqrt(1 + (max |tau| + |phi|)^2)
     with np.errstate(over="ignore"):
         symbols.require_finite(params, "<tau - phi>", (np.abs(tau).max() + np.abs(phi)) ** 2)
-    base = _sobolev_weight(k, eta_sq, spec.s1, spec.s2)
-    base[k == 0] = 0.0
-    ka = _bracket(kc) ** (params.alpha + 1.0)
-    rows = max(1, _BLOCK_ENTRIES // phi.size)
+    base = _sobolev_weight(k, _eta_sq(etas), spec.s1, spec.s2)
+    base[k == 0] = 0.0  # the k = 0 column (mean zero)
+    ka = _bracket(k.reshape((-1,) + (1,) * g.yDims)) ** (params.alpha + 1.0)
     inner = total = 0.0
-    for p in range(0, tau.shape[0], rows):
-        bs = tau[p : p + rows] - phi
+    for p in row_blocks(tau.shape[0], phi.size):
+        bs = tau[p] - phi
         np.square(bs, out=bs)
         bs += 1.0
         np.sqrt(bs, out=bs)  # <sigma>
@@ -425,7 +433,7 @@ def bourgain_norm(F, spec, params):
             bs += 1.0
             bs **= spec.beta
             w *= bs
-        w *= np.abs(F.coeffs[p : p + rows], out=bs)
+        w *= np.abs(F.coeffs[p], out=bs)
         if spec.flavor == "y":
             inner = inner + np.sum(w, axis=0)  # l1 in tau first
         else:
@@ -797,10 +805,9 @@ class ProductPlan:
         # u v times the character, one block of first-axis rows at a time,
         # so each entry of the padded array is read and written once
         d = len(self.pad_shape)
-        rows = max(1, _BLOCK_ENTRIES // self._char_rest.size)
-        for p in range(0, self.pad_shape[0], rows):
-            at = (Ellipsis, slice(p, p + rows)) + (slice(None),) * (d - 1)
-            char = self._char0[p : p + rows] * self._char_rest
+        for p in row_blocks(self.pad_shape[0], self._char_rest.size):
+            at = (Ellipsis, p) + (slice(None),) * (d - 1)
+            char = self._char0[p] * self._char_rest
             np.multiply(u[at] * v[at], char, out=big[at])
         _transform(big, np.fft.fft, self._forward)
         box = big[self._box]

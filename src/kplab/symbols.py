@@ -70,8 +70,14 @@ def require_finite(params, what, *values):
 
 
 def _k_part(params, k1, k2):
-    """phi0(k1) + phi0(k2) - phi0(k1 + k2): the k-part of A, and of -r(k1 + k2, k1)."""
-    return phi0(params, k1) + phi0(params, k2) - phi0(params, k1 + k2)
+    """phi0(k1) + phi0(k2) - phi0(k1 + k2): the k-part of A, and of -r(k1 + k2, k1).
+
+    Raises NonFiniteValueError, with no numpy warning first, if it overflowed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the float range
+        part = phi0(params, k1) + phi0(params, k2) - phi0(params, k1 + k2)
+    require_finite(params, "the resonance k-part", part)
+    return part
 
 
 def _resonance(params, k, k1):
@@ -84,10 +90,10 @@ def _resonance(params, k, k1):
     absk = np.abs(np.stack([k, k1, k2]))
     kmin = absk.min(axis=0).astype(float)
     kmax = absk.max(axis=0).astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = -_k_part(params, k1, k2)
+    r = -_k_part(params, k1, k2)
+    with np.errstate(over="ignore"):
         scale = kmin * np.exp(params.alpha * np.log(kmax))
-    require_finite(params, "r or its scale", r, scale)
+    require_finite(params, "the resonance scale", scale)
     return r, scale
 
 

@@ -67,6 +67,9 @@ def test_validation_reports_field_names():
     with pytest.raises(InvalidSpecError) as err:
         run("picard", {"T": 0.2, "tWindow": 0.2})
     assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
+    with pytest.raises(InvalidSpecError) as err:
+        run("evolve", {"dt": 0.5, "T": 0.1})
+    assert err.value.violations == ["dt: exceeds T"]
 
 
 def test_cli_and_solver_share_the_cutoff_window_rule():
@@ -84,6 +87,15 @@ def test_cli_and_solver_share_the_cutoff_window_rule():
         assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
         with pytest.raises(WindowTooSmallError):
             CutoffSpec(T=0.1).check_window(grid)
+
+
+def test_cli_and_picard_share_the_t_lattice_rule():
+    # T is 16 steps of the t lattice's 3.125 to 6e-10 relative: the config
+    # check accepted it, and then reading the Picard iterate at T rejected it
+    config = {"T": 50.00000003, "tWindow": 200.0, "tPoints": 128, "dt": 3.125,
+              "kMax": 4, "yPoints": 16, "iters": 2}
+    assert cli._resolve("picard", config)["T"] == config["T"]
+    assert math.isfinite(run("picard", config)["summary"]["crossCheckL2Diff"])
 
 
 def test_validation_checks_kinds_per_subcommand():
@@ -421,6 +433,30 @@ def test_an_overflowed_phase_stops_a_ratio_sweep_with_one_error(tmp_path, subcom
     assert error["error"] == "SweepWorkerError"
     assert "NonFiniteValueError" in error["detail"]
     assert f"alpha = {alpha}" in error["detail"]
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("evolve", {"kMax": 8, "yPoints": 16, "T": 0.01, "dt": 0.005}),
+    ("picard", {"kMax": 4, "yPoints": 16, "tPoints": 16, "tWindow": 0.2, "T": 0.05,
+                "iters": 2}),
+    ("illposed-scaling", {"Ns": [16, 32, 64, 128], "etaQuadPoints": 32}),
+])
+def test_an_overflowed_alpha_stops_a_solver_or_the_derivative_sweep_with_one_error(
+        tmp_path, subcommand, config):
+    # at alpha = 400: evolve's |k|^alpha k overflows; picard's phase is finite
+    # (about 1e241) but the ETDRK4 cross-check's (dt phi)^2 is not; the
+    # derivative sweep's A is inf - inf. Each used to print numpy's
+    # RuntimeWarnings and then fail on a NaN ("reduce dt", "not finite: nan")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": 400.0, **config}))
+    proc = _python(["-W", "default", "-m", "kplab.cli", subcommand, "--config", str(path)],
+                   tmp_path, check=False)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    error = json.loads(line)
+    assert "NonFiniteValueError" in line  # the error, or the sweep point's cause
+    assert "alpha = 400.0" in error["detail"]
 
 
 def test_envelope_echo_contains_defaults():

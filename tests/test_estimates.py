@@ -400,13 +400,13 @@ def test_strichartz2d_shear_property_fails_for_a_quartic_transverse_phase(monkey
     # negative control: + sign(k) |eta|^4 makes phi's transverse part not
     # quadratic, so no shear leaves the resonance function unchanged; the
     # sign keeps phi odd, so real fields stay real and the packed route valid
-    phi = fields.phi_grid
+    phase = fields.phase_mesh
 
-    def quartic(grid, params):
-        sign = np.sign(grid.k_axis()).reshape((-1,) + (1,) * grid.yDims)
-        return phi(grid, params) + sign * grid.eta_sq_grid() ** 2
+    def quartic(params, k, *etas):
+        sign = np.sign(k).reshape((-1,) + (1,) * len(etas))
+        return phase(params, k, *etas) + sign * fields._eta_sq(etas) ** 2
 
-    monkeypatch.setattr(fields, "phi_grid", quartic)
+    monkeypatch.setattr(fields, "phase_mesh", quartic)
     assert _strichartz2d_shear_change(kind, 2.0, 1) > 1e3 * 1e-13
 
 

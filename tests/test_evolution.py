@@ -257,6 +257,16 @@ def test_evolve_blowup_guard():
         evolve_nonlinear(f, SolveConfig(dt=0.25, T=50.0), P2)
 
 
+def test_evolve_stops_when_the_norm_grows_tenfold():
+    # large data at a large step: the first step multiplies the L2 norm by
+    # about 370 and it stays finite, so the growth check, not the finiteness
+    # one, stops the run
+    g = make_grid(8, 16, 8 * math.pi)
+    f = small_smooth(g, amplitude=30.0, modes=((1, 1.0), (2, 1.0)))
+    with pytest.raises(SolverDivergenceError, match="L2 norm grew by"):
+        evolve_nonlinear(f, SolveConfig(dt=0.1, T=2.0), P2)
+
+
 def test_evolve_rejects_nonfinite_between_save_points():
     # huge data overflows within a few steps; 150 steps put a drift point
     # every 2 steps, and the overflow between two of them is seen by the
@@ -382,6 +392,27 @@ def test_picard_rejects_nonfinite_difference():
     nan[1, 3] = np.nan
     with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="iteration 1"):
         picard_solve(SpectralField(g, nan), CutoffSpec(T=0.05), 6, P2)
+
+
+def test_picard_stops_when_differences_grow_three_iterations_in_a_row():
+    # the nonlinear term dominates: every difference after the first is
+    # larger than the one before, and all of them are finite
+    g = make_grid(4, 16, 8 * math.pi, tPoints=16, tWindow=0.8)
+    with pytest.raises(SolverDivergenceError, match="grew three iterations in a row"):
+        picard_solve(small_smooth(g, amplitude=10.0), CutoffSpec(T=0.4), 6, P2)
+
+
+def test_at_time_reads_the_lattice_rows_inside_the_window():
+    g = make_grid(4, 16, 8 * math.pi, tPoints=16, tWindow=0.2)  # dt = 0.025
+    rows = np.arange(g.tPoints).reshape((-1, 1, 1)) * np.ones(g.spatial_shape)
+    res = evolution.PicardResult(g, rows, [])
+    assert res.at_time(0.05).coeffs[0, 0] == 10  # t_n = -0.2 + 0.025 n
+    assert res.at_time(-0.2).coeffs[0, 0] == 0
+    # a multiple of dt to 1e-9 relative is on the lattice, as the CLI rule has it
+    assert res.at_time(0.05 * (1 + 5e-10)).coeffs[0, 0] == 10
+    for t in (0.06, 0.2, -0.225):  # between rows, one past the last, one before the first
+        with pytest.raises(InvalidSpecError, match="not on the time lattice"):
+            res.at_time(t)
 
 
 def test_picard_window_check():

@@ -1124,6 +1124,14 @@ def test_load_field_rejects_truncated_files(tmp_path):
             load_field(path)
 
 
+def test_load_field_rejects_a_file_without_the_magic(tmp_path):
+    path = tmp_path / "field.bin"
+    save_field(path, random_field(small_grid(), BandSpec(1, 6, 1.5), seed=13))
+    path.write_bytes(b"KPLF\x02" + path.read_bytes()[5:])  # another container version
+    with pytest.raises(InvalidSpecError, match="bad container magic"):
+        load_field(path)
+
+
 def test_load_field_rejects_malformed_headers(tmp_path):
     g = small_grid()
     path = tmp_path / "field.bin"
