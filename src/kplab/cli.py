@@ -1,16 +1,20 @@
 """Experiment orchestration: config parsing, dispatch, sweeps, result emission.
 
-Each subcommand is one entry of `_TABLE`: its runner, its results.csv columns
-and every config key it takes, with the key's default, type and range check.
-A JSON config is resolved against that entry and validated up front (a key
-the subcommand does not take is an error; the complete violation list is
-reported), the output directory is made, the sweep points fan out over a
-worker pool, and two artifacts are written into the output directory:
+Each subcommand is one entry of `_TABLE`: its runner and every config key it
+takes, with the key's default, type and range check.  A JSON config is
+resolved against that entry and validated up front (a key the subcommand does
+not take is an error; the complete violation list is reported), the output
+directory is made, the sweep points fan out over a worker pool, and the
+artifacts are written into the output directory:
 
-    results.csv   one row per sample, fixed column order, each cell written
-                  by str (bit-identical across runs and worker counts)
-    summary.json  fit/verdict/diagnostics plus the fully resolved config echo
-                  and provenance (tool version, timestamp, seeds)
+    results.csv     one row per sample, its columns the keys of the runner's
+                    rows in order, each cell written by str (bit-identical
+                    across runs and worker counts)
+    summary.json    fit/verdict/diagnostics plus the fully resolved config
+                    echo and provenance (tool version, timestamp, seeds)
+    progress.jsonl  evolve's drift rows, one JSON object per line
+    fields/*.bin    evolve's initial and final fields, if saveFields (which
+                    needs an output directory)
 
 Exit codes: 0 on success (and when a declared expectation matches the
 verdict), 2 when the verdict contradicts --expect, 3 when the verdict is
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, estimates, evolution, illposed
-from .errors import InvalidSpecError, KPLabError, SweepWorkerError
+from .errors import InvalidSpecError, KPLabError, SweepWorkerError, check
 from .evolution import (CutoffSpec, SolveConfig, evolve_nonlinear, observed_order, picard_solve,
                         whole_steps)
 from .fields import SpectralField, make_grid, save_field
@@ -122,10 +126,14 @@ def _order_span(cfg):
     return min(cfg["T"], 0.1), 4 * cfg["dt"]
 
 
+def _flow_setup(cfg, **t_axis):
+    """evolve's and picard's dispersion and initial data, on the grid their keys give."""
+    g = make_grid(cfg["kMax"], cfg["yPoints"], cfg["yLength"], **t_axis)
+    return DispersionParams(cfg["alpha"]), _small_smooth_data(g, cfg["amplitude"], cfg["etaWidth"])
+
+
 def _run_evolve(cfg, workers, outdir):
-    params = DispersionParams(cfg["alpha"])
-    grid = make_grid(cfg["kMax"], cfg["yPoints"], cfg["yLength"])
-    f0 = _small_smooth_data(grid, cfg["amplitude"], cfg["etaWidth"])
+    params, f0 = _flow_setup(cfg)
     solve = SolveConfig(dt=cfg["dt"], T=cfg["T"], dealias=cfg["dealias"])
     if cfg["measureOrder"]:
         order_T, order_dt = _order_span(cfg)
@@ -146,7 +154,7 @@ def _run_evolve(cfg, workers, outdir):
         with open(os.path.join(outdir, "progress.jsonl"), "w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write(json.dumps(row) + "\n")
-    if cfg["saveFields"] and outdir:
+    if cfg["saveFields"]:
         fdir = os.path.join(outdir, "fields")
         os.makedirs(fdir, exist_ok=True)
         save_field(os.path.join(fdir, "initial.bin"), f0)
@@ -155,10 +163,7 @@ def _run_evolve(cfg, workers, outdir):
 
 
 def _run_picard(cfg, workers, outdir):
-    params = DispersionParams(cfg["alpha"])
-    grid = make_grid(cfg["kMax"], cfg["yPoints"], cfg["yLength"],
-                     tPoints=cfg["tPoints"], tWindow=cfg["tWindow"])
-    f0 = _small_smooth_data(grid, cfg["amplitude"], cfg["etaWidth"])
+    params, f0 = _flow_setup(cfg, tPoints=cfg["tPoints"], tWindow=cfg["tWindow"])
     result = picard_solve(f0, CutoffSpec(T=cfg["T"]), cfg["iters"], params)
     d = result.diff_norms
     rows = [{"iteration": i + 1, "diffNorm": float(x)} for i, x in enumerate(d)]
@@ -167,10 +172,9 @@ def _run_picard(cfg, workers, outdir):
         solve = SolveConfig(dt=cfg["dt"], T=cfg["T"])
         traj = evolve_nonlinear(f0, solve, params)
         pic = result.at_time(cfg["T"])
-        diff = SpectralField(grid, pic.coeffs - traj.final.coeffs).l2_norm()
-        rel = diff / traj.final.l2_norm()
+        diff = SpectralField(f0.grid, pic.coeffs - traj.final.coeffs).l2_norm()
         summary["crossCheckL2Diff"] = diff
-        summary["crossCheckRelDiff"] = rel
+        summary["crossCheckRelDiff"] = diff / traj.final.l2_norm()
     return rows, summary, None
 
 
@@ -277,15 +281,14 @@ def _flow_keys(kMax, yPoints, yLength, T, dt):
 
 
 class _Subcommand(NamedTuple):
-    runner: object  # (cfg, workers, outdir) -> (rows, summary, verdict)
-    columns: list  # of results.csv, in order
+    runner: object  # (cfg, workers, outdir) -> (rows, summary, verdict); rows name the columns
     keys: dict  # every config key the subcommand takes, name -> _Key
 
 
 def _sweep(point_name, alpha, Ns, seeds, **keys):
     """The entry of an (N, kind, seed) ratio sweep over `estimates.<point_name>`."""
     runner = functools.partial(_run_sweep, estimates, point_name, None, ())
-    return _Subcommand(runner, ["N", "kind", "seed", "value"], {
+    return _Subcommand(runner, {
         "alpha": _alpha(alpha),
         "Ns": _fit_ns(Ns, 1, 1),
         "seeds": _Key(seeds, [int], *_at_least(1, 0)),
@@ -294,13 +297,13 @@ def _sweep(point_name, alpha, Ns, seeds, **keys):
 
 
 _TABLE = {
-    "evolve": _Subcommand(_run_evolve, ["t", "l2RelDrift"], {
+    "evolve": _Subcommand(_run_evolve, {
         **_flow_keys(kMax=32, yPoints=128, yLength=32 * math.pi, T=1.0, dt=1e-3),
         "dealias": _Key(2.0 / 3.0, float, lambda v: 0 < v <= 1, "(must lie in (0, 1])"),
         "measureOrder": _Key(False, bool),
         "saveFields": _Key(False, bool),
     }),
-    "picard": _Subcommand(_run_picard, ["iteration", "diffNorm"], {
+    "picard": _Subcommand(_run_picard, {
         **_flow_keys(kMax=10, yPoints=64, yLength=16 * math.pi, T=0.05, dt=6.25e-4),
         "tPoints": _Key(128, int, *_POW2),
         "tWindow": _Key(0.2, float, *_POSITIVE),
@@ -321,8 +324,7 @@ _TABLE = {
     ),
     "counterexample": _Subcommand(
         functools.partial(_run_sweep, estimates, "counterexample_point",
-                          "counterexample_summary", ()),
-        ["N", "halfWidth", "lhs", "lhsTauRoute", "denominator", "value"], {
+                          "counterexample_summary", ()), {
             # no alpha: the lhs is measured from the fold, where alpha drops out
             "Ns": _fit_ns([16, 32, 64, 128, 256], 3, 8),
             "s": _Key(0.0, float),
@@ -342,8 +344,7 @@ _TABLE = {
     ),
     "illposed-scaling": _Subcommand(
         functools.partial(_run_sweep, illposed, "illposed_point", "illposed_scaling",
-                          ("C3 fails", "no failure detected")),
-        ["N", "thirdNorm", "restrictedNorm", "wNorm", "value"], {
+                          ("C3 fails", "no failure detected")), {
             "alpha": _alpha(2.0),
             "s": _Key(-0.75, float),
             "Ns": _fit_ns([16, 32, 64, 128], 4, 8),
@@ -352,8 +353,7 @@ _TABLE = {
             "etaQuadPoints": _Key(64, int, lambda v: v >= 32 and v % 2 == 0, "(even, >= 32)"),
         }),
     "resonance-audit": _Subcommand(
-        _run_resonance_audit, ["alpha", "kMax", "checked", "violations", "maxResidual",
-                               "lowerBoundViolations", "signDisagreements"], {
+        _run_resonance_audit, {
             "alphas": _Key([2.0, 2.5, 3.0, 4.0], [float], *_at_least(1, 2)),
             "kMax": _Key(200, int, *_ge(2)),
             "identitySamples": _Key(0, int, *_ge(0)),
@@ -417,22 +417,23 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
     """Resolve, validate, dispatch; returns the result envelope as a dict."""
     if subcommand not in SUBCOMMANDS:
         raise InvalidSpecError([f"unknown subcommand {subcommand!r}"])
-    if not _has_type(workers, int) or workers < 1:
-        raise InvalidSpecError([f"workers: expected an integer >= 1, got {workers!r}"])
     # every seed, offset by base_seed, must stay a valid numpy seed
-    if not _has_type(base_seed, int) or base_seed < 0:
-        raise InvalidSpecError([f"base_seed: expected an integer >= 0, got {base_seed!r}"])
+    check((_has_type(workers, int) and workers >= 1,
+           f"workers: expected an integer >= 1, got {workers!r}"),
+          (_has_type(base_seed, int) and base_seed >= 0,
+           f"base_seed: expected an integer >= 0, got {base_seed!r}"))
     cfg = _resolve(subcommand, config or {})
+    check((outdir or not cfg.get("saveFields"), "saveFields: needs an output directory (--out)"))
     cfg["baseSeed"] = base_seed
 
-    entry = _TABLE[subcommand]
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    rows, summary, verdict = entry.runner(cfg, workers, outdir)
+    rows, summary, verdict = _TABLE[subcommand].runner(cfg, workers, outdir)
+    columns = list(rows[0])  # every run makes at least one row
     envelope = {
         "configEcho": {**cfg, "subcommand": subcommand},
         "rows": rows,
-        "columns": entry.columns,
+        "columns": columns,
         "summary": summary,
         "verdict": verdict,
         "provenance": {
@@ -445,7 +446,7 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
     }
     if outdir:
         with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(rows, entry.columns))
+            fh.write(rows_to_csv(rows, columns))
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(
                 {k: v for k, v in envelope.items() if k != "rows"},
@@ -456,6 +457,12 @@ def run(subcommand, config, workers=1, outdir=None, base_seed=0):
             )
             fh.write("\n")
     return envelope
+
+
+def _error(error, **detail):
+    """Print one JSON error line on stderr; the exit code of every error, 1."""
+    print(json.dumps({"error": error, **detail}), file=sys.stderr)
+    return 1
 
 
 def main(argv=None):
@@ -477,11 +484,7 @@ def main(argv=None):
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(
-                json.dumps({"error": "config-unreadable", "detail": str(exc)}),
-                file=sys.stderr,
-            )
-            return 1
+            return _error("config-unreadable", detail=str(exc))
 
     try:
         envelope = run(
@@ -492,24 +495,17 @@ def main(argv=None):
             base_seed=args.seed,
         )
     except InvalidSpecError as exc:
-        print(json.dumps({"error": "config-invalid", "violations": exc.violations}),
-              file=sys.stderr)
-        return 1
+        return _error("config-invalid", violations=exc.violations)
     except (KPLabError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return _error(type(exc).__name__, detail=str(exc))
 
     verdict = envelope["verdict"]
     print(json.dumps({"verdict": verdict, "summary": envelope["summary"]}, default=str))
     if verdict == "inconclusive":
         return 3
     if args.expect and verdict is None:
-        print(json.dumps({"error": "expectation-uncheckable",
-                          "detail": f"{args.subcommand} gives no verdict to hold "
-                                    f"--expect {args.expect} against"}),
-              file=sys.stderr)
-        return 1
+        return _error("expectation-uncheckable", detail=f"{args.subcommand} gives no verdict "
+                      f"to hold --expect {args.expect} against")
     if args.expect:
         ok = verdict in ("bounded", "no failure detected")
         if (args.expect == "bounded") != ok:

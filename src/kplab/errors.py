@@ -19,6 +19,13 @@ class InvalidSpecError(KPLabError, ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def check(*rules):
+    """Raise one InvalidSpecError listing the message of every (holds, message) rule that fails."""
+    violations = [message for holds, message in rules if not holds]
+    if violations:
+        raise InvalidSpecError(violations)
+
+
 class DegenerateFrequencyError(KPLabError, ValueError):
     """A frequency combination hit an excluded set (k=0 divisor, Gamma_1/Gamma_2)."""
 

@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteValueError,
     NonpositiveValueError,
     ZeroDenominatorError,
+    check,
 )
 from .evolution import CutoffSpec, raised_cosine_window
 from .fields import (
@@ -138,12 +139,9 @@ def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, weights):
     # the body of both ratios; `weights` are the lhs's time weights on the
     # grid's t axis
     g = u0.grid
-    if g != v0.grid:
-        raise InvalidSpecError(["u0 and v0 must share a grid"])
-    if g.yDims != y_dims:
-        raise InvalidSpecError([f"this estimate needs yDims = {y_dims}, got {g.yDims}"])
-    if s1 < 0 or s2 < 0:
-        raise InvalidSpecError([f"s1, s2 must be >= 0, got {s1}, {s2}"])
+    check((g == v0.grid, "u0 and v0 must share a grid"),
+          (g.yDims == y_dims, f"this estimate needs yDims = {y_dims}, got {g.yDims}"),
+          (s1 >= 0 and s2 >= 0, f"s1, s2 must be >= 0, got {s1}, {s2}"))
     denom = sobolev_norm(u0, s1, 0.0) * sobolev_norm(v0, s2, 0.0)
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the ratio is undefined")
@@ -184,7 +182,7 @@ def adversarial_pair(kind, N, grid, seed):
     The last three are random fields with |eta| <= min(2, 0.45 eta_Nyquist).
     On T x R^2, random is strichartz3d's pair: |eta| <= min(0.8, 0.4 eta_Nyquist).
     """
-    eta_nyq = grid.deta * grid.yPoints / 2
+    eta_nyq = grid.eta_nyquist
     eta_hi = min(2.0, 0.45 * eta_nyq)
     if kind == "comparable":
         if N + 2 > grid.kMax:
@@ -195,7 +193,7 @@ def adversarial_pair(kind, N, grid, seed):
         band = np.sqrt(grid.eta_sq_grid()) <= width
         for k in range(N, N + 3):  # FFT order: k >= 0 at index k
             c[k, band] = 1.0 + 0.05 * rng.standard_normal(int(band.sum()))
-        c = (c + fields._conj_mirror(c)) / 2.0
+        c = (c + fields.conj_mirror(c)) / 2.0
         u = SpectralField(grid, c)
         return u, u
     hi = BandSpec(kLo=N, kHi=2 * N, etaHi=eta_hi)
@@ -210,8 +208,6 @@ def adversarial_pair(kind, N, grid, seed):
     }
     if kind not in factors:
         raise InvalidSpecError([f"unknown adversarial kind {kind!r}"])
-    if 2 * N > grid.kMax:
-        raise BandExceedsGridError(f"band [N, 2N] needs kMax >= {2 * N}")
     return tuple(
         random_field(grid, band, np.random.SeedSequence((seed, N, tag)), side=side)
         for band, side, tag in factors[kind]
@@ -244,13 +240,8 @@ class CounterexampleConfig:
     halfWidth: float
 
     def __post_init__(self):
-        problems = []
-        if self.N < 8:
-            problems.append(f"N must be >= 8, got {self.N}")
-        if not self.halfWidth > 0:
-            problems.append(f"halfWidth must be positive, got {self.halfWidth}")
-        if problems:
-            raise InvalidSpecError(problems)
+        check((self.N >= 8, f"N must be >= 8, got {self.N}"),
+              (self.halfWidth > 0, f"halfWidth must be positive, got {self.halfWidth}"))
 
 
 def counterexample_lhs(cfg, quad_points=96, route="omega"):
@@ -355,14 +346,10 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
     product-sized array live while the lhs norm runs, and the norm's own
     scratch memory is per tau block: it does not grow with tPoints.
     """
-    if lhs_spec.flavor not in ("x", "xweighted", "z"):
-        raise InvalidSpecError(
-            [f"lhs flavor must be x/xweighted/z, got {lhs_spec.flavor!r}"]
-        )
-    if rhs_spec.flavor not in ("x", "xweighted"):
-        raise InvalidSpecError(
-            [f"rhs flavor must be x/xweighted, got {rhs_spec.flavor!r}"]
-        )
+    check((lhs_spec.flavor in ("x", "xweighted", "z"),
+           f"lhs flavor must be x/xweighted/z, got {lhs_spec.flavor!r}"),
+          (rhs_spec.flavor in ("x", "xweighted"),
+           f"rhs flavor must be x/xweighted, got {rhs_spec.flavor!r}"))
     denom = bourgain_norm(u, rhs_spec, params) * bourgain_norm(v, rhs_spec, params)
     if denom == 0.0:
         raise ZeroDenominatorError("zero data: the bilinear ratio is undefined")
@@ -384,7 +371,7 @@ def spacetime_pair(kind, N, grid, seed):
 
     The last two are a spatial box times a tau-profile box, each occupied.
     """
-    eta_nyq = grid.deta * grid.yPoints / 2
+    eta_nyq = grid.eta_nyquist
     if kind == "random":
         band = BandSpec(kLo=N, kHi=2 * N, etaHi=min(0.9, 0.45 * eta_nyq))
         u = st_random_field(grid, band, np.random.SeedSequence((seed, N, 11)))

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteValueError,
     SolverDivergenceError,
     WindowTooSmallError,
+    check,
 )
 from .fields import SpectralField
 from .symbols import phi1, phi2, phi3, require_finite
@@ -146,7 +147,7 @@ def _quadratic_term(grid, dealias=2.0 / 3.0):
     def term(c):
         out = half_ik * square(c)
         out[k_zero] = 0.0
-        fields._zero_nyquist(out, grid)
+        fields.zero_nyquist(out, grid)
         return out
 
     return term, size
@@ -159,13 +160,9 @@ class SolveConfig:
     dealias: float = 2.0 / 3.0
 
     def __post_init__(self):
-        problems = []
-        if not (0 < self.dt <= self.T < math.inf):
-            problems.append(f"need 0 < dt <= T < inf, got dt={self.dt}, T={self.T}")
-        if not (0 < self.dealias <= 1.0):
-            problems.append(f"dealias fraction must lie in (0, 1], got {self.dealias}")
-        if problems:
-            raise InvalidSpecError(problems)
+        check((0 < self.dt <= self.T < math.inf,
+               f"need 0 < dt <= T < inf, got dt={self.dt}, T={self.T}"),
+              (0 < self.dealias <= 1.0, f"dealias fraction must lie in (0, 1], got {self.dealias}"))
 
 
 @dataclass
@@ -209,21 +206,15 @@ def evolve_nonlinear(f, cfg, params, keep_step=None):
     """
     g = f.grid
     n_steps = int(round(cfg.T / cfg.dt))
-    if not whole_steps(cfg.T, cfg.dt):
-        raise InvalidSpecError(
-            [f"T = {cfg.T} is not an integer multiple of dt = {cfg.dt}"]
-        )
-    if keep_step is not None and not 1 <= keep_step <= n_steps:
-        raise InvalidSpecError(
-            [f"keep_step must lie in [1, {n_steps}], got {keep_step}"]
-        )
+    check((whole_steps(cfg.T, cfg.dt), f"T = {cfg.T} is not an integer multiple of dt = {cfg.dt}"),
+          (keep_step is None or 1 <= keep_step <= n_steps,
+           f"keep_step must lie in [1, {n_steps}], got {keep_step}"))
     every = max(1, n_steps // 64)
 
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(g, params, cfg.dt)
     nl, _ = _quadratic_term(g, cfg.dealias)
 
-    u = np.array(f.coeffs)
-    u[0] = 0.0
+    u = fields.project_mean_zero(f).coeffs
     norm0 = math.sqrt(float(np.sum(np.abs(u) ** 2)))
     times = [0.0]
     drift = [0.0]
@@ -334,8 +325,7 @@ def picard_solve(f, cutoff, iters, params):
     psiT = cutoff.values(t).reshape(shape_t)
     live = np.flatnonzero(psiT)  # one run of rows: psi_T > 0 on (-2T, 2T) alone
     lo, hi = live[0], live[-1] + 1
-    c0 = np.array(f.coeffs)
-    c0[0] = 0.0
+    c0 = fields.project_mean_zero(f).coeffs
     nl, pad_size = _quadratic_term(g)
     blocks = list(fields.row_blocks(g.tPoints, phi.size))
     e_plus = np.empty((g.tPoints,) + phi.shape, complex)

@@ -53,6 +53,7 @@ from .errors import (
     ExponentRangeError,
     InvalidSpecError,
     ShapeMismatchError,
+    check,
 )
 
 
@@ -113,6 +114,10 @@ class GridSpec:
     @property
     def deta(self):
         return 2.0 * math.pi / self.yLength
+
+    @property
+    def eta_nyquist(self):
+        return self.deta * self.yPoints / 2
 
     @property
     def dy(self):
@@ -347,13 +352,8 @@ class NormSpec:
     beta: float = 0.0
 
     def __post_init__(self):
-        problems = []
-        if self.flavor not in ("x", "xweighted", "y", "z"):
-            problems.append(f"unknown norm flavor {self.flavor!r}")
-        if self.beta < 0:
-            problems.append(f"beta must be >= 0, got {self.beta}")
-        if problems:
-            raise InvalidSpecError(problems)
+        check((self.flavor in ("x", "xweighted", "y", "z"), f"unknown norm flavor {self.flavor!r}"),
+              (self.beta >= 0, f"beta must be >= 0, got {self.beta}"))
 
 
 def sobolev_norm(f, s1, s2):
@@ -491,12 +491,12 @@ class BandSpec:
     etaHi: float
 
 
-def _conj_mirror(arr):
+def conj_mirror(arr):
     # conj(arr[-q]): index q -> (-q) mod n on every axis
     return np.roll(np.flip(np.conj(arr)), 1, axis=tuple(range(arr.ndim)))
 
 
-def _zero_nyquist(c, grid):
+def zero_nyquist(c, grid):
     # axes counted from the end, so `c` may carry leading batch axes
     for ax in range(grid.yDims):
         c[(Ellipsis, grid.yPoints // 2) + (slice(None),) * ax] = 0.0
@@ -507,10 +507,9 @@ def _band_mask(grid, band):
         raise BandExceedsGridError(
             f"k band up to {band.kHi} exceeds grid kMax {grid.kMax}"
         )
-    eta_nyq = grid.deta * grid.yPoints / 2
-    if band.etaHi > eta_nyq:
+    if band.etaHi > grid.eta_nyquist:
         raise BandExceedsGridError(
-            f"eta band up to {band.etaHi} exceeds lattice Nyquist {eta_nyq:g}"
+            f"eta band up to {band.etaHi} exceeds lattice Nyquist {grid.eta_nyquist:g}"
         )
     absk = np.abs(grid.k_axis())
     mk = (absk >= max(band.kLo, 1)) & (absk <= band.kHi)  # never k = 0: mean zero
@@ -531,9 +530,9 @@ def random_field(grid, band, seed, side=None):
         + 1j * rng.standard_normal(grid.spatial_shape)
     ) / math.sqrt(2.0)
     z *= _band_mask(grid, band)
-    _zero_nyquist(z, grid)
+    zero_nyquist(z, grid)
     if side is None:
-        z = (z + _conj_mirror(z)) / math.sqrt(2.0)
+        z = (z + conj_mirror(z)) / math.sqrt(2.0)
     elif side == "+":
         z[grid.k_axis() < 0] = 0.0
     elif side == "-":
@@ -550,7 +549,7 @@ def st_random_field(grid, band, seed):
     Hermitian mirror of q is the box reversed.
     """
     mask = _band_mask(grid, band)
-    _zero_nyquist(mask, grid)
+    zero_nyquist(mask, grid)
     lo, inside = occupied(mask)
     h = grid.tPoints // 2 - 1
     index = _box_index((-h,) + lo, (2 * h + 1,) + inside.shape, grid.st_shape)

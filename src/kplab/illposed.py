@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandExceedsGridError, InvalidSpecError
+from .errors import BandExceedsGridError, InvalidSpecError, check
 from .estimates import fit_exponent
 from .fields import SpectralField
 from .symbols import DispersionParams, denom_A, phase_grid, phi1
@@ -56,19 +56,11 @@ class IllposedConfig:
     etaQuadPoints: int = 64
 
     def __post_init__(self):
-        problems = []
-        if self.N < 8:
-            problems.append(f"N must be >= 8, got {self.N}")
-        if not (0.0 < self.betaInterval <= 0.1):
-            problems.append(
-                f"betaInterval must lie in (0, 0.1], got {self.betaInterval}"
-            )
-        if self.etaQuadPoints < 32 or self.etaQuadPoints % 2:
-            problems.append(
-                f"etaQuadPoints must be an even integer >= 32, got {self.etaQuadPoints}"
-            )
-        if problems:
-            raise InvalidSpecError(problems)
+        q = self.etaQuadPoints
+        check((self.N >= 8, f"N must be >= 8, got {self.N}"),
+              (0.0 < self.betaInterval <= 0.1,
+               f"betaInterval must lie in (0, 0.1], got {self.betaInterval}"),
+              (q >= 32 and q % 2 == 0, f"etaQuadPoints must be an even integer >= 32, got {q}"))
 
     @property
     def half_width(self):

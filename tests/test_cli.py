@@ -700,3 +700,38 @@ def test_evolve_and_picard_runners(tmp_path):
     ratios = env["summary"]["contractionRatios"]
     assert ratios and all(r < 1 for r in ratios)
     assert env["summary"]["crossCheckRelDiff"] < 1e-6
+
+
+def test_save_fields_without_an_output_directory_is_rejected_before_the_solve(
+        tmp_path, capsys, monkeypatch):
+    # the fields have nowhere to go, so the run is refused instead of dropping them
+    monkeypatch.setattr(cli, "evolve_nonlinear", lambda *a, **k: pytest.fail("a solve ran"))
+    config = {"kMax": 4, "yPoints": 16, "T": 0.01, "dt": 0.005, "saveFields": True}
+    with pytest.raises(InvalidSpecError) as err:
+        run("evolve", config)
+    assert [v.split(":")[0] for v in err.value.violations] == ["saveFields"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["evolve", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
+
+
+# a small config of every subcommand
+SMALL_RUNS = {
+    **{subcommand: config for subcommand, config, _ in FITTED_RUNS},
+    "evolve": {"kMax": 4, "yPoints": 16, "T": 0.01, "dt": 0.005},
+    "picard": {"kMax": 4, "yPoints": 16, "yLength": 8 * math.pi, "tPoints": 16,
+               "tWindow": 0.2, "T": 0.05, "iters": 2, "crossCheck": False},
+    "resonance-audit": {"alphas": [2.0, 3.0], "kMax": 10},
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_the_rows_name_the_results_csv_columns(tmp_path, subcommand):
+    env = run(subcommand, SMALL_RUNS[subcommand], outdir=str(tmp_path))
+    keys = list(env["rows"][0])
+    assert all(list(row) == keys for row in env["rows"])
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == ",".join(keys)
+    assert len(lines) == len(env["rows"]) + 1
+    assert json.loads((tmp_path / "summary.json").read_text())["columns"] == keys

@@ -178,6 +178,16 @@ def test_strichartz2d_rejects_wrong_dimension():
         strichartz2d_ratio(u, u, 0.25, 0.0, CutoffSpec(T=1.0), P2)
 
 
+def test_strichartz_ratio_lists_every_violation():
+    # mismatched grids and a negative s1 are two violations, reported together
+    u = random_field(make_grid(4, 16, 8 * math.pi), BandSpec(1, 3, 0.8), seed=2)
+    v = random_field(make_grid(6, 16, 8 * math.pi), BandSpec(1, 3, 0.8), seed=3)
+    with pytest.raises(InvalidSpecError) as err:
+        strichartz2d_ratio(u, v, -0.25, 0.0, CutoffSpec(T=1.0), P2)
+    assert err.value.violations == ["u0 and v0 must share a grid",
+                                    "s1, s2 must be >= 0, got -0.25, 0.0"]
+
+
 def test_strichartz3d_single_mode_and_errors():
     p = DispersionParams(2.0)
     g = make_grid(4, 16, 8 * math.pi, yDims=2, tPoints=32, tWindow=4.0)
@@ -532,6 +542,15 @@ def test_bilinear_ratio_zero_denominator_and_flavors():
         bilinear_ratio(u, u, lhs, NormSpec(flavor="z"), P2)
 
 
+def test_bilinear_ratio_lists_both_wrong_flavors():
+    g = bilinear_test_grid()
+    u = box_of(g, np.zeros(g.st_shape, complex))
+    with pytest.raises(InvalidSpecError) as err:
+        bilinear_ratio(u, u, NormSpec(flavor="y"), NormSpec(flavor="z"), P2)
+    assert err.value.violations == ["lhs flavor must be x/xweighted/z, got 'y'",
+                                    "rhs flavor must be x/xweighted, got 'z'"]
+
+
 def test_bilinear_ratio_single_atom_closed_form():
     g = bilinear_test_grid()
     cu = np.zeros(g.st_shape, complex)
@@ -614,9 +633,9 @@ def _full_grid_st_random_field(grid, band, seed):
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     z *= fields._band_mask(grid, band)[None, ...]
     z[:, 0] = 0.0
-    fields._zero_nyquist(z, grid)
+    fields.zero_nyquist(z, grid)
     z[grid.tPoints // 2] = 0.0
-    z = (z + fields._conj_mirror(z)) / math.sqrt(2.0)
+    z = (z + fields.conj_mirror(z)) / math.sqrt(2.0)
     z[:, 0] = 0.0
     return z
 

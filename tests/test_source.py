@@ -1,5 +1,5 @@
-"""Checks on the library's source text: every function parameter is read, and
-each name has one import path."""
+"""Checks on the library's source text: every function parameter is read, no
+module reads another's private names, and each name has one import path."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,38 @@ def test_every_parameter_is_read():
             if not (path.name == "cli.py" and name in runners and param in shared):
                 unread.append(f"{path.name}: {name}({param})")
     assert unread == []
+
+
+def _private_reads(source, modules):
+    """Every `module._name` read and `from .module import _name` of another module's private name.
+
+    Dunder names such as `__version__` are not private.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_read_check_finds_two():
+    source = ("from . import __version__, fields\n"
+              "from .evolution import _bump, whole_steps\n"
+              "x = fields._mirror(1) + fields.grid + fields.__doc__ + self._own\n")
+    assert _private_reads(source, {"fields", "evolution"}) == ["evolution._bump",
+                                                                 "fields._mirror"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = [f"{path.name}: {read}" for path in sorted(SRC.glob("*.py"))
+             for read in _private_reads(path.read_text(encoding="utf-8"), modules)]
+    assert found == []
 
 
 def test_the_package_re_exports_nothing():
