@@ -20,8 +20,9 @@ Exit codes: 0 on success (and when a declared expectation matches the
 verdict), 2 when the verdict contradicts --expect, 3 when the verdict is
 "inconclusive" (the fit's residual exceeds `estimates.MAX_RESIDUAL`), with or
 without --expect, and 1 on any error, which includes an --expect on a
-subcommand that gives no verdict (evolve, picard) and an output path that
-cannot be made or written (an OSError, such as --out naming a file).
+subcommand that gives no verdict (evolve, picard), a picard cross-check off
+by more than 1e-6 relative, and an output path that cannot be made or
+written (an OSError, such as --out naming a file).
 """
 
 import argparse
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, estimates, evolution, illposed
-from .errors import InvalidSpecError, KPLabError, SweepWorkerError, check
+from .errors import InvalidSpecError, KPLabError, SolverDivergenceError, SweepWorkerError, check
 from .evolution import (CutoffSpec, SolveConfig, evolve_nonlinear, observed_order, picard_solve,
                         whole_steps)
 from .fields import SpectralField, make_grid, save_field
@@ -173,8 +174,12 @@ def _run_picard(cfg, workers, outdir):
         traj = evolve_nonlinear(f0, solve, params)
         pic = result.at_time(cfg["T"])
         diff = SpectralField(f0.grid, pic.coeffs - traj.final.coeffs).l2_norm()
+        rel = diff / traj.final.l2_norm()
+        if not rel <= 1e-6:  # criterion 5's bound; a NaN fails it too
+            raise SolverDivergenceError(f"Picard and ETDRK4 disagree at t = {cfg['T']!r}: "
+                                        f"relative L2 difference {rel!r} exceeds 1e-6")
         summary["crossCheckL2Diff"] = diff
-        summary["crossCheckRelDiff"] = diff / traj.final.l2_norm()
+        summary["crossCheckRelDiff"] = rel
     return rows, summary, None
 
 

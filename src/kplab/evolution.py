@@ -42,24 +42,22 @@ def _cumulative_simpson(y, dx):
     tPoints >= 8), with its arithmetic step for step, so the values are the
     same bits: each interval is integrated by the quadratic through the
     three samples that start (h1) or end (h2) there; h1 serves the even
-    intervals and h2 the odd ones and the last; then a running sum.  The
-    real and imaginary parts go separately, as scipy's routine is real-only.
+    intervals and h2 the odd ones and the last; then a running sum.  As
+    scipy's routine is real-only, it runs once on `y`'s real view, each
+    entry's real and imaginary parts side by side.
     """
-
-    def part(f):
-        f1, f2, f3 = f[:-2], f[1:-1], f[2:]
-        h1 = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-        h2 = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
-        sub = np.empty((f.shape[0] - 1,) + f.shape[1:])
-        sub[:-1:2] = h1[::2]
-        sub[1::2] = h2[::2]
-        sub[-1] = h2[-1]
-        out = np.zeros(f.shape)
-        np.cumsum(sub, axis=0, out=out[1:])
-        out[1:] += 0.0  # scipy adds `initial` here, which turns -0.0 into 0.0
-        return out
-
-    return part(y.real) + 1j * part(y.imag)
+    f = y.reshape(len(y), -1).view(float)
+    f1, f2, f3 = f[:-2], f[1:-1], f[2:]
+    h1 = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    h2 = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    sub = np.empty((len(f) - 1, f.shape[1]))
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    out = np.zeros(f.shape)
+    np.cumsum(sub, axis=0, out=out[1:])
+    out[1:] += 0.0  # scipy adds `initial` here, which turns -0.0 into 0.0
+    return out.view(complex).reshape(y.shape)
 
 
 def bump(t):
@@ -302,14 +300,15 @@ def picard_solve(f, cutoff, iters, params):
     iterations in a row.
 
     It holds three arrays the size of the (t, k, eta) lattice: e^{it phi},
-    the iterate, and a work array that takes the integrand and then, in
-    place, its prefix integrals.  The integrand is 0 where psi_T is, so the
-    quadratic term is formed only on the t rows where psi_T != 0, and not in
-    the first iteration, whose iterate is 0; it goes in blocks of whole t
-    rows, `fields.row_blocks` of the padded grid, each row bit for bit as it
-    would come alone.  The rest goes in `fields.row_blocks` of t rows or
-    columns of the lattice: the scratch is a few block-sized arrays, whatever
-    tPoints is.
+    formed in one expression before the other two exist, the iterate, and a
+    work array that takes the integrand and then, in place, its prefix
+    integrals.  The integrand is 0 where psi_T is, so the quadratic term is
+    formed only on the t rows where psi_T != 0, and not in the first
+    iteration, whose iterate is 0; it goes in blocks of whole t rows,
+    `fields.row_blocks` of the padded grid, each row bit for bit as it would
+    come alone.  The prefix integrals go in blocks of lattice columns, each
+    block in one Simpson pass over its real view; the update goes in blocks
+    of t rows: the scratch is a few block-sized arrays, whatever tPoints is.
     """
     g = f.grid
     if iters < 1:
@@ -328,22 +327,19 @@ def picard_solve(f, cutoff, iters, params):
     c0 = fields.project_mean_zero(f).coeffs
     nl, pad_size = _quadratic_term(g)
     blocks = list(fields.row_blocks(g.tPoints, phi.size))
-    e_plus = np.empty((g.tPoints,) + phi.shape, complex)
-    for b in blocks:
-        np.exp(1j * t[b].reshape(shape_t) * phi[None, ...], out=e_plus[b])
+    e_plus = np.exp(1j * t.reshape(shape_t) * phi[None, ...])
     cur, work = np.zeros_like(e_plus), np.zeros_like(e_plus)
     columns = work.reshape(g.tPoints, -1)
     axes = tuple(range(1, e_plus.ndim))
     d = np.empty(g.tPoints)
     diffs = []
-    grow = 0
 
     for n in range(iters):
         if n > 0:  # the first iterate is 0, and so is its integrand
             work[:lo] = work[hi:] = 0.0
             for b in fields.row_blocks(hi, pad_size, lo):
                 work[b] = np.conj(e_plus[b]) * (psiT[b] ** 2 * nl(cur[b]))
-            for q in fields.row_blocks(columns.shape[1], g.tPoints):
+            for q in fields.row_blocks(columns.shape[1], 2 * g.tPoints):
                 col = columns[:, q]
                 col[...] = _cumulative_simpson(col, g.dt)
                 col -= col[i_zero]
@@ -357,14 +353,10 @@ def picard_solve(f, cutoff, iters, params):
                 f"Picard successive difference is {diffs[-1]} at iteration "
                 f"{len(diffs)}; shrink T or the data"
             )
-        if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
-            grow += 1
-            if grow >= 3:
-                raise SolverDivergenceError(
-                    "Picard successive differences grew three iterations in a row; "
-                    "shrink T or the data"
-                )
-        else:
-            grow = 0
+        if len(diffs) >= 4 and diffs[-4] < diffs[-3] < diffs[-2] < diffs[-1]:
+            raise SolverDivergenceError(
+                "Picard successive differences grew three iterations in a row; "
+                "shrink T or the data"
+            )
 
     return PicardResult(g, cur, diffs)

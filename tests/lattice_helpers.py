@@ -1,0 +1,40 @@
+"""Test helpers shared by several test modules: smooth initial data and the Galilean shear."""
+
+import math
+
+import numpy as np
+
+from kplab.evolution import bump
+from kplab.fields import SpectralField
+
+
+def smooth_data(grid, amplitude=0.01, eta_width=1.0, modes=((1, 1.0),)):
+    """sum of amplitude * amp * cos(k x) over `modes` (k, amp), times a smooth transverse bump."""
+    c = np.zeros(grid.spatial_shape, complex)
+    # the decaying flank of the cutoff bump: exp(1 - 1/(1 - x^2)) on |x| < 1
+    prof = bump(1.0 + np.abs(grid.eta_axis()) / eta_width)
+    prof[grid.yPoints // 2] = 0.0
+    ka = grid.k_axis()
+    for k, amp in modes:
+        c[ka == k] += 0.5 * amplitude * amp * prof / grid.deta / (2 * math.pi)
+        c[ka == -k] += 0.5 * amplitude * amp * prof / grid.deta / (2 * math.pi)
+    return SpectralField(grid, c)
+
+
+def shear(c, m, grid, axis=1):
+    """Galilean shear of coefficient arrays along eta axis `axis`: index j -> j + m k.
+
+    `c`'s trailing axes are the grid's (k, eta, ...), with `axis` counted
+    among them as in a spatial array (1 is the first eta axis); any leading
+    axes, such as Picard's t lattice, are batch axes.  Each k row is rolled
+    by m k along that eta axis, so the lattice shear moves eta by c k with
+    c = m deta, and wraps at the edge.
+    """
+    k_axis = c.ndim - 1 - grid.yDims
+    moved = (k_axis, k_axis + axis), (0, 1)
+    rows = np.moveaxis(c, *moved)
+    out = np.empty_like(c)
+    out_rows = np.moveaxis(out, *moved)
+    for i, k in enumerate(grid.k_axis()):
+        out_rows[i] = np.roll(rows[i], m * k, axis=0)
+    return out

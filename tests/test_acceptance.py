@@ -13,7 +13,6 @@ import numpy as np
 from kplab import cli
 from kplab.evolution import (
     SolveConfig,
-    bump,
     evolve_nonlinear,
     free_evolve,
     observed_order,
@@ -21,7 +20,6 @@ from kplab.evolution import (
 from kplab.fields import (
     BandSpec,
     NormSpec,
-    SpectralField,
     bourgain_norm,
     make_grid,
     mixed_norm,
@@ -38,6 +36,7 @@ from kplab.symbols import (
     resonance_bounds_audit,
     resonance_sample_audit,
 )
+from lattice_helpers import smooth_data
 
 ALPHAS = (2.0, 2.5, 3.0, 4.0)
 
@@ -153,27 +152,15 @@ def test_criterion_03_plancherel_unitarity_group_law():
     )
 
 
-def _smooth_data(grid, amplitude, modes=((1, 1.0),), eta_width=1.0):
-    c = np.zeros(grid.spatial_shape, complex)
-    # the decaying flank of the cutoff bump: exp(1 - 1/(1 - x^2)) on |x| < 1
-    prof = bump(1.0 + np.abs(grid.eta_axis()) / eta_width)
-    prof[grid.yPoints // 2] = 0.0
-    ka = grid.k_axis()
-    for k, amp in modes:
-        c[ka == k] += 0.5 * amplitude * amp * prof / grid.deta / (2 * math.pi)
-        c[ka == -k] += 0.5 * amplitude * amp * prof / grid.deta / (2 * math.pi)
-    return SpectralField(grid, c)
-
-
 def test_criterion_04_l2_conservation_and_order():
     t0 = time.time()
     p = DispersionParams(2.0)
     grid = make_grid(32, 128, 32 * math.pi)
-    f0 = _smooth_data(grid, 0.01)
+    f0 = smooth_data(grid, 0.01)
     traj = evolve_nonlinear(f0, SolveConfig(dt=1e-3, T=1.0), p)
     drift = float(max(traj.l2_drift))
 
-    rich = _smooth_data(grid, 0.5, modes=((1, 1.0), (2, 0.6)))
+    rich = smooth_data(grid, 0.5, modes=((1, 1.0), (2, 0.6)))
     order = observed_order(rich, p, T=0.1, dt=4e-3)
     ok = drift <= 1e-8 and order >= 3.5
     report(

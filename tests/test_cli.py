@@ -20,6 +20,7 @@ from kplab.errors import (
     InsufficientSpanError,
     InvalidSpecError,
     NonFiniteValueError,
+    SolverDivergenceError,
     SweepWorkerError,
     WindowTooSmallError,
 )
@@ -89,13 +90,32 @@ def test_cli_and_solver_share_the_cutoff_window_rule():
             CutoffSpec(T=0.1).check_window(grid)
 
 
+# T is 16 steps of the t lattice's 3.125 to 6e-10 relative; at dt = 3.125
+# Picard and ETDRK4 disagree completely (relative L2 difference 1.000005)
+DISAGREEING_PICARD = {"T": 50.00000003, "tWindow": 200.0, "tPoints": 128, "dt": 3.125,
+                      "kMax": 4, "yPoints": 16, "iters": 2}
+
+
 def test_cli_and_picard_share_the_t_lattice_rule():
-    # T is 16 steps of the t lattice's 3.125 to 6e-10 relative: the config
-    # check accepted it, and then reading the Picard iterate at T rejected it
-    config = {"T": 50.00000003, "tWindow": 200.0, "tPoints": 128, "dt": 3.125,
-              "kMax": 4, "yPoints": 16, "iters": 2}
+    # the config check accepts T, and so must the read of the Picard iterate
+    # at T: the run gets past that read, to the cross-check's bound
+    config = DISAGREEING_PICARD
     assert cli._resolve("picard", config)["T"] == config["T"]
-    assert math.isfinite(run("picard", config)["summary"]["crossCheckL2Diff"])
+    with pytest.raises(SolverDivergenceError, match="Picard and ETDRK4 disagree"):
+        run("picard", config)
+
+
+def test_a_failed_picard_cross_check_stops_the_run(tmp_path, capsys):
+    # past criterion 5's 1e-6 the two solvers do not agree, and the run says
+    # so with an error instead of writing the difference as a result
+    with pytest.raises(SolverDivergenceError, match=r"relative L2 difference 1\.00000.* exceeds 1e-6"):
+        run("picard", DISAGREEING_PICARD)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DISAGREEING_PICARD))
+    assert main(["picard", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and json.loads(line)["error"] == "SolverDivergenceError"
 
 
 def test_validation_checks_kinds_per_subcommand():
@@ -700,6 +720,7 @@ def test_evolve_and_picard_runners(tmp_path):
     ratios = env["summary"]["contractionRatios"]
     assert ratios and all(r < 1 for r in ratios)
     assert env["summary"]["crossCheckRelDiff"] < 1e-6
+    assert env["verdict"] is None
 
 
 def test_save_fields_without_an_output_directory_is_rejected_before_the_solve(

@@ -46,6 +46,7 @@ from kplab.fields import (
     sobolev_norm,
 )
 from kplab.symbols import DispersionParams, phase_grid
+from lattice_helpers import shear
 
 P2 = DispersionParams(2.0)
 
@@ -354,27 +355,24 @@ def test_phase_recurrence_is_as_close_to_a_long_double_phase_as_the_direct_route
     assert recurrence <= 3.0 * direct
 
 
-def shear(c, m, grid, axis=1):
-    """Galilean shear along the eta axis `axis`: index j -> j + m k in each k row.
-
-    The lattice shear moves eta by c k with c = m deta.  Nothing may wrap:
-    every nonzero entry must land strictly inside the eta lattice, off its
-    Nyquist index, so a Hermitian array stays Hermitian.
-    """
-    j = np.fft.fftfreq(grid.yPoints, 1.0 / grid.yPoints)  # signed eta indices
-    out = np.zeros_like(c)
-    for i, k in enumerate(grid.k_axis()):
-        row = np.moveaxis(c[i], axis - 1, 0)
-        hit = np.any(row != 0, axis=tuple(range(1, row.ndim)))
-        assert np.all(np.abs(j[hit] + m * k) < grid.yPoints // 2), "the shear would wrap"
-        np.moveaxis(out[i], axis - 1, 0)[...] = np.roll(row, m * k, axis=0)
-    return out
-
-
 def _sheared(u, v, m, axis=1):
-    # the sheared pair; one field twice stays one field
-    us = SpectralField(u.grid, shear(u.coeffs, m, u.grid, axis))
-    return us, us if v is u else SpectralField(v.grid, shear(v.coeffs, m, v.grid, axis))
+    """The pair sheared along eta axis `axis`; one field twice stays one field.
+
+    Nothing may wrap: every nonzero entry must land strictly inside the eta
+    lattice, off its Nyquist index, so a Hermitian array stays Hermitian.
+    """
+
+    def one(f):
+        g = f.grid
+        j = np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints)  # signed eta indices
+        nonzero = np.moveaxis(f.coeffs != 0, axis, 1)  # (k, eta along `axis`, ...)
+        hit = nonzero.reshape(len(f.coeffs), g.yPoints, -1).any(axis=2)
+        landing = j[None, :] + m * g.k_axis()[:, None]
+        assert np.all(np.abs(landing[hit]) < g.yPoints // 2), "the shear would wrap"
+        return SpectralField(g, shear(f.coeffs, m, g, axis))
+
+    us = one(u)
+    return us, us if v is u else one(v)
 
 
 def _strichartz2d_shear_change(kind, alpha, m):

@@ -38,6 +38,7 @@ from kplab.fields import (
     to_physical,
 )
 from kplab.symbols import DispersionParams, phase_grid
+from lattice_helpers import shear, smooth_data
 
 P2 = DispersionParams(2.0)
 
@@ -52,18 +53,6 @@ def test_bump_shape():
     spec = CutoffSpec(T=0.25)
     assert spec.values(0.2) == 1.0
     assert spec.values(0.6) == 0.0
-
-
-def small_smooth(grid, amplitude=0.01, eta_width=1.0, modes=((1, 1.0),)):
-    c = np.zeros(grid.spatial_shape, complex)
-    # the decaying flank of the cutoff bump: exp(1 - 1/(1 - x^2)) on |x| < 1
-    prof = bump(1.0 + np.abs(grid.eta_axis()) / eta_width)
-    prof[grid.yPoints // 2] = 0.0
-    ka = grid.k_axis()
-    for k, amp in modes:
-        c[ka == k] += 0.5 * amplitude * amp * prof / grid.deta / (2 * math.pi)
-        c[ka == -k] += 0.5 * amplitude * amp * prof / grid.deta / (2 * math.pi)
-    return SpectralField(grid, c)
 
 
 def test_free_evolve_identity_unitarity_group_law():
@@ -238,21 +227,21 @@ def test_evolve_linear_limit_matches_free_flow():
 
 def test_evolve_conservation_quick():
     g = make_grid(16, 64, 16 * math.pi)
-    f = small_smooth(g)
+    f = smooth_data(g)
     traj = evolve_nonlinear(f, SolveConfig(dt=1e-3, T=0.1), P2)
     assert max(traj.l2_drift) <= 1e-10
 
 
 def test_evolve_rejects_incommensurable_horizon():
     g = make_grid(8, 32, 16 * math.pi)
-    f = small_smooth(g)
+    f = smooth_data(g)
     with pytest.raises(InvalidSpecError):
         evolve_nonlinear(f, SolveConfig(dt=3e-3, T=0.01), P2)
 
 
 def test_evolve_blowup_guard():
     g = make_grid(16, 32, 16 * math.pi)
-    f = small_smooth(g, amplitude=30.0, modes=((1, 1.0), (2, 1.0), (3, 1.0)))
+    f = smooth_data(g, amplitude=30.0, modes=((1, 1.0), (2, 1.0), (3, 1.0)))
     with pytest.raises(SolverDivergenceError):
         evolve_nonlinear(f, SolveConfig(dt=0.25, T=50.0), P2)
 
@@ -262,7 +251,7 @@ def test_evolve_stops_when_the_norm_grows_tenfold():
     # about 370 and it stays finite, so the growth check, not the finiteness
     # one, stops the run
     g = make_grid(8, 16, 8 * math.pi)
-    f = small_smooth(g, amplitude=30.0, modes=((1, 1.0), (2, 1.0)))
+    f = smooth_data(g, amplitude=30.0, modes=((1, 1.0), (2, 1.0)))
     with pytest.raises(SolverDivergenceError, match="L2 norm grew by"):
         evolve_nonlinear(f, SolveConfig(dt=0.1, T=2.0), P2)
 
@@ -272,14 +261,14 @@ def test_evolve_rejects_nonfinite_between_save_points():
     # every 2 steps, and the overflow between two of them is seen by the
     # per-step check alone (the tenfold-growth test is False for NaN)
     g = make_grid(10, 64, 16 * math.pi)
-    f = small_smooth(g, amplitude=1e6)
+    f = smooth_data(g, amplitude=1e6)
     with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="no longer finite"):
         evolve_nonlinear(f, SolveConfig(dt=4e-3, T=0.6), P2)
 
 
 def test_observed_order_at_least_3p5():
     g = make_grid(10, 64, 16 * math.pi)
-    f = small_smooth(g, amplitude=0.5, modes=((1, 1.0), (2, 0.6)))
+    f = smooth_data(g, amplitude=0.5, modes=((1, 1.0), (2, 0.6)))
     p = observed_order(f, P2, T=0.08, dt=4e-3)
     assert p >= 3.5
 
@@ -287,7 +276,7 @@ def test_observed_order_at_least_3p5():
 def test_evolve_keeps_one_step_outside_the_snapshot_schedule():
     # 150 steps put a drift point every 2 steps; step 75 is not one
     g = make_grid(8, 32, 16 * math.pi)
-    f = small_smooth(g)
+    f = smooth_data(g)
     plain = evolve_nonlinear(f, SolveConfig(dt=0.01, T=1.5), P2)
     kept = evolve_nonlinear(f, SolveConfig(dt=0.01, T=1.5), P2, keep_step=75)
     assert plain.kept is None
@@ -307,7 +296,7 @@ def test_evolve_memory_does_not_grow_with_the_step_count():
     # evolve benchmark grid (65 x 128, 130 KiB a state) peak at a few
     # working arrays; 65 held states would take 8.5 MiB more
     g = make_grid(32, 128, 32 * math.pi)
-    f = small_smooth(g)
+    f = smooth_data(g)
     tracemalloc.start()
     try:
         evolve_nonlinear(f, SolveConfig(dt=1e-3, T=0.25), P2)
@@ -343,13 +332,30 @@ def test_cumulative_simpson_matches_scipy():
         assert np.array_equal(got, _scipy_cumulative_simpson(y, dx)), shape
 
 
+@pytest.mark.parametrize("t_points", [127, 128])
+def test_cumulative_simpson_matches_scipy_on_picards_column_blocks(t_points):
+    # Picard integrates its (t, k, eta) work array in blocks of columns: views
+    # with strided rows, of 2 * tPoints float entries per column
+    rng = np.random.default_rng(7)
+    shape = (t_points,) + picard_grid().spatial_shape
+    columns = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).reshape(t_points, -1)
+    blocks = list(fields.row_blocks(columns.shape[1], 2 * t_points))
+    assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop  # one ragged
+    for q in blocks:
+        col = columns[:, q]
+        assert not col.flags.c_contiguous
+        dx = rng.uniform(1e-4, 1.0)
+        assert np.array_equal(evolution._cumulative_simpson(col, dx),
+                              _scipy_cumulative_simpson(col, dx)), q
+
+
 def picard_grid():
     return make_grid(10, 64, 16 * math.pi, tPoints=128, tWindow=0.2)
 
 
 def test_picard_first_iterate_is_free_solution():
     g = picard_grid()
-    f = small_smooth(g)
+    f = smooth_data(g)
     res = picard_solve(f, CutoffSpec(T=0.05), 1, P2)
     tl = g.t_axis()
     for i in np.where(np.abs(tl) <= 0.05 + 1e-12)[0]:
@@ -367,7 +373,7 @@ def test_picard_zero_data():
 
 def test_picard_contracts_and_matches_exponential_stepper():
     g = picard_grid()
-    f = small_smooth(g)
+    f = smooth_data(g)
     res = picard_solve(f, CutoffSpec(T=0.05), 8, P2)
     diffs = res.diff_norms
     assert all(
@@ -383,12 +389,12 @@ def test_picard_contracts_and_matches_exponential_stepper():
 
 def test_picard_rejects_nonfinite_difference():
     # the second iterate overflows: its difference norm is inf, then NaN,
-    # and a NaN comparison must not reset the growth count into a result
+    # and the finiteness check must stop it, as no comparison with NaN holds
     g = make_grid(8, 32, 16 * math.pi, tPoints=64, tWindow=0.2)
-    f = small_smooth(g, amplitude=1e150)
+    f = smooth_data(g, amplitude=1e150)
     with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="iteration 2"):
         picard_solve(f, CutoffSpec(T=0.05), 6, P2)
-    nan = np.array(small_smooth(g).coeffs)
+    nan = np.array(smooth_data(g).coeffs)
     nan[1, 3] = np.nan
     with np.errstate(all="ignore"), pytest.raises(SolverDivergenceError, match="iteration 1"):
         picard_solve(SpectralField(g, nan), CutoffSpec(T=0.05), 6, P2)
@@ -399,7 +405,36 @@ def test_picard_stops_when_differences_grow_three_iterations_in_a_row():
     # larger than the one before, and all of them are finite
     g = make_grid(4, 16, 8 * math.pi, tPoints=16, tWindow=0.8)
     with pytest.raises(SolverDivergenceError, match="grew three iterations in a row"):
-        picard_solve(small_smooth(g, amplitude=10.0), CutoffSpec(T=0.4), 6, P2)
+        picard_solve(smooth_data(g, amplitude=10.0), CutoffSpec(T=0.4), 6, P2)
+
+
+def _picard_differences(monkeypatch, steps, iters):
+    """Picard's successive differences on zero data under a stand-in quadratic term.
+
+    In iteration n the term is s_n times a fixed array, s_n the running sum
+    of `steps`, so iterate n + 1 is s_n W for one fixed W: the differences
+    are 0, then `steps` times one norm.  Its padded size of 1 puts every t
+    row in one block, one call per iteration.
+    """
+    levels = iter(np.cumsum(steps))
+    monkeypatch.setattr(evolution, "_quadratic_term",
+                        lambda grid: ((lambda c: next(levels) * np.ones_like(c)), 1))
+    g = make_grid(4, 16, 8 * math.pi, tPoints=16, tWindow=0.8)
+    zero = SpectralField(g, np.zeros(g.spatial_shape, complex))
+    return picard_solve(zero, CutoffSpec(T=0.4), iters, P2).diff_norms
+
+
+def test_picard_stops_on_the_third_rise_in_a_row_and_not_after_a_fall(monkeypatch):
+    # 0, 1, 2, 1, 2, 3: rise, rise, fall, rise, rise
+    diffs = _picard_differences(monkeypatch, [1, 2, 1, 2, 3], 6)
+    assert diffs[0] == 0.0
+    assert np.allclose(np.array(diffs[1:]) / diffs[1], [1, 2, 1, 2, 3], rtol=1e-12)
+    with pytest.raises(SolverDivergenceError, match="grew three iterations in a row"):
+        _picard_differences(monkeypatch, [1, 2, 1, 2, 3, 4], 7)
+    # 0, 1, 2 are two rises; 0, 1, 2, 3 three
+    assert len(_picard_differences(monkeypatch, [1, 2], 3)) == 3
+    with pytest.raises(SolverDivergenceError, match="grew three iterations in a row"):
+        _picard_differences(monkeypatch, [1, 2, 3], 4)
 
 
 def test_at_time_reads_the_lattice_rows_inside_the_window():
@@ -417,14 +452,14 @@ def test_at_time_reads_the_lattice_rows_inside_the_window():
 
 def test_picard_window_check():
     g = picard_grid()
-    f = small_smooth(g)
+    f = smooth_data(g)
     with pytest.raises(WindowTooSmallError):
         picard_solve(f, CutoffSpec(T=0.2), 2, P2)  # support 0.4 > window 0.2
 
 
 def test_picard_blocks_match_the_per_row_loop(monkeypatch):
     g = picard_grid()
-    f = small_smooth(g)
+    f = smooth_data(g)
     cutoff = CutoffSpec(T=0.05)
     pad = math.prod(dealias_grid(g, 2.0 / 3.0).spatial_shape)
     # 33 x 128 padded entries per row: blocks of 15 of the 128 t rows, the
@@ -462,7 +497,7 @@ def test_picard_integrand_scratch_is_per_t_block(monkeypatch):
     monkeypatch.setattr(evolution, "_quadratic_term", measured_term)
     tracemalloc.start()
     try:
-        picard_solve(small_smooth(g), cutoff, 2, P2)
+        picard_solve(smooth_data(g), cutoff, 2, P2)
     finally:
         tracemalloc.stop()
     # none in iteration 1, whose iterate is 0; then one call per block of 15
@@ -505,7 +540,7 @@ def test_picard_matches_the_full_lattice_iteration_bit_for_bit(y_dims, T):
     # at T = 0.1, psi_T != 0 on every t row of the picard grid but the first
     if y_dims == 1:
         g = picard_grid()
-        f = small_smooth(g)
+        f = smooth_data(g)
     else:
         g = make_grid(4, 16, 8 * math.pi, yDims=2, tPoints=64, tWindow=0.2)
         f = SpectralField(g, 0.01 * random_field(g, BandSpec(1, 3, 1.0), seed=6).coeffs)
@@ -522,7 +557,7 @@ def test_picard_holds_three_lattice_arrays():
     # picard grid (128 x 21 x 64 complex); the block scratch adds about
     # 3 MiB.  The full-lattice iteration, which held about eight such arrays,
     # peaked at 22.35 MiB.
-    f = small_smooth(picard_grid())
+    f = smooth_data(picard_grid())
     tracemalloc.start()
     try:
         picard_solve(f, CutoffSpec(T=0.05), 8, P2)
@@ -530,18 +565,6 @@ def test_picard_holds_three_lattice_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 12.5 * 2**20
-
-
-def shear(c, m, grid):
-    """Galilean shear of coefficient arrays (yDims = 1): eta index j -> j + m k.
-
-    Each k row (the second-to-last axis) is rolled by m k along eta, so the
-    lattice shear moves eta by c k with c = m deta, and wraps at the edge.
-    """
-    out = np.empty_like(c)
-    for i, k in enumerate(grid.k_axis()):
-        out[..., i, :] = np.roll(c[..., i, :], m * k, axis=-1)
-    return out
 
 
 def _picard_shear_defect(m):
@@ -559,7 +582,7 @@ def _picard_shear_defect(m):
     data the defect equals the tail, up to 2e-3.)
     """
     g = picard_grid()
-    f = small_smooth(g)
+    f = smooth_data(g)
     cutoff = CutoffSpec(T=0.05)
     plain = np.abs(picard_solve(f, cutoff, 8, P2).coeffs)
     j = np.abs(np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints))
