@@ -13,8 +13,6 @@ class InvalidSpecError(KPLabError, ValueError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
@@ -24,10 +22,6 @@ def check(*rules):
     violations = [message for holds, message in rules if not holds]
     if violations:
         raise InvalidSpecError(violations)
-
-
-class DegenerateFrequencyError(KPLabError, ValueError):
-    """A frequency combination hit an excluded set (k=0 divisor, Gamma_1/Gamma_2)."""
 
 
 class ZeroDenominatorError(KPLabError, ZeroDivisionError):

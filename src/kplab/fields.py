@@ -19,6 +19,9 @@ are the quadrature weights.  With these conventions Parseval is exact:
     ||u||_{L2(TxR^d)}^2    = (2 pi)^{1+d} deta^d  sum |C|^2
     ||u||_{L2(RtxTxR^d)}^2 = (2 pi)^{2+d} dtau deta^d sum |G|^2
 
+`to_physical` and `to_spectral` are the one step between coefficients and
+samples, for a SpectralField and a SpaceTimeBox alike.
+
 The x axis carries 2*kMax+1 collocation points (modes k in [-kMax, kMax], no
 Nyquist ambiguity); y and t axes are even-length power-of-two lattices whose
 Nyquist rows are kept identically zero by every constructor so that real
@@ -262,54 +265,34 @@ def project_mean_zero(f):
     return SpectralField(f.grid, c)
 
 
-def _origin_step(a, g, to_samples, axes=None):
-    """Coefficients of a field (or a space-time field) <-> its collocation samples.
+def _origin(g, ndim):
+    """The origin character times the lattice weight, over an array of `ndim` axes.
 
-    The one step where the synthesis convention meets numpy's transforms:
-    the character (-1)^q of the y origin at -L/2 (and of the t origin at
-    -tWindow), the lattice weight deta^d (times dtau), and numpy's 1/n,
-    which the samples take back.  `axes` are the transformed ones (all by
-    default); `to_samples=False` is the exact inverse, from samples of
-    either shape.
+    The one factor where the synthesis convention meets numpy's transforms:
+    (-1)^q on every y axis, whose origin is -L/2 (and on t, whose origin is
+    -tWindow, for a space-time array), times deta^d (and dtau).  It
+    broadcasts over a spatial or a space-time array.
     """
-    st = a.ndim == 2 + g.yDims
-    if not to_samples and a.shape not in (g.spatial_shape, g.st_shape):
-        raise ShapeMismatchError(f"sample shape {a.shape} fits neither grid shape")
+    st = ndim == 2 + g.yDims
+    lengths = ((g.tPoints,) if st else ()) + (1,) + (g.yPoints,) * g.yDims
     # on these even-length axes q and its FFT index have the same parity
-    ys = 1.0 - 2.0 * (np.arange(g.yPoints) % 2)
-    signs = [ys if g.yDims == 1 else ys[:, None] * ys[None, :]]
-    if st:
-        ts = 1.0 - 2.0 * (np.arange(g.tPoints) % 2)
-        signs.insert(0, ts.reshape((-1,) + (1,) * (1 + g.yDims)))
-    weight = g.dtau * g.deta**g.yDims if st else g.deta**g.yDims
-    n = math.prod(a.shape if axes is None else [a.shape[i] for i in axes])
-    if not to_samples:
-        a = np.fft.fftn(a) / n
-    for s in signs:
-        a = a * s
-    if not to_samples:
-        return a / weight
-    return np.fft.ifftn(a * weight, axes=axes) * n
+    signs = np.ix_(*(1.0 - 2.0 * (np.arange(n) % 2) for n in lengths))
+    return math.prod(signs) * (g.dtau * g.deta**g.yDims if st else g.deta**g.yDims)
 
 
 def to_physical(f):
-    """Spectral -> collocation samples on (x_j, y_m); returns a complex array."""
-    return _origin_step(f.coeffs, f.grid, True)
+    """A SpectralField or SpaceTimeBox -> its samples on (x_j, y_m) or (t_n, x_j, y_m), complex."""
+    a = f.whole() if isinstance(f, SpaceTimeBox) else f.coeffs
+    return np.fft.ifftn(a * _origin(f.grid, a.ndim)) * a.size
 
 
 def to_spectral(samples, grid):
-    """Collocation samples -> SpectralField (exact inverse of to_physical)."""
-    return SpectralField(grid, _origin_step(np.asarray(samples), grid, False))
-
-
-def st_to_physical(F):
-    """SpaceTimeBox -> samples on (t_n, x_j, y_m), from its whole array."""
-    return _origin_step(F.whole(), F.grid, True)
-
-
-def st_from_physical(samples, grid):
-    """Samples on (t_n, x_j, y_m) -> SpaceTimeBox (exact inverse of st_to_physical)."""
-    return box_of(grid, _origin_step(np.asarray(samples), grid, False))
+    """Samples of either shape -> SpectralField or SpaceTimeBox: to_physical's exact inverse."""
+    a = np.asarray(samples)
+    if a.shape not in (grid.spatial_shape, grid.st_shape):
+        raise ShapeMismatchError(f"sample shape {a.shape} fits neither grid shape")
+    c = np.fft.fftn(a) / a.size / _origin(grid, a.ndim)
+    return SpectralField(grid, c) if a.shape == grid.spatial_shape else box_of(grid, c)
 
 
 def phase_mesh(params, k, *etas):
@@ -459,7 +442,8 @@ def mixed_norm(F, r, p, q):
     g = F.grid
     # inverse transform in tau and y only: h(k; t, y), unitary in x
     y_axes = tuple(range(2, 2 + g.yDims))
-    h = _origin_step(F.whole(), g, True, axes=(0,) + y_axes)
+    a = F.whole()
+    h = np.fft.ifftn(a * _origin(g, a.ndim), axes=(0,) + y_axes) * (a.size // g.nx)
     h = h * math.sqrt(2.0 * math.pi)
     mod = np.abs(h)
 
@@ -722,8 +706,10 @@ class ProductPlan:
     by the other's size.  Other pairs take a padded array each.  A packed
     plan serves only such factors.
 
-    Index maps and transform lines are built once per plan and used as in
-    `dealiased_square` (a box fills about half of its pad per axis).
+    Index maps and inverse transform lines are built once per plan and used
+    as in `dealiased_square` (a factor's box fills about half of its pad per
+    axis).  The forward transform is one `fftn` over the trailing axes: the
+    product's box nearly fills the pad, so no line is worth skipping.
     `box_product` and `sample_energy` act on the trailing axes, so the boxes
     may carry leading batch axes, each slice giving what it would alone.
 
@@ -746,7 +732,6 @@ class ProductPlan:
         self._inverse = [_lines(runs, forward=False) for runs in factors]
         # the product's box, at the front of the padded array
         self._box = (Ellipsis,) + tuple(slice(0, s) for s in spans)
-        self._forward = _lines([[(s, s)] for s in self._box[1:]], forward=True)
         # e^{-i lo x_p}, x_p = 2 pi p / m, its numerator reduced mod m, per
         # axis (np.ix_): the first axis's alone, the others' over their plane
         chars = np.ix_(*(
@@ -808,7 +793,7 @@ class ProductPlan:
             at = (Ellipsis, p) + (slice(None),) * (d - 1)
             char = self._char0[p] * self._char_rest
             np.multiply(u[at] * v[at], char, out=big[at])
-        _transform(big, np.fft.fft, self._forward)
+        np.fft.fftn(big, axes=tuple(range(-d, 0)), out=big)
         box = big[self._box]
         box /= self.size
         return box

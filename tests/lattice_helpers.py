@@ -1,6 +1,7 @@
-"""Test helpers shared by several test modules: smooth initial data and the Galilean shear."""
+"""Shared test helpers: smooth initial data, the Galilean shear and the anisotropic dilation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,3 +39,21 @@ def shear(c, m, grid, axis=1):
     for i, k in enumerate(grid.k_axis()):
         out_rows[i] = np.roll(rows[i], m * k, axis=0)
     return out
+
+
+def dilate(f, lam, alpha):
+    """Anisotropic dilation of a SpectralField by an integer `lam`: k -> lam k, eta fixed by index.
+
+    With beta = (alpha + 2) / 2, phi(lam k, lam^beta eta) = lam^(alpha+1)
+    phi(k, eta), so u(t, x, y) -> lam^alpha u(lam^(alpha+1) t, lam x,
+    lam^beta y) maps solutions to solutions.  On the lattice: kMax -> lam
+    kMax (zero off the multiples of lam), yLength -> yLength / lam^beta (the
+    same eta indices), coefficients times lam^(alpha - beta); time goes to
+    t / lam^(alpha+1).  The x period stays 2 pi, so lam must be an integer.
+    """
+    g = f.grid
+    beta = (alpha + 2.0) / 2.0
+    big = replace(g, kMax=lam * g.kMax, yLength=g.yLength / lam**beta)
+    c = np.zeros(big.spatial_shape, complex)
+    c[lam * g.k_axis()] = lam ** (alpha - beta) * f.coeffs
+    return SpectralField(big, c)

@@ -34,11 +34,10 @@ from kplab.fields import (
     make_grid,
     phi_grid,
     random_field,
-    st_to_physical,
     to_physical,
 )
 from kplab.symbols import DispersionParams, phase_grid
-from lattice_helpers import shear, smooth_data
+from lattice_helpers import dilate, shear, smooth_data
 
 P2 = DispersionParams(2.0)
 
@@ -93,7 +92,7 @@ def free_block(f, cutoff, params):
 
     The space-time coefficients of psi_T(t) e^{it phi(D)} u0, built directly
     from the spectral data: the tests below check the library's space-time
-    conventions (`st_to_physical`, `SpaceTimeBox.l2_norm`, the tau lattice)
+    conventions (`to_physical` of a box, `SpaceTimeBox.l2_norm`, the tau lattice)
     and `CutoffSpec.check_window` against it.  The grid's tau range must
     contain the data's dispersion surface (keep max |phi| well under pi/dt).
     """
@@ -151,7 +150,7 @@ def test_free_block_samples_match_windowed_flow():
     f = random_field(g, BandSpec(1, 3, 1.0), seed=3)
     cutoff = CutoffSpec(T=1.0)  # support (-2, 2): the whole window
     F = free_block(f, cutoff, P2)
-    samples = st_to_physical(F)
+    samples = to_physical(F)
     w = cutoff.values(g.t_axis())
     for n in (0, 64, 128, 200):
         expect = w[n] * to_physical(free_evolve(f, g.t_axis()[n], P2))
@@ -567,6 +566,14 @@ def test_picard_holds_three_lattice_arrays():
     assert peak <= 12.5 * 2**20
 
 
+def _shear_tail(plain, m, g):
+    # the largest of the moduli `plain` (leading t axis allowed) within m |k|
+    # of the eta edge, where the lattice shear wraps, relative to the largest
+    j = np.abs(np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints))
+    edge = j[None, :] + abs(m) * np.abs(g.k_axis())[:, None] >= g.yPoints // 2
+    return np.max(plain[..., edge]) / np.max(plain)
+
+
 def _picard_shear_defect(m):
     """(defect, tolerance) of Picard's shear equivariance on the picard grid.
 
@@ -585,10 +592,7 @@ def _picard_shear_defect(m):
     f = smooth_data(g)
     cutoff = CutoffSpec(T=0.05)
     plain = np.abs(picard_solve(f, cutoff, 8, P2).coeffs)
-    j = np.abs(np.fft.fftfreq(g.yPoints, 1.0 / g.yPoints))
-    edge = j[None, :] + abs(m) * np.abs(g.k_axis())[:, None] >= g.yPoints // 2
-    tail = np.max(plain[:, edge]) / np.max(plain)
-    tol = tail + 16 * np.finfo(float).eps
+    tol = _shear_tail(plain, m, g) + 16 * np.finfo(float).eps
     sheared = picard_solve(SpectralField(g, shear(f.coeffs, m, g)), cutoff, 8, P2)
     defect = np.max(np.abs(np.abs(sheared.coeffs) - shear(plain, m, g))) / np.max(plain)
     return defect, tol
@@ -608,4 +612,86 @@ def test_picard_shear_property_fails_for_a_quartic_transverse_phase(monkeypatch)
         fields, "phi_grid", lambda grid, params: phi(grid, params) + grid.eta_sq_grid() ** 2
     )
     defect, tol = _picard_shear_defect(1)
+    assert defect > 1e3 * tol
+
+
+def _phase_rounding(g, params, T):
+    # a solve's rounding allowance: the phase T phi is rounded to eps relative,
+    # so allow four times T max|phi| eps (1.0e-13 on the evolve grids below at
+    # alpha = 2)
+    return 4 * T * float(np.max(np.abs(fields.phi_grid(g, params)))) * np.finfo(float).eps
+
+
+def _evolve_shear_defect(m, y_points):
+    """(defect, tolerance) of the ETDRK4 solve's shear equivariance, as for Picard above.
+
+    The grid and data are `evolve`'s (kMax 8, yLength 16 pi, amplitude 1,
+    width 0.8, T = 0.2, dt = 1e-3).  The tolerance is the transverse tail,
+    `_shear_tail`, plus `_phase_rounding`.
+    (Measured: at yPoints 128 the tail is 1.2e-18 (m = 1) and 5.3e-17
+    (m = 3), the defect 1.2e-14 and 5.4e-14, the rounding of 200 steps; at
+    yPoints 64, m = 3, the defect equals the tail, 2.7e-7.)
+    """
+    g = make_grid(8, y_points, 16 * math.pi)
+    f = smooth_data(g, 1.0, 0.8)
+    cfg = SolveConfig(dt=1e-3, T=0.2)
+    plain = np.abs(evolve_nonlinear(f, cfg, P2).final.coeffs)
+    tol = _shear_tail(plain, m, g) + _phase_rounding(g, P2, cfg.T)
+    sheared = evolve_nonlinear(SpectralField(g, shear(f.coeffs, m, g)), cfg, P2).final
+    defect = np.max(np.abs(np.abs(sheared.coeffs) - shear(plain, m, g))) / np.max(plain)
+    return defect, tol
+
+
+@pytest.mark.parametrize("m, y_points", [(1, 128), (3, 128), (3, 64)])
+def test_evolve_is_equivariant_under_the_galilean_shear(m, y_points):
+    defect, tol = _evolve_shear_defect(m, y_points)
+    assert defect <= tol
+
+
+def test_evolve_shear_property_fails_for_a_quartic_transverse_phase(monkeypatch):
+    # negative control, as for Picard: + |eta|^4 (measured defect 3.6e-4)
+    phi = fields.phi_grid
+    monkeypatch.setattr(
+        fields, "phi_grid", lambda grid, params: phi(grid, params) + grid.eta_sq_grid() ** 2
+    )
+    defect, tol = _evolve_shear_defect(1, 128)
+    assert defect > 1e3 * tol
+
+
+def _evolve_scaling_defect(alpha, lam):
+    """(defect, tolerance) of the ETDRK4 solve under the anisotropic dilation.
+
+    The solve of `dilate(f)` over T / lam^(alpha+1), in steps of dt /
+    lam^(alpha+1), against the dilation of the plain solve, relative to the
+    largest coefficient, over the whole dilated lattice (so off the
+    multiples of lam too).  Both solves see the same dt phi and the same
+    dealiased products, up to rounding, so the tolerance is
+    `_phase_rounding` alone.  (Measured, on `evolve`'s grid at yPoints 64:
+    defects 1.4e-16 to 4.7e-15 for alpha in {2, 2.5, 3}, lam in {2, 3}.)
+    """
+    g = make_grid(8, 64, 16 * math.pi)
+    f = smooth_data(g, 1.0, 0.8)
+    params = DispersionParams(alpha)
+    T, dt, s = 0.2, 1e-3, lam ** (alpha + 1.0)
+    plain = evolve_nonlinear(f, SolveConfig(dt=dt, T=T), params).final
+    scaled = evolve_nonlinear(dilate(f, lam, alpha), SolveConfig(dt=dt / s, T=T / s), params).final
+    want = dilate(plain, lam, alpha).coeffs
+    defect = np.max(np.abs(scaled.coeffs - want)) / np.max(np.abs(want))
+    return defect, _phase_rounding(g, params, T)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("lam", [2, 3])
+def test_evolve_is_equivariant_under_the_anisotropic_dilation(alpha, lam):
+    defect, tol = _evolve_scaling_defect(alpha, lam)
+    assert defect <= tol
+
+
+def test_evolve_dilation_property_fails_for_a_phase_of_the_wrong_degree(monkeypatch):
+    # negative control: + sign(k) |k|^2 is homogeneous of degree 2, not alpha + 1
+    # (measured defect 1.0e-1 at alpha = 2, lam = 2)
+    phi = fields.phi_grid
+    monkeypatch.setattr(fields, "phi_grid", lambda grid, params: phi(grid, params) + (
+        np.sign(grid.k_axis()) * grid.k_axis() ** 2.0).reshape((-1,) + (1,) * grid.yDims))
+    defect, tol = _evolve_scaling_defect(2.0, 2)
     assert defect > 1e3 * tol

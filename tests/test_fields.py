@@ -42,10 +42,8 @@ from kplab.fields import (
     random_field,
     save_field,
     sobolev_norm,
-    st_from_physical,
     st_product_exact,
     st_random_field,
-    st_to_physical,
     to_physical,
     to_spectral,
 )
@@ -133,36 +131,45 @@ def test_transform_single_harmonic_concentrates():
     assert np.sum(np.abs(f.coeffs[mask]) ** 2) / energy > 1.0 - 1e-12
 
 
-def test_transform_round_trip_and_parseval():
-    g = small_grid()
-    f = random_field(g, BandSpec(1, 8, 1.9), seed=7)
-    u = to_physical(f)
-    back = to_spectral(u, g)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+def _transform_grids():
+    # one pair for both kinds of field, at yDims 1 and 2
+    return [small_grid(kMax=6, yPoints=16, yLength=8 * math.pi, yDims=d) for d in (1, 2)]
 
-    phys = (2 * math.pi / g.nx) * g.dy * np.sum(np.abs(u) ** 2)
-    spec = g.xy_measure * np.sum(np.abs(f.coeffs) ** 2)
-    assert phys == pytest.approx(spec, rel=1e-12)
+
+def test_transform_round_trip_and_parseval():
+    for g in _transform_grids():
+        f = random_field(g, BandSpec(1, 5, 1.5), seed=7)
+        u = to_physical(f)
+        back = to_spectral(u, g)
+        assert isinstance(back, SpectralField)
+        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+        phys = (2 * math.pi / g.nx) * g.dy**g.yDims * np.sum(np.abs(u) ** 2)
+        assert phys == pytest.approx(f.l2_norm() ** 2, rel=1e-12)
 
 
 def test_transform_shape_mismatch():
-    g = small_grid()
-    with pytest.raises(ShapeMismatchError):
-        to_spectral(np.zeros((3, 3)), g)
-    with pytest.raises(ShapeMismatchError):
-        st_from_physical(np.zeros((3, 3, 3)), g)
+    for g in _transform_grids():
+        wrong = [(3, 3), (3, 3, 3), g.spatial_shape[::-1] + (2,), g.st_shape + (1,),
+                 g.st_shape[1:] + (g.tPoints,)]
+        for shape in wrong:
+            with pytest.raises(ShapeMismatchError):
+                to_spectral(np.zeros(shape), g)
+        assert isinstance(to_spectral(np.zeros(g.spatial_shape), g), SpectralField)
+        assert isinstance(to_spectral(np.zeros(g.st_shape), g), SpaceTimeBox)
 
 
 def test_spacetime_round_trip():
-    g = small_grid()
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=2)
-    samples = st_to_physical(F)
-    assert np.max(np.abs(samples.imag)) < 1e-12  # Hermitian data is real
-    back = st_from_physical(samples, g)
-    assert isinstance(back, SpaceTimeBox)
-    assert np.max(np.abs(back.whole() - F.whole())) < 1e-12
-    phys = g.dt * (2 * math.pi / g.nx) * g.dy * np.sum(np.abs(samples) ** 2)
-    assert phys == pytest.approx(F.l2_norm() ** 2, rel=1e-12)
+    # a SpaceTimeBox through the same pair: samples of its whole array and back
+    for g in _transform_grids():
+        F = st_random_field(g, BandSpec(1, 5, 1.5), seed=2)
+        samples = to_physical(F)
+        assert samples.shape == g.st_shape
+        assert np.max(np.abs(samples.imag)) < 1e-12  # Hermitian data is real
+        back = to_spectral(samples, g)
+        assert isinstance(back, SpaceTimeBox)
+        assert np.max(np.abs(back.whole() - F.whole())) < 1e-12
+        phys = g.dt * (2 * math.pi / g.nx) * g.dy**g.yDims * np.sum(np.abs(samples) ** 2)
+        assert phys == pytest.approx(F.l2_norm() ** 2, rel=1e-12)
 
 
 def test_sobolev_single_mode_and_l2():
@@ -1235,8 +1242,15 @@ def test_parseval_property(g, seed):
     assert phys == pytest.approx(spec, rel=1e-12)
     scale = np.max(np.abs(c))
     assert np.max(np.abs(to_spectral(u, g).coeffs - c)) <= 1e-12 * scale
-    samples = rng.standard_normal(g.spatial_shape) + 1j * rng.standard_normal(g.spatial_shape)
-    assert np.max(np.abs(to_physical(to_spectral(samples, g)) - samples)) <= 1e-12
+    for shape in (g.spatial_shape, g.st_shape):
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.max(np.abs(to_physical(to_spectral(samples, g)) - samples)) <= 1e-12
+    C = rng.standard_normal(g.st_shape) + 1j * rng.standard_normal(g.st_shape)
+    C *= np.exp(rng.uniform(-5.0, 5.0))
+    U = to_physical(box_of(g, C))
+    phys = g.dt * (2 * math.pi / g.nx) * g.dy**g.yDims * np.sum(np.abs(U) ** 2)
+    assert phys == pytest.approx(g.st_measure * np.sum(np.abs(C) ** 2), rel=1e-12)
+    assert np.max(np.abs(to_spectral(U, g).whole() - C)) <= 1e-12 * np.max(np.abs(C))
 
 
 def _mirror(c, axes):
@@ -1274,7 +1288,7 @@ def test_random_fields_are_hermitian_so_samples_are_real(data):
     C = box.whole()
     assert np.array_equal(C, np.conj(_mirror(C, range(C.ndim))))
     assert np.all(C[:, 0] == 0)
-    U = st_to_physical(box)
+    U = to_physical(box)
     assert np.max(np.abs(U.imag)) <= 1e-12 * max(1e-300, np.max(np.abs(U.real)))
 
 

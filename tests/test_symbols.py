@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kplab import symbols
-from kplab.errors import DegenerateFrequencyError, InvalidSpecError, NonFiniteValueError
+from kplab.errors import InvalidSpecError, NonFiniteValueError
 from kplab.symbols import (
     DispersionParams,
     denom_A,
@@ -25,6 +25,10 @@ from kplab.symbols import (
 # the scalar oracle: one frequency point at a time, every admissibility
 # condition checked, and every intermediate of the resonance identity in view;
 # a second route to what `resonance_sample_audit` checks vectorised
+
+
+class DegenerateFrequencyError(ValueError):
+    """The oracle met an excluded frequency: a k = 0 divisor, k1 = 0 or k = k1."""
 
 
 @dataclass(frozen=True)
