@@ -223,8 +223,8 @@ def _has_type(v, type_):
         return isinstance(v, list) and all(_has_type(x, type_[0]) for x in v)
     if isinstance(v, bool):  # an int subclass in Python, never a number here
         return type_ is bool
-    if type_ is float:
-        return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+    if type_ is float:  # an int only if it fits a float, which the runner is handed
+        return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
     return isinstance(v, type_)
 
 
@@ -386,6 +386,8 @@ def _resolve(subcommand, config):
             problems.append(f"{name}: invalid value {v!r} {key.what}")
         else:
             valid.add(name)
+            if key.type in (float, [float]):  # every number reaches the runner as a float
+                cfg[name] = list(map(float, v)) if isinstance(v, list) else float(v)
     # the only rules that tie keys together
     if {"dt", "T"} <= valid and cfg["dt"] > cfg["T"]:
         problems.append("dt: exceeds T")
@@ -488,7 +490,7 @@ def main(argv=None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a too-long integer
             return _error("config-unreadable", detail=str(exc))
 
     try:

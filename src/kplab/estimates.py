@@ -10,7 +10,7 @@ their predicted exponents.
 Ensembles mix seeded random band data with directional generators that
 realize the binding interaction geometries (two comparable high bands, two
 opposite high bands producing low output, and a low-high pair).  The
-'comparable' generator concentrates on a single x-frequency pair +-N with
+'comparable' generator fills the x-frequencies +-N, +-(N+1) and +-(N+2) with
 transverse width proportional to sqrt(N), the geometry that saturates the
 cutoff product estimate, so the two-sided slope windows are meaningful.
 

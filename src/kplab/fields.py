@@ -104,7 +104,7 @@ class GridSpec:
             if self.yDims not in (1, 2):
                 problems.append(f"yDims must be 1 or 2, got {self.yDims}")
         for name, v in (("yLength", self.yLength), ("tWindow", self.tWindow)):
-            if not (isinstance(v, numbers.Real) and 0 < v < math.inf):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < math.inf):
                 problems.append(f"{name} must be positive and finite, got {v!r}")
         if problems:
             raise InvalidSpecError(problems)
@@ -256,11 +256,8 @@ def box_of(grid, c):
 
 
 def project_mean_zero(f):
-    """Zero the k = 0 plane of a SpectralField or SpaceTimeBox; idempotent, touches nothing else."""
+    """Zero the k = 0 plane of a SpectralField; idempotent, touches nothing else."""
     c = np.array(f.coeffs)
-    if isinstance(f, SpaceTimeBox):
-        c[:, f.axes()[1] == 0] = 0.0
-        return SpaceTimeBox(f.grid, f.lo, c)
     c[0] = 0.0
     return SpectralField(f.grid, c)
 
@@ -848,17 +845,11 @@ _MAGIC = b"KPLF\x01"
 
 
 def save_field(path, field):
-    """Self-describing binary container: magic, JSON header, little-endian c16.
-
-    A SpectralField is saved as its coefficients, a SpaceTimeBox as its whole
-    array, `box.whole()`.
-    """
-    spacetime = isinstance(field, SpaceTimeBox)
-    coeffs = field.whole() if spacetime else field.coeffs
+    """A SpectralField in a self-describing container: magic, JSON header, little-endian c16."""
     header = {
-        "kind": "spacetime" if spacetime else "spectral",
+        "kind": "spectral",
         "grid": asdict(field.grid),
-        "shape": list(coeffs.shape),
+        "shape": list(field.coeffs.shape),
         "dtype": "complex128",
         "byteorder": "little",
     }
@@ -867,15 +858,15 @@ def save_field(path, field):
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(coeffs).astype("<c16").tobytes())
+        fh.write(field.coeffs.astype("<c16").tobytes())
 
 
 def load_field(path):
-    """Read a `save_field` container; a truncated or corrupt file raises InvalidSpecError.
+    """Read a `save_field` container into its SpectralField.
 
-    So does a header whose shape is not its kind's grid shape.  A `spacetime`
-    file loads as the SpaceTimeBox of its array, a `spectral` one as a
-    SpectralField.
+    A truncated or corrupt file raises InvalidSpecError, and so does a header
+    whose kind is not `spectral` or whose shape is not its grid's: one error
+    that lists every rule the file breaks.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -892,14 +883,10 @@ def load_field(path):
     # ValueError also covers UnicodeDecodeError and JSONDecodeError
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidSpecError([f"truncated or corrupt header in {path}: {exc!r}"]) from exc
-    if kind not in ("spectral", "spacetime"):
-        raise InvalidSpecError([f"{path}: unknown field kind {kind!r}"])
-    want = list(grid.st_shape if kind == "spacetime" else grid.spatial_shape)
-    if shape != want:
-        raise InvalidSpecError([f"{path}: {kind} shape {shape} is not its grid's {want}"])
-    if len(raw) != expected:
-        raise InvalidSpecError(
-            [f"{path} holds {len(raw)} coefficient bytes, expected {expected}"]
-        )
-    arr = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
-    return box_of(grid, arr) if kind == "spacetime" else SpectralField(grid, arr)
+    want = list(grid.spatial_shape)
+    check((kind == "spectral", f"{path}: field kind {kind!r} is not 'spectral'"),
+          (shape == want, f"{path}: shape {shape} is not its grid's {want}"),
+          (len(raw) == expected, f"{path} holds {len(raw)} coefficient bytes, expected {expected}"))
+    # the grid's shape: the header's equals it in value, but may hold floats such as 17.0
+    arr = np.frombuffer(raw, dtype="<c16").reshape(want).astype(complex)
+    return SpectralField(grid, arr)

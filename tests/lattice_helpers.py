@@ -49,11 +49,13 @@ def dilate(f, lam, alpha):
     lam^beta y) maps solutions to solutions.  On the lattice: kMax -> lam
     kMax (zero off the multiples of lam), yLength -> yLength / lam^beta (the
     same eta indices), coefficients times lam^(alpha - beta); time goes to
-    t / lam^(alpha+1).  The x period stays 2 pi, so lam must be an integer.
+    t / lam^(alpha+1), and so does tWindow (the same t indices).  The x
+    period stays 2 pi, so lam must be an integer.
     """
     g = f.grid
     beta = (alpha + 2.0) / 2.0
-    big = replace(g, kMax=lam * g.kMax, yLength=g.yLength / lam**beta)
+    big = replace(g, kMax=lam * g.kMax, yLength=g.yLength / lam**beta,
+                  tWindow=g.tWindow / lam ** (alpha + 1.0))
     c = np.zeros(big.spatial_shape, complex)
     c[lam * g.k_axis()] = lam ** (alpha - beta) * f.coeffs
     return SpectralField(big, c)

@@ -182,6 +182,41 @@ def test_main_reports_mistyped_config_as_invalid(tmp_path, capsys, subcommand, t
     assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
 
 
+def test_a_number_key_takes_an_integer_as_a_float_and_only_in_the_float_range(
+        tmp_path, capsys, monkeypatch):
+    # an integer is a number, handed to the runner as a float; one past the
+    # float range is rejected before any arithmetic, where it would overflow
+    # (alpha, T) or, as an exact integer power N**s, not finish (s)
+    assert repr(cli._resolve("counterexample", {"s": 3})["s"]) == "3.0"
+    assert repr(cli._resolve("evolve", {"alpha": 3})["alpha"]) == "3.0"
+    assert [repr(a) for a in cli._resolve("resonance-audit", {"alphas": [2, 3]})["alphas"]] == [
+        "2.0", "3.0"]
+    huge = 10**400
+    monkeypatch.setattr(cli, "evolve_nonlinear", lambda *a, **k: pytest.fail("a solve ran"))
+    for subcommand, key in (("evolve", "alpha"), ("picard", "T"), ("counterexample", "s")):
+        with pytest.raises(InvalidSpecError) as err:
+            cli._resolve(subcommand, {key: huge})
+        assert err.value.violations == [f"{key}: expected finite number, got {huge!r}"]
+    with pytest.raises(InvalidSpecError) as err:
+        run("evolve", {"alpha": huge})
+    assert [v.split(":")[0] for v in err.value.violations] == ["alpha"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": huge}))
+    assert main(["evolve", "--config", str(cfg)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "config-invalid"
+
+
+def test_main_reports_a_config_json_cannot_read_as_one_json_line(tmp_path, capsys):
+    # not UTF-8, and an integer longer than Python converts from text
+    cfg = tmp_path / "cfg.json"
+    for blob in (b"\xff\xfe{}", b'{"alpha": ' + b"1" * 4400 + b"}"):
+        cfg.write_bytes(blob)
+        assert main(["evolve", "--config", str(cfg)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "config-unreadable"
+
+
 def test_run_rejects_fewer_than_one_worker(tmp_path):
     for workers in (0, -2, True):
         with pytest.raises(InvalidSpecError) as err:

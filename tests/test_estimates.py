@@ -46,7 +46,7 @@ from kplab.fields import (
     sobolev_norm,
 )
 from kplab.symbols import DispersionParams, phase_grid
-from lattice_helpers import shear
+from lattice_helpers import dilate, shear
 
 P2 = DispersionParams(2.0)
 
@@ -416,6 +416,63 @@ def test_strichartz2d_shear_property_fails_for_a_quartic_transverse_phase(monkey
 
     monkeypatch.setattr(fields, "phase_mesh", quartic)
     assert _strichartz2d_shear_change(kind, 2.0, 1) > 1e3 * 1e-13
+
+
+def _strichartz_dilation_defect(y_dims, alpha, lam):
+    """(defect, tolerance) of the Strichartz ratio's law under the anisotropic dilation.
+
+    `lattice_helpers.dilate` takes e^{it phi} u0 to (e^{i lam^(alpha+1) t
+    phi} u0)(lam x, lam^beta y), beta = (alpha + 2)/2, with tWindow and the
+    cutoff scale T going to T / lam^(alpha+1).  At s1 = s2 = 0 (the <k>^s
+    weights do not scale) the ratio is multiplied by lam^((beta d - alpha -
+    1)/2), d = yDims: lam^(-alpha/4) on T x R, lam^(1/2) on T x R^2.  The
+    time weights and the sampled products map row for row, so only the
+    phases t phi round apart; the tolerance is tWindow max|phi| eps on the
+    plain grid (4.4e-13 at alpha = 2 up to 8.9e-11 at alpha = 4).  The
+    defect is the largest over the sweep's kinds, N = 4, seed 0.
+    """
+    p, s, beta = DispersionParams(alpha), lam ** (alpha + 1.0), (alpha + 2.0) / 2.0
+    g = (estimates.strichartz2d_grid if y_dims == 1 else estimates.strichartz3d_grid)(4)
+
+    def ratio(u, v, T):
+        if y_dims == 1:
+            return strichartz2d_ratio(u, v, 0.0, 0.0, CutoffSpec(T=T), p)
+        return strichartz3d_ratio(u, v, 0.0, 0.0, p)
+
+    defect = 0.0
+    for kind in estimates.STRICHARTZ2D_KINDS if y_dims == 1 else ("random",):
+        u, v = adversarial_pair(kind, 4, g, seed=0)
+        du = dilate(u, lam, alpha)
+        dv = du if v is u else dilate(v, lam, alpha)
+        want = ratio(u, v, 1.0) * lam ** ((beta * y_dims - alpha - 1.0) / 2.0)
+        defect = max(defect, abs(ratio(du, dv, 1.0 / s) / want - 1.0))
+    return defect, g.tWindow * float(np.max(np.abs(phi_grid(g, p)))) * np.finfo(float).eps
+
+
+# measured first: defects at most 6.3e-14 on T x R (comparable, alpha = 3) and
+# 7.4e-14 on T x R^2 (alpha = 4), at least 59 times under the tolerance
+@pytest.mark.parametrize("lam", [2, 3])
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("y_dims", [1, 2], ids=["strichartz2d", "strichartz3d"])
+def test_strichartz_ratios_obey_the_anisotropic_dilation(y_dims, alpha, lam):
+    defect, tol = _strichartz_dilation_defect(y_dims, alpha, lam)
+    assert defect <= tol
+
+
+@pytest.mark.parametrize("y_dims", [1, 2], ids=["strichartz2d", "strichartz3d"])
+def test_strichartz_dilation_law_fails_for_a_phase_of_the_wrong_degree(monkeypatch, y_dims):
+    # negative control: + sign(k) |k|^2 is homogeneous of degree 2, not alpha +
+    # 1 (measured defects 1.9e-6 to 5.1e-4 at alpha = 2, lam = 2); it is odd,
+    # so real fields stay real
+    phase = fields.phase_mesh
+
+    def wrong_degree(params, k, *etas):
+        k2 = np.sign(k) * np.asarray(k, dtype=float) ** 2
+        return phase(params, k, *etas) + k2.reshape((-1,) + (1,) * len(etas))
+
+    monkeypatch.setattr(fields, "phase_mesh", wrong_degree)
+    defect, tol = _strichartz_dilation_defect(y_dims, 2.0, 2)
+    assert defect > 1e3 * tol
 
 
 # ---------------------------------------------------------------------------

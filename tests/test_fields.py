@@ -88,8 +88,11 @@ def test_make_grid_rejects_bad_specs():
         (8, 32.0, 10.0),
         (8, 32, 10.0, 1.0),
         (8, 32, math.inf),
+        (8, 32, True),  # a boolean is not a length
+        (8, 32, 10.0, 1, 16, True),
     ],
-    ids=["kMax-8.5", "kMax-True", "yPoints-32.0", "yDims-1.0", "yLength-inf"],
+    ids=["kMax-8.5", "kMax-True", "yPoints-32.0", "yDims-1.0", "yLength-inf", "yLength-True",
+         "tWindow-True"],
 )
 def test_make_grid_rejects_non_integer_counts_and_non_finite_lengths(args):
     with pytest.raises(InvalidSpecError):
@@ -118,6 +121,13 @@ def test_project_mean_zero():
     proj = project_mean_zero(mixed)
     assert np.all(proj.coeffs[0] == 0)
     assert np.array_equal(proj.coeffs[1:], mixed.coeffs[1:])
+
+
+def test_project_mean_zero_takes_a_spectral_field_only():
+    # the solvers' data are SpectralFields; a SpaceTimeBox is not projected
+    box = st_random_field(small_grid(), BandSpec(1, 6, 1.5), seed=12)
+    with pytest.raises(ShapeMismatchError):
+        project_mean_zero(box)
 
 
 def test_transform_single_harmonic_concentrates():
@@ -613,9 +623,10 @@ def test_mean_zero_projection_never_increases_norms():
     c = st_random_field(g, BandSpec(1, 6, 1.5), seed=12).whole()
     c[:, 0, :] = 0.3 + 0.1j  # inject k = 0 content
     F = box_of(g, c)
-    Fz = project_mean_zero(F)
-    # a box maps to a box with the same entries but its k = 0 plane
-    assert isinstance(Fz, SpaceTimeBox) and Fz.lo == F.lo
+    # the projection of a box: the same box with its k = 0 plane zeroed
+    z = np.array(F.coeffs)
+    z[:, F.axes()[1] == 0] = 0.0
+    Fz = SpaceTimeBox(g, F.lo, z)
     assert not np.any(Fz.whole()[:, 0]) and np.array_equal(Fz.whole()[:, 1:], c[:, 1:])
     norms = _bourgain_norms(
         [
@@ -1105,17 +1116,17 @@ def test_serialization_round_trip(tmp_path):
     f = random_field(g, BandSpec(1, 6, 1.5), seed=13)
     path = tmp_path / "field.bin"
     save_field(path, f)
+    # the layout every earlier file has: magic, length, sorted JSON header, coefficients
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[5:9])
+    assert blob[:5] == b"KPLF\x01" and blob[9 + n :] == f.coeffs.astype("<c16").tobytes()
+    assert blob[9 : 9 + n] == json.dumps({
+        "kind": "spectral", "grid": vars(g), "shape": [g.nx, g.yPoints],
+        "dtype": "complex128", "byteorder": "little"}, sort_keys=True).encode("utf-8")
     back = load_field(path)
     assert isinstance(back, SpectralField)
     assert back.grid == g
     assert np.array_equal(back.coeffs, f.coeffs)
-
-    F = st_random_field(g, BandSpec(1, 6, 1.5), seed=14)
-    path2 = tmp_path / "st.bin"
-    save_field(path2, F)
-    back2 = load_field(path2)
-    assert isinstance(back2, SpaceTimeBox)
-    assert np.array_equal(back2.whole(), F.whole())
 
 
 def test_load_field_rejects_truncated_files(tmp_path):
@@ -1173,21 +1184,6 @@ def test_load_field_rejects_a_fractional_grid(tmp_path):
         load_field(path)
 
 
-def test_a_saved_box_loads_as_the_same_box(tmp_path):
-    # the file holds the whole array, and loading takes it to its occupied box
-    g = small_grid()
-    box = st_random_field(g, BandSpec(1, 6, 1.5), seed=14)
-    path = tmp_path / "box.bin"
-    save_field(path, box)
-    blob = path.read_bytes()
-    (n,) = struct.unpack("<I", blob[5:9])
-    assert json.loads(blob[9 : 9 + n])["shape"] == list(g.st_shape)
-    back = load_field(path)
-    assert isinstance(back, SpaceTimeBox)
-    assert back.grid == g and back.lo == box.lo
-    assert np.array_equal(back.coeffs, box.coeffs)
-
-
 def test_load_field_rejects_a_shape_that_is_not_its_grids(tmp_path):
     g = small_grid()
     path = tmp_path / "field.bin"
@@ -1199,11 +1195,30 @@ def test_load_field_rejects_a_shape_that_is_not_its_grids(tmp_path):
     # spectral shape called space-time
     reshaped = {**header, "shape": [g.yPoints, g.nx]}
     other_kind = {**header, "kind": "spacetime"}
-    for bad in (reshaped, other_kind):
+    for bad, broken in ((reshaped, ["shape"]), (other_kind, ["kind"]),
+                        ({**reshaped, "kind": "spacetime"}, ["kind", "shape"])):
         text = json.dumps(bad).encode("utf-8")
         path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
-        with pytest.raises(InvalidSpecError):
+        # one error that lists every rule the header breaks
+        with pytest.raises(InvalidSpecError) as err:
             load_field(path)
+        assert len(err.value.violations) == len(broken)
+        assert all(word in v for word, v in zip(broken, err.value.violations))
+
+
+def test_load_field_reads_a_header_shape_by_value(tmp_path):
+    # JSON holds 17 and 17.0 alike as numbers: a float shape equal to the
+    # grid's loads as the same field
+    g = small_grid()
+    f = random_field(g, BandSpec(1, 6, 1.5), seed=13)
+    path = tmp_path / "field.bin"
+    save_field(path, f)
+    blob = path.read_bytes()
+    magic, (n,) = blob[:5], struct.unpack("<I", blob[5:9])
+    header, coeffs = json.loads(blob[9 : 9 + n]), blob[9 + n :]
+    text = json.dumps({**header, "shape": [float(m) for m in header["shape"]]}).encode("utf-8")
+    path.write_bytes(magic + struct.pack("<I", len(text)) + text + coeffs)
+    assert np.array_equal(load_field(path).coeffs, f.coeffs)
 
 
 def test_fields_are_immutable():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kplab import cli, fields, illposed
+from kplab import cli, fields, illposed, symbols
 from kplab.errors import BandExceedsGridError, InvalidSpecError
 from kplab.evolution import free_evolve
 from kplab.fields import SpectralField, make_grid, sobolev_norm, to_physical
@@ -369,6 +369,56 @@ def test_fiber_expm1_matches_phi1_on_both_sides_of_the_switch(t):
     assert np.array_equal(re0, [0.0, 0.0]) and np.array_equal(im0, [t, t])
     re_neg, im_neg = illposed._fiber_expm1(-x, t)
     assert np.array_equal(re_neg, -re) and np.array_equal(im_neg, im)
+
+
+def _third_derivative_dilation_defects(alpha, lam):
+    """Relative defects of the dilation law of `per_k` at kout = +-N and at kout = 3N.
+
+    The anisotropic dilation (ROADMAP item 18) takes (N, betaInterval, t) to
+    (lam N, betaInterval lam^((alpha+1)/2), t / lam^(alpha+1)): the
+    indicator's half-width grows by lam^beta, beta = (alpha + 2)/2, A, B and
+    the output phase by lam^(alpha+1), so t A, t B and t phi are unchanged,
+    and at s = 0 per_k'(lam kout) = lam^((10 - 3 alpha)/4) per_k(kout).
+    Base N = 8 and betaInterval 0.005 (the scaled one stays <= 0.1 up to
+    alpha = 4, lam = 3), t = 0.1, 32 quadrature points.
+    """
+    p, s = DispersionParams(alpha), lam ** (alpha + 1.0)
+    cfg = IllposedConfig(N=8, betaInterval=0.005, s=0.0, t=0.1, etaQuadPoints=32)
+    big = IllposedConfig(N=lam * 8, betaInterval=0.005 * lam ** ((alpha + 1.0) / 2.0), s=0.0,
+                         t=0.1 / s, etaQuadPoints=32)
+    plain, scaled = third_derivative_norm(cfg, p).per_k, third_derivative_norm(big, p).per_k
+    factor = lam ** ((10.0 - 3.0 * alpha) / 4.0)
+    defect = {k: abs(scaled[lam * k] / (factor * plain[k]) - 1.0) for k in (8, -8, 24)}
+    return max(defect[8], defect[-8]), defect[24]
+
+
+# the tolerances, measured first at alpha in {2, 2.5, 3, 4} x lam in {2, 3}:
+# at kout = +-N the defect is at most 1.9e-15 (8.5 eps), held to 32 eps; at
+# kout = 3N it measures the output phase's conditioning (ROADMAP item 17): at
+# most 1.36 t |phi0(3N)| eps (1.0e-11 at alpha = 3, lam = 3), held to 8 times that
+_AT_N = 32 * np.finfo(float).eps
+
+
+def _at_3n(alpha):
+    return 8 * 0.1 * phi0(DispersionParams(alpha), 24) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+def test_third_derivative_norm_obeys_the_anisotropic_dilation(alpha, lam):
+    at_n, at_3n = _third_derivative_dilation_defects(alpha, lam)
+    assert at_n <= _AT_N and at_3n <= _at_3n(alpha)
+
+
+def test_third_derivative_dilation_law_fails_for_a_phase_of_the_wrong_degree(monkeypatch):
+    # negative control: + sign(k) |k|^2 in phi0, and so in A, B and the output
+    # phase, is homogeneous of degree 2, not alpha + 1 (measured defects 2.1e-2
+    # at kout = +-N and 0.41 at 3N, at alpha = 2, lam = 2)
+    plain = symbols.phi0
+    monkeypatch.setattr(symbols, "phi0", lambda params, k: plain(params, k) + np.sign(k) * np.abs(
+        np.asarray(k, dtype=float)) ** 2.0)
+    at_n, at_3n = _third_derivative_dilation_defects(2.0, 2)
+    assert at_n > 1e3 * _AT_N and at_3n > 1e3 * _at_3n(2.0)
 
 
 def test_illposed_scaling_smoke_bounded_case():
