@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""The package's five exception kinds.
+
+`InvalidSpecError` is the one rejection of a bad argument or config: every
+rule a call breaks, listed at once, raised through `check`.  The other three
+are outcomes of a run that the CLI reports by name: `NonFiniteValueError` (a
+NaN or infinite number reached a fit or a verdict), `SolverDivergenceError`
+(a solver blew up, or the two solvers disagree) and `SweepWorkerError` (a
+sweep point failed, with its index and cause).  `KPLabError` is their base.
+"""
 
 
 class KPLabError(Exception):
@@ -6,7 +14,7 @@ class KPLabError(Exception):
 
 
 class InvalidSpecError(KPLabError, ValueError):
-    """A grid or experiment configuration violates its invariants.
+    """An argument breaks its function's rules.
 
     Carries the full list of violations so callers (and the CLI) can report
     every problem at once.
@@ -16,40 +24,15 @@ class InvalidSpecError(KPLabError, ValueError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):  # a sweep worker's error is pickled back to the parent process
+        return type(self), (self.violations,)
+
 
 def check(*rules):
     """Raise one InvalidSpecError listing the message of every (holds, message) rule that fails."""
     violations = [message for holds, message in rules if not holds]
     if violations:
         raise InvalidSpecError(violations)
-
-
-class ZeroDenominatorError(KPLabError, ZeroDivisionError):
-    """A ratio was requested with a vanishing denominator."""
-
-
-class ExponentRangeError(KPLabError, ValueError):
-    """A Lebesgue exponent is outside its admissible range."""
-
-
-class ShapeMismatchError(KPLabError, ValueError):
-    """Sample array shape does not match the grid."""
-
-
-class BandExceedsGridError(KPLabError, ValueError):
-    """Requested frequency band does not fit on the grid."""
-
-
-class WindowTooSmallError(KPLabError, ValueError):
-    """Time cutoff support exceeds the representable time window."""
-
-
-class InsufficientSpanError(KPLabError, ValueError):
-    """Too few scaling samples, or too little spread in N, for a log-log fit."""
-
-
-class NonpositiveValueError(KPLabError, ValueError):
-    """Log-log fitting requires strictly positive sample values."""
 
 
 class NonFiniteValueError(KPLabError, ValueError):

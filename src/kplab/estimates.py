@@ -29,15 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fields
-from .errors import (
-    BandExceedsGridError,
-    InsufficientSpanError,
-    InvalidSpecError,
-    NonFiniteValueError,
-    NonpositiveValueError,
-    ZeroDenominatorError,
-    check,
-)
+from .errors import InvalidSpecError, NonFiniteValueError, check
 from .evolution import CutoffSpec, raised_cosine_window
 from .fields import (
     BandSpec,
@@ -73,17 +65,12 @@ def fit_exponent(samples):
     every value must be finite and positive.
     """
     pts = list(samples)
-    if len(pts) < 2:
-        raise InsufficientSpanError(f"need at least 2 samples, got {len(pts)}")
+    check((len(pts) >= 2, f"need at least 2 samples, got {len(pts)}"))
     ns, vals = np.array(pts, dtype=float).T
-    if not spans_fit(ns):
-        raise InsufficientSpanError(
-            f"N span {ns.min():g}..{ns.max():g} is below the required 8x"
-        )
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValueError(f"sample values must be finite, got {vals.tolist()}")
-    if not np.all(vals > 0):
-        raise NonpositiveValueError("all sample values must be positive for a log fit")
+    check((spans_fit(ns), f"N span {ns.min():g}..{ns.max():g} is below the required 8x"),
+          (np.all(vals > 0), "all sample values must be positive for a log fit"))
     x, y = np.log(ns), np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
@@ -135,16 +122,15 @@ def _product_l2_lhs(u0, v0, weights, params):
     return math.sqrt(g.dt * cell * total) * g.deta ** (2 * g.yDims)
 
 
-def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, weights):
+def _strichartz_ratio(u0, v0, s1, s2, params, y_dims, weights, *rules):
     # the body of both ratios; `weights` are the lhs's time weights on the
-    # grid's t axis
+    # grid's t axis, `rules` the caller's own argument rules
     g = u0.grid
     check((g == v0.grid, "u0 and v0 must share a grid"),
           (g.yDims == y_dims, f"this estimate needs yDims = {y_dims}, got {g.yDims}"),
-          (s1 >= 0 and s2 >= 0, f"s1, s2 must be >= 0, got {s1}, {s2}"))
+          (s1 >= 0 and s2 >= 0, f"s1, s2 must be >= 0, got {s1}, {s2}"), *rules)
     denom = sobolev_norm(u0, s1, 0.0) * sobolev_norm(v0, s2, 0.0)
-    if denom == 0.0:
-        raise ZeroDenominatorError("zero data: the ratio is undefined")
+    check((denom != 0.0, "zero data: the ratio is undefined"))
     return _product_l2_lhs(u0, v0, weights, params) / denom
 
 
@@ -155,8 +141,8 @@ def strichartz2d_ratio(u0, v0, s1, s2, cutoff, params):
     factors' supports (exact, no aliasing) and integrated over the grid's
     time window; the cutoff must vanish at the window edge.
     """
-    cutoff.check_window(u0.grid)
-    return _strichartz_ratio(u0, v0, s1, s2, params, 1, cutoff.values(u0.grid.t_axis()))
+    return _strichartz_ratio(u0, v0, s1, s2, params, 1, cutoff.values(u0.grid.t_axis()),
+                             cutoff.window_rule(u0.grid.tWindow))
 
 
 def strichartz3d_ratio(u0, v0, s1, s2, params):
@@ -185,8 +171,7 @@ def adversarial_pair(kind, N, grid, seed):
     eta_nyq = grid.eta_nyquist
     eta_hi = min(2.0, 0.45 * eta_nyq)
     if kind == "comparable":
-        if N + 2 > grid.kMax:
-            raise BandExceedsGridError(f"comparable band [N, N+2] needs kMax >= {N + 2}")
+        check((N + 2 <= grid.kMax, f"comparable band [N, N+2] needs kMax >= {N + 2}"))
         width = min(0.35 * math.sqrt(N), 0.45 * eta_nyq)
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, 5)))
         c = np.zeros(grid.spatial_shape, dtype=complex)
@@ -299,20 +284,41 @@ def counterexample_lhs(cfg, quad_points=96, route="omega"):
     raise InvalidSpecError([f"unknown quadrature route {route!r}"])
 
 
+def _power(n, e):
+    """float(n)**e, inf past the float range (where a Python float power raises)."""
+    try:
+        return float(n) ** e
+    except OverflowError:
+        return math.inf
+
+
 def counterexample_denominator(cfg, s):
     """||D_x^s u0|| ||u0|| for the interval data, constants dropped: 2 N^s |I|."""
-    return 2.0 * cfg.N**s * cfg.halfWidth
+    return 2.0 * _power(cfg.N, s) * cfg.halfWidth
 
 
 def counterexample_point(point):
-    """One N's ratio lhs / (N^s |I|), |I| = N^a, with the lhs by both quadrature routes."""
-    n, quad = point["N"], point["quadPoints"]
-    cfg = CounterexampleConfig(N=n, halfWidth=float(n) ** point["halfWidthExponent"])
-    lhs = counterexample_lhs(cfg, quad, route="omega")
-    denom = counterexample_denominator(cfg, point["s"])
-    return {"N": n, "halfWidth": cfg.halfWidth, "lhs": lhs,
-            "lhsTauRoute": counterexample_lhs(cfg, quad, route="tau"),
-            "denominator": denom, "value": lhs / denom}
+    """One N's ratio lhs / (N^s |I|), |I| = N^a, with the lhs by both quadrature routes.
+
+    |I|, 2 N^s |I|, the ratio and the tau route's lhs must be finite and nonzero floats.
+    """
+    n, quad, s, a = point["N"], point["quadPoints"], point["s"], point["halfWidthExponent"]
+
+    def rule(name, v):
+        return (0.0 < v < math.inf,
+                f"{name} = {v!r} is not finite and nonzero at N = {n}, s = {s!r}, "
+                f"halfWidthExponent = {a!r}")
+    half_width = _power(n, a)
+    check(rule("|I| = N**a", half_width))
+    cfg = CounterexampleConfig(N=n, halfWidth=half_width)
+    denom = counterexample_denominator(cfg, s)
+    check(rule("2 N**s |I|", denom))
+    with np.errstate(all="ignore"):  # |I|^2 past the float range: the rules below name it
+        lhs, lhs_tau = (counterexample_lhs(cfg, quad, route=r) for r in ("omega", "tau"))
+    value = lhs / denom
+    check(rule("the ratio lhs / (2 N**s |I|)", value), rule("the tau route's lhs", lhs_tau))
+    return {"N": n, "halfWidth": cfg.halfWidth, "lhs": lhs, "lhsTauRoute": lhs_tau,
+            "denominator": denom, "value": value}
 
 
 def counterexample_summary(rows, cfg):
@@ -351,8 +357,7 @@ def bilinear_ratio(u, v, lhs_spec, rhs_spec, params):
           (rhs_spec.flavor in ("x", "xweighted"),
            f"rhs flavor must be x/xweighted, got {rhs_spec.flavor!r}"))
     denom = bourgain_norm(u, rhs_spec, params) * bourgain_norm(v, rhs_spec, params)
-    if denom == 0.0:
-        raise ZeroDenominatorError("zero data: the bilinear ratio is undefined")
+    check((denom != 0.0, "zero data: the bilinear ratio is undefined"))
     prod = st_product_exact(u, v)
     # a fresh buffer: d_x is applied in place, not in a second product-sized array
     dx = prod.coeffs

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .errors import (
-    InvalidSpecError,
-    NonFiniteValueError,
-    SolverDivergenceError,
-    WindowTooSmallError,
-    check,
-)
+from .errors import NonFiniteValueError, SolverDivergenceError, check
 from .fields import SpectralField
 from .symbols import phi1, phi2, phi3, require_finite
 
@@ -85,8 +79,7 @@ class CutoffSpec:
     T: float = 1.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise InvalidSpecError([f"cutoff scale T must be positive, got {self.T}"])
+        check((self.T > 0, f"cutoff scale T must be positive, got {self.T}"))
 
     def values(self, t):
         return bump(np.asarray(t, dtype=float) / self.T)
@@ -95,17 +88,11 @@ class CutoffSpec:
     def support_halfwidth(self):
         return 2.0 * self.T
 
-    def fits(self, t_window):
-        """The one cutoff-window rule: the support fits tWindow, to 1e-12 relative."""
-        return self.support_halfwidth <= t_window * (1.0 + 1e-12)
-
-    def check_window(self, grid):
-        """Raise WindowTooSmallError unless the support fits the grid's time window."""
-        if not self.fits(grid.tWindow):
-            raise WindowTooSmallError(
-                f"cutoff support halfwidth {self.support_halfwidth} exceeds "
-                f"tWindow {grid.tWindow}"
-            )
+    def window_rule(self, t_window):
+        """The one cutoff-window rule, as a (holds, message) rule of `errors.check`:
+        the support fits tWindow, to 1e-12 relative."""
+        return (self.support_halfwidth <= t_window * (1.0 + 1e-12),
+                f"cutoff support halfwidth {self.support_halfwidth} exceeds tWindow {t_window}")
 
 
 def raised_cosine_window(grid):
@@ -282,8 +269,8 @@ class PicardResult:
         """The iterate at t, a whole number of the grid's dt (`whole_steps`) inside its window."""
         g = self.grid
         row = g.tPoints // 2 + int(round(t / g.dt))
-        if not (whole_steps(t, g.dt) and 0 <= row < g.tPoints):
-            raise InvalidSpecError([f"t = {t} is not on the time lattice"])
+        check((whole_steps(t, g.dt) and 0 <= row < g.tPoints,
+               f"t = {t} is not on the time lattice"))
         return SpectralField(g, self.coeffs[row])
 
 
@@ -311,9 +298,7 @@ def picard_solve(f, cutoff, iters, params):
     of t rows: the scratch is a few block-sized arrays, whatever tPoints is.
     """
     g = f.grid
-    if iters < 1:
-        raise InvalidSpecError([f"iters must be >= 1, got {iters}"])
-    cutoff.check_window(g)
+    check((iters >= 1, f"iters must be >= 1, got {iters}"), cutoff.window_rule(g.tWindow))
     t = g.t_axis()
     i_zero = g.tPoints // 2
     assert abs(t[i_zero]) < 1e-12 * g.tWindow

@@ -51,13 +51,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import symbols
-from .errors import (
-    BandExceedsGridError,
-    ExponentRangeError,
-    InvalidSpecError,
-    ShapeMismatchError,
-    check,
-)
+from .errors import InvalidSpecError, check
 
 
 def _eta_sq(etas):
@@ -191,10 +185,8 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.spatial_shape:
-            raise ShapeMismatchError(
-                f"coeffs shape {self.coeffs.shape} != grid {self.grid.spatial_shape}"
-            )
+        shape, full = self.coeffs.shape, self.grid.spatial_shape
+        check((shape == full, f"coeffs shape {shape} != grid {full}"))
         object.__setattr__(self, "coeffs", _frozen(self.coeffs))
 
     def l2_norm(self):
@@ -219,13 +211,9 @@ class SpaceTimeBox:
 
     def __post_init__(self):
         shape, full = self.coeffs.shape, self.grid.st_shape
-        if len(self.lo) != len(full) or len(shape) != len(full) or any(
-            lo < -(n // 2) or lo + m - 1 > (n - 1) // 2
-            for lo, m, n in zip(self.lo, shape, full)
-        ):
-            raise ShapeMismatchError(
-                f"box at {self.lo} of shape {shape} is not inside grid {full}"
-            )
+        inside = len(self.lo) == len(shape) == len(full) and all(
+            -(n // 2) <= lo <= (n - 1) // 2 - m + 1 for lo, m, n in zip(self.lo, shape, full))
+        check((inside, f"box at {self.lo} of shape {shape} is not inside grid {full}"))
         self.coeffs.flags.writeable = False
 
     def axes(self):
@@ -250,8 +238,7 @@ def box_axes(grid, lo, shape):
 
 def box_of(grid, c):
     """The SpaceTimeBox of the FFT-ordered coefficients `c` of `grid`: their occupied box."""
-    if c.shape != grid.st_shape:
-        raise ShapeMismatchError(f"coeffs shape {c.shape} != grid {grid.st_shape}")
+    check((c.shape == grid.st_shape, f"coeffs shape {c.shape} != grid {grid.st_shape}"))
     return SpaceTimeBox(grid, *occupied(c))
 
 
@@ -286,8 +273,8 @@ def to_physical(f):
 def to_spectral(samples, grid):
     """Samples of either shape -> SpectralField or SpaceTimeBox: to_physical's exact inverse."""
     a = np.asarray(samples)
-    if a.shape not in (grid.spatial_shape, grid.st_shape):
-        raise ShapeMismatchError(f"sample shape {a.shape} fits neither grid shape")
+    check((a.shape in (grid.spatial_shape, grid.st_shape),
+           f"sample shape {a.shape} fits neither grid shape"))
     c = np.fft.fftn(a) / a.size / _origin(grid, a.ndim)
     return SpectralField(grid, c) if a.shape == grid.spatial_shape else box_of(grid, c)
 
@@ -381,8 +368,7 @@ def bourgain_norm(F, spec, params):
     scratch memory is a few block-sized float arrays plus a few (k, eta)
     ones, and does not grow with tPoints.
     """
-    if not isinstance(F, SpaceTimeBox):
-        raise InvalidSpecError(["bourgain_norm expects a SpaceTimeBox"])
+    check((isinstance(F, SpaceTimeBox), "bourgain_norm expects a SpaceTimeBox"))
     if spec.flavor == "z":
         y = bourgain_norm(F, replace(spec, flavor="y"), params)
         xw = bourgain_norm(F, replace(spec, flavor="xweighted", b=-0.5), params)
@@ -432,10 +418,8 @@ def mixed_norm(F, r, p, q):
     reproduces the space-time L2 norm exactly while single-k fields give
     r-independent values.  It reads the SpaceTimeBox's whole array.
     """
-    if not (1.0 <= r <= 2.0):
-        raise ExponentRangeError(f"r must lie in [1, 2], got {r}")
-    if not (p >= 1.0 and q >= 1.0):
-        raise ExponentRangeError(f"p, q must lie in [1, inf], got p={p}, q={q}")
+    check((1.0 <= r <= 2.0, f"r must lie in [1, 2], got {r}"),
+          (p >= 1.0 and q >= 1.0, f"p, q must lie in [1, inf], got p={p}, q={q}"))
     g = F.grid
     # inverse transform in tau and y only: h(k; t, y), unitary in x
     y_axes = tuple(range(2, 2 + g.yDims))
@@ -484,14 +468,9 @@ def zero_nyquist(c, grid):
 
 
 def _band_mask(grid, band):
-    if band.kHi > grid.kMax:
-        raise BandExceedsGridError(
-            f"k band up to {band.kHi} exceeds grid kMax {grid.kMax}"
-        )
-    if band.etaHi > grid.eta_nyquist:
-        raise BandExceedsGridError(
-            f"eta band up to {band.etaHi} exceeds lattice Nyquist {grid.eta_nyquist:g}"
-        )
+    check((band.kHi <= grid.kMax, f"k band up to {band.kHi} exceeds grid kMax {grid.kMax}"),
+          (band.etaHi <= grid.eta_nyquist,
+           f"eta band up to {band.etaHi} exceeds lattice Nyquist {grid.eta_nyquist:g}"))
     absk = np.abs(grid.k_axis())
     mk = (absk >= max(band.kLo, 1)) & (absk <= band.kHi)  # never k = 0: mean zero
     meta = np.sqrt(grid.eta_sq_grid()) <= band.etaHi
@@ -818,8 +797,7 @@ def st_product_exact(Fa, Fb):
     lies inside `product_grid`, whose every axis holds the sum of two of the
     grid's frequencies.
     """
-    if Fa.grid != Fb.grid:
-        raise InvalidSpecError(["product requires matching grids"])
+    check((Fa.grid == Fb.grid, "product requires matching grids"))
     g2 = product_grid(Fa.grid)
     plan = ProductPlan(Fa.lo, Fa.coeffs, Fb.lo, Fb.coeffs)
     box = plan.box_product(Fa.coeffs, Fb.coeffs)
@@ -870,8 +848,7 @@ def load_field(path):
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise InvalidSpecError([f"bad container magic {magic!r}"])
+        check((magic == _MAGIC, f"bad container magic {magic!r}"))
         prefix = fh.read(4)
         blob = fh.read(struct.unpack("<I", prefix)[0]) if len(prefix) == 4 else b""
         raw = fh.read()

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandExceedsGridError, InvalidSpecError, check
+from .errors import check
 from .estimates import fit_exponent
 from .fields import SpectralField
 from .symbols import DispersionParams, denom_A, phase_grid, phi1
@@ -69,15 +69,10 @@ class IllposedConfig:
 
 def build_wN(cfg, grid):
     """Indicator data: coefficient 1 at k = +-N for |eta| <= betaInterval sqrt(N)."""
-    if grid.yDims != 1:
-        raise InvalidSpecError(["the derivative experiment lives on T x R (yDims=1)"])
-    if cfg.N > grid.kMax:
-        raise BandExceedsGridError(f"N = {cfg.N} exceeds grid kMax = {grid.kMax}")
     w = cfg.half_width
-    if w < grid.deta:
-        raise BandExceedsGridError(
-            f"indicator half-width {w:g} is below the eta spacing {grid.deta:g}"
-        )
+    check((grid.yDims == 1, "the derivative experiment lives on T x R (yDims=1)"),
+          (cfg.N <= grid.kMax, f"N = {cfg.N} exceeds grid kMax = {grid.kMax}"),
+          (w >= grid.deta, f"indicator half-width {w:g} is below the eta spacing {grid.deta:g}"))
     if w < 8 * grid.deta:
         warnings.warn(
             f"indicator half-width spans only {w / grid.deta:.1f} eta cells",

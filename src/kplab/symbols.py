@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonFiniteValueError
+from .errors import NonFiniteValueError, check
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class DispersionParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not 2.0 <= self.alpha < math.inf:
-            raise InvalidSpecError([f"alpha must be finite and >= 2, got {self.alpha}"])
+        check((2.0 <= self.alpha < math.inf, f"alpha must be finite and >= 2, got {self.alpha}"))
 
 
 def phi0(params, k):
@@ -112,8 +111,7 @@ def resonance_bounds_audit(params, kMax):
     slack of 1e-12 for floating point. Returns the full violation list
     (expected empty).
     """
-    if kMax < 2:
-        raise InvalidSpecError([f"kMax must be >= 2, got {kMax}"])
+    check((kMax >= 2, f"kMax must be >= 2, got {kMax}"))
     ks = np.concatenate([np.arange(-kMax, 0), np.arange(1, kMax + 1)])
     K, K1 = np.meshgrid(ks, ks, indexing="ij")
     admissible = K != K1  # k and k1 are nonzero by construction

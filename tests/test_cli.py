@@ -17,12 +17,11 @@ import kplab
 from kplab import cli, estimates, evolution
 from kplab.cli import SUBCOMMANDS, main, rows_to_csv, run, sweep_parallel
 from kplab.errors import (
-    InsufficientSpanError,
     InvalidSpecError,
     NonFiniteValueError,
     SolverDivergenceError,
     SweepWorkerError,
-    WindowTooSmallError,
+    check,
 )
 from kplab.evolution import CutoffSpec
 from kplab.fields import make_grid
@@ -75,19 +74,19 @@ def test_validation_reports_field_names():
 
 def test_cli_and_solver_share_the_cutoff_window_rule():
     # 2T above tWindow by less than the 1e-12 relative slack of
-    # CutoffSpec.check_window: both accept it, and both reject 1e-11
+    # CutoffSpec.window_rule: both accept it, and both reject 1e-11
     for shrink, fits in ((1e-13, True), (1e-11, False)):
         config = {"T": 0.1, "tWindow": 0.2 * (1 - shrink), "crossCheck": False}
         grid = make_grid(4, 16, 8 * math.pi, tPoints=16, tWindow=config["tWindow"])
         if fits:
             assert cli._resolve("picard", config)["tWindow"] == config["tWindow"]
-            CutoffSpec(T=0.1).check_window(grid)
+            check(CutoffSpec(T=0.1).window_rule(grid.tWindow))
             continue
         with pytest.raises(InvalidSpecError) as err:
             cli._resolve("picard", config)
         assert err.value.violations == ["T: cutoff support 2T exceeds tWindow"]
-        with pytest.raises(WindowTooSmallError):
-            CutoffSpec(T=0.1).check_window(grid)
+        with pytest.raises(InvalidSpecError, match="cutoff support halfwidth 0.2 exceeds tWindow"):
+            check(CutoffSpec(T=0.1).window_rule(grid.tWindow))
 
 
 # T is 16 steps of the t lattice's 3.125 to 6e-10 relative; at dt = 3.125
@@ -386,6 +385,19 @@ def test_a_failing_sweep_reports_its_lowest_failing_point():
     assert indices == [1, 1]
 
 
+def _reject(x):
+    check((False, f"point {x}: first rule"), (False, "second rule"))
+
+
+def test_an_argument_error_crosses_back_from_a_worker_process_whole():
+    # a sweep point's InvalidSpecError is pickled in its worker process and
+    # read back in this one with its violations and message intact
+    with pytest.raises(SweepWorkerError) as err:
+        sweep_parallel([0, 1], _reject, workers=2)
+    assert err.value.cause.violations == ["point 0: first rule", "second rule"]
+    assert str(err.value.cause) == "point 0: first rule; second rule"
+
+
 def test_a_sweep_pool_has_at_most_one_process_per_point(monkeypatch):
     sizes = []
 
@@ -514,6 +526,38 @@ def test_an_overflowed_alpha_stops_a_solver_or_the_derivative_sweep_with_one_err
     assert "alpha = 400.0" in error["detail"]
 
 
+@pytest.mark.parametrize("config, rule", [
+    ({"s": 1e300}, "2 N**s |I| = inf is not finite and nonzero at N = 16"),
+    ({"s": -1e300}, "2 N**s |I| = 0.0 is not finite and nonzero at N = 16"),
+    ({"halfWidthExponent": 1e300}, "|I| = N**a = inf is not finite and nonzero at N = 16"),
+    ({"halfWidthExponent": -1e300}, "|I| = N**a = 0.0 is not finite and nonzero at N = 16"),
+    ({"s": 100.0, "halfWidthExponent": 100.0},
+     "2 N**s |I| = inf is not finite and nonzero at N = 64"),
+    ({"s": -100.0, "halfWidthExponent": -100.0},
+     "2 N**s |I| = 0.0 is not finite and nonzero at N = 64"),
+    ({"s": -100.0, "halfWidthExponent": 100.0},
+     "the tau route's lhs = nan is not finite and nonzero at N = 64"),
+    ({"s": -150.0}, "the ratio lhs / (2 N**s |I|) = inf is not finite and nonzero at N = 128"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning comes first
+def test_a_huge_counterexample_exponent_stops_the_run_naming_its_keys(tmp_path, capsys, config,
+                                                                      rule):
+    # |I| = N**halfWidthExponent, the denominator 2 N**s |I|, both lhs and
+    # the ratio must be finite and nonzero; such exponents used to stop the
+    # sweep on an OverflowError or a ZeroDivisionError that named no key, or
+    # on a numpy warning and then a log-fit or non-finite-value error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"Ns": [16, 32, 64, 128], "quadPoints": 16, **config}))
+    assert main(["counterexample", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert out == "" and error["error"] == "SweepWorkerError"
+    assert "InvalidSpecError" in error["detail"]
+    s, a = config.get("s", 0.0), config.get("halfWidthExponent", 0.0)
+    assert f"{rule}, s = {s!r}, halfWidthExponent = {a!r}" in error["detail"]
+
+
 def test_envelope_echo_contains_defaults():
     env = run("counterexample", {"Ns": [16, 32, 64, 128], "quadPoints": 48})
     assert env["configEcho"]["halfWidthExponent"] == 0.0  # default filled in
@@ -569,7 +613,7 @@ def test_ns_too_narrow_to_fit_are_rejected_before_the_run(monkeypatch, subcomman
         run(subcommand, config)
     assert [v.split(":")[0] for v in err.value.violations] == ["Ns"]
     # the fit's own rule, and an N of 8 times the smallest passes both
-    with pytest.raises(InsufficientSpanError):
+    with pytest.raises(InvalidSpecError, match="is below the required 8x"):
         estimates.fit_exponent([(n, 1.0) for n in config["Ns"]])
     wide = config["Ns"] + [8 * min(config["Ns"])]
     cli._resolve(subcommand, {**config, "Ns": wide})

@@ -13,7 +13,7 @@ from kplab.errors import (
     InvalidSpecError,
     NonFiniteValueError,
     SolverDivergenceError,
-    WindowTooSmallError,
+    check,
 )
 from kplab import evolution, fields
 from kplab.evolution import (
@@ -93,11 +93,11 @@ def free_block(f, cutoff, params):
     The space-time coefficients of psi_T(t) e^{it phi(D)} u0, built directly
     from the spectral data: the tests below check the library's space-time
     conventions (`to_physical` of a box, `SpaceTimeBox.l2_norm`, the tau lattice)
-    and `CutoffSpec.check_window` against it.  The grid's tau range must
+    and `CutoffSpec.window_rule` against it.  The grid's tau range must
     contain the data's dispersion surface (keep max |phi| well under pi/dt).
     """
     g = f.grid
-    cutoff.check_window(g)
+    check(cutoff.window_rule(g.tWindow))
     w = cutoff.values(g.t_axis())
     phi = phi_grid(g, params)
     t = g.t_axis().reshape((-1,) + (1,) * (1 + g.yDims))
@@ -160,7 +160,7 @@ def test_free_block_samples_match_windowed_flow():
 def test_free_block_window_too_small():
     g = make_grid(3, 16, 8 * math.pi, tPoints=64, tWindow=1.0)
     f = random_field(g, BandSpec(1, 3, 1.0), seed=4)
-    with pytest.raises(WindowTooSmallError):
+    with pytest.raises(InvalidSpecError, match="cutoff support halfwidth 2.0 exceeds tWindow 1.0"):
         free_block(f, CutoffSpec(T=1.0), P2)  # support (-2, 2) vs window 1
 
 
@@ -452,7 +452,7 @@ def test_at_time_reads_the_lattice_rows_inside_the_window():
 def test_picard_window_check():
     g = picard_grid()
     f = smooth_data(g)
-    with pytest.raises(WindowTooSmallError):
+    with pytest.raises(InvalidSpecError, match="cutoff support halfwidth 0.4 exceeds tWindow 0.2"):
         picard_solve(f, CutoffSpec(T=0.2), 2, P2)  # support 0.4 > window 0.2
 
 

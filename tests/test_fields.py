@@ -12,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from kplab.errors import (
-    BandExceedsGridError,
-    ExponentRangeError,
-    InvalidSpecError,
-    ShapeMismatchError,
-)
+from kplab.errors import InvalidSpecError
 from kplab import fields
 from kplab.estimates import bilinear_grid, bilinear_point, bilinear_ratio, spacetime_pair
 from kplab.evolution import _quadratic_term
@@ -126,7 +121,7 @@ def test_project_mean_zero():
 def test_project_mean_zero_takes_a_spectral_field_only():
     # the solvers' data are SpectralFields; a SpaceTimeBox is not projected
     box = st_random_field(small_grid(), BandSpec(1, 6, 1.5), seed=12)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InvalidSpecError, match=r"coeffs shape \(.*\) != grid"):
         project_mean_zero(box)
 
 
@@ -162,7 +157,7 @@ def test_transform_shape_mismatch():
         wrong = [(3, 3), (3, 3, 3), g.spatial_shape[::-1] + (2,), g.st_shape + (1,),
                  g.st_shape[1:] + (g.tPoints,)]
         for shape in wrong:
-            with pytest.raises(ShapeMismatchError):
+            with pytest.raises(InvalidSpecError, match="fits neither grid shape"):
                 to_spectral(np.zeros(shape), g)
         assert isinstance(to_spectral(np.zeros(g.spatial_shape), g), SpectralField)
         assert isinstance(to_spectral(np.zeros(g.st_shape), g), SpaceTimeBox)
@@ -582,9 +577,9 @@ def test_mixed_norm_properties():
     two = box_of(g, gc2)
     assert mixed_norm(two, 1, 2, 2) <= mixed_norm(two, 2, 2, 2)
 
-    with pytest.raises(ExponentRangeError):
+    with pytest.raises(InvalidSpecError, match=r"r must lie in \[1, 2\], got 3.0"):
         mixed_norm(F, 3.0, 2, 2)
-    with pytest.raises(ExponentRangeError):
+    with pytest.raises(InvalidSpecError, match=r"p, q must lie in \[1, inf\], got p=0.5"):
         mixed_norm(F, 2.0, 0.5, 2)
     assert mixed_norm(F, 2, math.inf, math.inf) > 0
 
@@ -683,10 +678,22 @@ def test_random_field_contract():
     u = to_physical(f1)
     assert np.max(np.abs(u.imag)) < 1e-12
 
-    with pytest.raises(BandExceedsGridError):
+    with pytest.raises(InvalidSpecError, match="k band up to 20 exceeds grid kMax"):
         random_field(g, BandSpec(1, 20, 1.0), seed=0)
-    with pytest.raises(BandExceedsGridError):
+    with pytest.raises(InvalidSpecError, match="eta band up to 100.0 exceeds lattice Nyquist"):
         random_field(g, BandSpec(1, 4, 100.0), seed=0)
+
+
+def test_argument_rules_are_listed_together():
+    # each call names every rule its arguments break, not only the first
+    g = small_grid()
+    with pytest.raises(InvalidSpecError) as err:
+        mixed_norm(st_random_field(g, BandSpec(1, 6, 1.5), seed=8), 3, 0, 0)
+    assert err.value.violations == ["r must lie in [1, 2], got 3",
+                                    "p, q must lie in [1, inf], got p=0, q=0"]
+    with pytest.raises(InvalidSpecError) as err:
+        random_field(g, BandSpec(1, 20, 100.0), seed=0)
+    assert [v.split(" up to ")[0] for v in err.value.violations] == ["k band", "eta band"]
 
 
 def _direct_convolution(a, b, out_shape):

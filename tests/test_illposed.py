@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kplab import cli, fields, illposed, symbols
-from kplab.errors import BandExceedsGridError, InvalidSpecError
+from kplab.errors import InvalidSpecError
 from kplab.evolution import free_evolve
 from kplab.fields import SpectralField, make_grid, sobolev_norm, to_physical
 from kplab.illposed import (
@@ -67,13 +67,21 @@ def test_build_wN_grid_norm_close_to_exact():
 
 
 def test_build_wN_errors_and_warning():
-    with pytest.raises(BandExceedsGridError):
+    with pytest.raises(InvalidSpecError, match="N = 256 exceeds grid kMax"):
         build_wN(IllposedConfig(N=256), wn_grid(16))
     tiny = make_grid(40, 32, 4 * math.pi, tPoints=8, tWindow=1.0)  # deta = 0.5
-    with pytest.raises(BandExceedsGridError):
+    with pytest.raises(InvalidSpecError, match="is below the eta spacing 0.5"):
         build_wN(IllposedConfig(N=16, betaInterval=0.05), tiny)  # W = 0.2 < deta
     with pytest.warns(UserWarning):
         build_wN(IllposedConfig(N=16), make_grid(40, 64, 32 * math.pi, tPoints=8, tWindow=1.0))
+
+
+def test_build_wN_lists_every_violation():
+    # a T x R^2 grid whose kMax is below N breaks two rules, listed together
+    with pytest.raises(InvalidSpecError) as err:
+        build_wN(IllposedConfig(N=256), make_grid(16, 16, 8 * math.pi, yDims=2))
+    assert err.value.violations == ["the derivative experiment lives on T x R (yDims=1)",
+                                    "N = 256 exceeds grid kMax = 16"]
 
 
 def test_first_derivative_is_free_flow():

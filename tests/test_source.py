@@ -1,5 +1,6 @@
 """Checks on the library's source text: every function parameter is read, no
-module reads another's private names, and each name has one import path."""
+module reads another's private names, each name has one import path, and
+every raise is one of the five error kinds."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,37 @@ def test_the_package_re_exports_nothing():
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
     assert bound == {"__version__"}
     assert all(isinstance(n, (ast.Expr, ast.Assign)) for n in tree.body)
+
+
+ERROR_KINDS = {"KPLabError", "InvalidSpecError", "NonFiniteValueError", "SolverDivergenceError",
+               "SweepWorkerError"}
+
+
+def _foreign_raises(source):
+    """Every `raise` whose exception is not one of ERROR_KINDS, by name ("raise" if bare)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc) if exc else "raise"
+            if name not in ERROR_KINDS:
+                found.append(name)
+    return sorted(found)
+
+
+def test_foreign_raise_check_finds_three():
+    source = ("class CustomError(ValueError):\n    pass\n"
+              "def f(x):\n"
+              "    try:\n        g(x)\n    except KeyError:\n        raise\n"
+              "    if x:\n        raise CustomError('x')\n"
+              "    if x > 1:\n        raise errors.CustomError('x') from None\n"
+              "    raise InvalidSpecError(['x'])\n")
+    assert _foreign_raises(source) == ["CustomError", "errors.CustomError", "raise"]
+
+
+def test_every_raise_is_one_of_the_five_error_kinds():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    assert {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)} == ERROR_KINDS
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _foreign_raises(path.read_text(encoding="utf-8"))]
+    assert found == []
